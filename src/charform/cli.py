@@ -16,15 +16,14 @@ from typing import Any, Dict
 
 from .errors import CharformError, ParseError
 from .extraction import (
-    Check,
+    _case_of,
     default_components,
     extract_orthogonal_invariants,
     extract_symplectic_invariants,
     extract_unitary_invariants,
-    galois_components,
 )
-from .fields import parse_field
-from .involutions import UnitaryEtale, UnitaryExchange, _SympBase, symmetric_space
+from .fields import Fe, parse_field
+from .involutions import symmetric_space
 from .serialize import descriptor_from_json, fe_to_json, form_to_json, jsonable
 from .verify import run_suite
 
@@ -38,14 +37,6 @@ def _load_descriptor(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     return descriptor_from_json(obj)
-
-
-def _case_of(desc) -> str:
-    if isinstance(desc, _SympBase):
-        return "symplectic"
-    if isinstance(desc, (UnitaryExchange, UnitaryEtale)):
-        return "unitary"
-    return "orthogonal"
 
 
 def _seed_from(args) -> int:
@@ -103,29 +94,17 @@ def cmd_extract(args) -> int:
         "seed": seed,
         "dims": list(comps.dims),
     }
-    if case == "symplectic":
-        inv = extract_symplectic_invariants(desc, comps, seed=seed)
-        report["a1"] = fe_to_json(inv.a1)
-        report["a2"] = fe_to_json(inv.a2)
-        report["pi3"] = form_to_json(inv.pi3)
-        report["pi5"] = form_to_json(inv.pi5)
-        checks = inv.checks
-    elif case == "unitary":
-        inv = extract_unitary_invariants(desc, comps, seed=seed)
-        report["a1"] = fe_to_json(inv.a1)
-        report["a2"] = fe_to_json(inv.a2)
-        report["pi2"] = form_to_json(inv.pi2)
-        report["pi4"] = form_to_json(inv.pi4)
-        checks = inv.checks
-    else:
-        inv = extract_orthogonal_invariants(desc, comps, seed=seed)
-        report["a1"] = fe_to_json(inv.a1)
-        report["a2"] = fe_to_json(inv.a2)
-        report["pi1"] = form_to_json(inv.pi1)
-        report["phi"] = form_to_json(inv.phi)
-        report["pi3"] = form_to_json(inv.pi3)
-        report["det"] = fe_to_json(inv.det_class)
-        checks = inv.checks
+    # looked up per call, so a rebinding of the module-level names takes effect
+    extract, keys = {
+        "symplectic": (extract_symplectic_invariants, ("pi3", "pi5")),
+        "unitary": (extract_unitary_invariants, ("pi2", "pi4")),
+        "orthogonal": (extract_orthogonal_invariants, ("pi1", "phi", "pi3", "det")),
+    }[case]
+    inv = extract(desc, comps, seed=seed)
+    for key in ("a1", "a2") + keys:
+        value = getattr(inv, "det_class" if key == "det" else key)
+        report[key] = fe_to_json(value) if isinstance(value, Fe) else form_to_json(value)
+    checks = inv.checks
     report["checks"] = [
         {"name": c.name, "result": c.result.state, "witness": jsonable(c.result.witness)}
         for c in checks
@@ -180,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True, help="descriptor JSON path")
     e.add_argument("--case", choices=["symplectic", "unitary", "orthogonal"])
     e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--budget", type=int, default=8, help="search degree budget")
     e.add_argument("--json", action="store_true", help="compact single-line JSON")
     e.set_defaults(func=cmd_extract)
 
@@ -193,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--field", default="gf2")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--budget", type=int, default=8)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
     return p
@@ -205,9 +182,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if getattr(args, "budget", 1) <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     if getattr(args, "trials", 0) < 0:
         print("error: --trials must be nonnegative", file=sys.stderr)
         return 2

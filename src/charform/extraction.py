@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .decision import Decision, UNKNOWN, Unknown, decided, unknown
 from .errors import (
@@ -43,7 +43,6 @@ from .forms import (
     witt_equivalent_gf2k,
 )
 from .involutions import (
-    Index2Symp,
     InvolutionSpace,
     Orthogonal,
     SplitSymp,
@@ -56,7 +55,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Span, charpoly, kernel
+from .linalg import Mat, Span, charpoly, kernel, unit_vector
 from .quaternions import nrd_form, q_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -66,10 +65,6 @@ _S4 = list(itertools.permutations(range(4)))
 class Check:
     name: str
     result: Decision
-
-    def as_json(self):
-        witness = self.result.witness
-        return {"name": self.name, "result": self.result.state, "witness": witness}
 
 
 class BiquadraticEtale:
@@ -183,35 +178,21 @@ def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
     return cand
 
 
+def _diag_generators(desc, variant: int):
+    """Idempotent sums s1 = p_i2 + p_i4, s2 = p_i3 + p_i4 of diagonal
+    projectors, with (i1..i4) the permutation selected by ``variant``."""
+    perm = _S4[variant % len(_S4)]
+    p = desc.projector
+    return desc.el_add(p(perm[1]), p(perm[3])), desc.el_add(p(perm[2]), p(perm[3]))
+
+
 def construct_biquadratic(desc, variant: int = 0) -> BiquadraticEtale:
     """The split biquadratic subalgebra from diagonal projections.
 
-    The generators are idempotent sums s1 = p_i2 + p_i4, s2 = p_i3 + p_i4,
-    where (i1..i4) is a permutation of the diagonal selected by ``variant``
-    (used to re-run extractions with a different choice of L).
+    ``variant`` selects the permutation of the diagonal (used to re-run
+    extractions with a different choice of L); see _diag_generators.
     """
-    perm = _S4[variant % len(_S4)]
-    ring = desc.entry_ring
-    if isinstance(desc, UnitaryExchange):
-        from .linalg import Mat
-
-        def proj(i):
-            rows = [[desc.field.zero] * 4 for _ in range(4)]
-            rows[i][i] = desc.field.one
-            m = Mat(desc.field, rows)
-            return (m, m)
-
-    else:
-        from .linalg import Mat
-
-        def proj(i):
-            rows = [[ring.zero] * 4 for _ in range(4)]
-            rows[i][i] = ring.one
-            return Mat(ring, rows)
-
-    s1 = desc.el_add(proj(perm[1]), proj(perm[3]))
-    s2 = desc.el_add(proj(perm[2]), proj(perm[3]))
-    return validate_biquadratic(desc, s1, s2)
+    return validate_biquadratic(desc, *_diag_generators(desc, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +255,6 @@ class WComponents:
                 acc = [a + c * b for a, b in zip(acc, vec)]
         return self.space.element(acc)
 
-    def w_space_coords(self, i: int, coords: Sequence[Fe]) -> List[Fe]:
-        field = self.desc.field
-        acc = [field.zero] * self.space.dim
-        for c, vec in zip(coords, self.w_coords[i - 1]):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        return acc
-
     def w_membership(self, i: int, x) -> Optional[List[Fe]]:
         sc = self.space.coords(x)
         if sc is None:
@@ -297,8 +270,6 @@ def _explicit_index2_bases(desc: _SympBase) -> List[List]:
     and cyclic analogues for W_2, W_3; the restricted forms are then
     literally <u1, u2*u3> n_Q and its partners.
     """
-    from .linalg import Mat
-
     Q = desc.quat
     u1, u2, u3 = desc.us
     units = (Q.one, Q.u, Q.v, Q.w)
@@ -362,8 +333,7 @@ def galois_components(
 
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
 
-    default_l = _is_default_l(desc, L)
-    if isinstance(desc, _SympBase) and default_l:
+    if isinstance(desc, _SympBase) and _is_default_l(desc, L):
         explicit = _explicit_index2_bases(desc)
         replaced = []
         for i, basis in enumerate(explicit, start=1):
@@ -394,18 +364,8 @@ def galois_components(
 
 
 def _is_default_l(desc, L: BiquadraticEtale) -> bool:
-    if isinstance(desc, UnitaryExchange):
-        return False
-    ring = desc.entry_ring
-    from .linalg import Mat
-
-    rows1 = [[ring.zero] * 4 for _ in range(4)]
-    rows1[1][1] = ring.one
-    rows1[3][3] = ring.one
-    rows2 = [[ring.zero] * 4 for _ in range(4)]
-    rows2[2][2] = ring.one
-    rows2[3][3] = ring.one
-    return desc.el_eq(L.s1, Mat(ring, rows1)) and desc.el_eq(L.s2, Mat(ring, rows2))
+    s1, s2 = _diag_generators(desc, 0)
+    return desc.el_eq(L.s1, s1) and desc.el_eq(L.s2, s2)
 
 
 def _component_checks(comps: WComponents) -> None:
@@ -484,8 +444,6 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
                 raise DecompositionFailure("polar of q_i escapes L_i")
             row.append(ring.el(co[0], co[1]))
         rows.append(row)
-    from .linalg import Mat
-
     det = charpoly(Mat(ring, rows))[0]
     if not det.norm():
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
@@ -555,11 +513,8 @@ def _anisotropic_coords(
     then exhaustive enumeration over tiny fields, then seeded random."""
     field = raw.field
     n = raw.dim
-    units = []
-    for i in range(n):
-        v = [field.zero] * n
-        v[i] = field.one
-        units.append(v)
+    units = [unit_vector(field, n, i) for i in range(n)]
+    for v in units:
         if raw.evaluate(v):
             return v
     for i in range(n):
@@ -621,10 +576,67 @@ def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     return decided(all(conds), {"values": [full.evaluate(v).raw for v in (v1, v2, vsum)]})
 
 
-def _hyperbolicity_check(q: QuadraticForm, *, pfister: bool, seed: int) -> Decision:
-    if isinstance(q.field, GF2k):
-        return is_hyperbolic(q)
-    return is_hyperbolic(q, pfister=pfister, seed=seed)
+class _CheckNames(NamedTuple):
+    """Per-case names of the checks _extract_pfister_pair reports."""
+
+    hyperbolic: str
+    w2_match: str
+    arf: str
+    star_witness: bool  # whether the star check logs the witness coordinates
+
+
+_SYMPLECTIC_CHECKS = _CheckNames(
+    "srp_plus_11_plus_pi3_plus_pi5_hyperbolic", "w2_scaled_matches_pi3", "pi3_arf_zero", True
+)
+_UNITARY_CHECKS = _CheckNames(
+    "srd_plus_11_plus_pi2_plus_pi4_hyperbolic", "w2_scaled_matches_pi2", "pi2_arf_zero", False
+)
+
+
+def _witness_pair(comps: WComponents, rng: random.Random):
+    """Anisotropic x1 in W_1 and x2 in W_2 (coordinates) with their values."""
+    x1 = _anisotropic_coords(comps.w_raw[0], rng)
+    x2 = _anisotropic_coords(comps.w_raw[1], rng)
+    return x1, x2, comps.w_raw[0].evaluate(x1), comps.w_raw[1].evaluate(x2)
+
+
+def _star_represents_product(desc, comps: WComponents, x1, x2, a1: Fe, a2: Fe) -> bool:
+    """Whether the form takes the value a1*a2 at the composition x1 * x2."""
+    sprod = star(desc, comps.w_element(1, x1), comps.w_element(2, x2), comps)
+    return comps.full_raw.evaluate(comps.space.coords(sprod)) == a1 * a2
+
+
+def _extract_pfister_pair(desc, comps: WComponents, seed: int, names: _CheckNames):
+    """The extraction steps the symplectic and unitary cases share.
+
+    Picks the witness pair, builds the small Pfister form pi (W_1 scaled by
+    1/a1, normalized) and the large one <1, a1, a2, a1a2> x pi, and checks
+    that the full form plus [1,1] + pi + large is hyperbolic, that W_2 scaled
+    by 1/a2 matches pi, that the star product of the witnesses represents
+    a1a2, that the restriction to L is [1,1] + [0,0], and over GF(2^k) that
+    pi has Arf invariant 0.  Returns (x1, x2, a1, a2, pi, large, checks).
+    """
+    field = desc.field
+    x1, x2, a1, a2 = _witness_pair(comps, random.Random(seed))
+    pi, _ = normalize(comps.w_raw[0].scaled(a1))
+    large = bilinear_tensor([field.one, a1, a2, a1 * a2], pi)
+    full_q, _ = normalize(comps.full_raw)
+    total = direct_sum(full_q, block11(field), pi, large)
+    checks = [Check(names.hyperbolic, is_hyperbolic(total, seed=seed))]
+    q2, _ = normalize(comps.w_raw[1].scaled(a2))
+    if isinstance(field, GF2k):
+        checks.append(Check(names.w2_match, decided(witt_equivalent_gf2k(q2, pi))))
+    else:
+        checks.append(Check(names.w2_match, blocks_match_upto_squares(q2, pi)))
+    witness = None
+    if names.star_witness:
+        witness = {"x1": [c.raw for c in x1], "x2": [c.raw for c in x2]}
+    represents = _star_represents_product(desc, comps, x1, x2, a1, a2)
+    checks.append(Check("w3_represents_a1a2", decided(represents, witness)))
+    checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
+    if isinstance(field, GF2k):
+        checks.append(Check(names.arf, decided(arf_invariant(pi) == 0)))
+    return x1, x2, a1, a2, pi, large, checks
 
 
 def extract_symplectic_invariants(
@@ -634,67 +646,21 @@ def extract_symplectic_invariants(
     if not isinstance(desc, _SympBase):
         raise UnsupportedDescriptor("symplectic descriptor required")
     comps = components if components is not None else default_components(desc)
-    field = desc.field
-    rng = random.Random(seed)
-    x1 = _anisotropic_coords(comps.w_raw[0], rng)
-    x2 = _anisotropic_coords(comps.w_raw[1], rng)
-    a1 = comps.w_raw[0].evaluate(x1)
-    a2 = comps.w_raw[1].evaluate(x2)
-    pi3, _ = normalize(comps.w_raw[0].scaled(a1))
-    pi5 = bilinear_tensor([field.one, a1, a2, a1 * a2], pi3)
-    checks: List[Check] = []
-
-    full_q, _ = normalize(comps.full_raw)
-    total = direct_sum(full_q, block11(field), pi3, pi5)
-    checks.append(
-        Check("srp_plus_11_plus_pi3_plus_pi5_hyperbolic",
-              _hyperbolicity_check(total, pfister=False, seed=seed))
+    x1, x2, a1, a2, pi3, pi5, checks = _extract_pfister_pair(
+        desc, comps, seed, _SYMPLECTIC_CHECKS
     )
-
-    q2, _ = normalize(comps.w_raw[1].scaled(a2))
-    if isinstance(field, GF2k):
-        checks.append(Check("w2_scaled_matches_pi3", decided(witt_equivalent_gf2k(q2, pi3))))
-    else:
-        checks.append(Check("w2_scaled_matches_pi3", blocks_match_upto_squares(q2, pi3)))
-
-    x1el = comps.w_element(1, x1)
-    x2el = comps.w_element(2, x2)
-    sprod = star(desc, x1el, x2el, comps)
-    sc = comps.space.coords(sprod)
-    checks.append(
-        Check(
-            "w3_represents_a1a2",
-            decided(comps.full_raw.evaluate(sc) == a1 * a2,
-                    {"x1": [c.raw for c in x1], "x2": [c.raw for c in x2]}),
-        )
-    )
-
-    checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
-
-    if isinstance(field, GF2k):
-        checks.append(Check("pi3_arf_zero", decided(arf_invariant(pi3) == 0)))
-    if isinstance(desc, _SympBase) and _is_default_l(desc, comps.L):
+    if _is_default_l(desc, comps.L):
         u1, u2, u3 = desc.us
-        closed_pi3 = bilinear_tensor([field.one, u1 * u2 * u3], nrd_form(desc.quat))
+        closed_pi3 = bilinear_tensor([desc.field.one, u1 * u2 * u3], nrd_form(desc.quat))
         checks.append(
             Check("pi3_matches_closed_form", blocks_match_upto_squares(pi3, closed_pi3))
         )
-
     return SympPfisterInvariants(a1, a2, x1, x2, pi3, pi5, checks, comps)
 
 
 # ---------------------------------------------------------------------------
 # decomposability and square-central witnesses
 # ---------------------------------------------------------------------------
-
-
-def _isotropic_w_coords(
-    raw: RawQuadraticForm, rng: random.Random, *, trials: int = 400
-) -> Optional[List[Fe]]:
-    """A nonzero isotropic vector of a restricted form, or None."""
-    for v in _isotropic_w_stream(raw, rng, limit=trials):
-        return v
-    return None
 
 
 def _isotropic_w_stream(raw: RawQuadraticForm, rng: random.Random, *, limit: int):
@@ -763,10 +729,7 @@ def _triple_generators(desc: SplitSymp):
     rebalanced pairwise against a canonical one, leaving i-generators
     i1, i1+i2, i1+i3 and j-generators j1*j2*j3, j2, j3.
     """
-    from .linalg import Mat
-
     Q = desc.quat
-    field = desc.field
     z, o = Q.zero, Q.one
 
     def mat(entries):
@@ -836,8 +799,7 @@ def check_pi3_decomposability(
         srp_val = comps.full_raw.evaluate(sc)
         checks.append(Check("srp_vanishes_on_j1", decided(not srp_val)))
         inv = extract_symplectic_invariants(desc, comps, seed=seed)
-        dec = _hyperbolicity_check(inv.pi3, pfister=True, seed=seed)
-        checks.append(Check("pi3_hyperbolic", dec))
+        checks.append(Check("pi3_hyperbolic", is_hyperbolic(inv.pi3, pfister=True, seed=seed)))
         return DecomposabilityReport("from_triple", checks, wc)
 
     if direction != "to_triple":
@@ -882,7 +844,7 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
     ring = comps.L.li_ring(1)
     one = desc.one_el()
     n = len(comps.w_coords[0])
-    candidates = [comps.w_element(1, v) for v in _unit_vectors(field, n)]
+    candidates = [comps.w_element(1, unit_vector(field, n, k)) for k in range(n)]
     candidates += [
         comps.w_element(1, [field.rand(rng) for _ in range(n)]) for _ in range(60)
     ]
@@ -902,15 +864,6 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
         if desc.el_eq(desc.el_mul(cand, cand), one):
             return cand
     return None
-
-
-def _unit_vectors(field, n: int):
-    out = []
-    for i in range(n):
-        v = [field.zero] * n
-        v[i] = field.one
-        out.append(v)
-    return out
 
 
 def find_square_central(
@@ -947,7 +900,7 @@ def find_square_central(
     comps2 = galois_components(desc, lprime)
     if comps2.w_membership(1, y) is None:
         raise DecompositionFailure("y escaped the first component of the new algebra")
-    w2 = comps2.w_element(2, _unit_vectors(field, len(comps2.w_coords[1]))[0])
+    w2 = comps2.w_element(2, unit_vector(field, len(comps2.w_coords[1]), 0))
     z = desc.el_add(w2, star(desc, y, w2, comps2))
     zc = comps2.space.coords(z)
     if comps2.full_raw.evaluate(zc):
@@ -986,7 +939,8 @@ def _coords_with_value_one(comps: WComponents, rng: random.Random, *, trials: in
         return acc
 
     # scale a single anisotropic vector when its value is a square
-    for unit in _unit_vectors(field, n1):
+    for k in range(n1):
+        unit = unit_vector(field, n1, k)
         val = comps.w_raw[0].evaluate(unit)
         if val:
             r = (one / val).sqrt()
@@ -1008,37 +962,7 @@ def extract_unitary_invariants(
     if not isinstance(desc, (UnitaryExchange, UnitaryEtale)):
         raise UnsupportedDescriptor("unitary descriptor required")
     comps = components if components is not None else default_components(desc)
-    field = desc.field
-    rng = random.Random(seed)
-    x1 = _anisotropic_coords(comps.w_raw[0], rng)
-    x2 = _anisotropic_coords(comps.w_raw[1], rng)
-    a1 = comps.w_raw[0].evaluate(x1)
-    a2 = comps.w_raw[1].evaluate(x2)
-    pi2, _ = normalize(comps.w_raw[0].scaled(a1))
-    pi4 = bilinear_tensor([field.one, a1, a2, a1 * a2], pi2)
-    checks: List[Check] = []
-
-    full_q, _ = normalize(comps.full_raw)
-    total = direct_sum(full_q, block11(field), pi2, pi4)
-    checks.append(
-        Check("srd_plus_11_plus_pi2_plus_pi4_hyperbolic",
-              _hyperbolicity_check(total, pfister=False, seed=seed))
-    )
-    q2, _ = normalize(comps.w_raw[1].scaled(a2))
-    if isinstance(field, GF2k):
-        checks.append(Check("w2_scaled_matches_pi2", decided(witt_equivalent_gf2k(q2, pi2))))
-    else:
-        checks.append(Check("w2_scaled_matches_pi2", blocks_match_upto_squares(q2, pi2)))
-    x1el = comps.w_element(1, x1)
-    x2el = comps.w_element(2, x2)
-    sprod = star(desc, x1el, x2el, comps)
-    sc = comps.space.coords(sprod)
-    checks.append(
-        Check("w3_represents_a1a2", decided(comps.full_raw.evaluate(sc) == a1 * a2))
-    )
-    checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
-    if isinstance(field, GF2k):
-        checks.append(Check("pi2_arf_zero", decided(arf_invariant(pi2) == 0)))
+    _, _, a1, a2, pi2, pi4, checks = _extract_pfister_pair(desc, comps, seed, _UNITARY_CHECKS)
     return Deg4Invariants("unitary", a1, a2, checks, comps, pi2=pi2, pi4=pi4)
 
 
@@ -1072,13 +996,11 @@ def extract_orthogonal_invariants(
     same = rad_span.dim == 6 and all(rad_span.coords(v) is not None for v in w_all)
     checks.append(Check("radical_is_w1_w2_w3", decided(same, {"radical_dim": rad_span.dim})))
 
-    # witnesses with nonzero second-trace value on each component
-    a = []
-    for i in (1, 2, 3):
-        w = _anisotropic_coords(comps.w_raw[i - 1], rng)
-        a.append(comps.w_raw[i - 1].evaluate(w))
-    a1, a2, a3 = a
-    checks.append(Check("w3_value_is_product", decided(_square_class_eq(a3, a1 * a2))))
+    # q|W_3 is a1a2 <1, delta>, so an arbitrary W_3 value may lie in the
+    # class a1a2*delta; the star product of the witnesses has value a1a2
+    x1, x2, a1, a2 = _witness_pair(comps, rng)
+    represents = _star_represents_product(desc, comps, x1, x2, a1, a2)
+    checks.append(Check("w3_value_is_product", decided(represents)))
 
     delta = det_orthogonal(desc, seed=seed)
     pi1 = form(field, [], [field.one, delta])
@@ -1108,7 +1030,8 @@ def extract_orthogonal_invariants(
             continue
         # <Srd(w)> <1, Nrd(w)> matches the restriction as totally singular forms
         target = form(field, [], [sval, sval * det])
-        actual = form(field, [], _diag_values(comps.w_raw[i - 1], _unit_vectors(field, 2)))
+        units = [unit_vector(field, 2, k) for k in range(2)]
+        actual = form(field, [], _diag_values(comps.w_raw[i - 1], units))
         checks.append(Check(f"w{i}_joint_witness", totally_singular_isometry(actual, target)))
 
     # star multiplicativity of the second trace on W_1 x W_2
@@ -1155,7 +1078,7 @@ def _regular_generator(comps: WComponents, i: int, rng: random.Random):
     desc = comps.desc
     field = desc.field
     n = len(comps.w_coords[i - 1])
-    candidates = list(_unit_vectors(field, n))
+    candidates = [unit_vector(field, n, k) for k in range(n)]
     if isinstance(field, GF2k) and field.order**n <= 1 << 12:
         candidates = [
             [field._el(x) for x in vals]

@@ -29,16 +29,6 @@ def _gf2_deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _gf2_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _gf2_mod(p: int, m: int) -> int:
     dm = _gf2_deg(m)
     while p.bit_length() - 1 >= dm and p:
@@ -375,14 +365,6 @@ def pgcd(a: int, b: int, base: GF2k) -> int:
     return a
 
 
-def pmonic(p: int, base: GF2k):
-    """Monic multiple of p together with the leading coefficient removed."""
-    lead = pcoef(p, pdeg(p, base.k), base.k)
-    if lead == 1:
-        return p, 1
-    return pscale(p, base.rinv(lead), base), lead
-
-
 def psqrt(p: int, base: GF2k) -> Optional[int]:
     """Square root of a packed polynomial, or None if it is not a square."""
     if p == 0:
@@ -643,6 +625,8 @@ def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
     num, den = a.raw
     if den != 1:
         return UNKNOWN
+    if not num:
+        return field.zero
     d = pdeg(num, base.k)
     if d > 2 * budget:
         return UNKNOWN

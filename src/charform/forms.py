@@ -319,9 +319,7 @@ def witt_decompose_gf2k(q: QuadraticForm) -> WittInvariantsGf2k:
     if not isinstance(field, GF2k):
         raise UnsupportedField("Witt decomposition implemented over GF(2^k) only")
     nblocks = len(q.blocks)
-    arf = 0
-    for a, b in q.blocks:
-        arf ^= absolute_trace(a * b)
+    arf = arf_invariant(form(field, q.blocks))
     ts_rank = _f2_rank_gf2k(q.diag)
     kernel_blocks: List[Tuple[Fe, Fe]] = []
     # entries beyond an F^2-basis of the diagonal collapse to radical zeros
@@ -340,21 +338,13 @@ def witt_decompose_gf2k(q: QuadraticForm) -> WittInvariantsGf2k:
 
 def witt_equivalent_gf2k(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     """Equality of anisotropic kernels (zero diagonal entries are radical)."""
-    w1 = witt_decompose_gf2k(q1)
-    w2 = witt_decompose_gf2k(q2)
-    k1, k2 = w1.kernel, w2.kernel
+    k1 = witt_decompose_gf2k(q1).kernel
+    k2 = witt_decompose_gf2k(q2).kernel
     return (
         len(k1.blocks) == len(k2.blocks)
-        and (arf_of_blocks(k1) == arf_of_blocks(k2))
+        and arf_invariant(form(k1.field, k1.blocks)) == arf_invariant(form(k2.field, k2.blocks))
         and _f2_rank_gf2k(k1.diag) == _f2_rank_gf2k(k2.diag)
     )
-
-
-def arf_of_blocks(q: QuadraticForm) -> int:
-    bit = 0
-    for a, b in q.blocks:
-        bit ^= absolute_trace(a * b)
-    return bit
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,18 @@ from .errors import (
     UnsupportedDescriptor,
     ZeroScalar,
 )
-from .fields import Fe, Field, GF2k, QuadraticExtension, RatFunc, pdivmod, pgcd, pmul, solve_artin_schreier
+from .fields import (
+    EtaleElement,
+    Fe,
+    Field,
+    GF2k,
+    QuadraticExtension,
+    RatFunc,
+    pdivmod,
+    pgcd,
+    pmul,
+    solve_artin_schreier,
+)
 from .forms import RawQuadraticForm
 from .linalg import Mat, Span, charpoly, charpoly_raw, kernel
 from .quaternions import Quat, QuaternionAlgebra, q_conj, q_trd
@@ -97,15 +108,40 @@ class PfaffianData:
 
 
 class _MatrixDescriptor:
-    """Common machinery for descriptors whose elements are 4x4 matrices."""
+    """4x4 matrices over an entry ring, with sigma(x) = G^-1 conj(x)^t G.
+
+    A subclass passes the entry ring, an F-basis ``units`` of it whose first
+    member is 1, and the Gram diagonal G, and defines four entry maps:
+
+    - ``_coords(e)``: the coordinates of the entry e over ``units``;
+    - ``_entry(cs)``: the entry with the coordinates cs;
+    - ``_conj(e)``: the conjugation of the entry ring that sigma applies;
+    - ``_scale(c, e)``: the product of a field scalar c and the entry e.
+
+    Coordinates of an element list its entries row by row, each expanded
+    over ``units``; the standard basis is ordered the same way.  The
+    exchange algebra overrides this plumbing with pairs of matrices over F.
+    """
 
     n = 4
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, entry_ring, units, gram: Sequence[Fe]):
+        if any(not g for g in gram):
+            raise ZeroScalar("Gram coefficients must be nonzero")
         self.field = field
+        self.entry_ring = entry_ring
+        self.units = tuple(units)
+        self.gram = tuple(gram)
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
         self._components = None
+        for e in self.std_basis():
+            if self.involve(self.involve(e)) != e:
+                raise UnsupportedDescriptor("the induced map is not an involution")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.n * self.n * len(self.units)
 
     # element plumbing --------------------------------------------------------
 
@@ -115,6 +151,18 @@ class _MatrixDescriptor:
     def one_el(self):
         return Mat.identity(self.entry_ring, self.n)
 
+    def _mat(self, entry) -> Mat:
+        """The matrix with entry(i, j) at (i, j)."""
+        return Mat(self.entry_ring, [[entry(i, j) for j in range(self.n)] for i in range(self.n)])
+
+    def _unit_mat(self, i: int, j: int, q) -> Mat:
+        zero = self.entry_ring.zero
+        return self._mat(lambda a, b: q if (a, b) == (i, j) else zero)
+
+    def projector(self, i: int):
+        """The diagonal matrix unit at (i, i)."""
+        return self._unit_mat(i, i, self.entry_ring.one)
+
     def el_add(self, x, y):
         return x + y
 
@@ -122,22 +170,34 @@ class _MatrixDescriptor:
         return x * y
 
     def el_scal(self, c: Fe, x):
-        lifted = self.lift_scalar(c)
-        return x.map(lambda e: lifted * e)
+        return x.map(lambda e: self._scale(c, e))
 
     def el_eq(self, x, y) -> bool:
         return x == y
 
     def rand(self, rng: random.Random):
-        return Mat(
-            self.entry_ring,
-            [[self.rand_entry(rng) for _ in range(self.n)] for _ in range(self.n)],
-        )
+        k = len(self.units)
+        return self._mat(lambda i, j: self._entry([self.field.rand(rng) for _ in range(k)]))
 
-    def _validate_involution(self):
-        for e in self.std_basis():
-            if self.involve(self.involve(e)) != e:
-                raise UnsupportedDescriptor("the induced map is not an involution")
+    def std_basis(self):
+        n = self.n
+        return [self._unit_mat(i, j, q) for i in range(n) for j in range(n) for q in self.units]
+
+    def to_vec(self, x: Mat) -> List[Fe]:
+        if not isinstance(x, Mat) or x.ring is not self.entry_ring:
+            raise ShapeMismatch(f"expected a {self.n}x{self.n} matrix over the entry ring")
+        return [c for row in x.rows for e in row for c in self._coords(e)]
+
+    def from_vec(self, v: Sequence[Fe]) -> Mat:
+        k, n = len(self.units), self.n
+        return self._mat(lambda i, j: self._entry(v[(i * n + j) * k : (i * n + j + 1) * k]))
+
+    def involve(self, x: Mat) -> Mat:
+        g = self.gram
+        return self._mat(lambda i, j: self._scale(g[j] / g[i], self._conj(x.rows[j][i])))
+
+    def scalar_part(self, x: Mat) -> Fe:
+        return self._coords(x.rows[0][0])[0]
 
 
 class _SympBase(_MatrixDescriptor):
@@ -145,73 +205,27 @@ class _SympBase(_MatrixDescriptor):
     hermitian form <1, u1, u2, u3>."""
 
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
-        super().__init__(field)
-        if any(not u for u in us):
-            raise ZeroScalar("hermitian coefficients must be nonzero")
         self.quat = quat
         self.us = tuple(us)
-        self.entry_ring = quat
-        self.gram = (field.one,) + self.us
-        self._validate_involution()
+        super().__init__(field, quat, (quat.one, quat.u, quat.v, quat.w), (field.one,) + self.us)
 
-    def lift_scalar(self, c: Fe) -> Quat:
-        return self.quat.scalar(c)
+    def _coords(self, e: Quat):
+        return e.c
 
-    def rand_entry(self, rng):
-        return self.quat.rand(rng)
+    def _entry(self, cs) -> Quat:
+        return Quat(self.quat, cs)
 
-    @property
-    def ambient_dim(self) -> int:
-        return 64
+    def _conj(self, e: Quat) -> Quat:
+        return q_conj(e)
 
-    def std_basis(self):
-        basis = []
-        units = (self.quat.one, self.quat.u, self.quat.v, self.quat.w)
-        for i in range(4):
-            for j in range(4):
-                for q in units:
-                    rows = [[self.quat.zero] * 4 for _ in range(4)]
-                    rows[i][j] = q
-                    basis.append(Mat(self.quat, rows))
-        return basis
-
-    def to_vec(self, x: Mat) -> List[Fe]:
-        if not isinstance(x, Mat) or x.ring is not self.quat:
-            raise ShapeMismatch("expected a 4x4 matrix over the quaternion algebra")
-        out: List[Fe] = []
-        for i in range(4):
-            for j in range(4):
-                out.extend(x.rows[i][j].c)
-        return out
-
-    def from_vec(self, v: Sequence[Fe]) -> Mat:
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                k = (i * 4 + j) * 4
-                row.append(Quat(self.quat, tuple(v[k : k + 4])))
-            rows.append(row)
-        return Mat(self.quat, rows)
-
-    def involve(self, x: Mat) -> Mat:
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                c = self.gram[j] / self.gram[i]
-                row.append(q_conj(x.rows[j][i]).scal(c))
-            rows.append(row)
-        return Mat(self.quat, rows)
+    def _scale(self, c: Fe, e: Quat) -> Quat:
+        return e.scal(c)
 
     def trd(self, x: Mat) -> Fe:
         acc = self.field.zero
         for i in range(4):
             acc = acc + q_trd(x.rows[i][i])
         return acc
-
-    def scalar_part(self, x: Mat) -> Fe:
-        return x.rows[0][0].c[0]
 
     def _raw_split_rows(self, x: Mat):
         """The 8x8 splitting image on raw payloads.
@@ -399,19 +413,25 @@ class UnitaryExchange(_MatrixDescriptor):
     kind = "unitary_exchange"
 
     def __init__(self, field: Field):
-        super().__init__(field)
-        self.entry_ring = field
-        self._validate_involution()
+        super().__init__(field, field, (field.one,), (field.one,) * 4)
 
     # pair plumbing ------------------------------------------------------------
 
+    @property
+    def ambient_dim(self) -> int:
+        return 32
+
     def zero_el(self):
-        z = Mat.zeros(self.field, self.n)
+        z = super().zero_el()
         return (z, z)
 
     def one_el(self):
-        o = Mat.identity(self.field, self.n)
+        o = super().one_el()
         return (o, o)
+
+    def projector(self, i: int):
+        p = super().projector(i)
+        return (p, p)
 
     def el_add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -422,9 +442,6 @@ class UnitaryExchange(_MatrixDescriptor):
     def el_scal(self, c: Fe, x):
         return (x[0].map(lambda e: c * e), x[1].map(lambda e: c * e))
 
-    def el_eq(self, x, y) -> bool:
-        return x == y
-
     def rand(self, rng):
         def m():
             return Mat(
@@ -434,21 +451,10 @@ class UnitaryExchange(_MatrixDescriptor):
 
         return (m(), m())
 
-    @property
-    def ambient_dim(self) -> int:
-        return 32
-
     def std_basis(self):
-        basis = []
-        z = Mat.zeros(self.field, 4)
-        for side in range(2):
-            for i in range(4):
-                for j in range(4):
-                    rows = [[self.field.zero] * 4 for _ in range(4)]
-                    rows[i][j] = self.field.one
-                    m = Mat(self.field, rows)
-                    basis.append((m, z) if side == 0 else (z, m))
-        return basis
+        units = super().std_basis()
+        z = super().zero_el()
+        return [(m, z) for m in units] + [(z, m) for m in units]
 
     def to_vec(self, x) -> List[Fe]:
         e, f = x
@@ -471,10 +477,7 @@ class UnitaryExchange(_MatrixDescriptor):
         return x[0].rows[0][0]
 
     def reduced_charpoly(self, x) -> List[Fe]:
-        return list(charpoly(x[0]))
-
-    def _validate_involution(self):
-        pass  # the exchange is an involution by construction
+        return charpoly(x[0])
 
 
 class UnitaryEtale(_MatrixDescriptor):
@@ -483,9 +486,6 @@ class UnitaryEtale(_MatrixDescriptor):
     kind = "unitary_etale"
 
     def __init__(self, field: Field, c: Fe, gs: Sequence[Fe]):
-        super().__init__(field)
-        if any(not g for g in gs):
-            raise ZeroScalar("Gram coefficients must be nonzero")
         root = solve_artin_schreier(c)
         if isinstance(root, Fe):
             raise UnsupportedDescriptor(
@@ -493,68 +493,25 @@ class UnitaryEtale(_MatrixDescriptor):
             )
         self.c = c
         self.center = QuadraticExtension(field, c)
-        self.gs = tuple(gs)
-        self.entry_ring = self.center
-        self._validate_involution()
+        super().__init__(field, self.center, (self.center.one, self.center.s), gs)
 
-    def lift_scalar(self, c: Fe):
-        return self.center.lift(c)
+    def _coords(self, e: EtaleElement):
+        return (e.x, e.y)
 
-    def rand_entry(self, rng):
-        return self.center.el(self.field.rand(rng), self.field.rand(rng))
+    def _entry(self, cs) -> EtaleElement:
+        return self.center.el(cs[0], cs[1])
 
-    @property
-    def ambient_dim(self) -> int:
-        return 32
+    def _conj(self, e: EtaleElement) -> EtaleElement:
+        return e.conj()
 
-    def std_basis(self):
-        basis = []
-        units = (self.center.one, self.center.s)
-        for i in range(4):
-            for j in range(4):
-                for zel in units:
-                    rows = [[self.center.zero] * 4 for _ in range(4)]
-                    rows[i][j] = zel
-                    basis.append(Mat(self.center, rows))
-        return basis
-
-    def to_vec(self, x: Mat) -> List[Fe]:
-        out: List[Fe] = []
-        for i in range(4):
-            for j in range(4):
-                e = x.rows[i][j]
-                out.append(e.x)
-                out.append(e.y)
-        return out
-
-    def from_vec(self, v: Sequence[Fe]) -> Mat:
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                k = (i * 4 + j) * 2
-                row.append(self.center.el(v[k], v[k + 1]))
-            rows.append(row)
-        return Mat(self.center, rows)
-
-    def involve(self, x: Mat) -> Mat:
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                c = self.center.lift(self.gs[j] / self.gs[i])
-                row.append(c * x.rows[j][i].conj())
-            rows.append(row)
-        return Mat(self.center, rows)
+    def _scale(self, c: Fe, e: EtaleElement) -> EtaleElement:
+        return self.center.el(c * e.x, c * e.y)
 
     def trd(self, x: Mat) -> Fe:
         z = x.trace()
         if z.y:
             raise CoefficientNotRational("reduced trace is not in the base field")
         return z.x
-
-    def scalar_part(self, x: Mat) -> Fe:
-        return x.rows[0][0].x
 
     def reduced_charpoly(self, x: Mat) -> List[Fe]:
         out = []
@@ -573,55 +530,25 @@ class Orthogonal(_MatrixDescriptor):
     kind = "orthogonal"
 
     def __init__(self, field: Field, gs: Sequence[Fe]):
-        super().__init__(field)
-        if any(not g for g in gs):
-            raise ZeroScalar("Gram coefficients must be nonzero")
-        self.gs = tuple(gs)
-        self.entry_ring = field
-        self._validate_involution()
+        super().__init__(field, field, (field.one,), gs)
 
-    def lift_scalar(self, c: Fe) -> Fe:
-        return c
+    def _coords(self, e: Fe):
+        return (e,)
 
-    def rand_entry(self, rng):
-        return self.field.rand(rng)
+    def _entry(self, cs) -> Fe:
+        return cs[0]
 
-    @property
-    def ambient_dim(self) -> int:
-        return 16
+    def _conj(self, e: Fe) -> Fe:
+        return e
 
-    def std_basis(self):
-        basis = []
-        for i in range(4):
-            for j in range(4):
-                rows = [[self.field.zero] * 4 for _ in range(4)]
-                rows[i][j] = self.field.one
-                basis.append(Mat(self.field, rows))
-        return basis
-
-    def to_vec(self, x: Mat) -> List[Fe]:
-        return [a for row in x.rows for a in row]
-
-    def from_vec(self, v: Sequence[Fe]) -> Mat:
-        return Mat(self.field, [v[4 * i : 4 * i + 4] for i in range(4)])
-
-    def involve(self, x: Mat) -> Mat:
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                row.append((self.gs[j] / self.gs[i]) * x.rows[j][i])
-            rows.append(row)
-        return Mat(self.field, rows)
+    def _scale(self, c: Fe, e: Fe) -> Fe:
+        return c * e
 
     def trd(self, x: Mat) -> Fe:
         return x.trace()
 
-    def scalar_part(self, x: Mat) -> Fe:
-        return x.rows[0][0]
-
     def reduced_charpoly(self, x: Mat) -> List[Fe]:
-        return list(charpoly(x))
+        return charpoly(x)
 
 
 Descriptor = _MatrixDescriptor
@@ -638,10 +565,9 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
         return desc._space
     field = desc.field
     basis_el = desc.std_basis()
+    images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in basis_el]
     if isinstance(desc, _SympBase):
-        images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in basis_el]
         span = Span(images, field)
-        basis = [desc.from_vec(span.basis_vector(i)) for i in range(span.dim)]
         halves = []
         for combo in span.combos:
             acc = desc.zero_el()
@@ -649,17 +575,14 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
                 if c:
                     acc = desc.el_add(acc, desc.el_scal(c, e))
             halves.append(acc)
-        space = InvolutionSpace(desc, basis, halves, Span([desc.to_vec(b) for b in basis], field))
         expected = desc.symd_dim
     else:
-        rows = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in basis_el]
-        matrix = [[rows[c][r] for c in range(len(rows))] for r in range(desc.ambient_dim)]
-        fixed = Span(kernel(matrix, field), field)
-        basis = [desc.from_vec(fixed.basis_vector(i)) for i in range(fixed.dim)]
-        space = InvolutionSpace(
-            desc, basis, None, Span([desc.to_vec(b) for b in basis], field)
-        )
+        # the fixed points are the kernel of x -> x + sigma(x)
+        span = Span(kernel([list(col) for col in zip(*images)], field), field)
+        halves = None
         expected = 16 if desc.kind.startswith("unitary") else 10
+    basis = [desc.from_vec(row) for row in span.rows]
+    space = InvolutionSpace(desc, basis, halves, span)
     if space.dim != expected:
         raise CharformError(
             f"symmetric space of {desc.kind} has dimension {space.dim}, expected {expected}"
@@ -778,16 +701,10 @@ def srd_form_orth(desc: Descriptor) -> RawQuadraticForm:
     return second_trace_form(desc)
 
 
-def _determinant(desc: Orthogonal, x: Mat) -> Fe:
-    return charpoly(x)[0]
-
-
 def symmetrized_space_orth(desc: Orthogonal) -> List[Mat]:
     """Basis of {x + rho(x)}, the alternating part inside Sym(rho)."""
-    field = desc.field
     images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
-    span = Span(images, field)
-    return [desc.from_vec(span.basis_vector(i)) for i in range(span.dim)]
+    return [desc.from_vec(row) for row in Span(images, desc.field).rows]
 
 
 def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe:
@@ -814,7 +731,7 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe
             for b in basis:
                 if rng.randrange(2):
                     w = w + b
-        det = _determinant(desc, w)
+        det = charpoly(w)[0]
         if det:
             found.append(det)
     if not found:

@@ -9,6 +9,7 @@ of FieldElement; elimination uses exact division.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, List, Optional, Sequence, Tuple
 
 
@@ -63,9 +64,6 @@ class Mat:
     def scal(self, c) -> "Mat":
         return Mat(self.ring, [[c * a for a in row] for row in self.rows])
 
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, tuple(zip(*self.rows)))
-
     def map(self, f: Callable, ring=None) -> "Mat":
         return Mat(ring if ring is not None else self.ring, [[f(a) for a in row] for row in self.rows])
 
@@ -89,17 +87,6 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
-def mat_pow(m: Mat, n: int) -> Mat:
-    r = Mat.identity(m.ring, m.shape[0])
-    b = m
-    while n:
-        if n & 1:
-            r = r * b
-        b = b * b
-        n >>= 1
-    return r
-
-
 def charpoly(m: Mat) -> list:
     """Coefficients of det(X*I - m), ascending degree, via Berkowitz.
 
@@ -107,50 +94,13 @@ def charpoly(m: Mat) -> list:
     which also makes all the classical signs vanish).
     """
     ring = m.ring
-    n = m.shape[0]
-    if n == 0:
-        return [ring.one]
-    a = m.rows
-    vec = [ring.one, a[0][0]]  # charpoly of the 1x1 leading block, descending
-    for i in range(1, n):
-        row = a[i][:i]
-        col = [a[j][i] for j in range(i)]
-        block = [a[j][:i] for j in range(i)]
-        qs = [a[i][i]]
-        w = col
-        for mstep in range(1, i + 1):
-            acc = ring.zero
-            for rj, wj in zip(row, w):
-                acc = acc + rj * wj
-            qs.append(acc)
-            if mstep < i:
-                w = [
-                    _dot(block[j], w, ring)
-                    for j in range(i)
-                ]
-        first_col = [ring.one] + qs
-        new = []
-        for r in range(i + 2):
-            acc = ring.zero
-            for c in range(min(r, len(vec) - 1) + 1):
-                if r - c < len(first_col):
-                    acc = acc + first_col[r - c] * vec[c]
-            new.append(acc)
-        vec = new
-    return list(reversed(vec))
-
-
-def _dot(xs, ys, ring):
-    acc = ring.zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
+    return charpoly_raw(m.rows, ring.zero, ring.one, operator.add, operator.mul)
 
 
 def charpoly_raw(rows, zero, one, add, mul) -> list:
-    """Berkowitz on raw payloads with explicit ring closures (hot path).
+    """Berkowitz with explicit ring closures, ascending coefficients.
 
-    Same algorithm as charpoly, but operating on unwrapped values to avoid
+    The closures let the hot paths run on unwrapped payloads, avoiding
     element-object overhead in the inner loops.
     """
     n = len(rows)
@@ -239,7 +189,7 @@ def rref(rows: List[list], field) -> Tuple[List[list], List[int]]:
         r += 1
         if r == nrows:
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def rank(rows: List[list], field) -> int:
@@ -278,7 +228,7 @@ class Span:
         self.vectors = [list(v) for v in vectors]
         self.ncols = len(self.vectors[0]) if self.vectors else 0
         n = len(self.vectors)
-        aug = [list(v) + _unit(field, n, i) for i, v in enumerate(self.vectors)]
+        aug = [list(v) + unit_vector(field, n, i) for i, v in enumerate(self.vectors)]
         red, pivots = rref(aug, field)
         self.rows = []
         self.combos = []
@@ -332,20 +282,8 @@ class Span:
         return list(self.rows[i])
 
 
-def _unit(field, n: int, i: int) -> list:
+def unit_vector(field, n: int, i: int) -> list:
+    """The i-th standard basis vector of F^n."""
     row = [field.zero] * n
     row[i] = field.one
     return row
-
-
-def solve_coords(basis: Sequence[Sequence], target: Sequence, field) -> Optional[list]:
-    """Coefficients c with sum(c_i * basis_i) = target, or None."""
-    span = Span(basis, field)
-    coeffs = span.coords(target)
-    if coeffs is None:
-        return None
-    out = [field.zero] * len(basis)
-    for c, combo in zip(coeffs, span.combos):
-        if c:
-            out = [a + c * b for a, b in zip(out, combo)]
-    return out

@@ -68,9 +68,8 @@ def descriptor_to_json(desc) -> Dict[str, Any]:
         out["h"] = [fe_to_json(u) for u in desc.us]
     if isinstance(desc, UnitaryEtale):
         out["c"] = fe_to_json(desc.c)
-        out["gram"] = [fe_to_json(g) for g in desc.gs]
-    if isinstance(desc, Orthogonal):
-        out["gram"] = [fe_to_json(g) for g in desc.gs]
+    if isinstance(desc, (UnitaryEtale, Orthogonal)):
+        out["gram"] = [fe_to_json(g) for g in desc.gram]
     return out
 
 

@@ -128,6 +128,8 @@ def test_artin_schreier_image_size(k):
 def test_artin_schreier_ratfunc_polynomial():
     t = R2.t
     one = R2.one
+    # zero has the root 0 (pdeg(0) = -1 must not count as an odd degree)
+    assert solve_artin_schreier(R2.zero) == R2.zero
     # x = t: x^2 + x = t^2 + t
     x = solve_artin_schreier(t * t + t)
     assert x is not None and x * x + x == t * t + t
@@ -147,6 +149,7 @@ def test_artin_schreier_ratfunc_over_gf4():
     a = (t + g) * (t + g) + (t + g)
     x = solve_artin_schreier(a)
     assert x is not None and x * x + x == a
+    assert solve_artin_schreier(R4.zero) == R4.zero
 
 
 def test_absolute_trace_examples():

@@ -307,6 +307,12 @@ def test_srd_form_dispatch_errors():
         second_trace_form(SplitSymp(GF2))
 
 
+def test_unitary_etale_rejects_split_center_over_ratfunc():
+    # c = 0 gives F[s]/(s^2 + s) = F x F, which is not a field
+    with pytest.raises(UnsupportedDescriptor):
+        UnitaryEtale(R2, R2.zero, (R2.one,) * 4)
+
+
 def test_det_orthogonal():
     # transpose involution over GF(2): the only class is 1
     desc = Orthogonal(GF2, (GF2.one,) * 4)

@@ -85,6 +85,10 @@ class BiquadraticEtale:
         s12 = desc.el_mul(s1, s2)
         self.basis = [one, s1, s2, s12]
         self.span = Span([desc.to_vec(b) for b in self.basis], desc.field)
+        one_vec = desc.to_vec(one)
+        self._li_spans = {
+            i: Span([one_vec, desc.to_vec(self.generator(i)[0])], desc.field) for i in (1, 2, 3)
+        }
 
     def _l_coords(self, x) -> Optional[List[Fe]]:
         return self.span.input_coords(self.desc.to_vec(x))
@@ -125,11 +129,7 @@ class BiquadraticEtale:
         return QuadraticExtension(self.desc.field, c)
 
     def li_coords(self, i: int, ell) -> Optional[Tuple[Fe, Fe]]:
-        g, _ = self.generator(i)
-        span = Span(
-            [self.desc.to_vec(self.desc.one_el()), self.desc.to_vec(g)], self.desc.field
-        )
-        coords = span.input_coords(self.desc.to_vec(ell))
+        coords = self._li_spans[i].input_coords(self.desc.to_vec(ell))
         if coords is None:
             return None
         return coords[0], coords[1]
@@ -327,8 +327,7 @@ def galois_components(
             for b in space.basis:
                 cond = desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b))
                 cols.append(desc.to_vec(cond))
-            for r in range(desc.ambient_dim):
-                rows.append([cols[j][r] for j in range(space.dim)])
+            rows.extend(zip(*cols))
         w_coords.append(kernel(rows, field))
 
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)

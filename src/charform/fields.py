@@ -652,6 +652,19 @@ def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
 # ---------------------------------------------------------------------------
 
 
+def etale_ops(c, add, mul):
+    """Addition and multiplication of x + y*s, s^2 = s + c, on pairs (x, y)
+    of payloads of a commutative ring given by the closures add and mul."""
+
+    def emul(p, q):
+        x1, y1 = p
+        x2, y2 = q
+        yy = mul(y1, y2)
+        return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), yy))
+
+    return lambda p, q: tuple(map(add, p, q)), emul
+
+
 class EtaleElement:
     """Element x + y*s of a quadratic etale extension, s^2 = s + c."""
 
@@ -668,15 +681,16 @@ class EtaleElement:
     __sub__ = __add__
 
     def __mul__(self, other):
-        c = self.ring.c
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        yy = y1 * y2
-        return EtaleElement(
-            self.ring, x1 * x2 + c * yy, x1 * y2 + y1 * x2 + yy
-        )
+        ring = self.ring
+        return ring._el(ring.rmul(self.raw, other.raw))
 
     def __neg__(self):
         return self
+
+    @property
+    def raw(self):
+        """The payload pair (x.raw, y.raw)."""
+        return (self.x.raw, self.y.raw)
 
     def __bool__(self):
         return bool(self.x) or bool(self.y)
@@ -720,14 +734,21 @@ class QuadraticExtension:
 
     A field exactly when c is outside the Artin-Schreier image of F; the
     split case still supports all ring operations (inversion may fail).
+    Like a field it has payload arithmetic (rzero, radd, rmul, _el) on
+    ``EtaleElement.raw``.
     """
 
     def __init__(self, field: Field, c: Fe):
         self.field = field
         self.c = c
+        self.rzero = (field.rzero, field.rzero)
+        self.radd, self.rmul = etale_ops(c.raw, field.radd, field.rmul)
         self.zero = EtaleElement(self, field.zero, field.zero)
         self.one = EtaleElement(self, field.one, field.zero)
         self.s = EtaleElement(self, field.zero, field.one)
+
+    def _el(self, raw) -> EtaleElement:
+        return EtaleElement(self, *map(self.field._el, raw))
 
     def lift(self, x: Fe) -> EtaleElement:
         return EtaleElement(self, x, self.field.zero)

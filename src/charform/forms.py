@@ -10,6 +10,7 @@ answer is backed by an explicit certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -37,9 +38,10 @@ from .fields import (
 
 
 class RawQuadraticForm:
-    """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on coordinates."""
+    """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on coordinates; evaluate
+    and polar run on payload rows of the nonzero U[i][j], j >= i, built once."""
 
-    __slots__ = ("field", "u")
+    __slots__ = ("field", "u", "_rows")
 
     def __init__(self, field: Field, u):
         rows = tuple(tuple(r) for r in u)
@@ -49,20 +51,28 @@ class RawQuadraticForm:
             assert all(not row[j] for j in range(i)), "coefficients must be upper-triangular"
         self.field = field
         self.u = rows
+        self._rows = tuple(
+            tuple((j, row[j].raw) for j in range(i, n) if row[j]) for i, row in enumerate(rows)
+        )
 
     @property
     def dim(self) -> int:
         return len(self.u)
 
+    def _dot(self, row, x):
+        """sum_j U[i][j] x_j over the payload row i."""
+        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
+        return functools.reduce(add, (mul(c, x[j]) for j, c in row if x[j] != zero), zero)
+
     def evaluate(self, v: Sequence[Fe]) -> Fe:
-        acc = self.field.zero
-        for i in range(self.dim):
-            if not v[i]:
-                continue
-            for j in range(i, self.dim):
-                if self.u[i][j] and v[j]:
-                    acc = acc + self.u[i][j] * v[i] * v[j]
-        return acc
+        field = self.field
+        add, mul, zero = field.radd, field.rmul, field.rzero
+        x = [a.raw for a in v]
+        acc = zero
+        for xi, row in zip(x, self._rows):
+            if xi != zero:
+                acc = add(acc, mul(xi, self._dot(row, x)))
+        return field._el(acc)
 
     def polar_matrix(self) -> Tuple[Tuple[Fe, ...], ...]:
         """B = U + U^t; alternating (zero diagonal) in characteristic 2."""
@@ -72,12 +82,18 @@ class RawQuadraticForm:
         )
 
     def polar(self, v: Sequence[Fe], w: Sequence[Fe]) -> Fe:
-        acc = self.field.zero
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.u[i][j]:
-                    acc = acc + self.u[i][j] * (v[i] * w[j] + v[j] * w[i])
-        return acc
+        # sum_{i<=j} U[i][j] (v_i w_j + v_j w_i): the diagonal terms cancel
+        field = self.field
+        add, mul, zero = field.radd, field.rmul, field.rzero
+        x = [a.raw for a in v]
+        y = [a.raw for a in w]
+        acc = zero
+        for xi, yi, row in zip(x, y, self._rows):
+            if xi != zero:
+                acc = add(acc, mul(xi, self._dot(row, y)))
+            if yi != zero:
+                acc = add(acc, mul(yi, self._dot(row, x)))
+        return field._el(acc)
 
     def restrict(self, vectors: Sequence[Sequence[Fe]]) -> "RawQuadraticForm":
         """The form induced on the span of the given coordinate vectors."""
@@ -546,7 +562,7 @@ def _split_off_plane(q: QuadraticForm, v: Sequence[Fe]) -> QuadraticForm:
     from .linalg import Span
 
     span = Span(rest, field)
-    sub = [span.basis_vector(i) for i in range(span.dim)]
+    sub = span.rows
     assert span.dim == n - 2
     restricted = raw.restrict(sub)
     out, _ = normalize(restricted)

@@ -16,6 +16,7 @@ coefficients.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -33,16 +34,16 @@ from .fields import (
     EtaleElement,
     Fe,
     Field,
-    GF2k,
     QuadraticExtension,
     RatFunc,
+    etale_ops,
     pdivmod,
     pgcd,
     pmul,
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm
-from .linalg import Mat, Span, charpoly, charpoly_raw, kernel
+from .linalg import Mat, Span, charpoly, charpoly_raw, kernel, matmul_raw
 from .quaternions import Quat, QuaternionAlgebra, q_conj, q_trd
 
 
@@ -76,13 +77,13 @@ class InvolutionSpace:
 
     def _combine(self, coords: Sequence[Fe], raw_rows):
         field = self.desc.field
-        add, mul = field.radd, field.rmul
-        acc = [field.rzero] * self.desc.ambient_dim
+        add, mul, zero = field.radd, field.rmul, field.rzero
+        acc = [zero] * self.desc.ambient_dim
         for c, row in zip(coords, raw_rows):
             cr = c.raw
-            if cr == field.rzero:
+            if cr == zero:
                 continue
-            acc = [add(a, mul(cr, r)) for a, r in zip(acc, row)]
+            acc = [a if r == zero else add(a, mul(cr, r)) for a, r in zip(acc, row)]
         return self.desc.from_vec([field._el(a) for a in acc])
 
     def element(self, coords: Sequence[Fe]):
@@ -119,8 +120,11 @@ class _MatrixDescriptor:
     - ``_scale(c, e)``: the product of a field scalar c and the entry e.
 
     Coordinates of an element list its entries row by row, each expanded
-    over ``units``; the standard basis is ordered the same way.  The
-    exchange algebra overrides this plumbing with pairs of matrices over F.
+    over ``units``; the standard basis is ordered the same way.  Products
+    run on payloads through the entry ring's payload arithmetic (``rzero``,
+    ``radd``, ``rmul``, ``_el``), which fields, quaternion algebras and
+    etale rings all provide.  The exchange algebra overrides this plumbing
+    with pairs of matrices over F.
     """
 
     n = 4
@@ -166,8 +170,11 @@ class _MatrixDescriptor:
     def el_add(self, x, y):
         return x + y
 
-    def el_mul(self, x, y):
-        return x * y
+    def el_mul(self, x: Mat, y: Mat) -> Mat:
+        ring = self.entry_ring
+        payloads = [[[e.raw for e in row] for row in m.rows] for m in (x, y)]
+        rows = matmul_raw(*payloads, ring.rzero, ring.radd, ring.rmul)
+        return Mat(ring, [[ring._el(p) for p in row] for row in rows])
 
     def el_scal(self, c: Fe, x):
         return x.map(lambda e: self._scale(c, e))
@@ -246,7 +253,7 @@ class _SympBase(_MatrixDescriptor):
         rows = [[None] * 8 for _ in range(8)]
         for i in range(4):
             for j in range(4):
-                c0, c1, c2, c3 = (c.raw for c in x.rows[i][j].c)
+                c0, c1, c2, c3 = x.rows[i][j].raw
                 if split_over_f:
                     e00 = add(c0, mul(c1, r))
                     e01 = mul(add(c2, mul(c3, r)), b)
@@ -270,36 +277,16 @@ class _SympBase(_MatrixDescriptor):
             if out is not None:
                 return out
         rows, split_over_f = self._raw_split_rows(x)
-        add, mul = field.radd, field.rmul
         if split_over_f:
-            coeffs = charpoly_raw(rows, field.rzero, field.rone, add, mul)
-            return [Fe(field, c) if not isinstance(field, GF2k) else field._el(c) for c in coeffs]
-        c_raw = self.quat.a.raw
-        ez = (field.rzero, field.rzero)
-        eo = (field.rone, field.rzero)
-
-        def eadd(p, q):
-            return (add(p[0], q[0]), add(p[1], q[1]))
-
-        def emul(p, q):
-            x1, y1 = p
-            x2, y2 = q
-            yy = mul(y1, y2)
-            return (
-                add(mul(x1, x2), mul(c_raw, yy)),
-                add(add(mul(x1, y2), mul(y1, x2)), yy),
+            coeffs = charpoly_raw(rows, field.rzero, field.rone, field.radd, field.rmul)
+            return [field._el(c) for c in coeffs]
+        ring = self.quat.split().ring
+        coeffs = charpoly_raw(rows, ring.rzero, ring.one.raw, ring.radd, ring.rmul)
+        if any(cy != field.rzero for _, cy in coeffs):
+            raise CoefficientNotRational(
+                "characteristic polynomial coefficient outside the base field"
             )
-
-        coeffs = charpoly_raw(rows, ez, eo, eadd, emul)
-        out = []
-        zero_raw = field.rzero
-        for cx, cy in coeffs:
-            if cy != zero_raw:
-                raise CoefficientNotRational(
-                    "characteristic polynomial coefficient outside the base field"
-                )
-            out.append(field._el(cx) if isinstance(field, GF2k) else Fe(field, cx))
-        return out
+        return [field._el(cx) for cx, _ in coeffs]
 
     def _reduced_charpoly_ratfunc(self, x: Mat) -> Optional[List[Fe]]:
         """Fraction-free path over GF(2^k)(t).
@@ -335,20 +322,9 @@ class _SympBase(_MatrixDescriptor):
             )
             pairs = [(c, 0) for c in coeffs]
         else:
-            c_poly = self.quat.a.raw[0]
-
-            def eadd(p, q):
-                return (p[0] ^ q[0], p[1] ^ q[1])
-
-            def emul(p, q):
-                x1, y1 = p
-                x2, y2 = q
-                yy = pmul(y1, y2, base)
-                return (
-                    pmul(x1, x2, base) ^ pmul(c_poly, yy, base),
-                    pmul(x1, y2, base) ^ pmul(y1, x2, base) ^ yy,
-                )
-
+            eadd, emul = etale_ops(
+                self.quat.a.raw[0], operator.xor, lambda p, q: pmul(p, q, base)
+            )
             poly_rows = [[(cleared(e[0]), cleared(e[1])) for e in row] for row in rows]
             pairs = charpoly_raw(poly_rows, (0, 0), (1, 0), eadd, emul)
         out = []
@@ -366,20 +342,14 @@ class _SympBase(_MatrixDescriptor):
 
     def trd_product(self, x: Mat, y: Mat) -> Fe:
         """Trd(x*y) without forming the full product (diagonal terms only)."""
-        field = self.field
-        a, b = self.quat.a.raw, self.quat.b.raw
-        add, mul = field.radd, field.rmul
+        field, quat = self.field, self.quat
         acc = field.rzero
         for i in range(4):
             for k in range(4):
-                x0, x1, x2, x3 = (c.raw for c in x.rows[i][k].c)
-                y0, y1, y2, y3 = (c.raw for c in y.rows[k][i].c)
-                # u-coefficient of the quaternion product
-                t = add(mul(x0, y1), mul(x1, y0))
-                t = add(t, mul(x1, y1))
-                t = add(t, mul(b, add(mul(x2, y3), mul(x3, y2))))
-                acc = add(acc, t)
-        return field._el(acc) if isinstance(field, GF2k) else Fe(field, acc)
+                p, q = x.rows[i][k].raw, y.rows[k][i].raw
+                if p != quat.rzero and q != quat.rzero:
+                    acc = field.radd(acc, quat.rmul(p, q)[1])  # trd is the u-coordinate
+        return field._el(acc)
 
     @property
     def symd_dim(self) -> int:
@@ -437,7 +407,8 @@ class UnitaryExchange(_MatrixDescriptor):
         return (x[0] + y[0], x[1] + y[1])
 
     def el_mul(self, x, y):
-        return (x[0] * y[0], y[1] * x[1])  # opposite multiplication on the right
+        mul = super().el_mul
+        return (mul(x[0], y[0]), mul(y[1], x[1]))  # opposite multiplication on the right
 
     def el_scal(self, c: Fe, x):
         return (x[0].map(lambda e: c * e), x[1].map(lambda e: c * e))
@@ -568,13 +539,8 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in basis_el]
     if isinstance(desc, _SympBase):
         span = Span(images, field)
-        halves = []
-        for combo in span.combos:
-            acc = desc.zero_el()
-            for c, e in zip(combo, basis_el):
-                if c:
-                    acc = desc.el_add(acc, desc.el_scal(c, e))
-            halves.append(acc)
+        # a combination over the standard basis has the combination as coordinates
+        halves = [desc.from_vec(combo) for combo in span.combos]
         expected = desc.symd_dim
     else:
         # the fixed points are the kernel of x -> x + sigma(x)

@@ -46,20 +46,9 @@ class Mat:
     __sub__ = __add__
 
     def __mul__(self, other: "Mat") -> "Mat":
-        n, k = self.shape
-        k2, m = other.shape
-        assert k == k2, "shape mismatch"
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = self.ring.zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                new.append(acc)
-            out.append(new)
-        return Mat(self.ring, out)
+        assert self.shape[1] == other.shape[0], "shape mismatch"
+        rows = matmul_raw(self.rows, other.rows, self.ring.zero, operator.add, operator.mul)
+        return Mat(self.ring, rows)
 
     def scal(self, c) -> "Mat":
         return Mat(self.ring, [[c * a for a in row] for row in self.rows])
@@ -85,6 +74,24 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
+
+
+def matmul_raw(x, y, zero, add, mul) -> list:
+    """Product of two matrices given as rows, with explicit ring closures
+    (payload arithmetic on the hot paths, element operators for ``Mat``).
+
+    Row i accumulates a * (row k of y) over the nonzero a = x[i][k] and skips
+    zero entries of y: most matrices of the involution pipeline are sparse.
+    """
+    width = len(y[0]) if y else 0
+    out = []
+    for row in x:
+        acc = [zero] * width
+        for a, yrow in zip(row, y):
+            if a != zero:
+                acc = [s if b == zero else add(s, mul(a, b)) for s, b in zip(acc, yrow)]
+        out.append(acc)
+    return out
 
 
 def charpoly(m: Mat) -> list:
@@ -163,54 +170,69 @@ def poly_eval_matrix(p: Sequence, m: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over fields (vectors of FieldElement)
+# Gaussian elimination over fields: vectors of FieldElement are unwrapped
+# once, eliminated on payloads, and only what is returned is wrapped
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: List[list], field) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+def _payloads(rows) -> List[list]:
+    return [[a.raw for a in r] for r in rows]
+
+
+def _wrap(field, row) -> list:
+    return list(map(field._el, row))
+
+
+def _eliminate(rows: List[list], field) -> List[int]:
+    """Bring payload rows to reduced row echelon form in place; returns the
+    pivot columns.  The pivot of each column is its first nonzero entry at
+    or below the current row."""
+    add, mul, zero = field.radd, field.rmul, field.rzero
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [a * inv for a in rows[r]]
+        inv = field.rinv(rows[r][c])
+        prow = rows[r] = [mul(a, inv) for a in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a + f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != zero:
+                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots
+
+
+def rref(rows: List[list], field) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    red = _payloads(rows)
+    pivots = _eliminate(red, field)
+    return [_wrap(field, r) for r in red], pivots
 
 
 def rank(rows: List[list], field) -> int:
-    return len(rref(rows, field)[1])
+    return len(_eliminate(_payloads(rows), field))
 
 
 def kernel(rows: List[list], field) -> List[list]:
     """Basis of the right kernel {x : A x = 0} of the matrix with these rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    red = red[: len(pivots)]
+    ncols = len(rows[0]) if rows else 0
+    red = _payloads(rows)
+    pivots = _eliminate(red, field)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivset):
         v = [field.zero] * ncols
         v[f] = field.one
         for row, p in zip(red, pivots):
-            v[p] = row[f]  # -row[f] in characteristic 2
+            v[p] = field._el(row[f])  # -row[f] in characteristic 2
         basis.append(v)
     return basis
 
@@ -220,66 +242,70 @@ class Span:
 
     Tracks how each echelon row was assembled from the input vectors, so a
     member's coordinates over the original family can be recovered (used to
-    carry symmetrization halves along a basis).
+    carry symmetrization halves along a basis).  Echelon rows and their
+    combinations are kept as payloads.
     """
 
     def __init__(self, vectors: Sequence[Sequence], field):
         self.field = field
-        self.vectors = [list(v) for v in vectors]
-        self.ncols = len(self.vectors[0]) if self.vectors else 0
-        n = len(self.vectors)
-        aug = [list(v) + unit_vector(field, n, i) for i, v in enumerate(self.vectors)]
-        red, pivots = rref(aug, field)
-        self.rows = []
-        self.combos = []
-        self.pivots = []
-        for row, p in zip(red, pivots):
-            if p >= self.ncols:
-                break
-            self.rows.append(row[: self.ncols])
-            self.combos.append(row[self.ncols :])
-            self.pivots.append(p)
+        zero, one = field.rzero, field.rone
+        raw = _payloads(vectors)
+        m = len(raw[0]) if raw else 0
+        self._n = n = len(raw)
+        aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(raw)]
+        pivots = _eliminate(aug, field)
+        self.pivots = [p for p in pivots if p < m]  # the pivots increase
+        self._rows = [row[:m] for row in aug[: self.dim]]
+        self._combos = [row[m:] for row in aug[: self.dim]]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, v: Sequence) -> Tuple[list, list]:
-        """Return (residual, coefficients over the echelon rows)."""
-        v = list(v)
-        coeffs = [self.field.zero] * self.dim
+    @property
+    def rows(self) -> List[list]:
+        return [_wrap(self.field, r) for r in self._rows]
+
+    @property
+    def combos(self) -> List[list]:
+        return [_wrap(self.field, r) for r in self._combos]
+
+    def _coeffs(self, v: Sequence) -> Optional[list]:
+        """Payload coefficients of v over the echelon rows, or None."""
+        field = self.field
+        add, mul, zero = field.radd, field.rmul, field.rzero
+        v = [a.raw for a in v]
+        coeffs = [zero] * self.dim
         for i, p in enumerate(self.pivots):
-            if v[p]:
-                c = v[p]
+            c = v[p]
+            if c != zero:
                 coeffs[i] = c
-                v = [a + c * b for a, b in zip(v, self.rows[i])]
-        return v, coeffs
+                v = [add(a, mul(c, b)) for a, b in zip(v, self._rows[i])]
+        return None if any(a != zero for a in v) else coeffs
+
+    def basis_vector(self, i: int) -> list:
+        return _wrap(self.field, self._rows[i])
 
     def contains(self, v: Sequence) -> bool:
-        residual, _ = self.reduce(v)
-        return not any(residual)
+        return self._coeffs(v) is not None
 
     def coords(self, v: Sequence) -> Optional[list]:
         """Coefficients over the echelon basis, or None if not a member."""
-        residual, coeffs = self.reduce(v)
-        if any(residual):
-            return None
-        return coeffs
+        coeffs = self._coeffs(v)
+        return None if coeffs is None else _wrap(self.field, coeffs)
 
     def input_coords(self, v: Sequence) -> Optional[list]:
         """Coefficients over the original input family, or None."""
-        coeffs = self.coords(v)
+        coeffs = self._coeffs(v)
         if coeffs is None:
             return None
-        n = len(self.vectors)
-        out = [self.field.zero] * n
-        for c, combo in zip(coeffs, self.combos):
-            if c:
-                out = [a + c * b for a, b in zip(out, combo)]
-        return out
-
-    def basis_vector(self, i: int) -> list:
-        return list(self.rows[i])
+        field = self.field
+        add, mul, zero = field.radd, field.rmul, field.rzero
+        out = [zero] * self._n
+        for c, combo in zip(coeffs, self._combos):
+            if c != zero:
+                out = [add(a, mul(c, b)) for a, b in zip(out, combo)]
+        return _wrap(field, out)
 
 
 def unit_vector(field, n: int, i: int) -> list:

@@ -48,17 +48,16 @@ class Quat:
 
     def __mul__(self, other):
         other = self._same(other)
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.c
-        y0, y1, y2, y3 = other.c
-        c0 = x0 * y0 + a * (x1 * y1) + b * (x2 * y2 + x2 * y3) + a * b * (x3 * y3)
-        c1 = x0 * y1 + x1 * y0 + x1 * y1 + b * (x2 * y3 + x3 * y2)
-        c2 = x0 * y2 + x2 * y0 + x2 * y1 + a * (x1 * y3 + x3 * y1)
-        c3 = x0 * y3 + x3 * y0 + x1 * y2 + x1 * y3 + x2 * y1
-        return Quat(self.alg, (c0, c1, c2, c3))
+        alg = self.alg
+        return alg._el(alg.rmul(self.raw, other.raw))
 
     def __neg__(self):
         return self
+
+    @property
+    def raw(self):
+        """The payload 4-tuple of the coordinates' field payloads."""
+        return tuple(x.raw for x in self.c)
 
     def __bool__(self):
         return any(self.c)
@@ -73,11 +72,33 @@ class Quat:
         return Quat(self.alg, tuple(c * x for x in self.c))
 
     def __repr__(self):
-        return f"Quat{tuple(x.raw for x in self.c)}"
+        return f"Quat{self.raw}"
+
+
+def quat_ops(field: Field, a, b):
+    """Addition and multiplication of [a,b) on 4-tuples of field payloads,
+    with a and b the payloads of the slots."""
+    add, mul = field.radd, field.rmul
+    ab = mul(a, b)
+
+    def qmul(x, y):
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        c0 = add(add(mul(x0, y0), mul(a, mul(x1, y1))), mul(ab, mul(x3, y3)))
+        c1 = add(add(mul(x0, y1), mul(x1, y0)), mul(x1, y1))
+        c2 = add(add(mul(x0, y2), mul(x2, y0)), mul(x2, y1))
+        c3 = add(add(mul(x0, y3), mul(x3, y0)), add(mul(x1, y2), mul(x1, y3)))
+        c0 = add(c0, mul(b, add(mul(x2, y2), mul(x2, y3))))
+        c1 = add(c1, mul(b, add(mul(x2, y3), mul(x3, y2))))
+        c2 = add(c2, mul(a, add(mul(x1, y3), mul(x3, y1))))
+        return (c0, c1, c2, add(c3, mul(x2, y1)))
+
+    return lambda x, y: tuple(map(add, x, y)), qmul
 
 
 class QuaternionAlgebra:
-    """The symbol algebra [a,b), also usable as a matrix entry ring."""
+    """The symbol algebra [a,b), also usable as a matrix entry ring; like a
+    field it has payload arithmetic (rzero, radd, rmul, _el) on ``Quat.raw``."""
 
     def __init__(self, field: Field, a: Fe, b: Fe):
         if not b:
@@ -85,6 +106,8 @@ class QuaternionAlgebra:
         self.field = field
         self.a = a
         self.b = b
+        self.rzero = (field.rzero,) * 4
+        self.radd, self.rmul = quat_ops(field, a.raw, b.raw)
         z, o = field.zero, field.one
         self.zero = Quat(self, (z, z, z, z))
         self.one = Quat(self, (o, z, z, z))
@@ -92,6 +115,9 @@ class QuaternionAlgebra:
         self.v = Quat(self, (z, z, o, z))
         self.w = Quat(self, (z, z, z, o))
         self._split = None
+
+    def _el(self, raw) -> Quat:
+        return Quat(self, map(self.field._el, raw))
 
     def el(self, x0: Fe, x1: Fe, x2: Fe, x3: Fe) -> Quat:
         return Quat(self, (x0, x1, x2, x3))

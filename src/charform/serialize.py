@@ -37,9 +37,13 @@ def fe_from_json(field: Field, obj) -> Fe:
     try:
         if isinstance(field, GF2k):
             return field.el(int(obj, 16))
-        num = pmake([int(c, 16) for c in obj["num"]], field.base)
-        den = pmake([int(c, 16) for c in obj["den"]], field.base) if obj["den"] else 1
-        return field.el(num, den)
+        num, den = ([int(c, 16) for c in obj[key]] for key in ("num", "den"))
+        bad = [c for c in num + den if not 0 <= c < field.base.order]
+        if bad:
+            raise ValueError(f"coefficient {bad[0]:#x} out of range for {field.base.text()}")
+        if den and not any(den):
+            raise ValueError("zero denominator")
+        return field.el(pmake(num, field.base), pmake(den, field.base) if den else 1)
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"bad field element {obj!r}: {exc}") from exc
 

@@ -75,6 +75,24 @@ def test_descriptor_json_rejects_malformed():
         descriptor_from_json({"kind": "orthogonal", "field": "gf2", "gram": ["0x1"]})
 
 
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        ({"num": ["0x3"], "den": ["0x1"]}, "coefficient 0x3 out of range"),
+        ({"num": ["-0x1"], "den": ["0x1"]}, "coefficient -0x1 out of range"),
+        ({"num": ["0x1"], "den": ["0x0"]}, "zero denominator"),
+    ],
+)
+def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsys):
+    gram = [{"num": ["0x1"], "den": ["0x1"]}] * 4
+    obj = {"kind": "unitary_etale", "field": "ratfunc:gf2:t", "c": c, "gram": gram}
+    path = write_descriptor(tmp_path, obj)
+    assert main(["extract", "--input", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert message in captured.err
+
+
 def test_describe_output(tmp_path, capsys):
     path = write_descriptor(tmp_path, SPLIT)
     assert main(["describe", "--input", path]) == 0

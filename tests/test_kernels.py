@@ -1,0 +1,294 @@
+"""Property tests for the payload kernels against independent oracles.
+
+Matrix products are checked against naive triple loops whose entry products
+are expanded from the defining relations alone (u^2 = u + a, v^2 = b,
+vu = (u + 1)v for quaternions, s^2 = s + c for etale rings); elimination
+against A x = 0, dimension counts and, over GF(2), sympy's rank; the
+quadratic-form kernels against the sum over i <= j and the polarization
+identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2).
+"""
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
+
+from charform.fields import GF2, GF2k, gf2k, pdivmod, pgcd, psqrt, ratfunc, solve_artin_schreier
+from charform.forms import RawQuadraticForm
+from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
+from charform.linalg import Mat, Span, kernel, rank
+from charform.quaternions import Quat, QuaternionAlgebra
+
+FIELDS = [GF2, gf2k(2), gf2k(3), ratfunc(GF2)]
+# An example holds up to a few hundred field elements; shrinking a failing
+# one takes minutes, so the full example is reported instead.
+QUICK = settings(
+    max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+T = symbols("t")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+
+def elements(field, nonzero=False):
+    """Field elements; over GF(2)(t) quotients of polynomials of degree <= 2."""
+    if isinstance(field, GF2k):
+        return st.integers(1 if nonzero else 0, field.order - 1).map(field.el)
+    num = st.integers(1 if nonzero else 0, 7)
+    return st.tuples(num, st.integers(1, 7)).map(lambda nd: field.el(*nd))
+
+
+def sparse(field, values):
+    """Mostly-zero entries, as the matrices of the pipeline are."""
+    return st.one_of(st.just(None), values).map(lambda e: field.zero if e is None else e)
+
+
+def matrix(data, entries, n=4, m=4):
+    return [[data.draw(entries) for _ in range(m)] for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def expand_word(word, rules, field):
+    """The normal form of a word in the generators, as {word: coefficient},
+    rewriting with rules (pattern, [(replacement, coefficient)]) until none
+    applies."""
+    out = {}
+    todo = [(word, field.one)]
+    while todo:
+        w, c = todo.pop()
+        for pattern, replacements in rules:
+            i = w.find(pattern)
+            if i >= 0:
+                todo.extend((w[:i] + r + w[i + len(pattern) :], c * k) for r, k in replacements)
+                break
+        else:
+            out[w] = out.get(w, field.zero) + c
+    return out
+
+
+def product_from_relations(basis, rules, field):
+    """Bilinear product on coordinate tuples over the normal-form basis."""
+    table = {(p, q): expand_word(p + q, rules, field) for p in basis for q in basis}
+
+    def mul(x, y):
+        acc = dict.fromkeys(basis, field.zero)
+        for p, xp in zip(basis, x):
+            for q, yq in zip(basis, y):
+                for w, c in table[p, q].items():
+                    acc[w] = acc[w] + xp * yq * c
+        return tuple(acc[w] for w in basis)
+
+    return mul
+
+
+def quaternion_product(field, a, b):
+    one = field.one
+    rules = [("uu", [("u", one), ("", a)]), ("vv", [("", b)]), ("vu", [("uv", one), ("v", one)])]
+    return product_from_relations(("", "u", "v", "uv"), rules, field)
+
+
+def etale_product(field, c):
+    return product_from_relations(("", "s"), [("ss", [("s", field.one), ("", c)])], field)
+
+
+def naive_matmul(x, y, add, mul, zero):
+    n, k, m = len(x), len(y), len(y[0])
+    out = [[zero] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for t in range(k):
+                out[i][j] = add(out[i][j], mul(x[i][t], y[t][j]))
+    return out
+
+
+def fe_add(p, q):
+    return p + q
+
+
+def fe_mul(p, q):
+    return p * q
+
+
+def coord_add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def non_artin_schreier(field):
+    """A c with x^2 + x = c unsolvable in the field."""
+    if not isinstance(field, GF2k):
+        return field.t
+    return next(c for c in field.elements() if solve_artin_schreier(c) is None)
+
+
+def rank_gf2(rows):
+    K = GF(2)
+    dm = DomainMatrix([[K(e.raw) for e in row] for row in rows], (len(rows), len(rows[0])), K)
+    return dm.rank()
+
+
+def to_poly(p):
+    return Poly([int(bit) for bit in bin(p)[2:]], T, modulus=2)
+
+
+def from_poly(poly):
+    out = 0
+    for c in poly.all_coeffs():
+        out = (out << 1) | (int(c) % 2)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# matrix products
+# ---------------------------------------------------------------------------
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_quaternion_matrix_products(field, data):
+    a = data.draw(elements(field))
+    b = data.draw(elements(field, nonzero=True))
+    us = [data.draw(elements(field, nonzero=True)) for _ in range(3)]
+    desc = Index2Symp(field, QuaternionAlgebra(field, a, b), us)
+    quat = desc.quat
+    entry = st.tuples(*[sparse(field, elements(field))] * 4).map(lambda cs: Quat(quat, cs))
+    x, y = matrix(data, entry), matrix(data, entry)
+    coords = [[e.c for e in row] for row in x], [[e.c for e in row] for row in y]
+    zero = (field.zero,) * 4
+    expected = naive_matmul(*coords, coord_add, quaternion_product(field, a, b), zero)
+    got_desc = desc.el_mul(Mat(quat, x), Mat(quat, y))
+    got_mat = Mat(quat, x) * Mat(quat, y)
+    for got in (got_desc, got_mat):
+        assert [[e.c for e in row] for row in got.rows] == expected
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_etale_matrix_products(field, data):
+    gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
+    c = non_artin_schreier(field)
+    desc = UnitaryEtale(field, c, gram)
+    center = desc.center
+    entry = st.tuples(*[sparse(field, elements(field))] * 2).map(lambda xy: center.el(*xy))
+    x, y = matrix(data, entry), matrix(data, entry)
+    coords = [[(e.x, e.y) for e in row] for row in x], [[(e.x, e.y) for e in row] for row in y]
+    zero = (field.zero, field.zero)
+    expected = naive_matmul(*coords, coord_add, etale_product(field, c), zero)
+    got = desc.el_mul(Mat(center, x), Mat(center, y))
+    assert [[(e.x, e.y) for e in row] for row in got.rows] == expected
+    p, q = x[0][0], y[0][0]
+    pq = p * q
+    assert (pq.x, pq.y) == etale_product(field, c)((p.x, p.y), (q.x, q.y))
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_field_matrix_products(field, data):
+    entry = sparse(field, elements(field))
+    x, y, x2, y2 = (matrix(data, entry) for _ in range(4))
+    expected = naive_matmul(x, y, fe_add, fe_mul, field.zero)
+    gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
+    got_orth = Orthogonal(field, gram).el_mul(Mat(field, x), Mat(field, y))
+    assert [list(r) for r in got_orth.rows] == expected
+    assert [list(r) for r in (Mat(field, x) * Mat(field, y)).rows] == expected
+    pair_x, pair_y = (Mat(field, x), Mat(field, x2)), (Mat(field, y), Mat(field, y2))
+    e, f = UnitaryExchange(field).el_mul(pair_x, pair_y)
+    assert [list(r) for r in e.rows] == expected
+    assert [list(r) for r in f.rows] == naive_matmul(y2, x2, fe_add, fe_mul, field.zero)
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_kernel_solves_and_counts(field, data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 6))
+    a = matrix(data, sparse(field, elements(field)), n, m)
+    basis = kernel(a, field)
+    for x in basis:
+        assert all(sum((r * c for r, c in zip(row, x)), field.zero) == field.zero for row in a)
+    r = rank(a, field)
+    assert len(basis) == m - r
+    assert not basis or rank(basis, field) == len(basis)
+    if field is GF2:
+        assert r == rank_gf2(a)
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_span_input_coords_reconstruct(field, data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 6))
+    vectors = matrix(data, sparse(field, elements(field)), n, m)
+    cs = [data.draw(elements(field)) for _ in range(n)]
+    v = [sum((c * vec[j] for c, vec in zip(cs, vectors)), field.zero) for j in range(m)]
+    span = Span(vectors, field)
+    coords = span.input_coords(v)
+    assert coords is not None
+    rebuilt = [sum((c * vec[j] for c, vec in zip(coords, vectors)), field.zero) for j in range(m)]
+    assert rebuilt == v
+    assert span.contains(v)
+    assert span.dim == rank(vectors, field)
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms
+# ---------------------------------------------------------------------------
+
+
+@QUICK
+@given(st.sampled_from(FIELDS), st.data())
+def test_form_evaluate_and_polar(field, data):
+    n = data.draw(st.integers(1, 5))
+    entry = sparse(field, elements(field))
+    u = [[data.draw(entry) if j >= i else field.zero for j in range(n)] for i in range(n)]
+    q = RawQuadraticForm(field, u)
+    v = [data.draw(entry) for _ in range(n)]
+    w = [data.draw(entry) for _ in range(n)]
+
+    def direct(x):
+        terms = (u[i][j] * x[i] * x[j] for i in range(n) for j in range(i, n))
+        return sum(terms, field.zero)
+
+    assert q.evaluate(v) == direct(v)
+    vw = [a + b for a, b in zip(v, w)]
+    assert q.polar(v, w) == direct(vw) + direct(v) + direct(w)
+
+
+# ---------------------------------------------------------------------------
+# GF(2)[t] kernels against sympy
+# ---------------------------------------------------------------------------
+
+PACKED = st.integers(0, (1 << 12) - 1)
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(PACKED, PACKED.filter(bool))
+def test_pdivmod_and_pgcd_match_sympy(a, b):
+    q, r = pdivmod(a, b, GF2)
+    sq, sr = to_poly(a).div(to_poly(b))
+    assert (q, r) == (from_poly(sq), from_poly(sr))
+    assert pgcd(a, b, GF2) == from_poly(to_poly(a).gcd(to_poly(b)))
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(PACKED, st.integers(0, (1 << 6) - 1))
+def test_psqrt_matches_sympy(p, r):
+    root = psqrt(p, GF2)
+    if root is None:
+        assert not to_poly(p).diff(T).is_zero  # in characteristic 2, squares have p' = 0
+    else:
+        assert to_poly(root) ** 2 == to_poly(p)
+    assert psqrt(from_poly(to_poly(r) ** 2), GF2) == r

@@ -33,10 +33,10 @@ from .forms import (
     bilinear_tensor,
     block11,
     blocks_match_upto_squares,
+    candidates,
     direct_sum,
     form,
     is_hyperbolic,
-    isotropic_vector,
     normalize,
     quasi_pfister,
     totally_singular_isometry,
@@ -400,6 +400,15 @@ def _component_checks(comps: WComponents) -> None:
             _check_qi_nonsingular(comps, i)
 
 
+def _combination(field, coeffs: Sequence[Fe], vectors: Sequence[Sequence[Fe]]) -> List[Fe]:
+    """sum_k coeffs[k] * vectors[k]."""
+    out = [field.zero] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, vec)]
+    return out
+
+
 def _li_module_basis(comps: WComponents, i: int) -> List[List[Fe]]:
     """An L_i-module basis of W_i, as space-coordinate vectors."""
     desc = comps.desc
@@ -410,15 +419,12 @@ def _li_module_basis(comps: WComponents, i: int) -> List[List[Fe]]:
     def g_image(v):
         return comps.space.coords(desc.el_mul(comps.space.element(v), g))
 
-    candidates = list(vectors)
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            candidates.append([x + y for x, y in zip(vectors[a], vectors[b])])
     chosen: List[List[Fe]] = []
     acc: List[List[Fe]] = []
-    for v in candidates:
+    for cs in candidates(field, len(vectors), None, 0, 0):
         if 2 * len(chosen) == len(vectors):
             break
+        v = _combination(field, cs, vectors)
         trial = acc + [v, g_image(v)]
         if Span(trial, field).dim == len(trial):
             chosen.append(v)
@@ -508,30 +514,11 @@ class Deg4Invariants:
 def _anisotropic_coords(
     raw: RawQuadraticForm, rng: random.Random, *, budget: int = 400
 ) -> List[Fe]:
-    """Coordinates of a vector with nonzero value: basis first, then pairs,
-    then exhaustive enumeration over tiny fields, then seeded random."""
-    field = raw.field
-    n = raw.dim
-    units = [unit_vector(field, n, i) for i in range(n)]
-    for v in units:
+    """Coordinates of the first `candidates` vector with nonzero value."""
+    for v in candidates(raw.field, raw.dim, rng, budget, 1 << 16):
         if raw.evaluate(v):
             return v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [a + b for a, b in zip(units[i], units[j])]
-            if raw.evaluate(v):
-                return v
-    if isinstance(field, GF2k) and field.order**n <= 1 << 16:
-        for vals in itertools.product(range(field.order), repeat=n):
-            v = [field._el(x) for x in vals]
-            if raw.evaluate(v):
-                return v
-        raise NoAnisotropicVector("form is identically zero")
-    for _ in range(budget):
-        v = [field.rand(rng) for _ in range(n)]
-        if raw.evaluate(v):
-            return v
-    raise NoAnisotropicVector("seeded search exhausted")
+    raise NoAnisotropicVector("no candidate has a nonzero value")
 
 
 def _restriction_certificate_11_00(comps: WComponents) -> Decision:
@@ -662,53 +649,6 @@ def extract_symplectic_invariants(
 # ---------------------------------------------------------------------------
 
 
-def _isotropic_w_stream(raw: RawQuadraticForm, rng: random.Random, *, limit: int):
-    """Yield nonzero isotropic vectors of a restricted form (bounded).
-
-    Seeded random candidates come first (they avoid the degenerate corners a
-    lexicographic sweep starts with); exhaustive enumeration over tiny
-    fields guarantees completeness.
-    """
-    field = raw.field
-    n = raw.dim
-    yielded = 0
-    if isinstance(field, GF2k) and field.order**n <= 1 << 16:
-        seen = set()
-        for _ in range(150):
-            vals = tuple(rng.randrange(field.order) for _ in range(n))
-            if not any(vals) or vals in seen:
-                continue
-            seen.add(vals)
-            v = [field._el(x) for x in vals]
-            if not raw.evaluate(v):
-                yield v
-                yielded += 1
-                if yielded >= limit:
-                    return
-        for vals in itertools.product(range(field.order), repeat=n):
-            if not any(vals) or vals in seen:
-                continue
-            v = [field._el(x) for x in vals]
-            if not raw.evaluate(v):
-                yield v
-                yielded += 1
-                if yielded >= limit:
-                    return
-        return
-    q, t = normalize(raw)
-    v = isotropic_vector(q, rng, limit)
-    if v is not None:
-        yield [sum((t[i][j] * v[j] for j in range(n)), field.zero) for i in range(n)]
-        yielded += 1
-    for _ in range(limit):
-        w = [field.rand(rng) for _ in range(n)]
-        if any(w) and not raw.evaluate(w):
-            yield w
-            yielded += 1
-            if yielded >= limit:
-                return
-
-
 @dataclass
 class DecomposabilityReport:
     direction: str
@@ -806,10 +746,12 @@ def check_pi3_decomposability(
     if not isinstance(desc, _SympBase):
         raise UnsupportedDescriptor("to_triple needs a symplectic descriptor")
     comps = default_components(desc)
-    field = desc.field
+    w1 = comps.w_raw[0]
     rng = random.Random(seed)
     witness = None
-    for iso in _isotropic_w_stream(comps.w_raw[0], rng, limit=3000):
+    for iso in candidates(desc.field, w1.dim, rng, 3000, 1 << 16):
+        if w1.evaluate(iso):
+            continue
         x = comps.w_element(1, iso)
         xsq = _as_scalar(desc, desc.el_mul(x, x))
         if xsq is None:
@@ -843,11 +785,8 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
     ring = comps.L.li_ring(1)
     one = desc.one_el()
     n = len(comps.w_coords[0])
-    candidates = [comps.w_element(1, unit_vector(field, n, k)) for k in range(n)]
-    candidates += [
-        comps.w_element(1, [field.rand(rng) for _ in range(n)]) for _ in range(60)
-    ]
-    for y in candidates:
+    for yc in candidates(field, n, rng, 60, 0):
+        y = comps.w_element(1, yc)
         z = desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x))
         co = comps.L.li_coords(1, z)
         if co is None:
@@ -920,37 +859,16 @@ def find_square_central(
 
 
 def _coords_with_value_one(comps: WComponents, rng: random.Random, *, trials: int = 500):
-    """Space coordinates of y in W_1 + W_2 with full form value 1."""
-    desc = comps.desc
-    field = desc.field
-    one = field.one
-    n1 = len(comps.w_coords[0])
-    n2 = len(comps.w_coords[1])
-
-    def assemble(c1, c2):
-        acc = [field.zero] * comps.space.dim
-        for c, vec in zip(c1, comps.w_coords[0]):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        for c, vec in zip(c2, comps.w_coords[1]):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        return acc
-
-    # scale a single anisotropic vector when its value is a square
-    for k in range(n1):
-        unit = unit_vector(field, n1, k)
-        val = comps.w_raw[0].evaluate(unit)
-        if val:
-            r = (one / val).sqrt()
-            if r is not None:
-                return assemble([r * c for c in unit], [field.zero] * n2)
-    for _ in range(trials):
-        c1 = [field.rand(rng) for _ in range(n1)]
-        c2 = [field.rand(rng) for _ in range(n2)]
-        v = assemble(c1, c2)
-        if comps.full_raw.evaluate(v) == one:
-            return v
+    """Space coordinates of y in W_1 + W_2 with full form value 1: the first
+    candidate whose value is a nonzero square, scaled by its square root."""
+    field = comps.desc.field
+    basis = comps.w_coords[0] + comps.w_coords[1]
+    for cs in candidates(field, len(basis), rng, trials, 0):
+        v = _combination(field, cs, basis)
+        val = comps.full_raw.evaluate(v)
+        r = (field.one / val).sqrt() if val else None
+        if r is not None:
+            return [r * a for a in v]
     return None
 
 
@@ -1072,31 +990,13 @@ def _regular_generator(comps: WComponents, i: int, rng: random.Random):
 
     Prefers a witness with a nonzero second-trace value as well (the joint
     condition in the diagonalization argument); falls back to any regular
-    one, and to None when the exhaustive scan finds nothing.
+    one, and to None when no candidate is regular.
     """
-    desc = comps.desc
-    field = desc.field
+    field = comps.desc.field
     n = len(comps.w_coords[i - 1])
-    candidates = [unit_vector(field, n, k) for k in range(n)]
-    if isinstance(field, GF2k) and field.order**n <= 1 << 12:
-        candidates = [
-            [field._el(x) for x in vals]
-            for vals in itertools.product(range(field.order), repeat=n)
-            if any(vals)
-        ]
-    else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                candidates.append(
-                    [x + y for x, y in zip(candidates[a], candidates[b])]
-                )
-        candidates.extend(
-            [field.rand(rng) for _ in range(n)] for _ in range(200)
-        )
     fallback = None
-    for wc in candidates:
-        w = comps.w_element(i, wc)
-        det = charpoly(w)[0]
+    for wc in candidates(field, n, rng, 200, 1 << 12):
+        det = charpoly(comps.w_element(i, wc))[0]
         if det:
             if comps.w_raw[i - 1].evaluate(wc):
                 return wc, det

@@ -300,9 +300,12 @@ def pcoef(p: int, i: int, k: int) -> int:
 
 
 def pmake(coeffs, base: GF2k) -> int:
+    """Pack coefficients (ascending degree), each a raw element of base."""
     p = 0
     for i, c in enumerate(coeffs):
-        p |= (c & (base.order - 1)) << (i * base.k)
+        if not 0 <= c < base.order:
+            raise ValueError(f"coefficient {c:#x} out of range for {base.text()}")
+        p |= c << (i * base.k)
     return p
 
 
@@ -501,13 +504,14 @@ class RatFunc:
     def t(self) -> Fe:
         return Fe(self, (1 << self.base.k, 1))
 
-    def rand(self, rng, max_deg: int = 2) -> Fe:
-        num = pmake([rng.randrange(self.base.order) for _ in range(max_deg + 1)], self.base)
+    def rand(self, rng) -> Fe:
+        """A polynomial of degree at most 2 with seeded coefficients."""
+        num = pmake([rng.randrange(self.base.order) for _ in range(3)], self.base)
         return Fe(self, self._norm(num, 1))
 
-    def rand_nonzero(self, rng, max_deg: int = 2) -> Fe:
+    def rand_nonzero(self, rng) -> Fe:
         while True:
-            e = self.rand(rng, max_deg)
+            e = self.rand(rng)
             if e:
                 return e
 

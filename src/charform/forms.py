@@ -14,7 +14,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .decision import Decision, decided, unknown
 from .errors import (
@@ -35,6 +35,7 @@ from .fields import (
     pdivmod,
     solve_artin_schreier,
 )
+from .linalg import Span, unit_vector
 
 
 class RawQuadraticForm:
@@ -487,14 +488,43 @@ def _block_split_certificate(field, a: Fe, b: Fe):
     return r  # UNKNOWN sentinel
 
 
+def candidates(
+    field: Field, n: int, rng: Optional[random.Random], draws: int, exhaustive: int
+) -> Iterator[List[Fe]]:
+    """The candidate vectors of F^n every witness search filters, in order.
+
+    First the unit vectors, then the sums of two unit vectors; then every
+    nonzero vector in lexicographic order when F is GF(2^k) with
+    |F|^n <= exhaustive, otherwise `draws` vectors drawn from rng (a zero
+    draw is skipped; rng may be None when draws is 0).  The zero vector is
+    never yielded.
+    """
+    for i in range(n):
+        yield unit_vector(field, n, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = unit_vector(field, n, i)
+            v[j] = field.one
+            yield v
+    if isinstance(field, GF2k) and field.order**n <= exhaustive:
+        for vals in itertools.product(range(field.order), repeat=n):
+            if any(vals):
+                yield [field._el(x) for x in vals]
+        return
+    for _ in range(draws):
+        v = [field.rand(rng) for _ in range(n)]
+        if any(v):
+            yield v
+
+
 def isotropic_vector(
-    q: QuadraticForm, rng: Optional[random.Random] = None, trials: int = 200, max_deg: int = 2
+    q: QuadraticForm, rng: Optional[random.Random] = None, trials: int = 200
 ) -> Optional[List[Fe]]:
     """Bounded search for a nonzero isotropic vector.
 
-    Tries per-block certificates, duplicated blocks, exhaustive enumeration
-    over small finite fields, then seeded random candidates.  Returns None
-    when the budget is exhausted (which proves nothing).
+    Tries per-block certificates and duplicated blocks, then filters
+    `candidates` (exhaustive over tiny fields, else `trials` seeded draws).
+    Returns None when the budget is exhausted (which proves nothing).
     """
     field = q.field
     n = q.dim
@@ -516,27 +546,10 @@ def isotropic_vector(
                 v = [z] * n
                 v[2 * i] = v[2 * j] = field.one
                 return v
-    if isinstance(field, GF2k) and field.order**n <= 1 << 16:
-        for vals in itertools.product(range(field.order), repeat=n):
-            if not any(vals):
-                continue
-            v = [field._el(x) for x in vals]
-            if not q.evaluate(v):
-                return v
-        return None
     if rng is None:
         rng = random.Random(0)
-    for _ in range(trials):
-        if isinstance(field, GF2k):
-            v = [field.rand(rng) for _ in range(n)]
-        else:
-            v = [
-                field.rand(rng, rng.randrange(max_deg + 1)) if rng.randrange(2) else z
-                for _ in range(n)
-            ]
-        if any(v) and not q.evaluate(v):
-            return v
-    return None
+    stream = candidates(field, n, rng, trials, 1 << 16)
+    return next((v for v in stream if not q.evaluate(v)), None)
 
 
 def _split_off_plane(q: QuadraticForm, v: Sequence[Fe]) -> QuadraticForm:
@@ -559,8 +572,6 @@ def _split_off_plane(q: QuadraticForm, v: Sequence[Fe]) -> QuadraticForm:
         c2 = raw.polar(cand, v)
         reduced = [a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(cand, v, w)]
         rest.append(reduced)
-    from .linalg import Span
-
     span = Span(rest, field)
     sub = span.rows
     assert span.dim == n - 2

@@ -16,6 +16,7 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .fields import (
     pmul,
     solve_artin_schreier,
 )
-from .forms import RawQuadraticForm
+from .forms import RawQuadraticForm, candidates
 from .linalg import Mat, Span, charpoly, charpoly_raw, kernel, matmul_raw
 from .quaternions import Quat, QuaternionAlgebra, q_conj, q_trd
 
@@ -680,26 +681,14 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe
     the choice is asserted on several witnesses (their ratios are squares).
     """
     basis = symmetrized_space_orth(desc)
-    field = desc.field
-    rng = random.Random(seed)
     found: List[Fe] = []
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append(basis[i] + basis[j])
-    budget = 500
-    while len(found) < witnesses and budget:
-        budget -= 1
-        if candidates:
-            w = candidates.pop(0)
-        else:
-            w = desc.zero_el()
-            for b in basis:
-                if rng.randrange(2):
-                    w = w + b
+    for cs in candidates(desc.field, len(basis), random.Random(seed), 500, 0):
+        w = functools.reduce(desc.el_add, (desc.el_scal(c, b) for c, b in zip(cs, basis) if c))
         det = charpoly(w)[0]
         if det:
             found.append(det)
+            if len(found) == witnesses:
+                break
     if not found:
         raise NoInvertibleWitness("no invertible symmetrized element found")
     for other in found[1:]:

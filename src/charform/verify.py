@@ -20,6 +20,7 @@ from .forms import (
     RawQuadraticForm,
     arf_invariant,
     bilinear_tensor,
+    candidates,
     direct_sum,
     form,
     is_hyperbolic,
@@ -196,18 +197,11 @@ def run_forms(field: Field, seed: int, trials: int) -> List[PropertyResult]:
 
 
 def _brute_isotropic(q: QuadraticForm):
-    import itertools
-
     field = q.field
     if field.order**q.dim > 1 << 16:
         return None
-    for vals in itertools.product(range(field.order), repeat=q.dim):
-        if not any(vals):
-            continue
-        v = [field._el(x) for x in vals]
-        if not q.evaluate(v):
-            return v
-    return None
+    stream = candidates(field, q.dim, None, 0, 1 << 16)
+    return next((v for v in stream if not q.evaluate(v)), None)
 
 
 # --- suite: quaternions -------------------------------------------------------
@@ -359,15 +353,11 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
 
 def run_unitary(field: Field, seed: int, trials: int) -> List[PropertyResult]:
     out = []
-    if not isinstance(field, GF2k):
-        return [PropertyResult("unitary.skipped_ratfunc", True, 0, detail="finite fields only")]
-    descs = [UnitaryExchange(field)]
-    nontrivial = next(
-        (c for c in field.elements() if solve_artin_schreier(c) is None), None
-    )
-    if nontrivial is not None:
-        descs.append(UnitaryEtale(field, nontrivial, (field.one,) * 4))
-    for desc in descs:
+    if isinstance(field, GF2k):
+        c = next(c for c in field.elements() if solve_artin_schreier(c) is None)
+    else:
+        c = field.t  # s^2 + s + t is irreducible: t has odd degree
+    for desc in (UnitaryExchange(field), UnitaryEtale(field, c, (field.one,) * 4)):
         space = symmetric_space(desc)
         comps = default_components(desc)
         inv = extract_unitary_invariants(desc, comps, seed=seed)

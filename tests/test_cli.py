@@ -151,7 +151,7 @@ def test_verify_exit_codes(capsys):
     assert "PASS fields.axioms" in out
 
 
-@pytest.mark.parametrize("suite", ["fields", "orthogonal"])
+@pytest.mark.parametrize("suite", ["fields", "unitary", "orthogonal"])
 def test_verify_ratfunc_suite_passes(suite, capsys):
     assert main(["verify", "--suite", suite, "--field", "ratfunc:gf2:t", "--trials", "50"]) == 0
 

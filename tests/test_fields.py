@@ -61,6 +61,14 @@ def test_ratfunc_inverse_monic_denominator():
     assert inv * (t + R2.one) == R2.one
 
 
+@pytest.mark.parametrize("coeffs, text", [([3], "0x3"), ([-1], "-0x1"), ([1, 2], "0x2")])
+def test_ratfunc_el_rejects_out_of_range_coefficients(coeffs, text):
+    with pytest.raises(ValueError, match=f"coefficient {text} out of range for gf2"):
+        R2.el(coeffs)
+    with pytest.raises(ValueError, match="out of range"):
+        R2.el([1], coeffs)
+
+
 def test_field_arith_dispatch_and_errors():
     assert field_arith("add", GF2.one, GF2.one) == GF2.zero
     assert field_arith("mul", F4.gen, F4.gen) == F4.gen + F4.one

@@ -16,6 +16,7 @@ from charform.forms import (
     block00,
     block11,
     blocks_match_upto_squares,
+    candidates,
     direct_sum,
     form,
     is_anisotropic,
@@ -423,3 +424,52 @@ def test_isotropic_vector_finds_duplicates():
     q = form(R2, [(t, t + R2.one), (t, t + R2.one)])
     v = isotropic_vector(q)
     assert v is not None and not q.evaluate(v)
+
+
+# --- the seeded candidate search ----------------------------------------------
+
+
+def _raws(stream):
+    return [[a.raw for a in v] for v in stream]
+
+
+@pytest.mark.parametrize("field", [GF2, F4, R2], ids=["gf2", "gf4", "ratfunc"])
+def test_candidates_stage_order(field):
+    n = 3
+    one, z = field.one, field.zero
+    units = [[one if j == i else z for j in range(n)] for i in range(n)]
+    pairs = [
+        [one if j in ab else z for j in range(n)] for ab in itertools.combinations(range(n), 2)
+    ]
+    head = units + pairs
+    full = list(candidates(field, n, random.Random(5), 40, 1 << 16))
+    drawn = list(candidates(field, n, random.Random(5), 40, 0))
+    assert full[: len(head)] == head and drawn[: len(head)] == head
+    # without the cutoff: at most 40 seeded draws, not just units and pairs
+    rest = drawn[len(head) :]
+    assert 0 < len(rest) <= 40 and any(v not in head for v in rest)
+    if field is R2:
+        assert full == drawn  # the exhaustive stage is for GF(2^k) only
+    else:
+        # |F|^n <= cutoff: every nonzero vector once, lexicographically
+        assert _raws(full[len(head) :]) == [
+            list(vals) for vals in itertools.product(range(field.order), repeat=n) if any(vals)
+        ]
+
+
+@pytest.mark.parametrize("field", [GF2, F4, R2], ids=["gf2", "gf4", "ratfunc"])
+def test_candidates_never_yield_zero(field):
+    out = list(candidates(field, 2, random.Random(0), 200, 0))
+    assert out and all(any(v) for v in out)
+    if field is GF2:
+        # about a quarter of the 200 draws over GF(2)^2 are zero and skipped
+        assert len(out) < 3 + 200
+
+
+@pytest.mark.parametrize("field", [GF2, F4, R2], ids=["gf2", "gf4", "ratfunc"])
+def test_candidates_same_seed_same_stream(field):
+    def stream(seed):
+        return _raws(candidates(field, 4, random.Random(seed), 30, 0))
+
+    assert stream(9) == stream(9)
+    assert stream(9) != stream(10)

@@ -30,9 +30,12 @@ def _gf2_deg(p: int) -> int:
 
 
 def _gf2_mod(p: int, m: int) -> int:
-    dm = _gf2_deg(m)
-    while p.bit_length() - 1 >= dm and p:
-        p ^= m << (p.bit_length() - 1 - dm)
+    """Remainder of p modulo a nonzero m, by shift and xor."""
+    dm = m.bit_length()
+    s = p.bit_length() - dm
+    while s >= 0:
+        p ^= m << s
+        s = p.bit_length() - dm
     return p
 
 
@@ -328,6 +331,8 @@ def pmul(a: int, b: int, base: GF2k) -> int:
     if a == 0 or b == 0:
         return 0
     if base.k == 1:
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
         r = 0
         while b:
             low = b & -b
@@ -346,6 +351,14 @@ def pdivmod(a: int, b: int, base: GF2k):
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
     k = base.k
+    if k == 1:
+        q, db = 0, b.bit_length()
+        s = a.bit_length() - db
+        while s >= 0:
+            q ^= 1 << s
+            a ^= b << s
+            s = a.bit_length() - db
+        return q, a
     db = pdeg(b, k)
     lead_inv = base.rinv(pcoef(b, db, k))
     q = 0
@@ -359,6 +372,11 @@ def pdivmod(a: int, b: int, base: GF2k):
 
 
 def pgcd(a: int, b: int, base: GF2k) -> int:
+    """The monic gcd (0 when both are 0)."""
+    if base.k == 1:
+        while b:
+            a, b = b, _gf2_mod(a, b)
+        return a
     while b:
         a, b = b, pdivmod(a, b, base)[1]
     if a:
@@ -404,7 +422,10 @@ class RatFunc:
     """The rational function field GF(2^k)(t).
 
     Raw payloads are (num, den) pairs of packed polynomials, kept fully
-    reduced with a monic denominator after every operation.
+    reduced with a monic denominator after every operation.  Every payload
+    is built through _norm, so the operations may take the normal form of
+    their operands for granted: a polynomial (den 1) needs no gcd, and a
+    zero summand returns the other one unchanged.
     """
 
     kind = "ratfunc"
@@ -422,6 +443,8 @@ class RatFunc:
     def _norm(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
+        if den == 1:
+            return (num, 1)
         if num == 0:
             return (0, 1)
         g = pgcd(num, den, self.base)
@@ -440,6 +463,10 @@ class RatFunc:
     def radd(self, a, b):
         na, da = a
         nb, db = b
+        if na == 0:
+            return b
+        if nb == 0:
+            return a
         if da == db:
             return self._norm(na ^ nb, da)
         return self._norm(
@@ -452,6 +479,8 @@ class RatFunc:
         nb, db = b
         if na == 0 or nb == 0:
             return (0, 1)
+        if da == 1 and db == 1:
+            return (pmul(na, nb, self.base), 1)
         g1 = pgcd(na, db, self.base)
         if pdeg(g1, self.base.k) > 0:
             na = pdivmod(na, g1, self.base)[0]

@@ -494,10 +494,10 @@ def candidates(
     """The candidate vectors of F^n every witness search filters, in order.
 
     First the unit vectors, then the sums of two unit vectors; then every
-    nonzero vector in lexicographic order when F is GF(2^k) with
-    |F|^n <= exhaustive, otherwise `draws` vectors drawn from rng (a zero
-    draw is skipped; rng may be None when draws is 0).  The zero vector is
-    never yielded.
+    other nonzero vector in lexicographic order when F is GF(2^k) with
+    |F|^n <= exhaustive (so each nonzero vector comes exactly once),
+    otherwise `draws` vectors drawn from rng (a zero draw is skipped; rng
+    may be None when draws is 0).  The zero vector is never yielded.
     """
     for i in range(n):
         yield unit_vector(field, n, i)
@@ -508,7 +508,8 @@ def candidates(
             yield v
     if isinstance(field, GF2k) and field.order**n <= exhaustive:
         for vals in itertools.product(range(field.order), repeat=n):
-            if any(vals):
+            # skip zero and the unit and pair vectors (entries 0 and 1, at most two 1s)
+            if max(vals) > 1 or sum(vals) > 2:
                 yield [field._el(x) for x in vals]
         return
     for _ in range(draws):

@@ -451,10 +451,19 @@ def test_candidates_stage_order(field):
     if field is R2:
         assert full == drawn  # the exhaustive stage is for GF(2^k) only
     else:
-        # |F|^n <= cutoff: every nonzero vector once, lexicographically
+        # |F|^n <= cutoff: every other nonzero vector, lexicographically
         assert _raws(full[len(head) :]) == [
-            list(vals) for vals in itertools.product(range(field.order), repeat=n) if any(vals)
+            list(vals)
+            for vals in itertools.product(range(field.order), repeat=n)
+            if any(vals) and list(vals) not in _raws(head)
         ]
+
+
+@pytest.mark.parametrize("field, n", [(GF2, 3), (F4, 2)], ids=["gf2^3", "gf4^2"])
+def test_candidates_exhaustive_yields_each_vector_once(field, n):
+    out = _raws(candidates(field, n, None, 0, 1 << 16))
+    assert len(out) == field.order**n - 1
+    assert len({tuple(v) for v in out}) == len(out)
 
 
 @pytest.mark.parametrize("field", [GF2, F4, R2], ids=["gf2", "gf4", "ratfunc"])

@@ -5,16 +5,32 @@ are expanded from the defining relations alone (u^2 = u + a, v^2 = b,
 vu = (u + 1)v for quaternions, s^2 = s + c for etale rings); elimination
 against A x = 0, dimension counts and, over GF(2), sympy's rank; the
 quadratic-form kernels against the sum over i <= j and the polarization
-identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2).
+identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
+and against the generic GF(2^k)[t] branch through the embedding
+GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
+GF(2^k)(t) normal form against cross-multiplied schoolbook fractions.
 """
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from charform.fields import GF2, GF2k, gf2k, pdivmod, pgcd, psqrt, ratfunc, solve_artin_schreier
+from charform.fields import (
+    GF2,
+    GF2k,
+    gf2k,
+    pcoeffs,
+    pdeg,
+    pdivmod,
+    pgcd,
+    pmake,
+    pmul,
+    psqrt,
+    ratfunc,
+    solve_artin_schreier,
+)
 from charform.forms import RawQuadraticForm
 from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
 from charform.linalg import Mat, Span, kernel, rank
@@ -268,10 +284,58 @@ def test_form_evaluate_and_polar(field, data):
 
 
 # ---------------------------------------------------------------------------
-# GF(2)[t] kernels against sympy
+# polynomial kernels
 # ---------------------------------------------------------------------------
 
-PACKED = st.integers(0, (1 << 12) - 1)
+# operands of the F(t) verify suite reach degree 40
+PACKED = st.integers(0, (1 << 48) - 1)
+GF4 = gf2k(2)
+
+
+def embed_gf4(p):
+    """The GF(2)[t] polynomial p as an element of GF(4)[t] (bit i -> slot i)."""
+    return pmake([int(bit) for bit in bin(p)[:1:-1]], GF4)
+
+
+def unembed_gf4(p):
+    coeffs = pcoeffs(p, GF4)
+    assert set(coeffs) <= {0, 1}
+    return sum(c << i for i, c in enumerate(coeffs))
+
+
+def packed(base, max_degree=12):
+    return st.lists(st.integers(0, base.order - 1), max_size=max_degree + 1).map(
+        lambda cs: pmake(cs, base)
+    )
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(PACKED, PACKED, PACKED.filter(bool))
+@example(0, 0, 1)
+def test_gf2_branch_matches_generic_branch(a, b, c):
+    ea, eb, ec = embed_gf4(a), embed_gf4(b), embed_gf4(c)
+    assert unembed_gf4(ea) == a
+    assert unembed_gf4(pmul(ea, eb, GF4)) == pmul(a, b, GF2)
+    q, r = pdivmod(ea, ec, GF4)
+    assert (unembed_gf4(q), unembed_gf4(r)) == pdivmod(a, c, GF2)
+    assert unembed_gf4(pgcd(ea, eb, GF4)) == pgcd(a, b, GF2)
+    assert unembed_gf4(pgcd(ea, ec, GF4)) == pgcd(a, c, GF2)
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from([GF4, gf2k(3)]), st.data())
+def test_generic_branch_division_identity_and_gcd(base, data):
+    a = data.draw(packed(base))
+    b = data.draw(packed(base).filter(bool))
+    q, r = pdivmod(a, b, base)
+    assert pmul(q, b, base) ^ r == a
+    assert pdeg(r, base.k) < pdeg(b, base.k)
+    c = data.draw(packed(base, 4).filter(bool))
+    for x, y in ((a, b), (pmul(a, c, base), pmul(b, c, base))):
+        g = pgcd(x, y, base)
+        assert pcoeffs(g, base)[-1] == 1
+        assert pdivmod(x, g, base)[1] == 0 and pdivmod(y, g, base)[1] == 0
+    assert pdivmod(g, c, base)[1] == 0  # a common factor divides the gcd
 
 
 @settings(max_examples=60, deadline=None, phases=QUICK.phases)
@@ -292,3 +356,50 @@ def test_psqrt_matches_sympy(p, r):
     else:
         assert to_poly(root) ** 2 == to_poly(p)
     assert psqrt(from_poly(to_poly(r) ** 2), GF2) == r
+
+
+# ---------------------------------------------------------------------------
+# GF(2^k)(t) normal form
+# ---------------------------------------------------------------------------
+
+
+def ratfunc_elements(field):
+    """0, 1, polynomials (den 1) and fractions with a denominator other
+    than 0 and 1 (non-monic constants included)."""
+    poly = packed(field.base, 5)
+    fraction = st.tuples(poly, poly.filter(lambda d: d > 1))
+    return st.one_of(
+        st.sampled_from([field.zero, field.one]),
+        poly.map(field.el),
+        fraction.map(lambda nd: field.el(*nd)),
+    )
+
+
+def assert_normal(field, raw):
+    num, den = raw
+    base = field.base
+    assert pcoeffs(den, base)[-1] == 1
+    assert pgcd(num, den, base) == 1 or (num, den) == (0, 1)
+
+
+@settings(max_examples=80, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from([ratfunc(GF2), ratfunc(GF4)]), st.data())
+def test_ratfunc_operations_keep_normal_form(field, data):
+    base = field.base
+    x = data.draw(ratfunc_elements(field))
+    y = data.draw(ratfunc_elements(field))
+    (na, da), (nb, db) = x.raw, y.raw
+
+    def same_fraction(raw, num, den):
+        return pmul(raw[0], den, base) == pmul(num, raw[1], base)
+
+    s = field.radd(x.raw, y.raw)
+    assert_normal(field, s)
+    assert same_fraction(s, pmul(na, db, base) ^ pmul(nb, da, base), pmul(da, db, base))
+    m = field.rmul(x.raw, y.raw)
+    assert_normal(field, m)
+    assert same_fraction(m, pmul(na, nb, base), pmul(da, db, base))
+    if na:
+        i = field.rinv(x.raw)
+        assert_normal(field, i)
+        assert same_fraction(i, da, na)

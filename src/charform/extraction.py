@@ -55,7 +55,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Mat, Span, charpoly, kernel, unit_vector
+from .linalg import Mat, Span, charpoly, combination, kernel, unit_vector
 from .quaternions import nrd_form, q_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -108,11 +108,8 @@ class BiquadraticEtale:
             b = (a0 + a1 + a2 + a3, a1 + a3, a2 + a3, a3)
         else:
             raise ValueError("Klein involutions are indexed 1..3")
-        acc = self.desc.zero_el()
-        for c, e in zip(b, self.basis):
-            if c:
-                acc = self.desc.el_add(acc, self.desc.el_scal(c, e))
-        return acc
+        raw = [c.raw for c in b]
+        return tuple(combination(f, raw, self.basis, self.desc.ambient_dim))
 
     def generator(self, i: int):
         """A generator g_i of the fixed algebra L_i with its constant c_i."""
@@ -248,18 +245,21 @@ class WComponents:
         )
 
     def w_element(self, i: int, coords: Sequence[Fe]):
-        field = self.desc.field
-        acc = [field.zero] * self.space.dim
-        for c, vec in zip(coords, self.w_coords[i - 1]):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        return self.space.element(acc)
+        return self.space.element(_combination(self.desc.field, coords, self.w_coords[i - 1]))
 
     def w_membership(self, i: int, x) -> Optional[List[Fe]]:
         sc = self.space.coords(x)
         if sc is None:
             return None
         return Span(self.w_coords[i - 1], self.desc.field).coords(sc)
+
+
+def _quat_matrix(desc: _SympBase, entries) -> tuple:
+    """The element with the quaternion q at (i, j) for each (i, j, q) in entries."""
+    v = [desc.field.zero] * desc.ambient_dim
+    for i, j, q in entries:
+        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
+    return desc.from_vec(v)
 
 
 def _explicit_index2_bases(desc: _SympBase) -> List[List]:
@@ -275,10 +275,7 @@ def _explicit_index2_bases(desc: _SympBase) -> List[List]:
     units = (Q.one, Q.u, Q.v, Q.w)
 
     def element(pos_a, ca, pos_b, cb, q):
-        rows = [[Q.zero] * 4 for _ in range(4)]
-        rows[pos_a[0]][pos_a[1]] = q.scal(ca)
-        rows[pos_b[0]][pos_b[1]] = q_conj(q).scal(cb)
-        return Mat(Q, rows)
+        return _quat_matrix(desc, [(*pos_a, q.scal(ca)), (*pos_b, q_conj(q).scal(cb))])
 
     one = desc.field.one
     out = []
@@ -401,12 +398,9 @@ def _component_checks(comps: WComponents) -> None:
 
 
 def _combination(field, coeffs: Sequence[Fe], vectors: Sequence[Sequence[Fe]]) -> List[Fe]:
-    """sum_k coeffs[k] * vectors[k]."""
-    out = [field.zero] * len(vectors[0])
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            out = [a + c * b for a, b in zip(out, vec)]
-    return out
+    """sum_k coeffs[k] * vectors[k] for vectors of field elements."""
+    raw = [[a.raw for a in vec] for vec in vectors]
+    return list(map(field._el, combination(field, [c.raw for c in coeffs], raw, len(raw[0]))))
 
 
 def _li_module_basis(comps: WComponents, i: int) -> List[List[Fe]]:
@@ -669,20 +663,13 @@ def _triple_generators(desc: SplitSymp):
     i1, i1+i2, i1+i3 and j-generators j1*j2*j3, j2, j3.
     """
     Q = desc.quat
-    z, o = Q.zero, Q.one
-
-    def mat(entries):
-        rows = [[z] * 4 for _ in range(4)]
-        for (i, j, q) in entries:
-            rows[i][j] = q
-        return Mat(Q, rows)
-
-    i1 = mat([(k, k, Q.u) for k in range(4)])
-    j1 = mat([(k, k, Q.v) for k in range(4)])
-    i2 = mat([(2, 2, o), (3, 3, o)])  # coarse diag(0, 1)
-    j2 = mat([(0, 2, o), (1, 3, o), (2, 0, o), (3, 1, o)])  # coarse swap
-    i3 = mat([(1, 1, o), (3, 3, o)])  # fine diag(0, 1)
-    j3 = mat([(0, 1, o), (1, 0, o), (2, 3, o), (3, 2, o)])  # fine swap
+    o = Q.one
+    i1 = _quat_matrix(desc, [(k, k, Q.u) for k in range(4)])
+    j1 = _quat_matrix(desc, [(k, k, Q.v) for k in range(4)])
+    i2 = _quat_matrix(desc, [(2, 2, o), (3, 3, o)])  # coarse diag(0, 1)
+    j2 = _quat_matrix(desc, [(0, 2, o), (1, 3, o), (2, 0, o), (3, 1, o)])  # coarse swap
+    i3 = _quat_matrix(desc, [(1, 1, o), (3, 3, o)])  # fine diag(0, 1)
+    j3 = _quat_matrix(desc, [(0, 1, o), (1, 0, o), (2, 3, o), (3, 2, o)])  # fine swap
     rebalanced = [
         (i1, desc.el_mul(j1, desc.el_mul(j2, j3))),
         (desc.el_add(i1, i2), j2),
@@ -996,7 +983,7 @@ def _regular_generator(comps: WComponents, i: int, rng: random.Random):
     n = len(comps.w_coords[i - 1])
     fallback = None
     for wc in candidates(field, n, rng, 200, 1 << 12):
-        det = charpoly(comps.w_element(i, wc))[0]
+        det = comps.desc.reduced_charpoly(comps.w_element(i, wc))[0]
         if det:
             if comps.w_raw[i - 1].evaluate(wc):
                 return wc, det

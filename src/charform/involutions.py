@@ -32,7 +32,6 @@ from .errors import (
     ZeroScalar,
 )
 from .fields import (
-    EtaleElement,
     Fe,
     Field,
     QuadraticExtension,
@@ -44,8 +43,8 @@ from .fields import (
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm, candidates
-from .linalg import Mat, Span, charpoly, charpoly_raw, kernel, matmul_raw
-from .quaternions import Quat, QuaternionAlgebra, q_conj, q_trd
+from .linalg import Span, charpoly_raw, combination, kernel, matmul_raw
+from .quaternions import QuaternionAlgebra
 
 
 class InvolutionSpace:
@@ -61,10 +60,6 @@ class InvolutionSpace:
         self.basis = basis
         self.halves = halves
         self._span = span
-        self._basis_raw = [[e.raw for e in desc.to_vec(b)] for b in basis]
-        self._halves_raw = (
-            None if halves is None else [[e.raw for e in desc.to_vec(h)] for h in halves]
-        )
 
     @property
     def dim(self) -> int:
@@ -76,23 +71,17 @@ class InvolutionSpace:
     def contains(self, x) -> bool:
         return self.coords(x) is not None
 
-    def _combine(self, coords: Sequence[Fe], raw_rows):
-        field = self.desc.field
-        add, mul, zero = field.radd, field.rmul, field.rzero
-        acc = [zero] * self.desc.ambient_dim
-        for c, row in zip(coords, raw_rows):
-            cr = c.raw
-            if cr == zero:
-                continue
-            acc = [a if r == zero else add(a, mul(cr, r)) for a, r in zip(acc, row)]
-        return self.desc.from_vec([field._el(a) for a in acc])
+    def _combine(self, coords: Sequence[Fe], elements):
+        desc = self.desc
+        raw = [c.raw for c in coords]
+        return tuple(combination(desc.field, raw, elements, desc.ambient_dim))
 
     def element(self, coords: Sequence[Fe]):
-        return self._combine(coords, self._basis_raw)
+        return self._combine(coords, self.basis)
 
     def half(self, coords: Sequence[Fe]):
         assert self.halves is not None, "halves are stored for symplectic spaces only"
-        return self._combine(coords, self._halves_raw)
+        return self._combine(coords, self.halves)
 
     def rand_coords(self, rng: random.Random) -> List[Fe]:
         return [self.desc.field.rand(rng) for _ in range(self.dim)]
@@ -109,34 +98,40 @@ class PfaffianData:
     norm: Fe  # constant coefficient
 
 
+def _base_coeffs(field: Field, pairs) -> List[Fe]:
+    """The coefficients x of etale payload pairs (x, y), all of which need y = 0."""
+    if any(y != field.rzero for _, y in pairs):
+        raise CoefficientNotRational(
+            "characteristic polynomial coefficient outside the base field"
+        )
+    return [field._el(x) for x, _ in pairs]
+
+
 class _MatrixDescriptor:
     """4x4 matrices over an entry ring, with sigma(x) = G^-1 conj(x)^t G.
 
-    A subclass passes the entry ring, an F-basis ``units`` of it whose first
-    member is 1, and the Gram diagonal G, and defines four entry maps:
-
-    - ``_coords(e)``: the coordinates of the entry e over ``units``;
-    - ``_entry(cs)``: the entry with the coordinates cs;
-    - ``_conj(e)``: the conjugation of the entry ring that sigma applies;
-    - ``_scale(c, e)``: the product of a field scalar c and the entry e.
-
-    Coordinates of an element list its entries row by row, each expanded
-    over ``units``; the standard basis is ordered the same way.  Products
-    run on payloads through the entry ring's payload arithmetic (``rzero``,
-    ``radd``, ``rmul``, ``_el``), which fields, quaternion algebras and
-    etale rings all provide.  The exchange algebra overrides this plumbing
-    with pairs of matrices over F.
+    An element is a flat tuple of field payloads: the entries row by row,
+    each expanded into the ``k`` payloads of one entry of the ring (4 for a
+    quaternion, 2 for an etale entry, 1 for a field entry).  That is also
+    the order of ``to_vec`` coordinates and of the standard basis.  A
+    subclass passes the entry ring, ``k``, the conjugation ``conj`` of one
+    entry (on its k-tuple of payloads) and the Gram diagonal G.  Products
+    run on ``entries(x)`` through the entry ring's payload arithmetic
+    (``rzero``, ``radd``, ``rmul``), which fields, quaternion algebras and
+    etale rings all provide.
     """
 
     n = 4
 
-    def __init__(self, field: Field, entry_ring, units, gram: Sequence[Fe]):
+    def __init__(self, field: Field, entry_ring, k: int, conj, gram: Sequence[Fe]):
         if any(not g for g in gram):
             raise ZeroScalar("Gram coefficients must be nonzero")
         self.field = field
         self.entry_ring = entry_ring
-        self.units = tuple(units)
+        self.k = k
+        self.conj = conj
         self.gram = tuple(gram)
+        self._ratios = [[(gj / gi).raw for gj in self.gram] for gi in self.gram]
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
         self._components = None
@@ -146,66 +141,78 @@ class _MatrixDescriptor:
 
     @property
     def ambient_dim(self) -> int:
-        return self.n * self.n * len(self.units)
+        return self.n * self.n * self.k
 
     # element plumbing --------------------------------------------------------
 
     def zero_el(self):
-        return Mat.zeros(self.entry_ring, self.n)
+        return (self.field.rzero,) * self.ambient_dim
 
     def one_el(self):
-        return Mat.identity(self.entry_ring, self.n)
-
-    def _mat(self, entry) -> Mat:
-        """The matrix with entry(i, j) at (i, j)."""
-        return Mat(self.entry_ring, [[entry(i, j) for j in range(self.n)] for i in range(self.n)])
-
-    def _unit_mat(self, i: int, j: int, q) -> Mat:
-        zero = self.entry_ring.zero
-        return self._mat(lambda a, b: q if (a, b) == (i, j) else zero)
+        return functools.reduce(self.el_add, map(self.projector, range(self.n)))
 
     def projector(self, i: int):
         """The diagonal matrix unit at (i, i)."""
-        return self._unit_mat(i, i, self.entry_ring.one)
+        n, k = self.n, self.k
+        v = [self.field.rzero] * (n * n * k)
+        v[(i * n + i) * k] = self.field.rone
+        return tuple(v)
+
+    def entries(self, x):
+        """The rows of entry payloads of x: k-tuples, or bare payloads for k = 1."""
+        n, k = self.n, self.k
+        if k == 1:
+            return [x[i * n : (i + 1) * n] for i in range(n)]
+        return [[x[(i * n + j) * k : (i * n + j + 1) * k] for j in range(n)] for i in range(n)]
+
+    def _diag_sum(self, x, c: int):
+        """The sum of payload c over the diagonal entries of x."""
+        step = (self.n + 1) * self.k
+        return functools.reduce(self.field.radd, x[c : self.n * step : step])
 
     def el_add(self, x, y):
-        return x + y
+        return tuple(map(self.field.radd, x, y))
 
-    def el_mul(self, x: Mat, y: Mat) -> Mat:
+    def el_mul(self, x, y):
         ring = self.entry_ring
-        payloads = [[[e.raw for e in row] for row in m.rows] for m in (x, y)]
-        rows = matmul_raw(*payloads, ring.rzero, ring.radd, ring.rmul)
-        return Mat(ring, [[ring._el(p) for p in row] for row in rows])
+        rows = matmul_raw(self.entries(x), self.entries(y), ring.rzero, ring.radd, ring.rmul)
+        if self.k == 1:
+            return tuple(e for row in rows for e in row)
+        return tuple(c for row in rows for e in row for c in e)
 
     def el_scal(self, c: Fe, x):
-        return x.map(lambda e: self._scale(c, e))
+        c, mul, zero = c.raw, self.field.rmul, self.field.rzero
+        return tuple(a if a == zero else mul(c, a) for a in x)
 
     def el_eq(self, x, y) -> bool:
         return x == y
 
     def rand(self, rng: random.Random):
-        k = len(self.units)
-        return self._mat(lambda i, j: self._entry([self.field.rand(rng) for _ in range(k)]))
+        return tuple(self.field.rand(rng).raw for _ in range(self.ambient_dim))
 
     def std_basis(self):
-        n = self.n
-        return [self._unit_mat(i, j, q) for i in range(n) for j in range(n) for q in self.units]
+        zero, one, m = self.field.rzero, self.field.rone, self.ambient_dim
+        return [(zero,) * p + (one,) + (zero,) * (m - p - 1) for p in range(m)]
 
-    def to_vec(self, x: Mat) -> List[Fe]:
-        if not isinstance(x, Mat) or x.ring is not self.entry_ring:
-            raise ShapeMismatch(f"expected a {self.n}x{self.n} matrix over the entry ring")
-        return [c for row in x.rows for e in row for c in self._coords(e)]
+    def to_vec(self, x) -> List[Fe]:
+        if not isinstance(x, tuple) or len(x) != self.ambient_dim:
+            raise ShapeMismatch(f"expected a tuple of {self.ambient_dim} field payloads")
+        return list(map(self.field._el, x))
 
-    def from_vec(self, v: Sequence[Fe]) -> Mat:
-        k, n = len(self.units), self.n
-        return self._mat(lambda i, j: self._entry(v[(i * n + j) * k : (i * n + j + 1) * k]))
+    def from_vec(self, v: Sequence[Fe]):
+        return tuple(a.raw for a in v)
 
-    def involve(self, x: Mat) -> Mat:
-        g = self.gram
-        return self._mat(lambda i, j: self._scale(g[j] / g[i], self._conj(x.rows[j][i])))
+    def involve(self, x):
+        n, k, conj, mul, one = self.n, self.k, self.conj, self.field.rmul, self.field.rone
+        out = []
+        for i, ratios in enumerate(self._ratios):
+            for j, r in enumerate(ratios):
+                e = conj(x[(j * n + i) * k : (j * n + i + 1) * k])
+                out.extend(e if r == one else [mul(r, c) for c in e])
+        return tuple(out)
 
-    def scalar_part(self, x: Mat) -> Fe:
-        return self._coords(x.rows[0][0])[0]
+    def scalar_part(self, x) -> Fe:
+        return self.field._el(x[0])
 
 
 class _SympBase(_MatrixDescriptor):
@@ -215,27 +222,15 @@ class _SympBase(_MatrixDescriptor):
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
         self.quat = quat
         self.us = tuple(us)
-        super().__init__(field, quat, (quat.one, quat.u, quat.v, quat.w), (field.one,) + self.us)
+        add = field.radd
+        super().__init__(
+            field, quat, 4, lambda e: (add(e[0], e[1]),) + e[1:], (field.one,) + self.us
+        )
 
-    def _coords(self, e: Quat):
-        return e.c
+    def trd(self, x) -> Fe:
+        return self.field._el(self._diag_sum(x, 1))  # trd is the u-coordinate
 
-    def _entry(self, cs) -> Quat:
-        return Quat(self.quat, cs)
-
-    def _conj(self, e: Quat) -> Quat:
-        return q_conj(e)
-
-    def _scale(self, c: Fe, e: Quat) -> Quat:
-        return e.scal(c)
-
-    def trd(self, x: Mat) -> Fe:
-        acc = self.field.zero
-        for i in range(4):
-            acc = acc + q_trd(x.rows[i][i])
-        return acc
-
-    def _raw_split_rows(self, x: Mat):
+    def _raw_split_rows(self, x):
         """The 8x8 splitting image on raw payloads.
 
         With s the chosen root of X^2+X+a, a quaternion entry (c0,c1,c2,c3)
@@ -252,9 +247,8 @@ class _SympBase(_MatrixDescriptor):
             r = sp.u_img.rows[0][0].raw
             r1 = add(r, field.rone)
         rows = [[None] * 8 for _ in range(8)]
-        for i in range(4):
-            for j in range(4):
-                c0, c1, c2, c3 = x.rows[i][j].raw
+        for i, entry_row in enumerate(self.entries(x)):
+            for j, (c0, c1, c2, c3) in enumerate(entry_row):
                 if split_over_f:
                     e00 = add(c0, mul(c1, r))
                     e01 = mul(add(c2, mul(c3, r)), b)
@@ -271,7 +265,7 @@ class _SympBase(_MatrixDescriptor):
                 rows[2 * i + 1][2 * j + 1] = e11
         return rows, split_over_f
 
-    def reduced_charpoly(self, x: Mat) -> List[Fe]:
+    def reduced_charpoly(self, x) -> List[Fe]:
         field = self.field
         if isinstance(field, RatFunc):
             out = self._reduced_charpoly_ratfunc(x)
@@ -282,14 +276,10 @@ class _SympBase(_MatrixDescriptor):
             coeffs = charpoly_raw(rows, field.rzero, field.rone, field.radd, field.rmul)
             return [field._el(c) for c in coeffs]
         ring = self.quat.split().ring
-        coeffs = charpoly_raw(rows, ring.rzero, ring.one.raw, ring.radd, ring.rmul)
-        if any(cy != field.rzero for _, cy in coeffs):
-            raise CoefficientNotRational(
-                "characteristic polynomial coefficient outside the base field"
-            )
-        return [field._el(cx) for cx, _ in coeffs]
+        pairs = charpoly_raw(rows, ring.rzero, ring.one.raw, ring.radd, ring.rmul)
+        return _base_coeffs(field, pairs)
 
-    def _reduced_charpoly_ratfunc(self, x: Mat) -> Optional[List[Fe]]:
+    def _reduced_charpoly_ratfunc(self, x) -> Optional[List[Fe]]:
         """Fraction-free path over GF(2^k)(t).
 
         Clears denominators once, runs Berkowitz on packed polynomials (no
@@ -341,13 +331,14 @@ class _SympBase(_MatrixDescriptor):
             out.append(Fe(field, field._norm(cx, d)))
         return out
 
-    def trd_product(self, x: Mat, y: Mat) -> Fe:
+    def trd_product(self, x, y) -> Fe:
         """Trd(x*y) without forming the full product (diagonal terms only)."""
         field, quat = self.field, self.quat
+        ex, ey = self.entries(x), self.entries(y)
         acc = field.rzero
         for i in range(4):
             for k in range(4):
-                p, q = x.rows[i][k].raw, y.rows[k][i].raw
+                p, q = ex[i][k], ey[k][i]
                 if p != quat.rzero and q != quat.rzero:
                     acc = field.radd(acc, quat.rmul(p, q)[1])  # trd is the u-coordinate
         return field._el(acc)
@@ -378,80 +369,6 @@ class Index2Symp(_SympBase):
         super().__init__(field, quat, us)
 
 
-class UnitaryExchange(_MatrixDescriptor):
-    """B = E x E^op with the exchange involution; elements are pairs."""
-
-    kind = "unitary_exchange"
-
-    def __init__(self, field: Field):
-        super().__init__(field, field, (field.one,), (field.one,) * 4)
-
-    # pair plumbing ------------------------------------------------------------
-
-    @property
-    def ambient_dim(self) -> int:
-        return 32
-
-    def zero_el(self):
-        z = super().zero_el()
-        return (z, z)
-
-    def one_el(self):
-        o = super().one_el()
-        return (o, o)
-
-    def projector(self, i: int):
-        p = super().projector(i)
-        return (p, p)
-
-    def el_add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def el_mul(self, x, y):
-        mul = super().el_mul
-        return (mul(x[0], y[0]), mul(y[1], x[1]))  # opposite multiplication on the right
-
-    def el_scal(self, c: Fe, x):
-        return (x[0].map(lambda e: c * e), x[1].map(lambda e: c * e))
-
-    def rand(self, rng):
-        def m():
-            return Mat(
-                self.field,
-                [[self.field.rand(rng) for _ in range(4)] for _ in range(4)],
-            )
-
-        return (m(), m())
-
-    def std_basis(self):
-        units = super().std_basis()
-        z = super().zero_el()
-        return [(m, z) for m in units] + [(z, m) for m in units]
-
-    def to_vec(self, x) -> List[Fe]:
-        e, f = x
-        out = [a for row in e.rows for a in row]
-        out.extend(a for row in f.rows for a in row)
-        return out
-
-    def from_vec(self, v: Sequence[Fe]):
-        e = Mat(self.field, [v[4 * i : 4 * i + 4] for i in range(4)])
-        f = Mat(self.field, [v[16 + 4 * i : 16 + 4 * i + 4] for i in range(4)])
-        return (e, f)
-
-    def involve(self, x):
-        return (x[1], x[0])
-
-    def trd(self, x) -> Fe:
-        return x[0].trace()
-
-    def scalar_part(self, x) -> Fe:
-        return x[0].rows[0][0]
-
-    def reduced_charpoly(self, x) -> List[Fe]:
-        return charpoly(x[0])
-
-
 class UnitaryEtale(_MatrixDescriptor):
     """4x4 matrices over Z = F[s]/(s^2+s+c) with a diagonal unitary involution."""
 
@@ -465,35 +382,18 @@ class UnitaryEtale(_MatrixDescriptor):
             )
         self.c = c
         self.center = QuadraticExtension(field, c)
-        super().__init__(field, self.center, (self.center.one, self.center.s), gs)
+        add = field.radd
+        super().__init__(field, self.center, 2, lambda e: (add(e[0], e[1]), e[1]), gs)
 
-    def _coords(self, e: EtaleElement):
-        return (e.x, e.y)
-
-    def _entry(self, cs) -> EtaleElement:
-        return self.center.el(cs[0], cs[1])
-
-    def _conj(self, e: EtaleElement) -> EtaleElement:
-        return e.conj()
-
-    def _scale(self, c: Fe, e: EtaleElement) -> EtaleElement:
-        return self.center.el(c * e.x, c * e.y)
-
-    def trd(self, x: Mat) -> Fe:
-        z = x.trace()
-        if z.y:
+    def trd(self, x) -> Fe:
+        if self._diag_sum(x, 1) != self.field.rzero:
             raise CoefficientNotRational("reduced trace is not in the base field")
-        return z.x
+        return self.field._el(self._diag_sum(x, 0))
 
-    def reduced_charpoly(self, x: Mat) -> List[Fe]:
-        out = []
-        for c in charpoly(x):
-            if c.y:
-                raise CoefficientNotRational(
-                    "characteristic polynomial coefficient outside the base field"
-                )
-            out.append(c.x)
-        return out
+    def reduced_charpoly(self, x) -> List[Fe]:
+        ring = self.center
+        pairs = charpoly_raw(self.entries(x), ring.rzero, ring.one.raw, ring.radd, ring.rmul)
+        return _base_coeffs(self.field, pairs)
 
 
 class Orthogonal(_MatrixDescriptor):
@@ -502,25 +402,43 @@ class Orthogonal(_MatrixDescriptor):
     kind = "orthogonal"
 
     def __init__(self, field: Field, gs: Sequence[Fe]):
-        super().__init__(field, field, (field.one,), gs)
+        super().__init__(field, field, 1, lambda e: e, gs)
 
-    def _coords(self, e: Fe):
-        return (e,)
+    def trd(self, x) -> Fe:
+        return self.field._el(self._diag_sum(x, 0))
 
-    def _entry(self, cs) -> Fe:
-        return cs[0]
+    def reduced_charpoly(self, x) -> List[Fe]:
+        f = self.field
+        return [f._el(c) for c in charpoly_raw(self.entries(x), f.rzero, f.rone, f.radd, f.rmul)]
 
-    def _conj(self, e: Fe) -> Fe:
-        return e
 
-    def _scale(self, c: Fe, e: Fe) -> Fe:
-        return c * e
+class UnitaryExchange(_MatrixDescriptor):
+    """B = E x E^op with the exchange involution: an element lists its E block
+    and then its E^op block, each a 4x4 matrix over F."""
 
-    def trd(self, x: Mat) -> Fe:
-        return x.trace()
+    kind = "unitary_exchange"
 
-    def reduced_charpoly(self, x: Mat) -> List[Fe]:
-        return charpoly(x)
+    def __init__(self, field: Field):
+        super().__init__(field, field, 1, lambda e: e, (field.one,) * 4)
+
+    @property
+    def ambient_dim(self) -> int:
+        return 32
+
+    def projector(self, i: int):
+        p = super().projector(i)
+        return p + p
+
+    def el_mul(self, x, y):
+        mul = super().el_mul
+        return mul(x[:16], y[:16]) + mul(y[16:], x[16:])  # opposite multiplication on E^op
+
+    def involve(self, x):
+        return x[16:] + x[:16]
+
+    # the reduced trace and characteristic polynomial are those of the E block
+    trd = Orthogonal.trd
+    reduced_charpoly = Orthogonal.reduced_charpoly
 
 
 Descriptor = _MatrixDescriptor
@@ -668,7 +586,7 @@ def srd_form_orth(desc: Descriptor) -> RawQuadraticForm:
     return second_trace_form(desc)
 
 
-def symmetrized_space_orth(desc: Orthogonal) -> List[Mat]:
+def symmetrized_space_orth(desc: Orthogonal) -> List[tuple]:
     """Basis of {x + rho(x)}, the alternating part inside Sym(rho)."""
     images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
     return [desc.from_vec(row) for row in Span(images, desc.field).rows]
@@ -684,7 +602,7 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe
     found: List[Fe] = []
     for cs in candidates(desc.field, len(basis), random.Random(seed), 500, 0):
         w = functools.reduce(desc.el_add, (desc.el_scal(c, b) for c, b in zip(cs, basis) if c))
-        det = charpoly(w)[0]
+        det = desc.reduced_charpoly(w)[0]
         if det:
             found.append(det)
             if len(found) == witnesses:

@@ -10,7 +10,7 @@ of FieldElement; elimination uses exact division.
 from __future__ import annotations
 
 import operator
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class Mat:
@@ -52,9 +52,6 @@ class Mat:
 
     def scal(self, c) -> "Mat":
         return Mat(self.ring, [[c * a for a in row] for row in self.rows])
-
-    def map(self, f: Callable, ring=None) -> "Mat":
-        return Mat(ring if ring is not None else self.ring, [[f(a) for a in row] for row in self.rows])
 
     def trace(self):
         acc = self.ring.zero
@@ -183,6 +180,19 @@ def _wrap(field, row) -> list:
     return list(map(field._el, row))
 
 
+def combination(field, coeffs: Sequence, rows: Sequence[Sequence], width: int) -> list:
+    """sum_k coeffs[k] * rows[k] on payloads, as a list of ``width`` payloads.
+
+    Zero coefficients and zero entries of the rows are skipped.
+    """
+    add, mul, zero = field.radd, field.rmul, field.rzero
+    acc = [zero] * width
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            acc = [a if r == zero else add(a, mul(c, r)) for a, r in zip(acc, row)]
+    return acc
+
+
 def _eliminate(rows: List[list], field) -> List[int]:
     """Bring payload rows to reduced row echelon form in place; returns the
     pivot columns.  The pivot of each column is its first nonzero entry at
@@ -299,13 +309,7 @@ class Span:
         coeffs = self._coeffs(v)
         if coeffs is None:
             return None
-        field = self.field
-        add, mul, zero = field.radd, field.rmul, field.rzero
-        out = [zero] * self._n
-        for c, combo in zip(coeffs, self._combos):
-            if c != zero:
-                out = [add(a, mul(c, b)) for a, b in zip(out, combo)]
-        return _wrap(field, out)
+        return _wrap(self.field, combination(self.field, coeffs, self._combos, self._n))
 
 
 def unit_vector(field, n: int, i: int) -> list:

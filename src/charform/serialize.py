@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedDescriptor, ZeroScalar
 from .fields import Fe, Field, GF2k, parse_field, pcoeffs, pmake
 from .forms import QuadraticForm, form
 from .involutions import (
@@ -80,6 +80,14 @@ def descriptor_from_json(obj: Dict[str, Any]):
         field = parse_field(obj["field"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"descriptor needs kind and field: {exc}") from exc
+    try:
+        return _descriptor(kind, field, obj)
+    except (ZeroScalar, UnsupportedDescriptor) as exc:
+        # a zero slot or Gram coefficient, or a split center: invalid input
+        raise ParseError(str(exc)) from exc
+
+
+def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
     if kind == "split_symp":
         return SplitSymp(field)
     if kind == "index2_symp":

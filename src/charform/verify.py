@@ -289,7 +289,7 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
         for c in pf.coeffs:
             acc = desc.el_add(acc, desc.el_scal(c, power))
             power = desc.el_mul(power, x)
-        if acc:
+        if not desc.el_eq(acc, desc.zero_el()):
             bad += 1
     out.append(PropertyResult("symplectic.prp_square_and_annihilation", bad == 0, n_el))
 

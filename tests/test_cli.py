@@ -93,6 +93,38 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            {"kind": "unitary_etale", "field": "gf2", "c": "0x0", "gram": ["0x1"] * 4},
+            "the center parameter c must be outside the Artin-Schreier image",
+        ),
+        (
+            {"kind": "orthogonal", "field": "gf2", "gram": ["0x1", "0x0", "0x1", "0x1"]},
+            "Gram coefficients must be nonzero",
+        ),
+        (
+            {"kind": "index2_symp", "field": "gf2", "quaternion": {"a": "0x1", "b": "0x0"},
+             "h": ["0x1"] * 3},
+            "the slot b of [a,b) must be nonzero",
+        ),
+        (
+            {"kind": "index2_symp", "field": "gf2", "quaternion": {"a": "0x1", "b": "0x1"},
+             "h": ["0x1", "0x0", "0x1"]},
+            "Gram coefficients must be nonzero",
+        ),
+    ],
+    ids=["split_center", "zero_gram", "zero_slot_b", "zero_h"],
+)
+def test_extract_invalid_descriptor_is_exit_2(obj, message, tmp_path, capsys):
+    path = write_descriptor(tmp_path, obj)
+    assert main(["extract", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"error: {message}" in captured.err
+
+
 def test_describe_output(tmp_path, capsys):
     path = write_descriptor(tmp_path, SPLIT)
     assert main(["describe", "--input", path]) == 0

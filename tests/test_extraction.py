@@ -53,6 +53,14 @@ def ratfunc_descriptor():
     return Index2Symp(R2, QuaternionAlgebra(R2, t, t), (R2.one, t, t + R2.one))
 
 
+def quat_element(desc, placed):
+    """The element with the quaternion q at (i, j) for each (i, j) -> q."""
+    v = [desc.field.zero] * desc.ambient_dim
+    for (i, j), q in placed.items():
+        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
+    return desc.from_vec(v)
+
+
 # --- biquadratic subalgebras --------------------------------------------------
 
 
@@ -76,12 +84,8 @@ def test_validate_biquadratic_rejects_bad_candidates():
     one = desc.one_el()
     with pytest.raises(InvalidCandidate):
         validate_biquadratic(desc, one, one)  # spans only 1 dimension
-    # a non-symmetric element
-    rows = [[desc.quat.zero] * 4 for _ in range(4)]
-    rows[0][1] = desc.quat.one
-    from charform.linalg import Mat
-
-    bad = Mat(desc.quat, rows)
+    # a non-symmetric element: the quaternion 1 at (0, 1)
+    bad = quat_element(desc, {(0, 1): desc.quat.one})
     with pytest.raises(InvalidCandidate):
         validate_biquadratic(desc, bad, construct_biquadratic(desc).s2)
 
@@ -104,12 +108,8 @@ def test_li_trace_norm_split_diagonal():
     desc = SplitSymp(F8)
     L = construct_biquadratic(desc)
     x1, x2 = F8.gen, F8.gen * F8.gen
-    from charform.linalg import Mat
-
-    rows = [[desc.quat.zero] * 4 for _ in range(4)]
-    for i, x in enumerate((x1, x1, x2, x2)):
-        rows[i][i] = desc.quat.scalar(x)
-    ell = Mat(desc.quat, rows)
+    diag = enumerate((x1, x1, x2, x2))
+    ell = quat_element(desc, {(i, i): desc.quat.scalar(x) for i, x in diag})
     t, n = li_trace_norm(L, 1, ell)
     assert t == x1 + x2 and n == x1 * x2
 
@@ -188,8 +188,10 @@ def test_split_case_star_block_formula():
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
-        expected = x1.rows[0][1] * x2.rows[1][3] + x2.rows[0][2] * x1.rows[2][3]
-        assert out.rows[0][3] == expected
+        m1, m2 = desc.entries(x1), desc.entries(x2)
+        q = desc.quat._el
+        expected = q(m1[0][1]) * q(m2[1][3]) + q(m2[0][2]) * q(m1[2][3])
+        assert q(desc.entries(out)[0][3]) == expected
 
 
 # --- symplectic extraction ----------------------------------------------------

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from charform.errors import NotPfaffian, UnsupportedDescriptor
+from charform.errors import NotPfaffian, ShapeMismatch, UnsupportedDescriptor
 from charform.fields import GF2, gf2k, ratfunc
 from charform.forms import normalize
 from charform.involutions import (
@@ -29,7 +29,7 @@ from charform.involutions import (
     symmetric_space,
 )
 from charform.linalg import Mat, poly_eval_matrix, poly_mul, rank
-from charform.quaternions import QuaternionAlgebra, q_nrd
+from charform.quaternions import QuaternionAlgebra, q_conj, q_nrd
 
 F4 = gf2k(2)
 F8 = gf2k(3)
@@ -38,6 +38,20 @@ R2 = ratfunc(GF2)
 
 def idx2(field, a, b, us):
     return Index2Symp(field, QuaternionAlgebra(field, a, b), us)
+
+
+def quat_element(desc, placed):
+    """The element with the quaternion q at (i, j) for each (i, j) -> q."""
+    v = [desc.field.zero] * desc.ambient_dim
+    for (i, j), q in placed.items():
+        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
+    return desc.from_vec(v)
+
+
+def quat_matrix(desc, x):
+    """The element x as a Mat of quaternions, for the splitting embedding."""
+    Q = desc.quat
+    return Mat(Q, [[Q._el(e) for e in row] for row in desc.entries(x)])
 
 
 # --- oracle: char poly by cofactor expansion over polynomial entries ---------
@@ -103,11 +117,28 @@ def test_split_symp_sigma_is_conj_transpose():
     rng = random.Random(5)
     x = desc.rand(rng)
     sx = apply_involution(desc, x)
-    from charform.quaternions import q_conj
-
+    mx, msx = quat_matrix(desc, x), quat_matrix(desc, sx)
     for i in range(4):
         for j in range(4):
-            assert sx.rows[i][j] == q_conj(x.rows[j][i])
+            assert msx.rows[i][j] == q_conj(mx.rows[j][i])
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        lambda desc: Mat(desc.quat, [[desc.quat.zero] * 4 for _ in range(4)]),
+        lambda desc: desc.one_el()[:-1],
+        lambda desc: UnitaryExchange(desc.field).one_el(),
+    ],
+    ids=["mat", "short_tuple", "exchange_element"],
+)
+def test_foreign_elements_raise_shape_mismatch(foreign):
+    desc = SplitSymp(GF2)
+    x = foreign(desc)
+    with pytest.raises(ShapeMismatch):
+        desc.to_vec(x)
+    with pytest.raises(ShapeMismatch):
+        symmetric_space(desc).coords(x)
 
 
 def test_symmetric_space_dimensions():
@@ -137,9 +168,7 @@ def test_pcrd_of_identity():
 
 def test_pcrd_of_rank2_projector():
     desc = SplitSymp(GF2)
-    rows = [[desc.quat.zero] * 4 for _ in range(4)]
-    rows[0][0] = desc.quat.one
-    p1 = Mat(desc.quat, rows)
+    p1 = quat_element(desc, {(0, 0): desc.quat.one})
     pc = reduced_charpoly(desc, p1)
     # projector onto a 2-dimensional block: X^6 (X+1)^2 = X^8 + X^6? no:
     # (X+1)^2 = X^2 + 1, so X^6(X+1)^2 = X^8 + X^6
@@ -154,7 +183,7 @@ def test_pcrd_cayley_hamilton():
         x = desc.rand(rng)
         pc = reduced_charpoly(desc, x)
         sp = desc.quat.split()
-        m = sp.embed_matrix(x)
+        m = sp.embed_matrix(quat_matrix(desc, x))
         lifted = [sp.lift(c) if sp.ring is not desc.field else c for c in pc]
         assert not poly_eval_matrix(lifted, m)
 
@@ -167,7 +196,7 @@ def test_pcrd_against_cofactor_oracle():
     for _ in range(5):
         x = desc.rand(rng)
         assert reduced_charpoly(desc, x) == poly_charpoly_oracle(
-            sp.embed_matrix(x), desc.field
+            sp.embed_matrix(quat_matrix(desc, x)), desc.field
         )
 
 
@@ -183,10 +212,8 @@ def test_prp_of_identity():
 def test_prp_rejects_non_symmetrized():
     # diag(u, 0, 0, 0) has reduced trace 1, so an odd coefficient survives
     desc = SplitSymp(GF2)
-    rows = [[desc.quat.zero] * 4 for _ in range(4)]
-    rows[0][0] = desc.quat.u
     with pytest.raises(NotPfaffian):
-        reduced_pfaffian(desc, Mat(desc.quat, rows))
+        reduced_pfaffian(desc, quat_element(desc, {(0, 0): desc.quat.u}))
 
 
 def test_prp_block_element_closed_form():
@@ -196,10 +223,9 @@ def test_prp_block_element_closed_form():
     Q = desc.quat
     for _ in range(10):
         x12, x34 = Q.rand(rng), Q.rand(rng)
-        rows = [[Q.zero] * 4 for _ in range(4)]
-        rows[0][1], rows[1][0] = x12, __import__("charform.quaternions", fromlist=["q_conj"]).q_conj(x12)
-        rows[2][3], rows[3][2] = x34, __import__("charform.quaternions", fromlist=["q_conj"]).q_conj(x34)
-        x = Mat(Q, rows)
+        x = quat_element(
+            desc, {(0, 1): x12, (1, 0): q_conj(x12), (2, 3): x34, (3, 2): q_conj(x34)}
+        )
         pf = reduced_pfaffian(desc, x)
         n1, n2 = q_nrd(x12), q_nrd(x34)
         expect = poly_mul(
@@ -260,7 +286,7 @@ def test_prp_annihilates_element():
         for c in pf.coeffs:
             acc = desc.el_add(acc, desc.el_scal(c, power))
             power = desc.el_mul(power, x)
-        assert not acc
+        assert desc.el_eq(acc, desc.zero_el())
 
 
 def test_srd_unitary_exchange_matches_charpoly_coefficient():

@@ -138,6 +138,20 @@ def coord_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
 
 
+def flat(rows):
+    """Row-major coordinates of a matrix of field elements or coordinate tuples."""
+    return [c for row in rows for e in row for c in (e if isinstance(e, tuple) else (e,))]
+
+
+def wrapped(desc, rows):
+    """Rows of ``desc.entries`` payloads as field elements, tuples of them when
+    an entry has more than one coordinate."""
+    wrap = desc.field._el
+    if desc.k > 1:
+        return [[tuple(map(wrap, e)) for e in row] for row in rows]
+    return [list(map(wrap, row)) for row in rows]
+
+
 def non_artin_schreier(field):
     """A c with x^2 + x = c unsolvable in the field."""
     if not isinstance(field, GF2k):
@@ -180,10 +194,10 @@ def test_quaternion_matrix_products(field, data):
     coords = [[e.c for e in row] for row in x], [[e.c for e in row] for row in y]
     zero = (field.zero,) * 4
     expected = naive_matmul(*coords, coord_add, quaternion_product(field, a, b), zero)
-    got_desc = desc.el_mul(Mat(quat, x), Mat(quat, y))
+    got_desc = desc.el_mul(*(desc.from_vec(flat(m)) for m in coords))
+    assert wrapped(desc, desc.entries(got_desc)) == expected
     got_mat = Mat(quat, x) * Mat(quat, y)
-    for got in (got_desc, got_mat):
-        assert [[e.c for e in row] for row in got.rows] == expected
+    assert [[e.c for e in row] for row in got_mat.rows] == expected
 
 
 @QUICK
@@ -198,8 +212,8 @@ def test_etale_matrix_products(field, data):
     coords = [[(e.x, e.y) for e in row] for row in x], [[(e.x, e.y) for e in row] for row in y]
     zero = (field.zero, field.zero)
     expected = naive_matmul(*coords, coord_add, etale_product(field, c), zero)
-    got = desc.el_mul(Mat(center, x), Mat(center, y))
-    assert [[(e.x, e.y) for e in row] for row in got.rows] == expected
+    got = desc.el_mul(*(desc.from_vec(flat(m)) for m in coords))
+    assert wrapped(desc, desc.entries(got)) == expected
     p, q = x[0][0], y[0][0]
     pq = p * q
     assert (pq.x, pq.y) == etale_product(field, c)((p.x, p.y), (q.x, q.y))
@@ -212,13 +226,18 @@ def test_field_matrix_products(field, data):
     x, y, x2, y2 = (matrix(data, entry) for _ in range(4))
     expected = naive_matmul(x, y, fe_add, fe_mul, field.zero)
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
-    got_orth = Orthogonal(field, gram).el_mul(Mat(field, x), Mat(field, y))
-    assert [list(r) for r in got_orth.rows] == expected
+    orth = Orthogonal(field, gram)
+    got_orth = orth.el_mul(orth.from_vec(flat(x)), orth.from_vec(flat(y)))
+    assert wrapped(orth, orth.entries(got_orth)) == expected
     assert [list(r) for r in (Mat(field, x) * Mat(field, y)).rows] == expected
-    pair_x, pair_y = (Mat(field, x), Mat(field, x2)), (Mat(field, y), Mat(field, y2))
-    e, f = UnitaryExchange(field).el_mul(pair_x, pair_y)
-    assert [list(r) for r in e.rows] == expected
-    assert [list(r) for r in f.rows] == naive_matmul(y2, x2, fe_add, fe_mul, field.zero)
+    exchange = UnitaryExchange(field)
+    pair_x, pair_y = (exchange.from_vec(flat(e) + flat(f)) for e, f in ((x, x2), (y, y2)))
+    got = exchange.el_mul(pair_x, pair_y)
+    assert wrapped(exchange, exchange.entries(got)) == expected  # the E block
+    # the E^op block multiplies in the opposite order
+    assert wrapped(exchange, exchange.entries(got[16:])) == naive_matmul(
+        y2, x2, fe_add, fe_mul, field.zero
+    )
 
 
 # ---------------------------------------------------------------------------

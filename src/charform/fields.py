@@ -685,13 +685,26 @@ def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
 # ---------------------------------------------------------------------------
 
 
-def etale_ops(c, add, mul):
+def etale_ops(c, zero, add, mul):
     """Addition and multiplication of x + y*s, s^2 = s + c, on pairs (x, y)
-    of payloads of a commutative ring given by the closures add and mul."""
+    of payloads of a commutative ring given by its zero and the closures add
+    and mul.  A product with a zero operand costs no ring product, one with
+    both y parts zero costs one, one with a single y part zero costs two;
+    the general case costs five."""
 
     def emul(p, q):
         x1, y1 = p
         x2, y2 = q
+        if y1 == zero:
+            if y2 == zero:
+                return (mul(x1, x2), zero)
+            if x1 == zero:
+                return p
+            return (mul(x1, x2), mul(x1, y2))
+        if y2 == zero:
+            if x2 == zero:
+                return q
+            return (mul(x1, x2), mul(y1, x2))
         yy = mul(y1, y2)
         return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), yy))
 
@@ -775,7 +788,7 @@ class QuadraticExtension:
         self.field = field
         self.c = c
         self.rzero = (field.rzero, field.rzero)
-        self.radd, self.rmul = etale_ops(c.raw, field.radd, field.rmul)
+        self.radd, self.rmul = etale_ops(c.raw, field.rzero, field.radd, field.rmul)
         self.zero = EtaleElement(self, field.zero, field.zero)
         self.one = EtaleElement(self, field.one, field.zero)
         self.s = EtaleElement(self, field.zero, field.one)

@@ -35,7 +35,7 @@ from .fields import (
     pdivmod,
     solve_artin_schreier,
 )
-from .linalg import Span, unit_vector
+from .linalg import Span, combination, unit_vector
 
 
 class RawQuadraticForm:
@@ -66,14 +66,16 @@ class RawQuadraticForm:
         return functools.reduce(add, (mul(c, x[j]) for j, c in row if x[j] != zero), zero)
 
     def evaluate(self, v: Sequence[Fe]) -> Fe:
-        field = self.field
-        add, mul, zero = field.radd, field.rmul, field.rzero
-        x = [a.raw for a in v]
+        return self.field._el(self.evaluate_raw([a.raw for a in v]))
+
+    def evaluate_raw(self, x: Sequence):
+        """q(x) on a payload vector, as a payload."""
+        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         acc = zero
         for xi, row in zip(x, self._rows):
             if xi != zero:
                 acc = add(acc, mul(xi, self._dot(row, x)))
-        return field._el(acc)
+        return acc
 
     def polar_matrix(self) -> Tuple[Tuple[Fe, ...], ...]:
         """B = U + U^t; alternating (zero diagonal) in characteristic 2."""
@@ -83,18 +85,19 @@ class RawQuadraticForm:
         )
 
     def polar(self, v: Sequence[Fe], w: Sequence[Fe]) -> Fe:
-        # sum_{i<=j} U[i][j] (v_i w_j + v_j w_i): the diagonal terms cancel
-        field = self.field
-        add, mul, zero = field.radd, field.rmul, field.rzero
-        x = [a.raw for a in v]
-        y = [a.raw for a in w]
+        return self.field._el(self.polar_raw([a.raw for a in v], [a.raw for a in w]))
+
+    def polar_raw(self, x: Sequence, y: Sequence):
+        """The polar form on payload vectors, as a payload."""
+        # sum_{i<=j} U[i][j] (x_i y_j + x_j y_i): the diagonal terms cancel
+        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         acc = zero
         for xi, yi, row in zip(x, y, self._rows):
             if xi != zero:
                 acc = add(acc, mul(xi, self._dot(row, y)))
             if yi != zero:
                 acc = add(acc, mul(yi, self._dot(row, x)))
-        return field._el(acc)
+        return acc
 
     def restrict(self, vectors: Sequence[Sequence[Fe]]) -> "RawQuadraticForm":
         """The form induced on the span of the given coordinate vectors."""
@@ -186,19 +189,18 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...],
     """
     field = q.field
     n = q.dim
-    vecs = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    zero, one = field.rzero, field.rone
+    vecs = [[one if i == j else zero for j in range(n)] for i in range(n)]
     remaining = list(range(n))
     blocks: List[Tuple[Fe, Fe]] = []
     ordered: List[list] = []
-
-    def bil(v, w):
-        return q.polar(v, w)
+    bil = q.polar_raw
 
     while True:
         pair = None
         for ii in range(len(remaining)):
             for jj in range(ii + 1, len(remaining)):
-                if bil(vecs[remaining[ii]], vecs[remaining[jj]]):
+                if bil(vecs[remaining[ii]], vecs[remaining[jj]]) != zero:
                     pair = (ii, jj)
                     break
             if pair:
@@ -207,17 +209,14 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...],
             break
         ii, jj = pair
         vi = vecs[remaining[ii]]
-        vj = vecs[remaining[jj]]
-        c = bil(vi, vj)
-        vj = [a / c for a in vj]
+        c = field.rinv(bil(vi, vecs[remaining[jj]]))
+        vj = [field.rmul(a, c) for a in vecs[remaining[jj]]]
         for idx in remaining:
             if idx in (remaining[ii], remaining[jj]):
                 continue
             w = vecs[idx]
-            c1 = bil(w, vj)
-            c2 = bil(w, vi)
-            vecs[idx] = [a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(w, vi, vj)]
-        blocks.append((q.evaluate(vi), q.evaluate(vj)))
+            vecs[idx] = combination(field, (one, bil(w, vj), bil(w, vi)), (w, vi, vj), n)
+        blocks.append((field._el(q.evaluate_raw(vi)), field._el(q.evaluate_raw(vj))))
         ordered.append(vi)
         ordered.append(vj)
         hi = remaining[jj]
@@ -225,9 +224,10 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...],
         remaining = [idx for idx in remaining if idx not in (lo, hi)]
     diag = []
     for idx in remaining:
-        diag.append(q.evaluate(vecs[idx]))
+        diag.append(field._el(q.evaluate_raw(vecs[idx])))
         ordered.append(vecs[idx])
-    transform = tuple(zip(*ordered))  # columns are the new basis vectors
+    # columns are the new basis vectors
+    transform = tuple(tuple(map(field._el, col)) for col in zip(*ordered))
     return form(field, blocks, diag), transform
 
 

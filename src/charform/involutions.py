@@ -8,10 +8,13 @@ algebra E x E^op, 4x4 matrices over a quadratic etale extension with a
 twisted-transpose unitary involution, and 4x4 matrices over F with a
 transpose-type orthogonal involution.
 
-Reduced characteristic polynomials are computed through the Artin-Schreier
-splitting of Q (never through a generic subfield search); the reduced
-Pfaffian of a symmetrized element is read off the square root of its even
-coefficients.
+Reduced characteristic polynomials of the symplectic shapes are computed
+through the splitting embedding of Q into 2x2 matrices (never through a
+generic subfield search), which lies over F when x^2 + x = a has a root in
+F or when b/a is a square in F; the latter always holds over GF(2^k).  Only
+over GF(2^k)(t), when neither holds, Berkowitz runs over the etale ring
+F[s]/(s^2 + s + a).  The reduced Pfaffian of a symmetrized element is read
+off the square root of its even coefficients.
 """
 
 from __future__ import annotations
@@ -231,38 +234,33 @@ class _SympBase(_MatrixDescriptor):
         return self.field._el(self._diag_sum(x, 1))  # trd is the u-coordinate
 
     def _raw_split_rows(self, x):
-        """The 8x8 splitting image on raw payloads.
+        """The 8x8 splitting image on raw payloads, and whether it lies over F.
 
-        With s the chosen root of X^2+X+a, a quaternion entry (c0,c1,c2,c3)
-        embeds as [[c0+c1*s, (c2+c3*s)*b], [c2+c3*(s+1), c0+c1*(s+1)]].
-        Entries are raw field payloads when the root lies in F, else raw
-        (x, y) pairs over F[s].
+        Each quaternion entry (c0, c1, c2, c3) maps to the 2x2 block
+        sum_k c_k * (image of the k-th basis quaternion) of the algebra's
+        splitting embedding.  Entries are raw field payloads when the
+        embedding lies over F, else raw (x, y) pairs over F[s].
         """
         field = self.field
         sp = self.quat.split()
         add, mul = field.radd, field.rmul
-        b = self.quat.b.raw
         split_over_f = sp.ring is field
-        if split_over_f:
-            r = sp.u_img.rows[0][0].raw
-            r1 = add(r, field.rone)
-        rows = [[None] * 8 for _ in range(8)]
-        for i, entry_row in enumerate(self.entries(x)):
-            for j, (c0, c1, c2, c3) in enumerate(entry_row):
-                if split_over_f:
-                    e00 = add(c0, mul(c1, r))
-                    e01 = mul(add(c2, mul(c3, r)), b)
-                    e10 = add(c2, mul(c3, r1))
-                    e11 = add(c0, mul(c1, r1))
-                else:
-                    e00 = (c0, c1)
-                    e01 = (mul(c2, b), mul(c3, b))
-                    e10 = (add(c2, c3), c3)
-                    e11 = (add(c0, c1), c1)
-                rows[2 * i][2 * j] = e00
-                rows[2 * i][2 * j + 1] = e01
-                rows[2 * i + 1][2 * j] = e10
-                rows[2 * i + 1][2 * j + 1] = e11
+        terms = [(t[0], t[1:]) for t in sp.terms]
+        rows = []
+        for entry_row in self.entries(x):
+            top, bottom = [], []
+            for c in entry_row:
+                e = []
+                for (k0, m0), rest in terms:
+                    acc = mul(c[k0], m0)
+                    for k, m in rest:
+                        acc = add(acc, mul(c[k], m))
+                    e.append(acc)
+                if not split_over_f:
+                    e = list(zip(e[::2], e[1::2]))
+                top += e[:2]
+                bottom += e[2:]
+            rows += (top, bottom)
         return rows, split_over_f
 
     def reduced_charpoly(self, x) -> List[Fe]:
@@ -284,14 +282,15 @@ class _SympBase(_MatrixDescriptor):
 
         Clears denominators once, runs Berkowitz on packed polynomials (no
         gcd in the inner loops), and rescales the coefficients at the end.
-        Requires the first quaternion slot to be a polynomial; callers fall
-        back to the generic path otherwise.
+        Over the etale ring it needs the first quaternion slot to be a
+        polynomial; callers fall back to the generic path otherwise.
         """
         field = self.field
-        if self.quat.a.raw[1] != 1:
+        split_over_f = self.quat.split().ring is field
+        if not split_over_f and self.quat.a.raw[1] != 1:
             return None
         base = field.base
-        rows, split_over_f = self._raw_split_rows(x)
+        rows, _ = self._raw_split_rows(x)
         n = 8
         den = 1
         for row in rows:
@@ -314,7 +313,7 @@ class _SympBase(_MatrixDescriptor):
             pairs = [(c, 0) for c in coeffs]
         else:
             eadd, emul = etale_ops(
-                self.quat.a.raw[0], operator.xor, lambda p, q: pmul(p, q, base)
+                self.quat.a.raw[0], 0, operator.xor, lambda p, q: pmul(p, q, base)
             )
             poly_rows = [[(cleared(e[0]), cleared(e[1])) for e in row] for row in rows]
             pairs = charpoly_raw(poly_rows, (0, 0), (1, 0), eadd, emul)

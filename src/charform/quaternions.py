@@ -3,10 +3,14 @@
 The algebra [a,b) over F has basis 1, u, v, uv with relations u^2 + u = a,
 v^2 = b (b nonzero), vu = (u+1)v.  Conjugation x -> trd(x) + x is the
 canonical (symplectic) involution.  A splitting embedding into 2x2 matrices
-is built over F itself when x^2 + x = a has a root there, and over the
-quadratic extension ring F[s]/(s^2 + s + a) otherwise; the characteristic
-polynomial machinery only needs ring arithmetic, so the split case of the
-extension is harmless.
+is built over F itself in two cases: when x^2 + x = a has a root in F, and
+when b/a is a square in F (then b = a*y^2 is the norm of y*u, so [a,b) is
+split; Knus, Merkurjev, Rost and Tignol, The Book of Involutions, section 2).
+Over GF(2^k) every element is a square, so every [a,b) splits over F
+(Wedderburn).  Only over GF(2^k)(t), when neither case applies, the
+embedding goes to the quadratic extension ring F[s]/(s^2 + s + a); the
+characteristic polynomial machinery only needs ring arithmetic, so the split
+case of that extension is harmless.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .fields import (
     Fe,
     Field,
     QuadraticExtension,
+    frobenius_sqrt,
     solve_artin_schreier,
 )
 from .forms import QuadraticForm, is_anisotropic, quad_pfister
@@ -172,30 +177,57 @@ def is_division(q: QuaternionAlgebra, *, seed: int = 0, trials: int = 200) -> De
 class SplitEmbedding:
     """Images of the generators in 2x2 matrices over a splitting ring.
 
-    The ring is F when x^2 + x = a has a root in F, and the quadratic
-    extension F[s]/(s^2 + s + a) otherwise; u -> diag(s, s+1),
-    v -> [[0, b], [1, 0]].
+    The first case that applies is taken:
+
+    1. x^2 + x = a has a root s in F: the ring is F, u -> diag(s, s+1),
+       v -> [[0, b], [1, 0]];
+    2. b/a = y^2 for some y in F: the ring is F, u -> [[0, a], [1, 1]],
+       v -> y*[[1, 1+a], [1, 1]] (u^2 + u = a, v^2 = a*y^2 = b, vu = (u+1)v);
+    3. otherwise the ring is F[s]/(s^2 + s + a), with the matrices of case 1.
+
+    Over GF(2^k) case 3 never occurs.  ``terms`` is the embedding on
+    payloads: an image entry is a ring element with one F-coordinate over F
+    and two (x, y of x + y*s) over the etale ring.  For each image entry in
+    row-major order and each of its F-coordinates in turn, ``terms`` holds
+    the nonzero pairs (k, m), m the payload of that coordinate in the image
+    of the k-th basis quaternion 1, u, v, uv.  None of these tuples is
+    empty, because the images span all 2x2 matrices.
     """
 
     def __init__(self, alg: QuaternionAlgebra):
         field = alg.field
-        root = solve_artin_schreier(alg.a)
-        if isinstance(root, Fe):
+        a, b = alg.a, alg.b
+        root = solve_artin_schreier(a)
+        y = None if isinstance(root, Fe) or not a else frobenius_sqrt(b / a)
+        if isinstance(root, Fe) or y is not None:
             ring: Union[Field, QuadraticExtension] = field
-            s = root
             self.lift = lambda c: c
         else:
-            ring = QuadraticExtension(field, alg.a)
-            s = ring.s
+            ring = QuadraticExtension(field, a)
             self.lift = ring.lift
+        one, zero = ring.one, ring.zero
+        if y is None:
+            s = root if ring is field else ring.s
+            u_img = Mat(ring, [[s, zero], [zero, s + one]])
+            v_img = Mat(ring, [[zero, self.lift(b)], [one, zero]])
+        else:
+            u_img = Mat(ring, [[zero, a], [one, one]])
+            v_img = Mat(ring, [[y, y * (one + a)], [y, y]])
         self.alg = alg
         self.ring = ring
-        one, zero = ring.one, ring.zero
-        bb = self.lift(alg.b)
-        self.u_img = Mat(ring, [[s, zero], [zero, s + one]])
-        self.v_img = Mat(ring, [[zero, bb], [one, zero]])
-        self.w_img = self.u_img * self.v_img
+        self.u_img = u_img
+        self.v_img = v_img
+        self.w_img = u_img * v_img
         self.one_img = Mat.identity(ring, 2)
+        images = (self.one_img, u_img, v_img, self.w_img)
+        rzero = field.rzero
+        coords = (lambda e: (e.raw,)) if ring is field else (lambda e: e.raw)
+        self.terms = tuple(
+            tuple((k, c) for k, c in enumerate(part) if c != rzero)
+            for i in range(2)
+            for j in range(2)
+            for part in zip(*(coords(m.rows[i][j]) for m in images))
+        )
 
     def embed(self, x: Quat) -> Mat:
         if x.alg is not self.alg:

@@ -2,7 +2,8 @@
 
 Matrix products are checked against naive triple loops whose entry products
 are expanded from the defining relations alone (u^2 = u + a, v^2 = b,
-vu = (u + 1)v for quaternions, s^2 = s + c for etale rings); elimination
+vu = (u + 1)v for quaternions, s^2 = s + c for etale rings), and the etale
+product's zero shortcuts against its five-product formula; elimination
 against A x = 0, dimension counts and, over GF(2), sympy's rank; the
 quadratic-form kernels against the sum over i <= j and the polarization
 identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
@@ -20,6 +21,7 @@ from sympy.polys.matrices import DomainMatrix
 from charform.fields import (
     GF2,
     GF2k,
+    QuadraticExtension,
     gf2k,
     pcoeffs,
     pdeg,
@@ -217,6 +219,20 @@ def test_etale_matrix_products(field, data):
     p, q = x[0][0], y[0][0]
     pq = p * q
     assert (pq.x, pq.y) == etale_product(field, c)((p.x, p.y), (q.x, q.y))
+
+
+@settings(max_examples=200, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from([gf2k(2), ratfunc(GF2)]), st.data())
+def test_etale_product_matches_five_products(field, data):
+    # the shortcuts for zero operands and zero y parts change no payload
+    c = non_artin_schreier(field)
+    ring = QuadraticExtension(field, c)
+    coord = sparse(field, elements(field))
+    p, q = (data.draw(st.tuples(coord, coord)) for _ in range(2))
+    (x1, y1), (x2, y2) = p, q
+    expected = (x1 * x2 + c * (y1 * y2), x1 * y2 + y1 * x2 + y1 * y2)
+    got = ring.rmul((x1.raw, y1.raw), (x2.raw, y2.raw))
+    assert got == tuple(e.raw for e in expected)
 
 
 @QUICK

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from charform.errors import AlgebraMismatch, ZeroScalar
-from charform.fields import GF2, gf2k, ratfunc
+from charform.fields import GF2, QuadraticExtension, gf2k, ratfunc, solve_artin_schreier
+from charform.involutions import Index2Symp
+from charform.linalg import Mat, charpoly
 from charform.quaternions import (
     QuaternionAlgebra,
     is_division,
@@ -19,6 +21,7 @@ from charform.quaternions import (
 )
 
 F4 = gf2k(2)
+F8 = gf2k(3)
 R2 = ratfunc(GF2)
 
 
@@ -187,10 +190,92 @@ def test_split_embedding_preserves_trd_nrd():
 
 def test_split_embedding_matrix_blocks():
     rng = random.Random(17)
-    from charform.linalg import Mat
-
     Q = make(F4, F4.gen, F4.gen)
     sp = split_embedding(Q)
     m = Mat(Q, [[Q.rand(rng) for _ in range(2)] for _ in range(2)])
     m2 = Mat(Q, [[Q.rand(rng) for _ in range(2)] for _ in range(2)])
     assert sp.embed_matrix(m * m2) == sp.embed_matrix(m) * sp.embed_matrix(m2)
+
+
+def _assert_relations(sp, Q):
+    u, v, one = sp.u_img, sp.v_img, sp.one_img
+    assert u * u + u == one.scal(sp.lift(Q.a))
+    assert v * v == one.scal(sp.lift(Q.b))
+    assert v * u == (u + one) * v
+
+
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
+def test_every_finite_quaternion_algebra_splits_over_f(field):
+    # Wedderburn: an Artin-Schreier root of a, or else y = sqrt(b/a), lies in F
+    for a in field.elements():
+        for b in field.elements():
+            if not b:
+                continue
+            Q = make(field, a, b)
+            sp = split_embedding(Q)
+            assert sp.ring is Q.field
+            _assert_relations(sp, Q)
+
+
+def _etale_oracle_charpoly(desc, x):
+    """The characteristic polynomial of x through u -> diag(s, s+1),
+    v -> [[0, b], [1, 0]] over F[s]/(s^2 + s + a), with the y parts checked
+    to vanish."""
+    Q, field = desc.quat, desc.field
+    ring = QuadraticExtension(field, Q.a)
+    s, one, zero = ring.s, ring.one, ring.zero
+    images = [
+        Mat(ring, [[one, zero], [zero, one]]),
+        Mat(ring, [[s, zero], [zero, s + one]]),
+        Mat(ring, [[zero, ring.lift(Q.b)], [one, zero]]),
+    ]
+    images.append(images[1] * images[2])
+    rows = [[None] * 8 for _ in range(8)]
+    for i, entry_row in enumerate(desc.entries(x)):
+        for j, c in enumerate(entry_row):
+            block = Mat.zeros(ring, 2)
+            for ck, m in zip(c, images):
+                block = block + m.scal(ring.lift(field._el(ck)))
+            for r in range(2):
+                rows[2 * i + r][2 * j : 2 * j + 2] = block.rows[r]
+    coeffs = charpoly(Mat(ring, rows))
+    assert all(not e.y for e in coeffs)
+    return [e.x for e in coeffs]
+
+
+@pytest.mark.parametrize("field", [F4, F8], ids=["gf4", "gf8"])
+def test_index2_charpoly_matches_etale_embedding(field):
+    rng = random.Random(19)
+    for a in field.elements():
+        if solve_artin_schreier(a) is not None:
+            continue
+        b = field.rand(rng) or field.one
+        us = [field.rand(rng) or field.one for _ in range(3)]
+        desc = Index2Symp(field, make(field, a, b), us)
+        assert desc.quat.split().ring is field
+        for _ in range(3):
+            x = desc.rand(rng)
+            assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)
+
+
+@pytest.mark.parametrize(
+    "a,b,over_f",
+    [
+        ("t", "t", True),  # b/a = 1
+        ("1/t", "t", True),  # b/a = t^2, a not a polynomial
+        ("t", "1+t", False),
+        ("1/t", "1", False),  # etale, a not a polynomial
+    ],
+)
+def test_ratfunc_splitting_cases(a, b, over_f):
+    t, one = R2.t, R2.one
+    slots = {"t": t, "1/t": one / t, "1+t": one + t, "1": one}
+    Q = make(R2, slots[a], slots[b])
+    sp = split_embedding(Q)
+    assert (sp.ring is R2) == over_f
+    _assert_relations(sp, Q)
+    rng = random.Random(23)
+    desc = Index2Symp(R2, Q, (one, t, one + t))
+    for _ in range(2):
+        x = desc.rand(rng)
+        assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)

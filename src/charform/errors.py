@@ -29,10 +29,6 @@ class AlgebraMismatch(CharformError):
     """Operands belong to different algebras."""
 
 
-class NoRootAvailable(CharformError):
-    """No splitting root could be produced for the requested extension."""
-
-
 class ShapeMismatch(CharformError):
     """Element shape does not match the algebra descriptor."""
 
@@ -75,10 +71,6 @@ class NoAnisotropicVector(CharformError):
 
 class WitnessNotFound(CharformError):
     """A witness search exhausted its budget without success."""
-
-
-class NoRegularGenerator(CharformError):
-    """No module generator with the required regularity was found."""
 
 
 class ParseError(CharformError):

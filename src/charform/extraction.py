@@ -328,6 +328,9 @@ def galois_components(
         w_coords.append(kernel(rows, field))
 
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
+    expected = _EXPECTED_DIMS[case]
+    if comps.dims != expected:
+        raise DecompositionFailure(f"component dimensions {comps.dims}, expected {expected}")
 
     if isinstance(desc, _SympBase) and _is_default_l(desc, L):
         explicit = _explicit_index2_bases(desc)
@@ -342,14 +345,10 @@ def galois_components(
                         "closed-form basis escapes the solved component"
                     )
                 coords.append(sc)
-            if Span(coords, field).dim != len(basis):
-                raise DecompositionFailure("closed-form basis is not independent")
+            if not len(coords) == Span(coords, field).dim == span.dim:
+                raise DecompositionFailure("closed-form basis is not a basis of the component")
             replaced.append(coords)
         comps.w_coords = replaced
-
-    expected = _EXPECTED_DIMS[case]
-    if comps.dims != expected:
-        raise DecompositionFailure(f"component dimensions {comps.dims}, expected {expected}")
 
     comps.l_raw = full_raw.restrict(comps.l_coords)
     comps.w_raw = [full_raw.restrict(comps.w_coords[i]) for i in range(3)]

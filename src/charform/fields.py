@@ -6,7 +6,10 @@ an irreducible degree-k polynomial (default: the lexicographically least
 irreducible, for reproducibility).  Polynomials over GF(2^k) are packed as
 integers with k bits per coefficient, ascending degree, so that addition is a
 single xor.  Rational function field elements are reduced fractions of packed
-polynomials with a monic denominator.
+polynomials with a monic denominator.  Quadratic etale rings F[s]/(s^2+s+c)
+multiply through ``etale_ops``, which takes the relation s^2 = e*s + c on
+any commutative ring of payloads (e = 1 here; the fraction-free reduced
+characteristic polynomial over GF(2^k)(t) uses e = q for a centre p/q).
 
 All values are immutable; field objects are interned so that equality of
 fields is identity.
@@ -642,13 +645,18 @@ def absolute_trace(x: Fe) -> int:
     return x.field.rtrace(x.raw)
 
 
-def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
+# polynomial right-hand sides of solve_artin_schreier above degree
+# 2 * _AS_DEGREE_BUDGET are left undecided
+_AS_DEGREE_BUDGET = 32
+
+
+def solve_artin_schreier(a: Fe) -> Union[Fe, None, Unknown]:
     """Solve x^2 + x = a.
 
     Over GF(2^k) the answer is exact (solvable iff the absolute trace of a
     vanishes).  Over GF(2^k)(t) polynomial right-hand sides are decided
     exactly by an ascending coefficient recurrence; non-polynomial ones
-    return UNKNOWN, as do polynomials beyond the degree budget.
+    return UNKNOWN, as do polynomials of degree above 2 * _AS_DEGREE_BUDGET.
     """
     field = a.field
     if isinstance(field, GF2k):
@@ -661,7 +669,7 @@ def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
     if not num:
         return field.zero
     d = pdeg(num, base.k)
-    if d > 2 * budget:
+    if d > 2 * _AS_DEGREE_BUDGET:
         return UNKNOWN
     if d % 2 == 1:
         return None  # x^2 + x has even degree for polynomial x
@@ -685,12 +693,12 @@ def solve_artin_schreier(a: Fe, budget: int = 32) -> Union[Fe, None, Unknown]:
 # ---------------------------------------------------------------------------
 
 
-def etale_ops(c, zero, add, mul):
-    """Addition and multiplication of x + y*s, s^2 = s + c, on pairs (x, y)
+def etale_ops(c, zero, add, mul, e=None):
+    """Addition and multiplication of x + y*s, s^2 = e*s + c, on pairs (x, y)
     of payloads of a commutative ring given by its zero and the closures add
-    and mul.  A product with a zero operand costs no ring product, one with
-    both y parts zero costs one, one with a single y part zero costs two;
-    the general case costs five."""
+    and mul; e = None stands for e = 1.  A product with a zero operand costs
+    no ring product, one with both y parts zero costs one, one with a single
+    y part zero costs two; the general case costs five (six with an e)."""
 
     def emul(p, q):
         x1, y1 = p
@@ -706,7 +714,8 @@ def etale_ops(c, zero, add, mul):
                 return q
             return (mul(x1, x2), mul(y1, x2))
         yy = mul(y1, y2)
-        return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), yy))
+        ey = yy if e is None else mul(e, yy)
+        return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), ey))
 
     return lambda p, q: tuple(map(add, p, q)), emul
 

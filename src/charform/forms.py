@@ -369,75 +369,37 @@ def witt_equivalent_gf2k(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class SquareSpan:
-    """Span of field elements over the subfield of squares F^2.
+def _square_coords(e: Fe) -> List[Fe]:
+    """Coordinates of e over the F^2-basis {1, t} of F, both in F^2.
 
-    Over GF(2^k), F^2 = F and the span is {0} or all of F.  Over GF(2^k)(t),
-    F has the basis {1, t} over F^2 = GF(2^k)(t^2); membership reduces to
-    exact 2-column Gaussian elimination with coefficients in F^2.
+    Over GF(2^k), F^2 = F and e has the coordinates (e, 0).  Vectors with
+    entries in F^2 have the same rank and span membership over F as over F^2,
+    so ``linalg.Span`` of these coordinates is the F^2-span of the elements.
     """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._rows: List[Tuple[Fe, Fe]] = []
-
-    @staticmethod
-    def _coords(e: Fe) -> Tuple[Fe, Fe]:
-        """Coordinates of e over {1, t} with entries in F^2."""
-        field = e.field
-        if isinstance(field, GF2k):
-            return (e, field.zero)
-        base = field.base
-        num, den = e.raw
-        m = field.rmul((num, 1), (den, 1))[0]  # num*den; e = m / den^2
-        k = base.k
-        even = 0
-        odd = 0
-        for i in range(pdeg(m, k) + 1):
-            c = pcoef(m, i, k)
-            if not c:
-                continue
-            if i % 2 == 0:
-                even |= c << (i * k)
-            else:
-                odd |= c << ((i - 1) * k)
-        den2 = field.rmul((den, 1), (den, 1))[0]
-        return (
-            Fe(field, field._norm(even, den2)),
-            Fe(field, field._norm(odd, den2)),
-        )
-
-    def _reduce(self, vec: Tuple[Fe, Fe]) -> Tuple[Fe, Fe]:
-        a, b = vec
-        for (ra, rb) in self._rows:
-            if ra and a:
-                c = a / ra
-                a, b = a + c * ra, b + c * rb
-            elif not ra and rb and b:
-                c = b / rb
-                b = b + c * rb
-        return a, b
-
-    def add(self, e: Fe) -> None:
-        vec = self._reduce(self._coords(e))
-        if vec[0] or vec[1]:
-            self._rows.append(vec)
-            self._rows.sort(key=lambda r: (not r[0],))
-
-    def contains(self, e: Fe) -> bool:
-        vec = self._reduce(self._coords(e))
-        return not vec[0] and not vec[1]
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
+    field = e.field
+    if isinstance(field, GF2k):
+        return [e, field.zero]
+    base = field.base
+    num, den = e.raw
+    m = field.rmul((num, 1), (den, 1))[0]  # num*den; e = m / den^2
+    k = base.k
+    even = 0
+    odd = 0
+    for i in range(pdeg(m, k) + 1):
+        c = pcoef(m, i, k)
+        if not c:
+            continue
+        if i % 2 == 0:
+            even |= c << (i * k)
+        else:
+            odd |= c << ((i - 1) * k)
+    den2 = field.rmul((den, 1), (den, 1))[0]
+    return [Fe(field, field._norm(even, den2)), Fe(field, field._norm(odd, den2))]
 
 
-def f2_span(entries: Sequence[Fe], field: Field) -> SquareSpan:
-    span = SquareSpan(field)
-    for e in entries:
-        span.add(e)
-    return span
+def f2_span(entries: Sequence[Fe], field: Field) -> Span:
+    """The span of field elements over the subfield of squares F^2."""
+    return Span([_square_coords(e) for e in entries], field)
 
 
 def totally_singular_isometry(d1: QuadraticForm, d2: QuadraticForm) -> Decision:
@@ -454,10 +416,10 @@ def totally_singular_isometry(d1: QuadraticForm, d2: QuadraticForm) -> Decision:
         raise FieldMismatch("forms over different fields")
     s1 = f2_span(d1.diag, d1.field)
     s2 = f2_span(d2.diag, d2.field)
-    if s1.rank != s2.rank:
-        return decided(False, {"rank1": s1.rank, "rank2": s2.rank})
-    mutual = all(s2.contains(e) for e in d1.diag) and all(
-        s1.contains(e) for e in d2.diag
+    if s1.dim != s2.dim:
+        return decided(False, {"rank1": s1.dim, "rank2": s2.dim})
+    mutual = all(s2.contains(_square_coords(e)) for e in d1.diag) and all(
+        s1.contains(_square_coords(e)) for e in d2.diag
     )
     return decided(mutual)
 
@@ -466,7 +428,7 @@ def is_quasi_hyperbolic(d: QuadraticForm) -> bool:
     """F^2-span rank of the entries at most half the dimension."""
     if d.blocks:
         raise SingularForm("quasi-hyperbolicity is for totally singular forms")
-    return 2 * f2_span(d.diag, d.field).rank <= d.dim
+    return 2 * f2_span(d.diag, d.field).dim <= d.dim
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +480,19 @@ def candidates(
             yield v
 
 
+# seeded draws of an isotropic-vector search when the exhaustive stage does
+# not apply
+_ISOTROPY_DRAWS = 200
+
+
 def isotropic_vector(
-    q: QuadraticForm, rng: Optional[random.Random] = None, trials: int = 200
+    q: QuadraticForm, rng: Optional[random.Random] = None
 ) -> Optional[List[Fe]]:
     """Bounded search for a nonzero isotropic vector.
 
     Tries per-block certificates and duplicated blocks, then filters
-    `candidates` (exhaustive over tiny fields, else `trials` seeded draws).
+    `candidates` (exhaustive over tiny fields, else _ISOTROPY_DRAWS seeded
+    draws).
     Returns None when the budget is exhausted (which proves nothing).
     """
     field = q.field
@@ -549,7 +517,7 @@ def isotropic_vector(
                 return v
     if rng is None:
         rng = random.Random(0)
-    stream = candidates(field, n, rng, trials, 1 << 16)
+    stream = candidates(field, n, rng, _ISOTROPY_DRAWS, 1 << 16)
     return next((v for v in stream if not q.evaluate(v)), None)
 
 
@@ -618,13 +586,7 @@ def _witt_cancel_pass(q: QuadraticForm) -> QuadraticForm:
     return form(q.field, blocks, [])
 
 
-def is_hyperbolic(
-    q: QuadraticForm,
-    *,
-    pfister: bool = False,
-    seed: int = 0,
-    trials: int = 200,
-) -> Decision:
+def is_hyperbolic(q: QuadraticForm, *, pfister: bool = False, seed: int = 0) -> Decision:
     """Hyperbolicity decision.
 
     Over GF(2^k) the Arf invariant decides.  Over GF(2^k)(t) a Witt-sound
@@ -639,12 +601,12 @@ def is_hyperbolic(
         return decided(arf_invariant(q) == 0)
     rng = random.Random(seed)
     if pfister:
-        v = isotropic_vector(q, rng, trials)
+        v = isotropic_vector(q, rng)
         if v is not None:
             return decided(True, {"isotropic": [e.raw for e in v]})
     cur = _witt_cancel_pass(q)
     while cur.blocks:
-        v = isotropic_vector(cur, rng, trials)
+        v = isotropic_vector(cur, rng)
         if v is None:
             break
         cur = _split_off_plane(cur, v)
@@ -670,12 +632,10 @@ def certify_anisotropic(q: QuadraticForm) -> Decision:
         return unknown()
     if q.diag and not q.blocks:
         # totally singular: anisotropic iff the entries are F^2-independent
-        span = SquareSpan(field)
-        for c in q.diag:
-            if span.contains(c):
-                return decided(False)
-            span.add(c)
-        return decided(True, {"f2_rank": span.rank})
+        rank = f2_span(q.diag, field).dim
+        if rank < len(q.diag):
+            return decided(False)
+        return decided(True, {"f2_rank": rank})
     if q.diag:
         return unknown()
     if len(q.blocks) == 1:
@@ -780,13 +740,13 @@ def blocks_match_upto_squares(q1: QuadraticForm, q2: QuadraticForm) -> Decision:
     return decided(True, {"pairing": pairing})
 
 
-def is_anisotropic(q: QuadraticForm, *, seed: int = 0, trials: int = 200) -> Decision:
+def is_anisotropic(q: QuadraticForm, *, seed: int = 0) -> Decision:
     """Anisotropy decision: exact over GF(2^k), certificate-based otherwise."""
     if isinstance(q.field, GF2k):
         w = witt_decompose_gf2k(q)
         aniso = q.dim == w.kernel.dim and all(bool(c) for c in w.kernel.diag)
         return decided(aniso)
-    v = isotropic_vector(q, random.Random(seed), trials)
+    v = isotropic_vector(q, random.Random(seed))
     if v is not None:
         return decided(False, {"isotropic": [e.raw for e in v]})
     return certify_anisotropic(q)

@@ -8,13 +8,18 @@ algebra E x E^op, 4x4 matrices over a quadratic etale extension with a
 twisted-transpose unitary involution, and 4x4 matrices over F with a
 transpose-type orthogonal involution.
 
-Reduced characteristic polynomials of the symplectic shapes are computed
-through the splitting embedding of Q into 2x2 matrices (never through a
-generic subfield search), which lies over F when x^2 + x = a has a root in
-F or when b/a is a square in F; the latter always holds over GF(2^k).  Only
-over GF(2^k)(t), when neither holds, Berkowitz runs over the etale ring
-F[s]/(s^2 + s + a).  The reduced Pfaffian of a symmetrized element is read
-off the square root of its even coefficients.
+Every descriptor has one hook, ``split_rows(x)``: a square payload matrix
+whose characteristic polynomial is the reduced one of x, and the parameter
+c of its entry ring F[s]/(s^2 + s + c), or None when the entries lie in F.
+The symplectic shapes return the 8x8 image of the splitting embedding of Q
+into 2x2 matrices, which lies over F when x^2 + x = a has a root in F or
+when b/a is a square in F (always over GF(2^k)), and otherwise over the
+etale ring with c = a; the unitary etale shape returns its etale entries;
+the orthogonal and exchange shapes return their field entries (the E block
+for the exchange algebra).  One ``reduced_charpoly`` runs one Berkowitz
+driver on it: on payloads over GF(2^k), fraction-free on packed polynomials
+over GF(2^k)(t).  The reduced Pfaffian of a symmetrized element is read off
+the square root of its even coefficients.
 """
 
 from __future__ import annotations
@@ -101,13 +106,57 @@ class PfaffianData:
     norm: Fe  # constant coefficient
 
 
-def _base_coeffs(field: Field, pairs) -> List[Fe]:
-    """The coefficients x of etale payload pairs (x, y), all of which need y = 0."""
-    if any(y != field.rzero for _, y in pairs):
+def _berkowitz(rows, c, e, zero, one, add, mul) -> list:
+    """charpoly_raw over a ring, or over its extension s^2 = e*s + c (entries
+    (x, y) of x + y*s) with the y parts of the coefficients checked to
+    vanish."""
+    if c is None:
+        return charpoly_raw(rows, zero, one, add, mul)
+    eadd, emul = etale_ops(c, zero, add, mul, e)
+    pairs = charpoly_raw(rows, (zero, zero), (one, zero), eadd, emul)
+    if any(y != zero for _, y in pairs):
         raise CoefficientNotRational(
             "characteristic polynomial coefficient outside the base field"
         )
-    return [field._el(x) for x, _ in pairs]
+    return [x for x, _ in pairs]
+
+
+def _charpoly_fraction_free(field: RatFunc, rows, c) -> list:
+    """Berkowitz over GF(2^k)(t) on packed polynomials, with no gcd in the
+    inner loops: the denominators are cleared once into den, and coefficient
+    i of den*M is divided by den^(n-i).  A centre c = p/q with q != 1 is
+    replaced by the integral generator r = q*s, with r^2 = q*r + p*q and
+    x + y*s = x + (y/q)*r."""
+    base = field.base
+    e = None
+    if c is not None:
+        p, q = c
+        c = p
+        if q != 1:
+            inv_q = (1, q)
+            rows = [[(x, field.rmul(y, inv_q)) for x, y in row] for row in rows]
+            e, c = q, pmul(p, q, base)
+    den = 1
+    for row in rows:
+        for entry in row:
+            for _, d in (entry,) if c is None else entry:
+                if d != 1 and d != den:
+                    den = pmul(pdivmod(den, pgcd(den, d, base), base)[0], d, base)
+
+    def cleared(v):
+        num, d = v
+        return num if d == den else pmul(num, pdivmod(den, d, base)[0], base)
+
+    if c is None:
+        rows = [[cleared(v) for v in row] for row in rows]
+    else:
+        rows = [[(cleared(x), cleared(y)) for x, y in row] for row in rows]
+    coeffs = _berkowitz(rows, c, e, 0, 1, operator.xor, lambda a, b: pmul(a, b, base))
+    power = 1
+    for i in range(len(coeffs) - 1, -1, -1):
+        coeffs[i] = field._norm(coeffs[i], power)
+        power = pmul(power, den, base)
+    return coeffs
 
 
 class _MatrixDescriptor:
@@ -217,6 +266,21 @@ class _MatrixDescriptor:
     def scalar_part(self, x) -> Fe:
         return self.field._el(x[0])
 
+    def split_rows(self, x):
+        """A square payload matrix whose characteristic polynomial is the
+        reduced one of x, and the etale parameter c of its entry ring
+        F[s]/(s^2 + s + c) (None when the entries lie in F)."""
+        return self.entries(x), None
+
+    def reduced_charpoly(self, x) -> List[Fe]:
+        field = self.field
+        rows, c = self.split_rows(x)
+        if isinstance(field, RatFunc):
+            coeffs = _charpoly_fraction_free(field, rows, c)
+        else:
+            coeffs = _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
+        return list(map(field._el, coeffs))
+
 
 class _SympBase(_MatrixDescriptor):
     """4x4 matrices over a quaternion algebra, sigma adjoint to a diagonal
@@ -233,13 +297,13 @@ class _SympBase(_MatrixDescriptor):
     def trd(self, x) -> Fe:
         return self.field._el(self._diag_sum(x, 1))  # trd is the u-coordinate
 
-    def _raw_split_rows(self, x):
-        """The 8x8 splitting image on raw payloads, and whether it lies over F.
+    def split_rows(self, x):
+        """The 8x8 splitting image on payloads.
 
         Each quaternion entry (c0, c1, c2, c3) maps to the 2x2 block
         sum_k c_k * (image of the k-th basis quaternion) of the algebra's
-        splitting embedding.  Entries are raw field payloads when the
-        embedding lies over F, else raw (x, y) pairs over F[s].
+        splitting embedding.  Entries are field payloads when the embedding
+        lies over F, else (x, y) pairs over F[s]/(s^2 + s + a).
         """
         field = self.field
         sp = self.quat.split()
@@ -261,74 +325,7 @@ class _SympBase(_MatrixDescriptor):
                 top += e[:2]
                 bottom += e[2:]
             rows += (top, bottom)
-        return rows, split_over_f
-
-    def reduced_charpoly(self, x) -> List[Fe]:
-        field = self.field
-        if isinstance(field, RatFunc):
-            out = self._reduced_charpoly_ratfunc(x)
-            if out is not None:
-                return out
-        rows, split_over_f = self._raw_split_rows(x)
-        if split_over_f:
-            coeffs = charpoly_raw(rows, field.rzero, field.rone, field.radd, field.rmul)
-            return [field._el(c) for c in coeffs]
-        ring = self.quat.split().ring
-        pairs = charpoly_raw(rows, ring.rzero, ring.one.raw, ring.radd, ring.rmul)
-        return _base_coeffs(field, pairs)
-
-    def _reduced_charpoly_ratfunc(self, x) -> Optional[List[Fe]]:
-        """Fraction-free path over GF(2^k)(t).
-
-        Clears denominators once, runs Berkowitz on packed polynomials (no
-        gcd in the inner loops), and rescales the coefficients at the end.
-        Over the etale ring it needs the first quaternion slot to be a
-        polynomial; callers fall back to the generic path otherwise.
-        """
-        field = self.field
-        split_over_f = self.quat.split().ring is field
-        if not split_over_f and self.quat.a.raw[1] != 1:
-            return None
-        base = field.base
-        rows, _ = self._raw_split_rows(x)
-        n = 8
-        den = 1
-        for row in rows:
-            for e in row:
-                parts = (e,) if split_over_f else e
-                for num_d in parts:
-                    d = num_d[1]
-                    g = pgcd(den, d, base)
-                    den = pmul(pdivmod(den, g, base)[0], d, base)
-
-        def cleared(num_d):
-            num, d = num_d
-            return pmul(num, pdivmod(den, d, base)[0], base)
-
-        if split_over_f:
-            poly_rows = [[cleared(e) for e in row] for row in rows]
-            coeffs = charpoly_raw(
-                poly_rows, 0, 1, lambda p, q: p ^ q, lambda p, q: pmul(p, q, base)
-            )
-            pairs = [(c, 0) for c in coeffs]
-        else:
-            eadd, emul = etale_ops(
-                self.quat.a.raw[0], 0, operator.xor, lambda p, q: pmul(p, q, base)
-            )
-            poly_rows = [[(cleared(e[0]), cleared(e[1])) for e in row] for row in rows]
-            pairs = charpoly_raw(poly_rows, (0, 0), (1, 0), eadd, emul)
-        out = []
-        for i, (cx, cy) in enumerate(pairs):
-            if cy:
-                raise CoefficientNotRational(
-                    "characteristic polynomial coefficient outside the base field"
-                )
-            power = n - i
-            d = 1
-            for _ in range(power):
-                d = pmul(d, den, base)
-            out.append(Fe(field, field._norm(cx, d)))
-        return out
+        return rows, None if split_over_f else self.quat.a.raw
 
     def trd_product(self, x, y) -> Fe:
         """Trd(x*y) without forming the full product (diagonal terms only)."""
@@ -389,10 +386,8 @@ class UnitaryEtale(_MatrixDescriptor):
             raise CoefficientNotRational("reduced trace is not in the base field")
         return self.field._el(self._diag_sum(x, 0))
 
-    def reduced_charpoly(self, x) -> List[Fe]:
-        ring = self.center
-        pairs = charpoly_raw(self.entries(x), ring.rzero, ring.one.raw, ring.radd, ring.rmul)
-        return _base_coeffs(self.field, pairs)
+    def split_rows(self, x):
+        return self.entries(x), self.c.raw
 
 
 class Orthogonal(_MatrixDescriptor):
@@ -405,10 +400,6 @@ class Orthogonal(_MatrixDescriptor):
 
     def trd(self, x) -> Fe:
         return self.field._el(self._diag_sum(x, 0))
-
-    def reduced_charpoly(self, x) -> List[Fe]:
-        f = self.field
-        return [f._el(c) for c in charpoly_raw(self.entries(x), f.rzero, f.rone, f.radd, f.rmul)]
 
 
 class UnitaryExchange(_MatrixDescriptor):
@@ -435,9 +426,9 @@ class UnitaryExchange(_MatrixDescriptor):
     def involve(self, x):
         return x[16:] + x[:16]
 
-    # the reduced trace and characteristic polynomial are those of the E block
+    # the reduced trace and characteristic polynomial (through entries) are
+    # those of the E block
     trd = Orthogonal.trd
-    reduced_charpoly = Orthogonal.reduced_charpoly
 
 
 Descriptor = _MatrixDescriptor
@@ -591,11 +582,16 @@ def symmetrized_space_orth(desc: Orthogonal) -> List[tuple]:
     return [desc.from_vec(row) for row in Span(images, desc.field).rows]
 
 
-def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe:
+# invertible symmetrized elements whose determinants det_orthogonal compares
+_DET_WITNESSES = 3
+
+
+def det_orthogonal(desc: Orthogonal, *, seed: int = 0) -> Fe:
     """Determinant class of the orthogonal involution.
 
     Returns Nrd(w) for an invertible symmetrized element w; independence of
-    the choice is asserted on several witnesses (their ratios are squares).
+    the choice is asserted on _DET_WITNESSES witnesses (their ratios are
+    squares).
     """
     basis = symmetrized_space_orth(desc)
     found: List[Fe] = []
@@ -604,7 +600,7 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0, witnesses: int = 3) -> Fe
         det = desc.reduced_charpoly(w)[0]
         if det:
             found.append(det)
-            if len(found) == witnesses:
+            if len(found) == _DET_WITNESSES:
                 break
     if not found:
         raise NoInvertibleWitness("no invertible symmetrized element found")

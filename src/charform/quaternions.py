@@ -169,9 +169,9 @@ def nrd_form(q: QuaternionAlgebra) -> QuadraticForm:
     return quad_pfister([q.b], q.a)
 
 
-def is_division(q: QuaternionAlgebra, *, seed: int = 0, trials: int = 200) -> Decision:
+def is_division(q: QuaternionAlgebra, *, seed: int = 0) -> Decision:
     """Division algebra test: the norm form is anisotropic."""
-    return is_anisotropic(nrd_form(q), seed=seed, trials=trials)
+    return is_anisotropic(nrd_form(q), seed=seed)
 
 
 class SplitEmbedding:

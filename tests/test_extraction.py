@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from charform.errors import InvalidCandidate, NotInComponent, NotInLi, UnsupportedDescriptor
+from charform import extraction
+from charform.errors import (
+    DecompositionFailure,
+    InvalidCandidate,
+    NotInComponent,
+    NotInLi,
+    UnsupportedDescriptor,
+)
 from charform.fields import GF2, gf2k, ratfunc
 from charform.forms import (
     bilinear_tensor,
@@ -132,6 +139,20 @@ def test_li_trace_norm_split_diagonal():
 def test_component_dimensions(maker, expected):
     comps = galois_components(maker())
     assert comps.dims == expected
+
+
+def test_component_dimensions_checked_before_closed_form_swap(monkeypatch):
+    # a solved W_i with a planted 9th vector must fail the dimension check,
+    # even though the closed-form basis that replaces it has 8 vectors
+    solve = extraction.kernel
+
+    def planted(rows, field):
+        basis = solve(rows, field)
+        return basis + [basis[0]]
+
+    monkeypatch.setattr(extraction, "kernel", planted)
+    with pytest.raises(DecompositionFailure, match="expected"):
+        galois_components(SplitSymp(GF2))
 
 
 def test_explicit_w1_form_matches_closed_formula():

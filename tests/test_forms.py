@@ -17,6 +17,7 @@ from charform.forms import (
     block11,
     blocks_match_upto_squares,
     candidates,
+    certify_anisotropic,
     direct_sum,
     form,
     is_anisotropic,
@@ -397,6 +398,21 @@ def test_totally_singular_span_invariance():
     # <1, t, 1+t> is isometric to <1, t, 0>: same span, same dimension
     d1 = form(R2, [], [one, t, one + t])
     d2 = form(R2, [], [one, t, R2.zero])
+    assert totally_singular_isometry(d1, d2).is_true
+
+
+def test_totally_singular_span_witnesses():
+    # F^2-independence over GF(2)(t), with denominators: 1/t = t * (1/t)^2
+    # and t^3/(1+t)^2 = t * (t/(1+t))^2 both lie on the line F^2 * t
+    t, one = R2.t, R2.one
+    dec = certify_anisotropic(form(R2, [], [one, t]))
+    assert dec.is_true and dec.witness == {"f2_rank": 2}
+    assert certify_anisotropic(form(R2, [], [one, t, one + t])).is_false
+    assert certify_anisotropic(form(R2, [], [one / t, t * t * t / ((one + t) * (one + t))])).is_false
+    assert certify_anisotropic(form(R2, [], [one / t, one / (one + t)])).is_true
+    dec = totally_singular_isometry(form(R2, [], [one, t]), form(R2, [], [one, t * t]))
+    assert dec.is_false and dec.witness == {"rank1": 2, "rank2": 1}
+    d1, d2 = form(R2, [], [one / t, one]), form(R2, [], [t, (one + t) * (one + t)])
     assert totally_singular_isometry(d1, d2).is_true
 
 

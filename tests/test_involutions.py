@@ -1,8 +1,11 @@
 """Involution algebra tests.
 
 Characteristic polynomial values are cross-checked against a cofactor-
-expansion determinant oracle over polynomial entries, and against closed
-forms for projectors and block elements.
+expansion determinant oracle over polynomial entries, against Berkowitz on
+matrices of entry-ring objects (the splitting image over F or over the etale
+ring F[s]/(s^2 + s + a), the etale entries of the unitary algebra, the field
+entries of the E block), and against closed forms for projectors and block
+elements.
 """
 
 import random
@@ -10,7 +13,7 @@ import random
 import pytest
 
 from charform.errors import NotPfaffian, ShapeMismatch, UnsupportedDescriptor
-from charform.fields import GF2, gf2k, ratfunc
+from charform.fields import GF2, RatFunc, gf2k, ratfunc
 from charform.forms import normalize
 from charform.involutions import (
     Index2Symp,
@@ -28,12 +31,13 @@ from charform.involutions import (
     srd_form_unitary,
     symmetric_space,
 )
-from charform.linalg import Mat, poly_eval_matrix, poly_mul, rank
+from charform.linalg import Mat, charpoly, poly_eval_matrix, poly_mul, rank
 from charform.quaternions import QuaternionAlgebra, q_conj, q_nrd
 
 F4 = gf2k(2)
 F8 = gf2k(3)
 R2 = ratfunc(GF2)
+R4 = ratfunc(F4)
 
 
 def idx2(field, a, b, us):
@@ -198,6 +202,83 @@ def test_pcrd_against_cofactor_oracle():
         assert reduced_charpoly(desc, x) == poly_charpoly_oracle(
             sp.embed_matrix(quat_matrix(desc, x)), desc.field
         )
+
+
+def _entry_ring_charpoly(desc, x):
+    """The characteristic polynomial of x through a Mat of entry-ring objects:
+    the splitting image of the quaternion matrix (over F or the etale ring),
+    the etale matrix of a unitary etale element, the field matrix of an
+    orthogonal element or of the E block.  Etale coefficients must lie in F."""
+    field = desc.field
+    if desc.kind.endswith("symp"):
+        m = desc.quat.split().embed_matrix(quat_matrix(desc, x))
+    elif desc.kind == "unitary_etale":
+        m = Mat(desc.center, [[desc.center._el(e) for e in row] for row in desc.entries(x)])
+    else:
+        m = Mat(field, [[field._el(e) for e in row] for row in desc.entries(x)])
+    coeffs = charpoly(m)
+    if m.ring is field:
+        return coeffs
+    assert all(not e.y for e in coeffs)
+    return [e.x for e in coeffs]
+
+
+def _rand_fraction_element(desc, rng):
+    """A sparse element whose F(t) payloads may have denominators; hermitian
+    for the unitary etale kind, whose reduced characteristic polynomial lies
+    in F only on Sym."""
+    field = desc.field
+    out = []
+    for _ in range(desc.ambient_dim):
+        e = field.zero if rng.random() < 0.75 else field.rand(rng)
+        if e and isinstance(field, RatFunc) and rng.random() < 0.4:
+            e = e / field.rand_nonzero(rng)
+        out.append(e)
+    x = desc.from_vec(out)
+    return desc.el_add(x, desc.involve(x)) if desc.kind == "unitary_etale" else x
+
+
+SLOTS = {
+    "gen": lambda f: f.gen,
+    "t": lambda f: f.t,
+    "1/t": lambda f: f.one / f.t,
+    "t/(1+t)": lambda f: f.t / (f.one + f.t),
+}
+CHARPOLY_FIELDS = {"gf4": (F4, ["gen"]), "r2": (R2, ["t", "1/t", "t/(1+t)"])}
+CHARPOLY_FIELDS["r4"] = (R4, CHARPOLY_FIELDS["r2"][1])
+CHARPOLY_CASES = [
+    (name, kind, slot)
+    for name, (_, slots) in CHARPOLY_FIELDS.items()
+    for kind, kind_slots in (
+        ("split_symp", [None]),
+        ("orthogonal", [None]),
+        ("unitary_exchange", [None]),
+        ("index2_symp", slots),
+        ("unitary_etale", slots),
+    )
+    for slot in kind_slots
+]
+
+
+@pytest.mark.parametrize("name,kind,slot", CHARPOLY_CASES)
+def test_reduced_charpoly_matches_entry_ring_charpoly(name, kind, slot):
+    # the etale centre c (unitary) or the quaternion slot a (index 2) is slot
+    field = CHARPOLY_FIELDS[name][0]
+    one = field.one
+    t = field.gen if field is F4 else field.t
+    gram = (one, t, one, one + t)
+    makers = {
+        "split_symp": lambda: SplitSymp(field),
+        "orthogonal": lambda: Orthogonal(field, gram),
+        "unitary_exchange": lambda: UnitaryExchange(field),
+        "index2_symp": lambda: idx2(field, SLOTS[slot](field), one + t, gram[1:]),
+        "unitary_etale": lambda: UnitaryEtale(field, SLOTS[slot](field), gram),
+    }
+    desc = makers[kind]()
+    rng = random.Random(29)
+    for _ in range(2):
+        x = _rand_fraction_element(desc, rng)
+        assert desc.reduced_charpoly(x) == _entry_ring_charpoly(desc, x)
 
 
 def test_prp_of_identity():

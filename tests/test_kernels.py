@@ -2,8 +2,10 @@
 
 Matrix products are checked against naive triple loops whose entry products
 are expanded from the defining relations alone (u^2 = u + a, v^2 = b,
-vu = (u + 1)v for quaternions, s^2 = s + c for etale rings), and the etale
-product's zero shortcuts against its five-product formula; elimination
+vu = (u + 1)v for quaternions, s^2 = e*s + c for etale rings), and the etale
+product's zero shortcuts against its five-product formula; the etale
+product with e != 1 against that reduction, on field payloads and on the
+packed GF(2)[t] polynomials of the fraction-free Berkowitz; elimination
 against A x = 0, dimension counts and, over GF(2), sympy's rank; the
 quadratic-form kernels against the sum over i <= j and the polarization
 identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
@@ -22,6 +24,7 @@ from charform.fields import (
     GF2,
     GF2k,
     QuadraticExtension,
+    etale_ops,
     gf2k,
     pcoeffs,
     pdeg,
@@ -114,8 +117,10 @@ def quaternion_product(field, a, b):
     return product_from_relations(("", "u", "v", "uv"), rules, field)
 
 
-def etale_product(field, c):
-    return product_from_relations(("", "s"), [("ss", [("s", field.one), ("", c)])], field)
+def etale_product(field, c, e=None):
+    """The product of x + y*s with s^2 = e*s + c (e = 1 by default)."""
+    e = field.one if e is None else e
+    return product_from_relations(("", "s"), [("ss", [("s", e), ("", c)])], field)
 
 
 def naive_matmul(x, y, add, mul, zero):
@@ -233,6 +238,35 @@ def test_etale_product_matches_five_products(field, data):
     expected = (x1 * x2 + c * (y1 * y2), x1 * y2 + y1 * x2 + y1 * y2)
     got = ring.rmul((x1.raw, y1.raw), (x2.raw, y2.raw))
     assert got == tuple(e.raw for e in expected)
+
+
+@settings(max_examples=100, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(FIELDS), st.data())
+def test_etale_ops_with_linear_term(field, data):
+    # s^2 = e*s + c with any e, as after the substitution r = q*s over F(t)
+    c = data.draw(elements(field))
+    e = data.draw(elements(field).filter(lambda x: x != field.one))
+    coord = sparse(field, elements(field))
+    p, q = (data.draw(st.tuples(coord, coord)) for _ in range(2))
+    expected = etale_product(field, c, e)(p, q)
+    add, mul = etale_ops(c.raw, field.rzero, field.radd, field.rmul, e.raw)
+    raw = [tuple(x.raw for x in v) for v in (p, q)]
+    assert mul(*raw) == tuple(x.raw for x in expected)
+    assert add(*raw) == tuple((x + y).raw for x, y in zip(p, q))
+
+
+@settings(max_examples=100, deadline=None, phases=QUICK.phases)
+@given(st.data())
+def test_etale_ops_on_packed_polynomials(data):
+    # the ring GF(2)[t][r]/(r^2 + e*r + c) of the fraction-free Berkowitz
+    R = ratfunc(GF2)
+    poly = st.integers(0, 63)
+    c, e = data.draw(poly), data.draw(poly.filter(lambda x: x != 1))
+    p, q = (data.draw(st.tuples(poly, poly)) for _ in range(2))
+    add, mul = etale_ops(c, 0, lambda x, y: x ^ y, lambda x, y: pmul(x, y, GF2), e)
+    expected = etale_product(R, R.el(c), R.el(e))(*(tuple(map(R.el, v)) for v in (p, q)))
+    assert mul(p, q) == tuple(x.raw[0] for x in expected)
+    assert all(x.raw[1] == 1 for x in expected)
 
 
 @QUICK

@@ -16,7 +16,6 @@ from typing import Any, Dict
 
 from .errors import CharformError, ParseError
 from .extraction import (
-    _case_of,
     default_components,
     extract_orthogonal_invariants,
     extract_symplectic_invariants,
@@ -43,7 +42,10 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CHARFORM_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ParseError(f"CHARFORM_SEED must be an integer, not {env!r}") from None
 
 
 def cmd_describe(args) -> int:
@@ -63,7 +65,7 @@ def cmd_describe(args) -> int:
         }
         print(json.dumps(out, sort_keys=True))
     else:
-        label = "Symd" if _case_of(desc) == "symplectic" else "Sym"
+        label = "Symd" if desc.case == "symplectic" else "Sym"
         line = f"{desc.kind} over {desc.field.text()}: {label} dim {space.dim}"
         if dims:
             line += ", components {}/{}/{}/{}".format(*dims)
@@ -82,7 +84,7 @@ def _checks_exit(checks) -> int:
 
 def cmd_extract(args) -> int:
     desc = _load_descriptor(args.input)
-    case = _case_of(desc)
+    case = desc.case
     if args.case and args.case != case:
         raise ParseError(f"descriptor is {case}, not {args.case}")
     seed = _seed_from(args)

@@ -43,11 +43,9 @@ from .forms import (
     witt_equivalent_gf2k,
 )
 from .involutions import (
+    CASE_DIMS,
     InvolutionSpace,
-    Orthogonal,
     SplitSymp,
-    UnitaryEtale,
-    UnitaryExchange,
     _SympBase,
     det_orthogonal,
     pfaffian_form,
@@ -207,21 +205,6 @@ def li_trace_norm(L: BiquadraticEtale, i: int, ell) -> Tuple[Fe, Fe]:
     return b, a * a + a * b + c * b * b
 
 
-_EXPECTED_DIMS = {
-    "symplectic": (4, 8, 8, 8),
-    "unitary": (4, 4, 4, 4),
-    "orthogonal": (4, 2, 2, 2),
-}
-
-
-def _case_of(desc) -> str:
-    if isinstance(desc, _SympBase):
-        return "symplectic"
-    if isinstance(desc, (UnitaryExchange, UnitaryEtale)):
-        return "unitary"
-    return "orthogonal"
-
-
 @dataclass
 class WComponents:
     """L and the three Klein components, with restricted forms."""
@@ -232,7 +215,6 @@ class WComponents:
     full_raw: RawQuadraticForm
     l_coords: List[List[Fe]]
     w_coords: List[List[List[Fe]]]  # [i][vector], i = 0..2 for W_1..W_3
-    l_raw: RawQuadraticForm = None
     w_raw: List[RawQuadraticForm] = dc_field(default_factory=list)
 
     @property
@@ -304,8 +286,8 @@ def galois_components(
         L = construct_biquadratic(desc)
     space = symmetric_space(desc)
     field = desc.field
-    case = _case_of(desc)
-    full_raw = pfaffian_form(desc) if case == "symplectic" else second_trace_form(desc)
+    symplectic = desc.case == "symplectic"
+    full_raw = pfaffian_form(desc) if symplectic else second_trace_form(desc)
 
     l_coords = []
     for b in L.basis:
@@ -328,11 +310,11 @@ def galois_components(
         w_coords.append(kernel(rows, field))
 
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
-    expected = _EXPECTED_DIMS[case]
+    expected = CASE_DIMS[desc.case][1]
     if comps.dims != expected:
         raise DecompositionFailure(f"component dimensions {comps.dims}, expected {expected}")
 
-    if isinstance(desc, _SympBase) and _is_default_l(desc, L):
+    if symplectic and _is_default_l(desc, L):
         explicit = _explicit_index2_bases(desc)
         replaced = []
         for i, basis in enumerate(explicit, start=1):
@@ -350,7 +332,6 @@ def galois_components(
             replaced.append(coords)
         comps.w_coords = replaced
 
-    comps.l_raw = full_raw.restrict(comps.l_coords)
     comps.w_raw = [full_raw.restrict(comps.w_coords[i]) for i in range(3)]
 
     if checks:
@@ -366,7 +347,6 @@ def _is_default_l(desc, L: BiquadraticEtale) -> bool:
 def _component_checks(comps: WComponents) -> None:
     desc = comps.desc
     field = desc.field
-    case = _case_of(desc)
     full = comps.full_raw
     # pairwise polar orthogonality
     groups = [comps.l_coords] + comps.w_coords
@@ -387,11 +367,11 @@ def _component_checks(comps: WComponents) -> None:
             t, _ = li_trace_norm(comps.L, i, x2)
             if full.evaluate(coords) != t:
                 raise DecompositionFailure("second coefficient differs from T_i(x^2)")
-            if case == "symplectic":
+            if desc.case == "symplectic":
                 if reduced_pfaffian(desc, x).trace:
                     raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
     # q_i nonsingular over L_i (rank >= 2 cases)
-    if case != "orthogonal":
+    if desc.case != "orthogonal":
         for i in (1, 2, 3):
             _check_qi_nonsingular(comps, i)
 
@@ -491,7 +471,6 @@ class SympPfisterInvariants:
 
 @dataclass
 class Deg4Invariants:
-    case: str  # "unitary" | "orthogonal"
     a1: Fe
     a2: Fe
     checks: List[Check]
@@ -504,11 +483,14 @@ class Deg4Invariants:
     det_class: Optional[Fe] = None
 
 
-def _anisotropic_coords(
-    raw: RawQuadraticForm, rng: random.Random, *, budget: int = 400
-) -> List[Fe]:
+# random candidates _anisotropic_coords and _coords_with_value_one draw
+_ANISOTROPIC_BUDGET = 400
+_VALUE_ONE_TRIALS = 500
+
+
+def _anisotropic_coords(raw: RawQuadraticForm, rng: random.Random) -> List[Fe]:
     """Coordinates of the first `candidates` vector with nonzero value."""
-    for v in candidates(raw.field, raw.dim, rng, budget, 1 << 16):
+    for v in candidates(raw.field, raw.dim, rng, _ANISOTROPIC_BUDGET, 1 << 16):
         if raw.evaluate(v):
             return v
     raise NoAnisotropicVector("no candidate has a nonzero value")
@@ -622,7 +604,7 @@ def extract_symplectic_invariants(
     desc, components: Optional[WComponents] = None, *, seed: int = 0
 ) -> SympPfisterInvariants:
     """Witnesses, the 3-fold and 5-fold Pfister forms, and the report."""
-    if not isinstance(desc, _SympBase):
+    if desc.case != "symplectic":
         raise UnsupportedDescriptor("symplectic descriptor required")
     comps = components if components is not None else default_components(desc)
     x1, x2, a1, a2, pi3, pi5, checks = _extract_pfister_pair(
@@ -729,7 +711,7 @@ def check_pi3_decomposability(
 
     if direction != "to_triple":
         raise ValueError("direction must be from_triple or to_triple")
-    if not isinstance(desc, _SympBase):
+    if desc.case != "symplectic":
         raise UnsupportedDescriptor("to_triple needs a symplectic descriptor")
     comps = default_components(desc)
     w1 = comps.w_raw[0]
@@ -801,7 +783,7 @@ def find_square_central(
     with y.  Returns UNKNOWN only on budget exhaustion, never None for the
     supported fields (the 5-fold form is hyperbolic over all of them).
     """
-    if not isinstance(desc, _SympBase):
+    if desc.case != "symplectic":
         raise UnsupportedDescriptor("symplectic descriptor required")
     comps = components if components is not None else default_components(desc)
     field = desc.field
@@ -844,12 +826,12 @@ def find_square_central(
     return x
 
 
-def _coords_with_value_one(comps: WComponents, rng: random.Random, *, trials: int = 500):
+def _coords_with_value_one(comps: WComponents, rng: random.Random):
     """Space coordinates of y in W_1 + W_2 with full form value 1: the first
     candidate whose value is a nonzero square, scaled by its square root."""
     field = comps.desc.field
     basis = comps.w_coords[0] + comps.w_coords[1]
-    for cs in candidates(field, len(basis), rng, trials, 0):
+    for cs in candidates(field, len(basis), rng, _VALUE_ONE_TRIALS, 0):
         v = _combination(field, cs, basis)
         val = comps.full_raw.evaluate(v)
         r = (field.one / val).sqrt() if val else None
@@ -862,15 +844,11 @@ def extract_unitary_invariants(
     desc, components: Optional[WComponents] = None, *, seed: int = 0
 ) -> Deg4Invariants:
     """The 2-fold and 4-fold Pfister forms of a degree-4 unitary involution."""
-    if not isinstance(desc, (UnitaryExchange, UnitaryEtale)):
+    if desc.case != "unitary":
         raise UnsupportedDescriptor("unitary descriptor required")
     comps = components if components is not None else default_components(desc)
     _, _, a1, a2, pi2, pi4, checks = _extract_pfister_pair(desc, comps, seed, _UNITARY_CHECKS)
-    return Deg4Invariants("unitary", a1, a2, checks, comps, pi2=pi2, pi4=pi4)
-
-
-def _diag_values(raw: RawQuadraticForm, vectors: Sequence[Sequence[Fe]]) -> List[Fe]:
-    return [raw.evaluate(v) for v in vectors]
+    return Deg4Invariants(a1, a2, checks, comps, pi2=pi2, pi4=pi4)
 
 
 def extract_orthogonal_invariants(
@@ -883,7 +861,7 @@ def extract_orthogonal_invariants(
     radical restriction and pi'_3 = <1, delta> + phi is the quasi 3-fold
     form <1, a1, a2, a1a2> x <1, delta>.
     """
-    if not isinstance(desc, Orthogonal):
+    if desc.case != "orthogonal":
         raise UnsupportedDescriptor("orthogonal descriptor required")
     comps = components if components is not None else default_components(desc)
     field = desc.field
@@ -925,16 +903,16 @@ def extract_orthogonal_invariants(
             )
         )
         sval = comps.w_raw[i - 1].evaluate(wc)
-        joint.append((i, wc, det, sval))
+        joint.append((i, det, sval))
 
-    for i, wc, det, sval in joint:
+    for i, det, sval in joint:
         if not sval:
             checks.append(Check(f"w{i}_joint_witness", unknown("regular generator has value 0")))
             continue
         # <Srd(w)> <1, Nrd(w)> matches the restriction as totally singular forms
         target = form(field, [], [sval, sval * det])
         units = [unit_vector(field, 2, k) for k in range(2)]
-        actual = form(field, [], _diag_values(comps.w_raw[i - 1], units))
+        actual = form(field, [], [comps.w_raw[i - 1].evaluate(u) for u in units])
         checks.append(Check(f"w{i}_joint_witness", totally_singular_isometry(actual, target)))
 
     # star multiplicativity of the second trace on W_1 x W_2
@@ -953,16 +931,14 @@ def extract_orthogonal_invariants(
             break
     checks.append(Check("star_multiplicativity", decided(ok)))
 
-    rad_values = form(field, [], _diag_values(full, w_all))
+    rad_values = form(field, [], [full.evaluate(v) for v in w_all])
     checks.append(Check("phi_equals_radical_restriction", totally_singular_isometry(phi, rad_values)))
 
     quasi = quasi_pfister([a1, a2, delta])
     checks.append(Check("pi3_is_quasi_pfister_of_pi1", totally_singular_isometry(pi3, quasi)))
     checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
 
-    return Deg4Invariants(
-        "orthogonal", a1, a2, checks, comps, pi1=pi1, phi=phi, pi3=pi3, det_class=delta
-    )
+    return Deg4Invariants(a1, a2, checks, comps, pi1=pi1, phi=phi, pi3=pi3, det_class=delta)
 
 
 def _square_class_eq(x: Fe, y: Fe) -> bool:

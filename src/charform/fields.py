@@ -593,6 +593,8 @@ def ratfunc(base: GF2k, var: str = "t") -> RatFunc:
 
 def parse_field(text: str) -> Field:
     """Parse a field descriptor: gf2 | gf2k:K | gf2k:K:0xMOD | ratfunc:<base>:VAR."""
+    if not isinstance(text, str):
+        raise ParseError(f"bad field descriptor {text!r}: not a string")
     parts = text.strip().split(":")
     try:
         if parts[0] == "gf2" and len(parts) == 1:

@@ -176,10 +176,6 @@ def block00(field: Field) -> QuadraticForm:
     return form(field, [(field.zero, field.zero)])
 
 
-def polar_matrix(q: RawQuadraticForm):
-    return q.polar_matrix()
-
-
 def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...], ...]]:
     """Symplectic-basis reduction of a raw form.
 

@@ -19,7 +19,8 @@ the orthogonal and exchange shapes return their field entries (the E block
 for the exchange algebra).  One ``reduced_charpoly`` runs one Berkowitz
 driver on it: on payloads over GF(2^k), fraction-free on packed polynomials
 over GF(2^k)(t).  The reduced Pfaffian of a symmetrized element is read off
-the square root of its even coefficients.
+the square root of its even coefficients.  Trd and one trace-form builder
+for every involution type (the class attribute ``case``) also read the hook.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ from .fields import (
 from .forms import RawQuadraticForm, candidates
 from .linalg import Span, charpoly_raw, combination, kernel, matmul_raw
 from .quaternions import QuaternionAlgebra
+
+# per involution type: the dimension of Symd (symplectic) or Sym, and the
+# dimensions of L, W_1, W_2, W_3 in its Klein decomposition
+CASE_DIMS = {
+    "symplectic": (28, (4, 8, 8, 8)),
+    "unitary": (16, (4, 4, 4, 4)),
+    "orthogonal": (10, (4, 2, 2, 2)),
+}
 
 
 class InvolutionSpace:
@@ -106,6 +115,13 @@ class PfaffianData:
     norm: Fe  # constant coefficient
 
 
+def _base_parts(pairs, zero) -> list:
+    """The x parts of etale pairs (x, y), whose y parts must vanish."""
+    if any(y != zero for _, y in pairs):
+        raise CoefficientNotRational("reduced characteristic coefficient outside the base field")
+    return [x for x, _ in pairs]
+
+
 def _berkowitz(rows, c, e, zero, one, add, mul) -> list:
     """charpoly_raw over a ring, or over its extension s^2 = e*s + c (entries
     (x, y) of x + y*s) with the y parts of the coefficients checked to
@@ -113,12 +129,7 @@ def _berkowitz(rows, c, e, zero, one, add, mul) -> list:
     if c is None:
         return charpoly_raw(rows, zero, one, add, mul)
     eadd, emul = etale_ops(c, zero, add, mul, e)
-    pairs = charpoly_raw(rows, (zero, zero), (one, zero), eadd, emul)
-    if any(y != zero for _, y in pairs):
-        raise CoefficientNotRational(
-            "characteristic polynomial coefficient outside the base field"
-        )
-    return [x for x, _ in pairs]
+    return _base_parts(charpoly_raw(rows, (zero, zero), (one, zero), eadd, emul), zero)
 
 
 def _charpoly_fraction_free(field: RatFunc, rows, c) -> list:
@@ -174,6 +185,7 @@ class _MatrixDescriptor:
     """
 
     n = 4
+    case: str  # the involution type, a key of CASE_DIMS
 
     def __init__(self, field: Field, entry_ring, k: int, conj, gram: Sequence[Fe]):
         if any(not g for g in gram):
@@ -216,11 +228,6 @@ class _MatrixDescriptor:
         if k == 1:
             return [x[i * n : (i + 1) * n] for i in range(n)]
         return [[x[(i * n + j) * k : (i * n + j + 1) * k] for j in range(n)] for i in range(n)]
-
-    def _diag_sum(self, x, c: int):
-        """The sum of payload c over the diagonal entries of x."""
-        step = (self.n + 1) * self.k
-        return functools.reduce(self.field.radd, x[c : self.n * step : step])
 
     def el_add(self, x, y):
         return tuple(map(self.field.radd, x, y))
@@ -273,18 +280,46 @@ class _MatrixDescriptor:
         return self.entries(x), None
 
     def reduced_charpoly(self, x) -> List[Fe]:
+        return self._charpoly(*self.split_rows(x))
+
+    def _charpoly(self, rows, c) -> List[Fe]:
+        """The characteristic polynomial of a split_rows matrix."""
         field = self.field
-        rows, c = self.split_rows(x)
         if isinstance(field, RatFunc):
             coeffs = _charpoly_fraction_free(field, rows, c)
         else:
             coeffs = _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
         return list(map(field._el, coeffs))
 
+    def trd(self, x) -> Fe:
+        """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""
+        return self.trd_product(x, self.one_el())
+
+    def trd_product(self, x, y) -> Fe:
+        """Trd(x*y) without forming the product."""
+        rows, c = self.split_rows(x)
+        return self._trace_product(rows, self.split_rows(y)[0], c)
+
+    def _trace_product(self, xs, ys, c) -> Fe:
+        """The sum of X_ik * Y_ki over two split_rows matrices, which lies in F."""
+        field = self.field
+        zero, add, mul = field.rzero, field.radd, field.rmul
+        if c is not None:
+            add, mul = etale_ops(c, zero, add, mul)
+            zero = (zero, zero)
+        acc = zero
+        for i, row in enumerate(xs):
+            for a, y_row in zip(row, ys):
+                if a != zero and y_row[i] != zero:
+                    acc = add(acc, mul(a, y_row[i]))
+        return field._el(acc if c is None else _base_parts([acc], field.rzero)[0])
+
 
 class _SympBase(_MatrixDescriptor):
     """4x4 matrices over a quaternion algebra, sigma adjoint to a diagonal
     hermitian form <1, u1, u2, u3>."""
+
+    case = "symplectic"
 
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
         self.quat = quat
@@ -293,9 +328,6 @@ class _SympBase(_MatrixDescriptor):
         super().__init__(
             field, quat, 4, lambda e: (add(e[0], e[1]),) + e[1:], (field.one,) + self.us
         )
-
-    def trd(self, x) -> Fe:
-        return self.field._el(self._diag_sum(x, 1))  # trd is the u-coordinate
 
     def split_rows(self, x):
         """The 8x8 splitting image on payloads.
@@ -327,22 +359,6 @@ class _SympBase(_MatrixDescriptor):
             rows += (top, bottom)
         return rows, None if split_over_f else self.quat.a.raw
 
-    def trd_product(self, x, y) -> Fe:
-        """Trd(x*y) without forming the full product (diagonal terms only)."""
-        field, quat = self.field, self.quat
-        ex, ey = self.entries(x), self.entries(y)
-        acc = field.rzero
-        for i in range(4):
-            for k in range(4):
-                p, q = ex[i][k], ey[k][i]
-                if p != quat.rzero and q != quat.rzero:
-                    acc = field.radd(acc, quat.rmul(p, q)[1])  # trd is the u-coordinate
-        return field._el(acc)
-
-    @property
-    def symd_dim(self) -> int:
-        return 28
-
 
 class SplitSymp(_SympBase):
     """Degree-8 split symplectic case: conj-transpose on 4x4 over [0,1)."""
@@ -369,6 +385,7 @@ class UnitaryEtale(_MatrixDescriptor):
     """4x4 matrices over Z = F[s]/(s^2+s+c) with a diagonal unitary involution."""
 
     kind = "unitary_etale"
+    case = "unitary"
 
     def __init__(self, field: Field, c: Fe, gs: Sequence[Fe]):
         root = solve_artin_schreier(c)
@@ -381,11 +398,6 @@ class UnitaryEtale(_MatrixDescriptor):
         add = field.radd
         super().__init__(field, self.center, 2, lambda e: (add(e[0], e[1]), e[1]), gs)
 
-    def trd(self, x) -> Fe:
-        if self._diag_sum(x, 1) != self.field.rzero:
-            raise CoefficientNotRational("reduced trace is not in the base field")
-        return self.field._el(self._diag_sum(x, 0))
-
     def split_rows(self, x):
         return self.entries(x), self.c.raw
 
@@ -394,12 +406,10 @@ class Orthogonal(_MatrixDescriptor):
     """4x4 matrices over F with rho(x) = G^-1 x^t G, G = diag(g1..g4)."""
 
     kind = "orthogonal"
+    case = "orthogonal"
 
     def __init__(self, field: Field, gs: Sequence[Fe]):
         super().__init__(field, field, 1, lambda e: e, gs)
-
-    def trd(self, x) -> Fe:
-        return self.field._el(self._diag_sum(x, 0))
 
 
 class UnitaryExchange(_MatrixDescriptor):
@@ -407,6 +417,7 @@ class UnitaryExchange(_MatrixDescriptor):
     and then its E^op block, each a 4x4 matrix over F."""
 
     kind = "unitary_exchange"
+    case = "unitary"
 
     def __init__(self, field: Field):
         super().__init__(field, field, 1, lambda e: e, (field.one,) * 4)
@@ -426,10 +437,6 @@ class UnitaryExchange(_MatrixDescriptor):
     def involve(self, x):
         return x[16:] + x[:16]
 
-    # the reduced trace and characteristic polynomial (through entries) are
-    # those of the E block
-    trd = Orthogonal.trd
-
 
 Descriptor = _MatrixDescriptor
 
@@ -439,30 +446,34 @@ def apply_involution(desc: Descriptor, x):
     return desc.involve(x)
 
 
+def _symmetrized_images(desc: Descriptor) -> List[List[Fe]]:
+    """The coordinates of e + sigma(e) for each standard basis element e."""
+    return [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
+
+
 def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     """Basis of Symd(sigma) (symplectic, with halves) or Sym (fixed points)."""
     if desc._space is not None:
         return desc._space
     field = desc.field
-    basis_el = desc.std_basis()
-    images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in basis_el]
-    if isinstance(desc, _SympBase):
+    images = _symmetrized_images(desc)
+    symplectic = desc.case == "symplectic"
+    if symplectic:
         span = Span(images, field)
         # a combination over the standard basis has the combination as coordinates
         halves = [desc.from_vec(combo) for combo in span.combos]
-        expected = desc.symd_dim
     else:
         # the fixed points are the kernel of x -> x + sigma(x)
         span = Span(kernel([list(col) for col in zip(*images)], field), field)
         halves = None
-        expected = 16 if desc.kind.startswith("unitary") else 10
     basis = [desc.from_vec(row) for row in span.rows]
     space = InvolutionSpace(desc, basis, halves, span)
+    expected = CASE_DIMS[desc.case][0]
     if space.dim != expected:
         raise CharformError(
             f"symmetric space of {desc.kind} has dimension {space.dim}, expected {expected}"
         )
-    if isinstance(desc, _SympBase) and space.coords(desc.one_el()) is None:
+    if symplectic and space.coords(desc.one_el()) is None:
         raise UnsupportedDescriptor("1 is not a symmetrized element")
     desc._space = space
     return space
@@ -480,9 +491,13 @@ def reduced_pfaffian(desc: Descriptor, x) -> PfaffianData:
     NotPfaffian when an odd coefficient survives or an even coefficient is
     not a square (both signal x outside Symd(sigma)).
     """
-    if not isinstance(desc, _SympBase):
+    if desc.case != "symplectic":
         raise UnsupportedDescriptor("reduced Pfaffians need a symplectic descriptor")
-    pc = desc.reduced_charpoly(x)
+    return _pfaffian(desc.reduced_charpoly(x), desc.field)
+
+
+def _pfaffian(pc: List[Fe], field: Field) -> PfaffianData:
+    """The monic square root of a degree-8 reduced characteristic polynomial."""
     assert len(pc) == 9
     coeffs = []
     for i, c in enumerate(pc):
@@ -495,38 +510,53 @@ def reduced_pfaffian(desc: Descriptor, x) -> PfaffianData:
                 raise NotPfaffian("even characteristic coefficient is not a square")
             coeffs.append(r)
     p0, p1, p2, p3, p4 = coeffs
-    assert p4 == desc.field.one
+    assert p4 == field.one
     return PfaffianData(tuple(coeffs), trace=p3, second=p2, linear=p1, norm=p0)
+
+
+def _trace_form(desc: Descriptor) -> RawQuadraticForm:
+    """The second coefficient of the reduced Pfaffian (symplectic) or of the
+    reduced characteristic polynomial on the symmetric space.
+
+    One Berkowitz run per split basis vector gives the diagonal entry and the
+    first coefficient t; the off-diagonal entries come from the polarization
+    b(x, y) = t(x) t(y) + Trd(x y'), y' the stored half of y (symplectic) or y.
+    """
+    space = symmetric_space(desc)
+    field = desc.field
+    split = [desc.split_rows(b) for b in space.basis]
+    polys = [desc._charpoly(rows, c) for rows, c in split]
+    if desc.case == "symplectic":
+        pfs = [_pfaffian(pc, field) for pc in polys]
+        ts, diag = [p.trace for p in pfs], [p.second for p in pfs]
+        primes = [desc.split_rows(h)[0] for h in space.halves]
+    else:
+        # ascending coefficients: X^(n-1) is at -2, X^(n-2) at -3
+        ts, diag = [pc[-2] for pc in polys], [pc[-3] for pc in polys]
+        primes = [rows for rows, _ in split]
+    n = space.dim
+    u = [[field.zero] * n for _ in range(n)]
+    for j in range(n):
+        u[j][j] = diag[j]
+        for i in range(j):
+            rows, c = split[i]
+            u[i][j] = ts[i] * ts[j] + desc._trace_product(rows, primes[j], c)
+    return RawQuadraticForm(field, u)
 
 
 def pfaffian_form(
     desc: Descriptor, *, validate: int = 200, seed: int = 0
 ) -> RawQuadraticForm:
-    """The second Pfaffian coefficient as a raw quadratic form on Symd.
-
-    Diagonal entries come from the reduced Pfaffian of the basis vectors;
-    off-diagonal entries from the polarization identity
-    b(x, y) = tp(x) tp(y) + Trd(x y'), with tp the Pfaffian trace and y' a
-    stored half of y.
-    The result is cross-checked against direct Pfaffian evaluation on
-    ``validate`` random vectors.
+    """The second Pfaffian coefficient as a raw quadratic form on Symd
+    (built by _trace_form), cross-checked against direct Pfaffian
+    evaluation on ``validate`` random vectors.
     """
     if desc._srp_raw is not None:
         return desc._srp_raw
+    if desc.case != "symplectic":
+        raise UnsupportedDescriptor("reduced Pfaffians need a symplectic descriptor")
     space = symmetric_space(desc)
-    field = desc.field
-    n = space.dim
-    pf = [reduced_pfaffian(desc, b) for b in space.basis]
-    traces = [p.trace for p in pf]
-    z = field.zero
-    u = [[z] * n for _ in range(n)]
-    for i in range(n):
-        u[i][i] = pf[i].second
-    for j in range(n):
-        hj = space.halves[j]
-        for i in range(j):
-            u[i][j] = traces[i] * traces[j] + desc.trd_product(space.basis[i], hj)
-    raw = RawQuadraticForm(field, u)
+    raw = _trace_form(desc)
     rng = random.Random(seed)
     for _ in range(validate):
         v = space.rand_coords(rng)
@@ -538,48 +568,27 @@ def pfaffian_form(
 
 
 def second_trace_form(desc: Descriptor) -> RawQuadraticForm:
-    """Restriction of the degree-(2m-2) characteristic coefficient to Sym.
-
-    Polarized through b(x, y) = Trd(x) Trd(y) + Trd(xy); used for the
-    degree-4 unitary and orthogonal descriptors.
+    """Restriction of the degree-(2m-2) characteristic coefficient to Sym
+    (built by _trace_form); used for the degree-4 unitary and orthogonal
+    descriptors.
     """
-    if isinstance(desc, _SympBase):
+    if desc.case == "symplectic":
         raise UnsupportedDescriptor("use pfaffian_form for symplectic descriptors")
-    if desc._srp_raw is not None:
-        return desc._srp_raw
-    space = symmetric_space(desc)
-    field = desc.field
-    n = space.dim
-    z = field.zero
-    u = [[z] * n for _ in range(n)]
-    traces = [desc.trd(b) for b in space.basis]
-    for i in range(n):
-        u[i][i] = desc.reduced_charpoly(space.basis[i])[2]
-        for j in range(i + 1, n):
-            u[i][j] = traces[i] * traces[j] + desc.trd(
-                desc.el_mul(space.basis[i], space.basis[j])
-            )
-    raw = RawQuadraticForm(field, u)
-    desc._srp_raw = raw
-    return raw
+    if desc._srp_raw is None:
+        desc._srp_raw = _trace_form(desc)
+    return desc._srp_raw
 
 
 def srd_form_unitary(desc: Descriptor) -> RawQuadraticForm:
-    if not isinstance(desc, (UnitaryExchange, UnitaryEtale)):
+    if desc.case != "unitary":
         raise UnsupportedDescriptor("unitary descriptor required")
     return second_trace_form(desc)
 
 
 def srd_form_orth(desc: Descriptor) -> RawQuadraticForm:
-    if not isinstance(desc, Orthogonal):
+    if desc.case != "orthogonal":
         raise UnsupportedDescriptor("orthogonal descriptor required")
     return second_trace_form(desc)
-
-
-def symmetrized_space_orth(desc: Orthogonal) -> List[tuple]:
-    """Basis of {x + rho(x)}, the alternating part inside Sym(rho)."""
-    images = [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
-    return [desc.from_vec(row) for row in Span(images, desc.field).rows]
 
 
 # invertible symmetrized elements whose determinants det_orthogonal compares
@@ -593,7 +602,8 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0) -> Fe:
     the choice is asserted on _DET_WITNESSES witnesses (their ratios are
     squares).
     """
-    basis = symmetrized_space_orth(desc)
+    # a basis of {x + rho(x)}, the alternating part inside Sym(rho)
+    basis = [desc.from_vec(row) for row in Span(_symmetrized_images(desc), desc.field).rows]
     found: List[Fe] = []
     for cs in candidates(desc.field, len(basis), random.Random(seed), 500, 0):
         w = functools.reduce(desc.el_add, (desc.el_scal(c, b) for c, b in zip(cs, basis) if c))

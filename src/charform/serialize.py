@@ -87,15 +87,23 @@ def descriptor_from_json(obj: Dict[str, Any]):
         raise ParseError(str(exc)) from exc
 
 
+def _elements(field: Field, obj: Dict[str, Any], key: str) -> list:
+    if not isinstance(obj[key], list):
+        raise ParseError(f"{key} must be a list of field elements")
+    return [fe_from_json(field, x) for x in obj[key]]
+
+
 def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
     if kind == "split_symp":
         return SplitSymp(field)
     if kind == "index2_symp":
         try:
             qd = obj["quaternion"]
+            if not isinstance(qd, dict):
+                raise ParseError("quaternion must be an object with slots a and b")
             a = fe_from_json(field, qd["a"])
             b = fe_from_json(field, qd["b"])
-            us = [fe_from_json(field, u) for u in obj["h"]]
+            us = _elements(field, obj, "h")
         except KeyError as exc:
             raise ParseError(f"index2_symp needs quaternion and h: {exc}") from exc
         if len(us) != 3:
@@ -106,7 +114,7 @@ def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
     if kind == "unitary_etale":
         try:
             c = fe_from_json(field, obj["c"])
-            gs = [fe_from_json(field, g) for g in obj["gram"]]
+            gs = _elements(field, obj, "gram")
         except KeyError as exc:
             raise ParseError(f"unitary_etale needs c and gram: {exc}") from exc
         if len(gs) != 4:
@@ -114,7 +122,7 @@ def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
         return UnitaryEtale(field, c, gs)
     if kind == "orthogonal":
         try:
-            gs = [fe_from_json(field, g) for g in obj["gram"]]
+            gs = _elements(field, obj, "gram")
         except KeyError as exc:
             raise ParseError(f"orthogonal needs gram: {exc}") from exc
         if len(gs) != 4:

@@ -114,8 +114,18 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
              "h": ["0x1", "0x0", "0x1"]},
             "Gram coefficients must be nonzero",
         ),
+        ({"kind": "orthogonal", "field": "gf2", "gram": 5}, "gram must be a list"),
+        ({"kind": "orthogonal", "field": "gf2", "gram": None}, "gram must be a list"),
+        (
+            {"kind": "index2_symp", "field": "gf2", "quaternion": "x", "h": ["0x1"] * 3},
+            "quaternion must be an object",
+        ),
+        ({"kind": "split_symp", "field": 5}, "bad field descriptor 5"),
     ],
-    ids=["split_center", "zero_gram", "zero_slot_b", "zero_h"],
+    ids=[
+        "split_center", "zero_gram", "zero_slot_b", "zero_h",
+        "gram_number", "gram_null", "quaternion_string", "field_number",
+    ],
 )
 def test_extract_invalid_descriptor_is_exit_2(obj, message, tmp_path, capsys):
     path = write_descriptor(tmp_path, obj)
@@ -169,12 +179,22 @@ def test_extract_case_mismatch_is_exit_2(tmp_path, capsys):
     assert main(["extract", "--input", path, "--case", "orthogonal"]) == 2
 
 
-def test_extract_env_seed(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, seed",
+    [("extract", "11"), ("extract", "abc"), ("verify", "abc")],
+    ids=["extract", "extract_not_integer", "verify_not_integer"],
+)
+def test_extract_env_seed(command, seed, tmp_path, capsys, monkeypatch):
     path = write_descriptor(tmp_path, UNIT)
-    monkeypatch.setenv("CHARFORM_SEED", "11")
-    assert main(["extract", "--input", path, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["seed"] == 11
+    monkeypatch.setenv("CHARFORM_SEED", seed)
+    argv = ["extract", "--input", path] if command == "extract" else ["verify", "--suite", "fields"]
+    rc = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    if seed.isdigit():
+        assert rc == 0 and json.loads(captured.out)["seed"] == int(seed)
+    else:
+        assert rc == 2 and not captured.out
+        assert "error: CHARFORM_SEED must be an integer, not 'abc'" in captured.err
 
 
 def test_verify_exit_codes(capsys):

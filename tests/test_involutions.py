@@ -12,7 +12,12 @@ import random
 
 import pytest
 
-from charform.errors import NotPfaffian, ShapeMismatch, UnsupportedDescriptor
+from charform.errors import (
+    CoefficientNotRational,
+    NotPfaffian,
+    ShapeMismatch,
+    UnsupportedDescriptor,
+)
 from charform.fields import GF2, RatFunc, gf2k, ratfunc
 from charform.forms import normalize
 from charform.involutions import (
@@ -277,8 +282,30 @@ def test_reduced_charpoly_matches_entry_ring_charpoly(name, kind, slot):
     desc = makers[kind]()
     rng = random.Random(29)
     for _ in range(2):
-        x = _rand_fraction_element(desc, rng)
-        assert desc.reduced_charpoly(x) == _entry_ring_charpoly(desc, x)
+        x, y = _rand_fraction_element(desc, rng), _rand_fraction_element(desc, rng)
+        oracle = _entry_ring_charpoly(desc, x)
+        assert desc.reduced_charpoly(x) == oracle
+        # Trd is the coefficient of X^(n-1); Trd(xy) needs no product
+        assert desc.trd(x) == oracle[-2]
+        assert desc.trd_product(x, y) == desc.trd(desc.el_mul(x, y))
+
+
+@pytest.mark.parametrize(
+    "field, c",
+    [(F4, F4.gen), (R2, R2.t), (R2, R2.one / R2.t)],
+    ids=["gf4-gen", "r2-t", "r2-1/t"],
+)
+def test_unitary_etale_coefficient_outside_f_raises(field, c):
+    # s at (0, 0): Trd(x) = s, and X + s divides the characteristic polynomial
+    desc = UnitaryEtale(field, c, (field.one,) * 4)
+    x = desc.zero_el()
+    x = x[:1] + (field.rone,) + x[2:]
+    with pytest.raises(CoefficientNotRational):
+        desc.trd(x)
+    with pytest.raises(CoefficientNotRational):
+        desc.trd_product(x, desc.projector(0))
+    with pytest.raises(CoefficientNotRational):
+        desc.reduced_charpoly(x)
 
 
 def test_prp_of_identity():
@@ -370,28 +397,40 @@ def test_prp_annihilates_element():
         assert desc.el_eq(acc, desc.zero_el())
 
 
-def test_srd_unitary_exchange_matches_charpoly_coefficient():
-    desc = UnitaryExchange(F4)
-    raw = srd_form_unitary(desc)
+SRD_FIELDS = {"gf4": F4, "r2": R2, "r4": R4}
+SRD_CASES = [
+    (name, kind, c)
+    for name in SRD_FIELDS
+    for kind, cs in (
+        ("unitary_exchange", [None]),
+        ("orthogonal", [None]),
+        ("unitary_etale", ["t", "1/t"]),
+    )
+    for c in cs
+]
+
+
+@pytest.mark.parametrize("name,kind,c", SRD_CASES)
+def test_second_trace_form_matches_charpoly_coefficient(name, kind, c):
+    # over GF(4), t stands for the generator
+    field = SRD_FIELDS[name]
+    one = field.one
+    t = field.gen if field is F4 else field.t
+    gram = (one, t, one + t, one)
+    if kind == "unitary_exchange":
+        desc = UnitaryExchange(field)
+    elif kind == "orthogonal":
+        desc = Orthogonal(field, gram)
+    else:
+        desc = UnitaryEtale(field, t if c == "t" else one / t, gram)
+    raw = (srd_form_orth if kind == "orthogonal" else srd_form_unitary)(desc)
     space = symmetric_space(desc)
     rng = random.Random(29)
-    for _ in range(100):
-        v = space.rand_coords(rng)
-        x = space.element(v)
-        assert raw.evaluate(v) == reduced_charpoly(desc, x)[2]
-    # Srd(1) = C(4,2) mod 2 = 0
-    one_coords = space.coords(desc.one_el())
-    assert raw.evaluate(one_coords) == F4.zero
-
-
-def test_srd_unitary_etale_values_rational():
-    desc = UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.gen + F4.one, F4.one))
-    raw = srd_form_unitary(desc)
-    space = symmetric_space(desc)
-    rng = random.Random(31)
-    for _ in range(50):
+    for _ in range(25):
         v = space.rand_coords(rng)
         assert raw.evaluate(v) == reduced_charpoly(desc, space.element(v))[2]
+    # Srd(1) = C(4,2) mod 2 = 0
+    assert raw.evaluate(space.coords(desc.one_el())) == field.zero
 
 
 def test_srd_orth_polar_rank_4():

@@ -906,14 +906,17 @@ def extract_orthogonal_invariants(
         joint.append((i, det, sval))
 
     for i, det, sval in joint:
+        # <Srd(w)> <1, Nrd(w)> matches the restriction as totally singular
+        # forms; when Srd(w) = 0, <a_i> <1, delta> does (a_3 = a1 a2)
+        witness = None
         if not sval:
-            checks.append(Check(f"w{i}_joint_witness", unknown("regular generator has value 0")))
-            continue
-        # <Srd(w)> <1, Nrd(w)> matches the restriction as totally singular forms
+            sval, det = (a1, a2, a1 * a2)[i - 1], delta
+            witness = {"value": sval.raw}
         target = form(field, [], [sval, sval * det])
         units = [unit_vector(field, 2, k) for k in range(2)]
         actual = form(field, [], [comps.w_raw[i - 1].evaluate(u) for u in units])
-        checks.append(Check(f"w{i}_joint_witness", totally_singular_isometry(actual, target)))
+        result = totally_singular_isometry(actual, target)
+        checks.append(Check(f"w{i}_joint_witness", Decision(result.state, result.witness or witness)))
 
     # star multiplicativity of the second trace on W_1 x W_2
     ok = True

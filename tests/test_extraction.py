@@ -1,6 +1,7 @@
 """Pipeline tests: biquadratic subalgebras, components, star composition,
 and the invariant extraction reports."""
 
+import itertools
 import random
 
 import pytest
@@ -346,6 +347,16 @@ def test_orthogonal_extraction(field, gs):
     assert names["radical_is_w1_w2_w3"].is_true
     assert names["phi_equals_radical_restriction"].is_true
     assert names["pi3_is_quasi_pfister_of_pi1"].is_true
+
+
+@pytest.mark.parametrize("field", [GF2, F4], ids=["gf2", "gf4"])
+def test_orthogonal_gram_sweep_decides_every_check(field):
+    # every Gram diagonal over GF(2) (one) and GF(4) (81): no check is
+    # false or unknown, the GF(2) joint witnesses included
+    nonzero = [x for x in field.elements() if x]
+    for gs in itertools.product(nonzero, repeat=4):
+        inv = extract_orthogonal_invariants(Orthogonal(field, gs))
+        assert [c.name for c in inv.checks if not c.result.is_true] == [], gs
 
 
 def test_orthogonal_ratfunc_detrho():

@@ -19,8 +19,9 @@ the orthogonal and exchange shapes return their field entries (the E block
 for the exchange algebra).  One ``reduced_charpoly`` runs one Berkowitz
 driver on it: on payloads over GF(2^k), fraction-free on packed polynomials
 over GF(2^k)(t).  The reduced Pfaffian of a symmetrized element is read off
-the square root of its even coefficients.  Trd and one trace-form builder
-for every involution type (the class attribute ``case``) also read the hook.
+the square root of its even coefficients.  Trd and both trace forms (the
+Pfaffian form and the second-trace form, made by one builder) come from
+``split_rows`` too, and the class attribute ``case`` holds the involution type.
 """
 
 from __future__ import annotations
@@ -339,18 +340,18 @@ class _SympBase(_MatrixDescriptor):
         """
         field = self.field
         sp = self.quat.split()
-        add, mul = field.radd, field.rmul
+        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
         split_over_f = sp.ring is field
-        terms = [(t[0], t[1:]) for t in sp.terms]
         rows = []
         for entry_row in self.entries(x):
             top, bottom = [], []
             for c in entry_row:
                 e = []
-                for (k0, m0), rest in terms:
-                    acc = mul(c[k0], m0)
-                    for k, m in rest:
-                        acc = add(acc, mul(c[k], m))
+                for term in sp.terms:
+                    acc = zero
+                    for k, m in term:
+                        if c[k] != zero:
+                            acc = add(acc, c[k] if m == one else mul(c[k], m))
                     e.append(acc)
                 if not split_over_f:
                     e = list(zip(e[::2], e[1::2]))

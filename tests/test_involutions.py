@@ -426,7 +426,7 @@ def test_second_trace_form_matches_charpoly_coefficient(name, kind, c):
     raw = (srd_form_orth if kind == "orthogonal" else srd_form_unitary)(desc)
     space = symmetric_space(desc)
     rng = random.Random(29)
-    for _ in range(25):
+    for _ in range(100):
         v = space.rand_coords(rng)
         assert raw.evaluate(v) == reduced_charpoly(desc, space.element(v))[2]
     # Srd(1) = C(4,2) mod 2 = 0

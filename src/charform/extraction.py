@@ -70,7 +70,8 @@ class BiquadraticEtale:
 
     The group elements act by s1 -> s1 + e1, s2 -> s2 + e2; with the labels
     alpha_1 = (1,0), alpha_2 = (0,1), alpha_3 = (1,1) the fixed algebras are
-    L_1 = F[s2], L_2 = F[s1], L_3 = F[s1 + s2].
+    L_1 = F[s2], L_2 = F[s1], L_3 = F[s1 + s2].  Coordinates over the basis
+    (1, s1, s2, s1*s2) and over (1, g_i) are lists of field payloads.
     """
 
     def __init__(self, desc, s1, s2, c1: Fe, c2: Fe):
@@ -88,26 +89,23 @@ class BiquadraticEtale:
             i: Span([one_vec, desc.to_vec(self.generator(i)[0])], desc.field) for i in (1, 2, 3)
         }
 
-    def _l_coords(self, x) -> Optional[List[Fe]]:
-        return self.span.input_coords(self.desc.to_vec(x))
-
     def alpha(self, i: int, x):
         """Image of x in L under the i-th Klein involution."""
-        a = self._l_coords(x)
+        a = self.span.input_coords(self.desc.to_vec(x))
         if a is None:
             raise NotInLi("element outside the biquadratic subalgebra")
         a0, a1, a2, a3 = a
         f = self.desc.field
+        add = f.radd
         if i == 1:
-            b = (a0 + a1, a1, a2 + a3, a3)
+            b = (add(a0, a1), a1, add(a2, a3), a3)
         elif i == 2:
-            b = (a0 + a2, a1 + a3, a2, a3)
+            b = (add(a0, a2), add(a1, a3), a2, a3)
         elif i == 3:
-            b = (a0 + a1 + a2 + a3, a1 + a3, a2 + a3, a3)
+            b = (add(add(a0, a1), add(a2, a3)), add(a1, a3), add(a2, a3), a3)
         else:
             raise ValueError("Klein involutions are indexed 1..3")
-        raw = [c.raw for c in b]
-        return tuple(combination(f, raw, self.basis, self.desc.ambient_dim))
+        return tuple(combination(f, b, self.basis, self.desc.ambient_dim))
 
     def generator(self, i: int):
         """A generator g_i of the fixed algebra L_i with its constant c_i."""
@@ -123,11 +121,9 @@ class BiquadraticEtale:
         _, c = self.generator(i)
         return QuadraticExtension(self.desc.field, c)
 
-    def li_coords(self, i: int, ell) -> Optional[Tuple[Fe, Fe]]:
-        coords = self._li_spans[i].input_coords(self.desc.to_vec(ell))
-        if coords is None:
-            return None
-        return coords[0], coords[1]
+    def li_coords(self, i: int, ell) -> Optional[list]:
+        """The payloads (a, b) with ell = a + b*g_i, or None."""
+        return self._li_spans[i].input_coords(self.desc.to_vec(ell))
 
     def li_element(self, i: int, a: Fe, b: Fe):
         g, _ = self.generator(i)
@@ -202,7 +198,10 @@ def li_trace_norm(L: BiquadraticEtale, i: int, ell) -> Tuple[Fe, Fe]:
         raise NotInLi(f"element is not in L_{i}")
     a, b = coords
     _, c = L.generator(i)
-    return b, a * a + a * b + c * b * b
+    field = L.desc.field
+    add, mul = field.radd, field.rmul
+    norm = add(add(mul(a, a), mul(a, b)), mul(c.raw, mul(b, b)))
+    return field._el(b), field._el(norm)
 
 
 @dataclass
@@ -213,8 +212,8 @@ class WComponents:
     L: BiquadraticEtale
     space: InvolutionSpace
     full_raw: RawQuadraticForm
-    l_coords: List[List[Fe]]
-    w_coords: List[List[List[Fe]]]  # [i][vector], i = 0..2 for W_1..W_3
+    l_coords: List[list]  # payload coordinates over the space basis
+    w_coords: List[List[list]]  # [i][vector], i = 0..2 for W_1..W_3
     w_raw: List[RawQuadraticForm] = dc_field(default_factory=list)
 
     @property
@@ -226,10 +225,11 @@ class WComponents:
             len(self.w_coords[2]),
         )
 
-    def w_element(self, i: int, coords: Sequence[Fe]):
-        return self.space.element(_combination(self.desc.field, coords, self.w_coords[i - 1]))
+    def w_element(self, i: int, coords: Sequence):
+        vectors = self.w_coords[i - 1]
+        return self.space.element(combination(self.desc.field, coords, vectors, self.space.dim))
 
-    def w_membership(self, i: int, x) -> Optional[List[Fe]]:
+    def w_membership(self, i: int, x) -> Optional[list]:
         sc = self.space.coords(x)
         if sc is None:
             return None
@@ -238,10 +238,10 @@ class WComponents:
 
 def _quat_matrix(desc: _SympBase, entries) -> tuple:
     """The element with the quaternion q at (i, j) for each (i, j, q) in entries."""
-    v = [desc.field.zero] * desc.ambient_dim
+    v = [desc.field.rzero] * desc.ambient_dim
     for i, j, q in entries:
-        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
-    return desc.from_vec(v)
+        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.raw
+    return tuple(v)
 
 
 def _explicit_index2_bases(desc: _SympBase) -> List[List]:
@@ -297,7 +297,7 @@ def galois_components(
         l_coords.append(c)
 
     gens = [L.s1, L.s2]
-    w_coords: List[List[List[Fe]]] = []
+    w_coords: List[List[list]] = []
     for i in (1, 2, 3):
         rows = []
         for s in gens:
@@ -376,13 +376,7 @@ def _component_checks(comps: WComponents) -> None:
             _check_qi_nonsingular(comps, i)
 
 
-def _combination(field, coeffs: Sequence[Fe], vectors: Sequence[Sequence[Fe]]) -> List[Fe]:
-    """sum_k coeffs[k] * vectors[k] for vectors of field elements."""
-    raw = [[a.raw for a in vec] for vec in vectors]
-    return list(map(field._el, combination(field, [c.raw for c in coeffs], raw, len(raw[0]))))
-
-
-def _li_module_basis(comps: WComponents, i: int) -> List[List[Fe]]:
+def _li_module_basis(comps: WComponents, i: int) -> List[list]:
     """An L_i-module basis of W_i, as space-coordinate vectors."""
     desc = comps.desc
     field = desc.field
@@ -392,12 +386,12 @@ def _li_module_basis(comps: WComponents, i: int) -> List[List[Fe]]:
     def g_image(v):
         return comps.space.coords(desc.el_mul(comps.space.element(v), g))
 
-    chosen: List[List[Fe]] = []
-    acc: List[List[Fe]] = []
+    chosen: List[list] = []
+    acc: List[list] = []
     for cs in candidates(field, len(vectors), None, 0, 0):
         if 2 * len(chosen) == len(vectors):
             break
-        v = _combination(field, cs, vectors)
+        v = combination(field, cs, vectors, comps.space.dim)
         trial = acc + [v, g_image(v)]
         if Span(trial, field).dim == len(trial):
             chosen.append(v)
@@ -420,7 +414,7 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
             co = comps.L.li_coords(i, z)
             if co is None:
                 raise DecompositionFailure("polar of q_i escapes L_i")
-            row.append(ring.el(co[0], co[1]))
+            row.append(ring._el(co))
         rows.append(row)
     det = charpoly(Mat(ring, rows))[0]
     if not det.norm():
@@ -457,8 +451,8 @@ def default_components(desc) -> WComponents:
 class SympPfisterInvariants:
     a1: Fe
     a2: Fe
-    x1_coords: List[Fe]  # component coordinates of the W_1 witness
-    x2_coords: List[Fe]
+    x1_coords: list  # payload component coordinates of the W_1 witness
+    x2_coords: list
     pi3: QuadraticForm
     pi5: QuadraticForm
     checks: List[Check]
@@ -488,7 +482,7 @@ _ANISOTROPIC_BUDGET = 400
 _VALUE_ONE_TRIALS = 500
 
 
-def _anisotropic_coords(raw: RawQuadraticForm, rng: random.Random) -> List[Fe]:
+def _anisotropic_coords(raw: RawQuadraticForm, rng: random.Random) -> list:
     """Coordinates of the first `candidates` vector with nonzero value."""
     for v in candidates(raw.field, raw.dim, rng, _ANISOTROPIC_BUDGET, 1 << 16):
         if raw.evaluate(v):
@@ -515,9 +509,9 @@ def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     v2 = space.coords(l2)
     vone = space.coords(desc.one_el())
     conds = []
-    vsum = [a + b for a, b in zip(v1, v2)]
+    vsum = list(map(field.radd, v1, v2))
     for v in (v1, v2, vsum):
-        vv = [a + b for a, b in zip(v, vone)]
+        vv = list(map(field.radd, v, vone))
         conds.append(full.evaluate(v) == one)
         conds.append(full.evaluate(vv) == one)
     conds.append(not full.evaluate(vone))
@@ -527,10 +521,8 @@ def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     # complement of the (l1, l2) plane inside L meets 1; it splits because
     # the plane is nonsingular and 1 is isotropic in it
     v4 = comps.l_coords[3]
-    w = [
-        a + full.polar(v4, v2) * b1 + full.polar(v4, v1) * b2
-        for a, b1, b2 in zip(v4, v1, v2)
-    ]
+    coeffs = (field.rone, full.polar(v4, v2).raw, full.polar(v4, v1).raw)
+    w = combination(field, coeffs, (v4, v1, v2), space.dim)
     # the complement of the (l1, l2) plane is a nondegenerate plane spanned
     # by 1 and w; pairing with the isotropic 1 makes it a split block
     conds.append(bool(full.polar(vone, w)))
@@ -591,7 +583,7 @@ def _extract_pfister_pair(desc, comps: WComponents, seed: int, names: _CheckName
         checks.append(Check(names.w2_match, blocks_match_upto_squares(q2, pi)))
     witness = None
     if names.star_witness:
-        witness = {"x1": [c.raw for c in x1], "x2": [c.raw for c in x2]}
+        witness = {"x1": x1, "x2": x2}
     represents = _star_represents_product(desc, comps, x1, x2, a1, a2)
     checks.append(Check("w3_represents_a1a2", decided(represents, witness)))
     checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
@@ -628,7 +620,7 @@ def extract_symplectic_invariants(
 class DecomposabilityReport:
     direction: str
     checks: List[Check]
-    witness_coords: Optional[List[Fe]] = None
+    witness_coords: Optional[list] = None
 
     @property
     def all_true(self) -> bool:
@@ -759,12 +751,12 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
         co = comps.L.li_coords(1, z)
         if co is None:
             continue
-        zl = ring.el(co[0], co[1])
+        zl = ring._el(co)
         if not zl.norm():
             continue
         ysq = desc.el_mul(y, y)
         yco = comps.L.li_coords(1, desc.el_add(ysq, one))
-        lam = ring.el(yco[0], yco[1]) * zl.inv()
+        lam = ring._el(yco) * zl.inv()
         lam_el = comps.L.li_element(1, lam.x, lam.y)
         cand = desc.el_add(desc.el_mul(x, lam_el), y)
         if desc.el_eq(desc.el_mul(cand, cand), one):
@@ -832,11 +824,11 @@ def _coords_with_value_one(comps: WComponents, rng: random.Random):
     field = comps.desc.field
     basis = comps.w_coords[0] + comps.w_coords[1]
     for cs in candidates(field, len(basis), rng, _VALUE_ONE_TRIALS, 0):
-        v = _combination(field, cs, basis)
+        v = combination(field, cs, basis, comps.space.dim)
         val = comps.full_raw.evaluate(v)
         r = (field.one / val).sqrt() if val else None
         if r is not None:
-            return [r * a for a in v]
+            return combination(field, [r.raw], [v], len(v))
     return None
 
 
@@ -870,8 +862,7 @@ def extract_orthogonal_invariants(
     full = comps.full_raw
 
     # the polar radical is exactly W_1 + W_2 + W_3
-    bmat = [list(r) for r in full.polar_matrix()]
-    rad = kernel(bmat, field)
+    rad = kernel(full.polar_matrix(), field)
     w_all = [v for i in range(3) for v in comps.w_coords[i]]
     rad_span = Span(rad, field)
     same = rad_span.dim == 6 and all(rad_span.coords(v) is not None for v in w_all)
@@ -921,8 +912,8 @@ def extract_orthogonal_invariants(
     # star multiplicativity of the second trace on W_1 x W_2
     ok = True
     for _ in range(100):
-        c1 = [field.rand(rng) for _ in range(2)]
-        c2 = [field.rand(rng) for _ in range(2)]
+        c1 = [field.rand(rng).raw for _ in range(2)]
+        c2 = [field.rand(rng).raw for _ in range(2)]
         w1 = comps.w_element(1, c1)
         w2 = comps.w_element(2, c2)
         prod = desc.el_add(desc.el_mul(w1, w2), desc.el_mul(w2, w1))

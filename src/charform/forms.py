@@ -39,8 +39,9 @@ from .linalg import Span, combination, unit_vector
 
 
 class RawQuadraticForm:
-    """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on coordinates; evaluate
-    and polar run on payload rows of the nonzero U[i][j], j >= i, built once."""
+    """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on payload coordinate
+    vectors; evaluate and polar run on payload rows of the nonzero U[i][j],
+    j >= i, built once, and return field elements."""
 
     __slots__ = ("field", "u", "_rows")
 
@@ -65,30 +66,24 @@ class RawQuadraticForm:
         add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         return functools.reduce(add, (mul(c, x[j]) for j, c in row if x[j] != zero), zero)
 
-    def evaluate(self, v: Sequence[Fe]) -> Fe:
-        return self.field._el(self.evaluate_raw([a.raw for a in v]))
-
-    def evaluate_raw(self, x: Sequence):
-        """q(x) on a payload vector, as a payload."""
+    def evaluate(self, x: Sequence) -> Fe:
+        """q(x) on a payload vector."""
         add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         acc = zero
         for xi, row in zip(x, self._rows):
             if xi != zero:
                 acc = add(acc, mul(xi, self._dot(row, x)))
-        return acc
+        return self.field._el(acc)
 
-    def polar_matrix(self) -> Tuple[Tuple[Fe, ...], ...]:
-        """B = U + U^t; alternating (zero diagonal) in characteristic 2."""
+    def polar_matrix(self) -> Tuple[tuple, ...]:
+        """B = U + U^t on payloads; alternating (zero diagonal) in characteristic 2."""
         n = self.dim
         return tuple(
-            tuple(self.u[i][j] + self.u[j][i] for j in range(n)) for i in range(n)
+            tuple((self.u[i][j] + self.u[j][i]).raw for j in range(n)) for i in range(n)
         )
 
-    def polar(self, v: Sequence[Fe], w: Sequence[Fe]) -> Fe:
-        return self.field._el(self.polar_raw([a.raw for a in v], [a.raw for a in w]))
-
-    def polar_raw(self, x: Sequence, y: Sequence):
-        """The polar form on payload vectors, as a payload."""
+    def polar(self, x: Sequence, y: Sequence) -> Fe:
+        """The polar form on payload vectors."""
         # sum_{i<=j} U[i][j] (x_i y_j + x_j y_i): the diagonal terms cancel
         add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         acc = zero
@@ -97,10 +92,10 @@ class RawQuadraticForm:
                 acc = add(acc, mul(xi, self._dot(row, y)))
             if yi != zero:
                 acc = add(acc, mul(yi, self._dot(row, x)))
-        return acc
+        return self.field._el(acc)
 
-    def restrict(self, vectors: Sequence[Sequence[Fe]]) -> "RawQuadraticForm":
-        """The form induced on the span of the given coordinate vectors."""
+    def restrict(self, vectors: Sequence[Sequence]) -> "RawQuadraticForm":
+        """The form induced on the span of the given payload coordinate vectors."""
         n = len(vectors)
         z = self.field.zero
         u = [[z] * n for _ in range(n)]
@@ -135,15 +130,18 @@ class QuadraticForm:
     def nonsingular(self) -> bool:
         return not self.diag
 
-    def evaluate(self, v: Sequence[Fe]) -> Fe:
-        acc = self.field.zero
+    def evaluate(self, v: Sequence) -> Fe:
+        """The value at a payload vector."""
+        field = self.field
+        add, mul = field.radd, field.rmul
+        acc = field.rzero
         for i, (a, b) in enumerate(self.blocks):
             x, y = v[2 * i], v[2 * i + 1]
-            acc = acc + a * x * x + x * y + b * y * y
+            acc = add(acc, add(mul(a.raw, mul(x, x)), add(mul(x, y), mul(b.raw, mul(y, y)))))
         for j, c in enumerate(self.diag):
             x = v[2 * len(self.blocks) + j]
-            acc = acc + c * x * x
-        return acc
+            acc = add(acc, mul(c.raw, mul(x, x)))
+        return field._el(acc)
 
     def to_raw(self) -> RawQuadraticForm:
         n = self.dim
@@ -176,21 +174,24 @@ def block00(field: Field) -> QuadraticForm:
     return form(field, [(field.zero, field.zero)])
 
 
-def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...], ...]]:
+def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
     """Symplectic-basis reduction of a raw form.
 
-    Returns the block form together with the change of basis T (columns are
-    the new basis in old coordinates), so q(T y) equals the block form at y.
+    Returns the block form together with the change of basis T on payloads
+    (columns are the new basis in old coordinates), so q(T y) equals the
+    block form at y.
     The radical of the polar form lands in the diagonal part.
     """
     field = q.field
     n = q.dim
     zero, one = field.rzero, field.rone
-    vecs = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    vecs = [unit_vector(field, n, i) for i in range(n)]
     remaining = list(range(n))
     blocks: List[Tuple[Fe, Fe]] = []
     ordered: List[list] = []
-    bil = q.polar_raw
+
+    def bil(x, y):
+        return q.polar(x, y).raw
 
     while True:
         pair = None
@@ -212,7 +213,7 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...],
                 continue
             w = vecs[idx]
             vecs[idx] = combination(field, (one, bil(w, vj), bil(w, vi)), (w, vi, vj), n)
-        blocks.append((field._el(q.evaluate_raw(vi)), field._el(q.evaluate_raw(vj))))
+        blocks.append((q.evaluate(vi), q.evaluate(vj)))
         ordered.append(vi)
         ordered.append(vj)
         hi = remaining[jj]
@@ -220,10 +221,10 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[Tuple[Fe, ...],
         remaining = [idx for idx in remaining if idx not in (lo, hi)]
     diag = []
     for idx in remaining:
-        diag.append(field._el(q.evaluate_raw(vecs[idx])))
+        diag.append(q.evaluate(vecs[idx]))
         ordered.append(vecs[idx])
     # columns are the new basis vectors
-    transform = tuple(tuple(map(field._el, col)) for col in zip(*ordered))
+    transform = tuple(zip(*ordered))
     return form(field, blocks, diag), transform
 
 
@@ -365,8 +366,8 @@ def witt_equivalent_gf2k(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _square_coords(e: Fe) -> List[Fe]:
-    """Coordinates of e over the F^2-basis {1, t} of F, both in F^2.
+def _square_coords(e: Fe) -> list:
+    """Payload coordinates of e over the F^2-basis {1, t} of F, both in F^2.
 
     Over GF(2^k), F^2 = F and e has the coordinates (e, 0).  Vectors with
     entries in F^2 have the same rank and span membership over F as over F^2,
@@ -374,7 +375,7 @@ def _square_coords(e: Fe) -> List[Fe]:
     """
     field = e.field
     if isinstance(field, GF2k):
-        return [e, field.zero]
+        return [e.raw, field.rzero]
     base = field.base
     num, den = e.raw
     m = field.rmul((num, 1), (den, 1))[0]  # num*den; e = m / den^2
@@ -390,7 +391,7 @@ def _square_coords(e: Fe) -> List[Fe]:
         else:
             odd |= c << ((i - 1) * k)
     den2 = field.rmul((den, 1), (den, 1))[0]
-    return [Fe(field, field._norm(even, den2)), Fe(field, field._norm(odd, den2))]
+    return [field._norm(even, den2), field._norm(odd, den2)]
 
 
 def f2_span(entries: Sequence[Fe], field: Field) -> Span:
@@ -448,8 +449,8 @@ def _block_split_certificate(field, a: Fe, b: Fe):
 
 def candidates(
     field: Field, n: int, rng: Optional[random.Random], draws: int, exhaustive: int
-) -> Iterator[List[Fe]]:
-    """The candidate vectors of F^n every witness search filters, in order.
+) -> Iterator[list]:
+    """The payload candidate vectors of F^n every witness search filters, in order.
 
     First the unit vectors, then the sums of two unit vectors; then every
     other nonzero vector in lexicographic order when F is GF(2^k) with
@@ -462,17 +463,18 @@ def candidates(
     for i in range(n):
         for j in range(i + 1, n):
             v = unit_vector(field, n, i)
-            v[j] = field.one
+            v[j] = field.rone
             yield v
     if isinstance(field, GF2k) and field.order**n <= exhaustive:
         for vals in itertools.product(range(field.order), repeat=n):
             # skip zero and the unit and pair vectors (entries 0 and 1, at most two 1s)
             if max(vals) > 1 or sum(vals) > 2:
-                yield [field._el(x) for x in vals]
+                yield list(vals)  # GF(2^k) payloads are the integers 0 .. |F|-1
         return
+    zero = field.rzero
     for _ in range(draws):
-        v = [field.rand(rng) for _ in range(n)]
-        if any(v):
+        v = [field.rand(rng).raw for _ in range(n)]
+        if any(a != zero for a in v):
             yield v
 
 
@@ -483,8 +485,8 @@ _ISOTROPY_DRAWS = 200
 
 def isotropic_vector(
     q: QuadraticForm, rng: Optional[random.Random] = None
-) -> Optional[List[Fe]]:
-    """Bounded search for a nonzero isotropic vector.
+) -> Optional[list]:
+    """Bounded search for a nonzero isotropic payload vector.
 
     Tries per-block certificates and duplicated blocks, then filters
     `candidates` (exhaustive over tiny fields, else _ISOTROPY_DRAWS seeded
@@ -493,23 +495,20 @@ def isotropic_vector(
     """
     field = q.field
     n = q.dim
-    z = field.zero
     for i, (a, b) in enumerate(q.blocks):
         cert = _block_split_certificate(field, a, b)
         if isinstance(cert, tuple):
-            v = [z] * n
-            v[2 * i], v[2 * i + 1] = cert
+            v = [field.rzero] * n
+            v[2 * i], v[2 * i + 1] = cert[0].raw, cert[1].raw
             return v
     for j, c in enumerate(q.diag):
         if not c:
-            v = [z] * n
-            v[2 * len(q.blocks) + j] = field.one
-            return v
+            return unit_vector(field, n, 2 * len(q.blocks) + j)
     for i in range(len(q.blocks)):
         for j in range(i + 1, len(q.blocks)):
             if q.blocks[i] == q.blocks[j]:
-                v = [z] * n
-                v[2 * i] = v[2 * j] = field.one
+                v = unit_vector(field, n, 2 * i)
+                v[2 * j] = field.rone
                 return v
     if rng is None:
         rng = random.Random(0)
@@ -517,31 +516,25 @@ def isotropic_vector(
     return next((v for v in stream if not q.evaluate(v)), None)
 
 
-def _split_off_plane(q: QuadraticForm, v: Sequence[Fe]) -> QuadraticForm:
-    """Split a hyperbolic plane through the isotropic vector v (q nonsingular)."""
+def _split_off_plane(q: QuadraticForm, v: Sequence) -> QuadraticForm:
+    """Split a hyperbolic plane through the isotropic payload vector v (q
+    nonsingular)."""
     raw = q.to_raw()
     field = q.field
     n = q.dim
-    basis = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    w = None
-    for cand in basis:
-        if raw.polar(v, cand):
-            w = cand
-            break
+    basis = [unit_vector(field, n, i) for i in range(n)]
+    w = next((cand for cand in basis if raw.polar(v, cand)), None)
     assert w is not None, "nonsingular form has no radical vectors"
-    c = raw.polar(v, w)
-    w = [a / c for a in w]
-    rest = []
-    for cand in basis:
-        c1 = raw.polar(cand, w)
-        c2 = raw.polar(cand, v)
-        reduced = [a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(cand, v, w)]
-        rest.append(reduced)
+    c = field.rinv(raw.polar(v, w).raw)
+    w = [field.rmul(a, c) for a in w]
+    one = field.rone
+    rest = [
+        combination(field, (one, raw.polar(cand, w).raw, raw.polar(cand, v).raw), (cand, v, w), n)
+        for cand in basis
+    ]
     span = Span(rest, field)
-    sub = span.rows
     assert span.dim == n - 2
-    restricted = raw.restrict(sub)
-    out, _ = normalize(restricted)
+    out, _ = normalize(raw.restrict(span.rows))
     return out
 
 
@@ -599,7 +592,7 @@ def is_hyperbolic(q: QuadraticForm, *, pfister: bool = False, seed: int = 0) -> 
     if pfister:
         v = isotropic_vector(q, rng)
         if v is not None:
-            return decided(True, {"isotropic": [e.raw for e in v]})
+            return decided(True, {"isotropic": v})
     cur = _witt_cancel_pass(q)
     while cur.blocks:
         v = isotropic_vector(cur, rng)
@@ -744,5 +737,5 @@ def is_anisotropic(q: QuadraticForm, *, seed: int = 0) -> Decision:
         return decided(aniso)
     v = isotropic_vector(q, random.Random(seed))
     if v is not None:
-        return decided(False, {"isotropic": [e.raw for e in v]})
+        return decided(False, {"isotropic": v})
     return certify_anisotropic(q)

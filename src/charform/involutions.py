@@ -70,7 +70,8 @@ class InvolutionSpace:
 
     For symplectic descriptors each basis element b is stored together with a
     half b' satisfying b = b' + sigma(b'), which makes the polarization of
-    the Pfaffian form computable without dividing by 2.
+    the Pfaffian form computable without dividing by 2.  Coordinates over the
+    basis are lists of field payloads.
     """
 
     def __init__(self, desc, basis, halves, span: Span):
@@ -83,26 +84,25 @@ class InvolutionSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, x) -> Optional[List[Fe]]:
+    def coords(self, x) -> Optional[list]:
         return self._span.coords(self.desc.to_vec(x))
 
     def contains(self, x) -> bool:
         return self.coords(x) is not None
 
-    def _combine(self, coords: Sequence[Fe], elements):
+    def _combine(self, coords: Sequence, elements):
         desc = self.desc
-        raw = [c.raw for c in coords]
-        return tuple(combination(desc.field, raw, elements, desc.ambient_dim))
+        return tuple(combination(desc.field, coords, elements, desc.ambient_dim))
 
-    def element(self, coords: Sequence[Fe]):
+    def element(self, coords: Sequence):
         return self._combine(coords, self.basis)
 
-    def half(self, coords: Sequence[Fe]):
+    def half(self, coords: Sequence):
         assert self.halves is not None, "halves are stored for symplectic spaces only"
         return self._combine(coords, self.halves)
 
-    def rand_coords(self, rng: random.Random) -> List[Fe]:
-        return [self.desc.field.rand(rng) for _ in range(self.dim)]
+    def rand_coords(self, rng: random.Random) -> list:
+        return [self.desc.field.rand(rng).raw for _ in range(self.dim)]
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,8 @@ class _MatrixDescriptor:
     An element is a flat tuple of field payloads: the entries row by row,
     each expanded into the ``k`` payloads of one entry of the ring (4 for a
     quaternion, 2 for an etale entry, 1 for a field entry).  That is also
-    the order of ``to_vec`` coordinates and of the standard basis.  A
+    the order of the coordinates and of the standard basis, so ``to_vec``
+    only checks the shape.  A
     subclass passes the entry ring, ``k``, the conjugation ``conj`` of one
     entry (on its k-tuple of payloads) and the Gram diagonal G.  Products
     run on ``entries(x)`` through the entry ring's payload arithmetic
@@ -254,13 +255,10 @@ class _MatrixDescriptor:
         zero, one, m = self.field.rzero, self.field.rone, self.ambient_dim
         return [(zero,) * p + (one,) + (zero,) * (m - p - 1) for p in range(m)]
 
-    def to_vec(self, x) -> List[Fe]:
+    def to_vec(self, x) -> tuple:
         if not isinstance(x, tuple) or len(x) != self.ambient_dim:
             raise ShapeMismatch(f"expected a tuple of {self.ambient_dim} field payloads")
-        return list(map(self.field._el, x))
-
-    def from_vec(self, v: Sequence[Fe]):
-        return tuple(a.raw for a in v)
+        return x
 
     def involve(self, x):
         n, k, conj, mul, one = self.n, self.k, self.conj, self.field.rmul, self.field.rone
@@ -447,7 +445,7 @@ def apply_involution(desc: Descriptor, x):
     return desc.involve(x)
 
 
-def _symmetrized_images(desc: Descriptor) -> List[List[Fe]]:
+def _symmetrized_images(desc: Descriptor) -> List[tuple]:
     """The coordinates of e + sigma(e) for each standard basis element e."""
     return [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
 
@@ -462,12 +460,12 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     if symplectic:
         span = Span(images, field)
         # a combination over the standard basis has the combination as coordinates
-        halves = [desc.from_vec(combo) for combo in span.combos]
+        halves = [tuple(combo) for combo in span.combos]
     else:
         # the fixed points are the kernel of x -> x + sigma(x)
-        span = Span(kernel([list(col) for col in zip(*images)], field), field)
+        span = Span(kernel(list(zip(*images)), field), field)
         halves = None
-    basis = [desc.from_vec(row) for row in span.rows]
+    basis = [tuple(row) for row in span.rows]
     space = InvolutionSpace(desc, basis, halves, span)
     expected = CASE_DIMS[desc.case][0]
     if space.dim != expected:
@@ -604,10 +602,11 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0) -> Fe:
     squares).
     """
     # a basis of {x + rho(x)}, the alternating part inside Sym(rho)
-    basis = [desc.from_vec(row) for row in Span(_symmetrized_images(desc), desc.field).rows]
+    field = desc.field
+    basis = Span(_symmetrized_images(desc), field).rows
     found: List[Fe] = []
-    for cs in candidates(desc.field, len(basis), random.Random(seed), 500, 0):
-        w = functools.reduce(desc.el_add, (desc.el_scal(c, b) for c, b in zip(cs, basis) if c))
+    for cs in candidates(field, len(basis), random.Random(seed), 500, 0):
+        w = tuple(combination(field, cs, basis, desc.ambient_dim))
         det = desc.reduced_charpoly(w)[0]
         if det:
             found.append(det)

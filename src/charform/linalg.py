@@ -3,8 +3,9 @@ polynomials, and Gaussian elimination over fields.
 
 Matrices are immutable tuples of tuples.  A "ring" is any object exposing
 ``zero`` and ``one`` whose elements support ``+`` and ``*`` (all rings here
-have characteristic 2, so subtraction is addition).  Field vectors are lists
-of FieldElement; elimination uses exact division.
+have characteristic 2, so subtraction is addition).  Field vectors, and the
+rows of a matrix passed to elimination, are lists of field payloads (the
+``raw`` of a FieldElement); elimination uses exact division.
 """
 
 from __future__ import annotations
@@ -167,17 +168,8 @@ def poly_eval_matrix(p: Sequence, m: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over fields: vectors of FieldElement are unwrapped
-# once, eliminated on payloads, and only what is returned is wrapped
+# Gaussian elimination over fields, on payload rows
 # ---------------------------------------------------------------------------
-
-
-def _payloads(rows) -> List[list]:
-    return [[a.raw for a in r] for r in rows]
-
-
-def _wrap(field, row) -> list:
-    return list(map(field._el, row))
 
 
 def combination(field, coeffs: Sequence, rows: Sequence[Sequence], width: int) -> list:
@@ -220,100 +212,80 @@ def _eliminate(rows: List[list], field) -> List[int]:
     return pivots
 
 
-def rref(rows: List[list], field) -> Tuple[List[list], List[int]]:
+def rref(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    red = _payloads(rows)
-    pivots = _eliminate(red, field)
-    return [_wrap(field, r) for r in red], pivots
+    red = [list(r) for r in rows]
+    return red, _eliminate(red, field)
 
 
-def rank(rows: List[list], field) -> int:
-    return len(_eliminate(_payloads(rows), field))
+def rank(rows: Sequence[Sequence], field) -> int:
+    return len(_eliminate([list(r) for r in rows], field))
 
 
-def kernel(rows: List[list], field) -> List[list]:
+def kernel(rows: Sequence[Sequence], field) -> List[list]:
     """Basis of the right kernel {x : A x = 0} of the matrix with these rows."""
     ncols = len(rows[0]) if rows else 0
-    red = _payloads(rows)
+    red = [list(r) for r in rows]
     pivots = _eliminate(red, field)
     pivset = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivset):
-        v = [field.zero] * ncols
-        v[f] = field.one
+        v = unit_vector(field, ncols, f)
         for row, p in zip(red, pivots):
-            v[p] = field._el(row[f])  # -row[f] in characteristic 2
+            v[p] = row[f]  # -row[f] in characteristic 2
         basis.append(v)
     return basis
 
 
 class Span:
-    """Row space of a family of vectors, with expression of members.
+    """Row space of a family of payload vectors, with expression of members.
 
     Tracks how each echelon row was assembled from the input vectors, so a
     member's coordinates over the original family can be recovered (used to
-    carry symmetrization halves along a basis).  Echelon rows and their
-    combinations are kept as payloads.
+    carry symmetrization halves along a basis).  ``rows`` are the echelon
+    rows and ``combos`` their coefficients over the input family.
     """
 
     def __init__(self, vectors: Sequence[Sequence], field):
         self.field = field
         zero, one = field.rzero, field.rone
-        raw = _payloads(vectors)
-        m = len(raw[0]) if raw else 0
-        self._n = n = len(raw)
-        aug = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(raw)]
+        m = len(vectors[0]) if vectors else 0
+        self._n = n = len(vectors)
+        aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(vectors)]
         pivots = _eliminate(aug, field)
         self.pivots = [p for p in pivots if p < m]  # the pivots increase
-        self._rows = [row[:m] for row in aug[: self.dim]]
-        self._combos = [row[m:] for row in aug[: self.dim]]
+        self.rows = [row[:m] for row in aug[: self.dim]]
+        self.combos = [row[m:] for row in aug[: self.dim]]
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> List[list]:
-        return [_wrap(self.field, r) for r in self._rows]
+    def contains(self, v: Sequence) -> bool:
+        return self.coords(v) is not None
 
-    @property
-    def combos(self) -> List[list]:
-        return [_wrap(self.field, r) for r in self._combos]
-
-    def _coeffs(self, v: Sequence) -> Optional[list]:
-        """Payload coefficients of v over the echelon rows, or None."""
+    def coords(self, v: Sequence) -> Optional[list]:
+        """Coefficients over the echelon basis, or None if not a member."""
         field = self.field
         add, mul, zero = field.radd, field.rmul, field.rzero
-        v = [a.raw for a in v]
         coeffs = [zero] * self.dim
         for i, p in enumerate(self.pivots):
             c = v[p]
             if c != zero:
                 coeffs[i] = c
-                v = [add(a, mul(c, b)) for a, b in zip(v, self._rows[i])]
+                v = [add(a, mul(c, b)) for a, b in zip(v, self.rows[i])]
         return None if any(a != zero for a in v) else coeffs
-
-    def basis_vector(self, i: int) -> list:
-        return _wrap(self.field, self._rows[i])
-
-    def contains(self, v: Sequence) -> bool:
-        return self._coeffs(v) is not None
-
-    def coords(self, v: Sequence) -> Optional[list]:
-        """Coefficients over the echelon basis, or None if not a member."""
-        coeffs = self._coeffs(v)
-        return None if coeffs is None else _wrap(self.field, coeffs)
 
     def input_coords(self, v: Sequence) -> Optional[list]:
         """Coefficients over the original input family, or None."""
-        coeffs = self._coeffs(v)
+        coeffs = self.coords(v)
         if coeffs is None:
             return None
-        return _wrap(self.field, combination(self.field, coeffs, self._combos, self._n))
+        return combination(self.field, coeffs, self.combos, self._n)
 
 
 def unit_vector(field, n: int, i: int) -> list:
     """The i-th standard basis vector of F^n."""
-    row = [field.zero] * n
-    row[i] = field.one
+    row = [field.rzero] * n
+    row[i] = field.rone
     return row

@@ -30,6 +30,7 @@ from .forms import (
     witt_equivalent_gf2k,
 )
 from .involutions import (
+    CASE_DIMS,
     Index2Symp,
     Orthogonal,
     SplitSymp,
@@ -50,6 +51,7 @@ from .extraction import (
     galois_components,
     _as_scalar,
 )
+from .linalg import combination
 from .quaternions import QuaternionAlgebra, nrd_form, q_conj, q_nrd, q_trd, split_embedding
 
 
@@ -148,8 +150,8 @@ def run_forms(field: Field, seed: int, trials: int) -> List[PropertyResult]:
         raw = _random_raw(field, rng, n)
         q, t = normalize(raw)
         for _ in range(20):
-            y = [field.rand(rng) for _ in range(n)]
-            ty = [sum((t[i][j] * y[j] for j in range(n)), field.zero) for i in range(n)]
+            y = [field.rand(rng).raw for _ in range(n)]
+            ty = combination(field, y, list(zip(*t)), n)
             if raw.evaluate(ty) != q.evaluate(y):
                 bad += 1
     out.append(PropertyResult("forms.normalize_preserves_values", bad == 0, rounds * 20))
@@ -221,8 +223,8 @@ def run_quaternions(field: Field, seed: int, trials: int) -> List[PropertyResult
             bad_nrd += 1
         if q_trd(x * y) != q_trd(y * x):
             bad_trd += 1
-        coords = [x.c[0], x.c[1], x.c[2], b * x.c[3]]
-        if nrd_form(Q).evaluate(coords) != q_nrd(x):
+        coords = (x.c[0], x.c[1], x.c[2], b * x.c[3])
+        if nrd_form(Q).evaluate([c.raw for c in coords]) != q_nrd(x):
             bad_form += 1
     out.append(PropertyResult("quaternions.conj_antiautomorphism", bad_conj == 0, trials))
     out.append(PropertyResult("quaternions.nrd_multiplicative", bad_nrd == 0, trials))
@@ -252,7 +254,8 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     out = []
     desc = _symplectic_descriptor(field)
     space = symmetric_space(desc)
-    out.append(PropertyResult("symplectic.symd_dim_28", space.dim == 28, 1))
+    sym_dim, comp_dims = CASE_DIMS["symplectic"]
+    out.append(PropertyResult(f"symplectic.symd_dim_{sym_dim}", space.dim == sym_dim, 1))
 
     rng = _rng(seed, "symp.polarization")
     raw = pfaffian_form(desc)
@@ -294,14 +297,14 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     out.append(PropertyResult("symplectic.prp_square_and_annihilation", bad == 0, n_el))
 
     comps = default_components(desc)
-    out.append(PropertyResult("symplectic.component_dims", comps.dims == (4, 8, 8, 8), 1))
+    out.append(PropertyResult("symplectic.component_dims", comps.dims == comp_dims, 1))
 
     rng = _rng(seed, "symp.star")
     bad = 0
     n_star = min(trials, 300)
     for _ in range(n_star):
-        c1 = [field.rand(rng) for _ in range(8)]
-        c2 = [field.rand(rng) for _ in range(8)]
+        c1 = [field.rand(rng).raw for _ in range(comp_dims[1])]
+        c2 = [field.rand(rng).raw for _ in range(comp_dims[2])]
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
@@ -357,6 +360,7 @@ def run_unitary(field: Field, seed: int, trials: int) -> List[PropertyResult]:
         c = next(c for c in field.elements() if solve_artin_schreier(c) is None)
     else:
         c = field.t  # s^2 + s + t is irreducible: t has odd degree
+    sym_dim, comp_dims = CASE_DIMS["unitary"]
     for desc in (UnitaryExchange(field), UnitaryEtale(field, c, (field.one,) * 4)):
         space = symmetric_space(desc)
         comps = default_components(desc)
@@ -366,7 +370,7 @@ def run_unitary(field: Field, seed: int, trials: int) -> List[PropertyResult]:
         out.append(
             PropertyResult(
                 f"unitary.{desc.kind}",
-                space.dim == 16 and comps.dims == (4, 4, 4, 4) and not falses,
+                space.dim == sym_dim and comps.dims == comp_dims and not falses,
                 len(inv.checks),
                 unknowns=unknowns,
                 detail=",".join(falses),
@@ -388,10 +392,11 @@ def run_orthogonal(field: Field, seed: int, trials: int) -> List[PropertyResult]
     inv = extract_orthogonal_invariants(desc, comps, seed=seed)
     falses = [c.name for c in inv.checks if c.result.is_false]
     unknowns = sum(c.result.is_unknown for c in inv.checks)
+    sym_dim, comp_dims = CASE_DIMS["orthogonal"]
     out.append(
         PropertyResult(
             "orthogonal.pipeline",
-            space.dim == 10 and comps.dims == (4, 2, 2, 2) and not falses,
+            space.dim == sym_dim and comps.dims == comp_dims and not falses,
             len(inv.checks),
             unknowns=unknowns,
             detail=",".join(falses),

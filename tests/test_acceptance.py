@@ -142,8 +142,8 @@ def test_ac04_star_multiplicativity_1000_gf8():
     comps = default_components(desc)
     rng = random.Random(88)
     for _ in range(1000):
-        c1 = [F8.rand(rng) for _ in range(8)]
-        c2 = [F8.rand(rng) for _ in range(8)]
+        c1 = [F8.rand(rng).raw for _ in range(8)]
+        c2 = [F8.rand(rng).raw for _ in range(8)]
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
@@ -267,8 +267,8 @@ def test_ac10_orthogonal_decomposition():
             # star multiplicativity on 500 samples
             rng = random.Random(10)
             for _ in range(500):
-                c1 = [field.rand(rng) for _ in range(2)]
-                c2 = [field.rand(rng) for _ in range(2)]
+                c1 = [field.rand(rng).raw for _ in range(2)]
+                c2 = [field.rand(rng).raw for _ in range(2)]
                 w1 = comps.w_element(1, c1)
                 w2 = comps.w_element(2, c2)
                 prod = desc.el_add(desc.el_mul(w1, w2), desc.el_mul(w2, w1))
@@ -331,7 +331,7 @@ def _brute_isotropic(q):
         if not any(vals):
             continue
         v = [field._el(x) for x in vals]
-        if not q.evaluate(v):
+        if not q.evaluate([a.raw for a in v]):
             return v
     return None
 

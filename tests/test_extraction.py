@@ -66,7 +66,7 @@ def quat_element(desc, placed):
     v = [desc.field.zero] * desc.ambient_dim
     for (i, j), q in placed.items():
         v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
-    return desc.from_vec(v)
+    return tuple(a.raw for a in v)
 
 
 # --- biquadratic subalgebras --------------------------------------------------
@@ -179,8 +179,8 @@ def test_star_multiplicativity_1000_gf8():
     rng = random.Random(42)
     full = comps.full_raw
     for _ in range(1000):
-        c1 = [F8.rand(rng) for _ in range(8)]
-        c2 = [F8.rand(rng) for _ in range(8)]
+        c1 = [F8.rand(rng).raw for _ in range(8)]
+        c2 = [F8.rand(rng).raw for _ in range(8)]
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
@@ -194,7 +194,7 @@ def test_star_multiplicativity_1000_gf8():
 def test_star_validates_membership():
     desc = SplitSymp(GF2)
     comps = default_components(desc)
-    x1 = comps.w_element(1, [GF2.one] + [GF2.zero] * 7)
+    x1 = comps.w_element(1, [GF2.one.raw] + [GF2.zero.raw] * 7)
     with pytest.raises(NotInComponent):
         star(desc, x1, x1, comps)  # second argument is in W_1, not W_2
 
@@ -205,8 +205,8 @@ def test_split_case_star_block_formula():
     comps = default_components(desc)
     rng = random.Random(9)
     for _ in range(20):
-        c1 = [F4.rand(rng) for _ in range(8)]
-        c2 = [F4.rand(rng) for _ in range(8)]
+        c1 = [F4.rand(rng).raw for _ in range(8)]
+        c2 = [F4.rand(rng).raw for _ in range(8)]
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
@@ -364,6 +364,6 @@ def test_orthogonal_ratfunc_detrho():
     desc = Orthogonal(R2, (R2.one, t, R2.one, R2.one))
     inv = extract_orthogonal_invariants(desc)
     assert inv.det_class is not None
-    assert not (inv.det_class / t).is_square() or True  # class may be t itself
+    assert (inv.det_class / t).is_square()  # the class of t
     names = {c.name: c.result for c in inv.checks}
     assert names["pi3_is_quasi_pfister_of_pi1"].is_true

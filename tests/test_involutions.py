@@ -54,7 +54,7 @@ def quat_element(desc, placed):
     v = [desc.field.zero] * desc.ambient_dim
     for (i, j), q in placed.items():
         v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
-    return desc.from_vec(v)
+    return tuple(a.raw for a in v)
 
 
 def quat_matrix(desc, x):
@@ -239,7 +239,7 @@ def _rand_fraction_element(desc, rng):
         if e and isinstance(field, RatFunc) and rng.random() < 0.4:
             e = e / field.rand_nonzero(rng)
         out.append(e)
-    x = desc.from_vec(out)
+    x = tuple(e.raw for e in out)
     return desc.el_add(x, desc.involve(x)) if desc.kind == "unitary_etale" else x
 
 

@@ -96,7 +96,7 @@ def test_nrd_form_agrees_with_direct_norm():
             # scale(b, (1,a)) stores (b, a/b); the substitution x3 -> b*x3
             # identifies its coordinates with the quaternion basis 1,u,v,uv
             coords = [x.c[0], x.c[1], x.c[2], b * x.c[3]]
-            assert nf.evaluate(coords) == q_nrd(x)
+            assert nf.evaluate([c.raw for c in coords]) == q_nrd(x)
 
 
 def test_nrd_form_split_and_isotropic_examples():

@@ -7,7 +7,7 @@ lists (ascending degree, hex entries over the base field).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Sequence
 
 from .errors import ParseError, UnsupportedDescriptor, ZeroScalar
 from .fields import Fe, Field, GF2k, parse_field, pcoeffs, pmake
@@ -19,6 +19,24 @@ from .involutions import (
     UnitaryEtale,
     UnitaryExchange,
 )
+
+_QUATERNION_KEYS = ("a", "b")
+
+# per descriptor kind, the keys it reads besides kind and field, each with the
+# writer of its value; a descriptor with any other key is rejected
+_KEYS: Dict[str, Dict[str, Callable[[Any], Any]]] = {
+    "split_symp": {},
+    "index2_symp": {
+        "quaternion": lambda d: {k: fe_to_json(getattr(d.quat, k)) for k in _QUATERNION_KEYS},
+        "h": lambda d: [fe_to_json(u) for u in d.us],
+    },
+    "unitary_exchange": {},
+    "unitary_etale": {
+        "c": lambda d: fe_to_json(d.c),
+        "gram": lambda d: [fe_to_json(g) for g in d.gram],
+    },
+    "orthogonal": {"gram": lambda d: [fe_to_json(g) for g in d.gram]},
+}
 from .quaternions import QuaternionAlgebra
 
 
@@ -64,13 +82,8 @@ def form_from_json(obj: Dict[str, Any]) -> QuadraticForm:
 
 def descriptor_to_json(desc) -> Dict[str, Any]:
     out: Dict[str, Any] = {"kind": desc.kind, "field": desc.field.text()}
-    if isinstance(desc, Index2Symp) and not isinstance(desc, SplitSymp):
-        out["quaternion"] = {"a": fe_to_json(desc.quat.a), "b": fe_to_json(desc.quat.b)}
-        out["h"] = [fe_to_json(u) for u in desc.us]
-    if isinstance(desc, UnitaryEtale):
-        out["c"] = fe_to_json(desc.c)
-    if isinstance(desc, (UnitaryEtale, Orthogonal)):
-        out["gram"] = [fe_to_json(g) for g in desc.gram]
+    for key, write in _KEYS[desc.kind].items():
+        out[key] = write(desc)
     return out
 
 
@@ -80,11 +93,19 @@ def descriptor_from_json(obj: Dict[str, Any]):
         field = parse_field(obj["field"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"descriptor needs kind and field: {exc}") from exc
+    if isinstance(kind, str) and kind in _KEYS:
+        _check_keys(obj, ("kind", "field", *_KEYS[kind]), f"{kind} descriptor")
     try:
         return _descriptor(kind, field, obj)
     except (ZeroScalar, UnsupportedDescriptor) as exc:
         # a zero slot or Gram coefficient, or a split center: invalid input
         raise ParseError(str(exc)) from exc
+
+
+def _check_keys(obj: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
+    unexpected = sorted(set(obj) - set(allowed))
+    if unexpected:
+        raise ParseError(f"{where} has unexpected keys: {', '.join(unexpected)}")
 
 
 def _elements(field: Field, obj: Dict[str, Any], key: str) -> list:
@@ -101,6 +122,7 @@ def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
             qd = obj["quaternion"]
             if not isinstance(qd, dict):
                 raise ParseError("quaternion must be an object with slots a and b")
+            _check_keys(qd, _QUATERNION_KEYS, "quaternion")
             a = fe_from_json(field, qd["a"])
             b = fe_from_json(field, qd["b"])
             us = _elements(field, obj, "h")

@@ -121,10 +121,25 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
             "quaternion must be an object",
         ),
         ({"kind": "split_symp", "field": 5}, "bad field descriptor 5"),
+        (
+            {"kind": "split_symp", "field": "gf2", "gram": 5},
+            "split_symp descriptor has unexpected keys: gram",
+        ),
+        (
+            {"kind": "unitary_etale", "field": "gf2", "c": "0x1", "gram": ["0x1"] * 4,
+             "grma": ["0x1"] * 4},
+            "unitary_etale descriptor has unexpected keys: grma",
+        ),
+        (
+            {"kind": "index2_symp", "field": "gf2",
+             "quaternion": {"a": "0x1", "b": "0x1", "c": "0x1"}, "h": ["0x1"] * 3},
+            "quaternion has unexpected keys: c",
+        ),
     ],
     ids=[
         "split_center", "zero_gram", "zero_slot_b", "zero_h",
         "gram_number", "gram_null", "quaternion_string", "field_number",
+        "split_extra_key", "etale_misspelt_key", "quaternion_extra_slot",
     ],
 )
 def test_extract_invalid_descriptor_is_exit_2(obj, message, tmp_path, capsys):

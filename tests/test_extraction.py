@@ -14,7 +14,7 @@ from charform.errors import (
     NotInLi,
     UnsupportedDescriptor,
 )
-from charform.fields import GF2, gf2k, ratfunc
+from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import (
     bilinear_tensor,
     blocks_match_upto_squares,
@@ -349,14 +349,24 @@ def test_orthogonal_extraction(field, gs):
     assert names["pi3_is_quasi_pfister_of_pi1"].is_true
 
 
-@pytest.mark.parametrize("field", [GF2, F4], ids=["gf2", "gf4"])
-def test_orthogonal_gram_sweep_decides_every_check(field):
-    # every Gram diagonal over GF(2) (one) and GF(4) (81): no check is
-    # false or unknown, the GF(2) joint witnesses included
+@pytest.mark.parametrize(
+    "kind, field",
+    [("orthogonal", GF2), ("orthogonal", F4), ("unitary_etale", GF2), ("unitary_etale", F4)],
+    ids=["gf2", "gf4", "etale-gf2", "etale-gf4"],
+)
+def test_orthogonal_gram_sweep_decides_every_check(kind, field):
+    # every Gram diagonal over GF(2) (one) and GF(4) (81), for the unitary
+    # etale kind with every center c outside x^2 + x (one over GF(2), two over
+    # GF(4)): no check is false or unknown, the GF(2) joint witnesses included
     nonzero = [x for x in field.elements() if x]
+    centers = [c for c in field.elements() if solve_artin_schreier(c) is None]
     for gs in itertools.product(nonzero, repeat=4):
-        inv = extract_orthogonal_invariants(Orthogonal(field, gs))
-        assert [c.name for c in inv.checks if not c.result.is_true] == [], gs
+        if kind == "orthogonal":
+            invs = [extract_orthogonal_invariants(Orthogonal(field, gs))]
+        else:
+            invs = [extract_unitary_invariants(UnitaryEtale(field, c, gs)) for c in centers]
+        for inv in invs:
+            assert [c.name for c in inv.checks if not c.result.is_true] == [], gs
 
 
 def test_orthogonal_ratfunc_detrho():

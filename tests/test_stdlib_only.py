@@ -1,7 +1,7 @@
-"""The runtime stays stdlib-only and imports nothing it does not use: every
+"""The runtime stays stdlib-only and keeps nothing it does not use: every
 module that ``src/charform`` imports is charform itself or a module of the
-standard library, and every name an import binds is read somewhere in the
-module."""
+standard library, every name an import binds is read somewhere in the
+module, and every private helper is read somewhere in ``src/charform``."""
 
 import ast
 import sys
@@ -33,6 +33,32 @@ def unused_imports(source: str) -> set:
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def dead_private_names(sources: dict) -> set:
+    """Private top-level functions, classes and constants, and private methods,
+    that no module of ``sources`` reads by name or attribute (a definition is
+    not a read), as ``module:name``."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    defined = set()
+    read = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [t.id for t in targets if isinstance(t, ast.Name)]
+            defined.update((module, n) for n in names if n[:1] == "_" and n[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {f"{module}:{n}" for module, n in defined if n not in read}
+
+
 def _sources():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 1
@@ -59,6 +85,32 @@ def test_guard_flags_unused_imports():
     assert unused_imports("\n".join(lines)) == {"operator", "Optional"}
 
 
+def test_guard_flags_dead_private_helpers():
+    a = "\n".join([
+        "_USED = 1",
+        "_UNUSED: int = 2",
+        "def _helper():",
+        "    return _USED",
+        "def _dead():",
+        "    pass",
+        "class _Base:",
+        "    def __init__(self):",
+        "        self._live()",
+        "    def _live(self):",
+        "        pass",
+        "    def _dead_method(self):",
+        "        pass",
+        "class _Gone:",
+        "    pass",
+        "class Public(_Base):",
+        "    pass",
+    ])
+    b = "from .a import _helper\n\ndef public():\n    return _helper()"
+    assert dead_private_names({"a.py": a, "b.py": b}) == {
+        "a.py:_UNUSED", "a.py:_dead", "a.py:_dead_method", "a.py:_Gone"
+    }
+
+
 def test_runtime_imports_are_stdlib_or_charform():
     foreign = {name: foreign_imports(src) for name, src in _sources().items()}
     assert not {name: mods for name, mods in foreign.items() if mods}
@@ -67,3 +119,7 @@ def test_runtime_imports_are_stdlib_or_charform():
 def test_runtime_imports_are_used():
     unused = {name: unused_imports(src) for name, src in _sources().items()}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def test_private_helpers_are_read():
+    assert not dead_private_names(_sources())

@@ -93,10 +93,14 @@ def descriptor_from_json(obj: Dict[str, Any]):
         field = parse_field(obj["field"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"descriptor needs kind and field: {exc}") from exc
-    if isinstance(kind, str) and kind in _KEYS:
-        _check_keys(obj, ("kind", "field", *_KEYS[kind]), f"{kind} descriptor")
+    keys = _KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ParseError(f"unknown descriptor kind {kind!r}")
+    _check_keys(obj, ("kind", "field", *keys), f"{kind} descriptor")
     try:
         return _descriptor(kind, field, obj)
+    except KeyError as exc:
+        raise ParseError(f"{kind} needs {' and '.join(keys)}: {exc}") from exc
     except (ZeroScalar, UnsupportedDescriptor) as exc:
         # a zero slot or Gram coefficient, or a split center: invalid input
         raise ParseError(str(exc)) from exc
@@ -114,43 +118,33 @@ def _elements(field: Field, obj: Dict[str, Any], key: str) -> list:
     return [fe_from_json(field, x) for x in obj[key]]
 
 
+def _gram(field: Field, obj: Dict[str, Any]) -> list:
+    gs = _elements(field, obj, "gram")
+    if len(gs) != 4:
+        raise ParseError("gram must list four diagonal coefficients")
+    return gs
+
+
 def _descriptor(kind: str, field: Field, obj: Dict[str, Any]):
+    """The descriptor of a known kind; a missing key raises KeyError."""
     if kind == "split_symp":
         return SplitSymp(field)
+    if kind == "unitary_exchange":
+        return UnitaryExchange(field)
     if kind == "index2_symp":
-        try:
-            qd = obj["quaternion"]
-            if not isinstance(qd, dict):
-                raise ParseError("quaternion must be an object with slots a and b")
-            _check_keys(qd, _QUATERNION_KEYS, "quaternion")
-            a = fe_from_json(field, qd["a"])
-            b = fe_from_json(field, qd["b"])
-            us = _elements(field, obj, "h")
-        except KeyError as exc:
-            raise ParseError(f"index2_symp needs quaternion and h: {exc}") from exc
+        qd = obj["quaternion"]
+        if not isinstance(qd, dict):
+            raise ParseError("quaternion must be an object with slots a and b")
+        _check_keys(qd, _QUATERNION_KEYS, "quaternion")
+        a, b = (fe_from_json(field, qd[k]) for k in _QUATERNION_KEYS)
+        us = _elements(field, obj, "h")
         if len(us) != 3:
             raise ParseError("h must list the three nontrivial hermitian coefficients")
         return Index2Symp(field, QuaternionAlgebra(field, a, b), us)
-    if kind == "unitary_exchange":
-        return UnitaryExchange(field)
     if kind == "unitary_etale":
-        try:
-            c = fe_from_json(field, obj["c"])
-            gs = _elements(field, obj, "gram")
-        except KeyError as exc:
-            raise ParseError(f"unitary_etale needs c and gram: {exc}") from exc
-        if len(gs) != 4:
-            raise ParseError("gram must list four diagonal coefficients")
-        return UnitaryEtale(field, c, gs)
-    if kind == "orthogonal":
-        try:
-            gs = _elements(field, obj, "gram")
-        except KeyError as exc:
-            raise ParseError(f"orthogonal needs gram: {exc}") from exc
-        if len(gs) != 4:
-            raise ParseError("gram must list four diagonal coefficients")
-        return Orthogonal(field, gs)
-    raise ParseError(f"unknown descriptor kind {kind!r}")
+        c = fe_from_json(field, obj["c"])
+        return UnitaryEtale(field, c, _gram(field, obj))
+    return Orthogonal(field, _gram(field, obj))
 
 
 def jsonable(value):

@@ -83,11 +83,8 @@ class BiquadraticEtale:
         one = desc.one_el()
         s12 = desc.el_mul(s1, s2)
         self.basis = [one, s1, s2, s12]
-        self.span = Span([desc.to_vec(b) for b in self.basis], desc.field)
-        one_vec = desc.to_vec(one)
-        self._li_spans = {
-            i: Span([one_vec, desc.to_vec(self.generator(i)[0])], desc.field) for i in (1, 2, 3)
-        }
+        self.span = Span(self.basis, desc.field)
+        self._li_spans = {i: Span([one, self.generator(i)[0]], desc.field) for i in (1, 2, 3)}
 
     def alpha(self, i: int, x):
         """Image of x in L under the i-th Klein involution."""
@@ -302,10 +299,7 @@ def galois_components(
         rows = []
         for s in gens:
             a_s = L.alpha(i, s)
-            cols = []
-            for b in space.basis:
-                cond = desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b))
-                cols.append(desc.to_vec(cond))
+            cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b)) for b in space.basis]
             rows.extend(zip(*cols))
         w_coords.append(kernel(rows, field))
 

@@ -184,20 +184,18 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
     """
     field = q.field
     n = q.dim
-    zero, one = field.rzero, field.rone
+    one = field.rone
     vecs = [unit_vector(field, n, i) for i in range(n)]
     remaining = list(range(n))
     blocks: List[Tuple[Fe, Fe]] = []
     ordered: List[list] = []
-
-    def bil(x, y):
-        return q.polar(x, y).raw
+    bil = q.polar
 
     while True:
         pair = None
         for ii in range(len(remaining)):
             for jj in range(ii + 1, len(remaining)):
-                if bil(vecs[remaining[ii]], vecs[remaining[jj]]) != zero:
+                if bil(vecs[remaining[ii]], vecs[remaining[jj]]):
                     pair = (ii, jj)
                     break
             if pair:
@@ -206,13 +204,13 @@ def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
             break
         ii, jj = pair
         vi = vecs[remaining[ii]]
-        c = field.rinv(bil(vi, vecs[remaining[jj]]))
+        c = field.rinv(bil(vi, vecs[remaining[jj]]).raw)
         vj = [field.rmul(a, c) for a in vecs[remaining[jj]]]
         for idx in remaining:
             if idx in (remaining[ii], remaining[jj]):
                 continue
             w = vecs[idx]
-            vecs[idx] = combination(field, (one, bil(w, vj), bil(w, vi)), (w, vi, vj), n)
+            vecs[idx] = combination(field, (one, bil(w, vj).raw, bil(w, vi).raw), (w, vi, vj), n)
         blocks.append((q.evaluate(vi), q.evaluate(vj)))
         ordered.append(vi)
         ordered.append(vj)

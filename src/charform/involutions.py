@@ -447,7 +447,7 @@ def apply_involution(desc: Descriptor, x):
 
 def _symmetrized_images(desc: Descriptor) -> List[tuple]:
     """The coordinates of e + sigma(e) for each standard basis element e."""
-    return [desc.to_vec(desc.el_add(e, desc.involve(e))) for e in desc.std_basis()]
+    return [desc.el_add(e, desc.involve(e)) for e in desc.std_basis()]
 
 
 def symmetric_space(desc: Descriptor) -> InvolutionSpace:

@@ -248,10 +248,9 @@ class Span:
 
     def __init__(self, vectors: Sequence[Sequence], field):
         self.field = field
-        zero, one = field.rzero, field.rone
         m = len(vectors[0]) if vectors else 0
         self._n = n = len(vectors)
-        aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(vectors)]
+        aug = [list(row) + unit_vector(field, n, i) for i, row in enumerate(vectors)]
         pivots = _eliminate(aug, field)
         self.pivots = [p for p in pivots if p < m]  # the pivots increase
         self.rows = [row[:m] for row in aug[: self.dim]]

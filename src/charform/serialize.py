@@ -19,24 +19,6 @@ from .involutions import (
     UnitaryEtale,
     UnitaryExchange,
 )
-
-_QUATERNION_KEYS = ("a", "b")
-
-# per descriptor kind, the keys it reads besides kind and field, each with the
-# writer of its value; a descriptor with any other key is rejected
-_KEYS: Dict[str, Dict[str, Callable[[Any], Any]]] = {
-    "split_symp": {},
-    "index2_symp": {
-        "quaternion": lambda d: {k: fe_to_json(getattr(d.quat, k)) for k in _QUATERNION_KEYS},
-        "h": lambda d: [fe_to_json(u) for u in d.us],
-    },
-    "unitary_exchange": {},
-    "unitary_etale": {
-        "c": lambda d: fe_to_json(d.c),
-        "gram": lambda d: [fe_to_json(g) for g in d.gram],
-    },
-    "orthogonal": {"gram": lambda d: [fe_to_json(g) for g in d.gram]},
-}
 from .quaternions import QuaternionAlgebra
 
 
@@ -78,6 +60,26 @@ def form_from_json(obj: Dict[str, Any]) -> QuadraticForm:
     ]
     diag = [fe_from_json(field, c) for c in obj.get("diag", [])]
     return form(field, blocks, diag)
+
+
+_QUATERNION_KEYS = ("a", "b")
+
+# per descriptor kind, the keys it reads besides kind and field, in the order a
+# missing-key message names them, each with the writer of its value; a
+# descriptor with any other key is rejected
+_KEYS: Dict[str, Dict[str, Callable[[Any], Any]]] = {
+    "split_symp": {},
+    "index2_symp": {
+        "quaternion": lambda d: {k: fe_to_json(getattr(d.quat, k)) for k in _QUATERNION_KEYS},
+        "h": lambda d: [fe_to_json(u) for u in d.us],
+    },
+    "unitary_exchange": {},
+    "unitary_etale": {
+        "c": lambda d: fe_to_json(d.c),
+        "gram": lambda d: [fe_to_json(g) for g in d.gram],
+    },
+    "orthogonal": {"gram": lambda d: [fe_to_json(g) for g in d.gram]},
+}
 
 
 def descriptor_to_json(desc) -> Dict[str, Any]:

@@ -303,7 +303,8 @@ def test_kernel_solves_and_counts(field, data):
     a = matrix(data, sparse(field, elements(field)), n, m)
     a_raw = [[e.raw for e in row] for row in a]
     basis = kernel(a_raw, field)
-    for x in map(lambda v: list(map(field._el, v)), basis):
+    for v in basis:
+        x = [field._el(c) for c in v]
         assert all(sum((r * c for r, c in zip(row, x)), field.zero) == field.zero for row in a)
     r = rank(a_raw, field)
     assert len(basis) == m - r

@@ -18,6 +18,7 @@ fields is identity.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterator, Optional, Union
 
 from .decision import UNKNOWN, Unknown
@@ -174,6 +175,7 @@ class GF2k:
         self.zero = self._el(0)
         self.one = self._el(1)
         self._artin_table: Optional[dict] = None
+        self._bit_strings: Optional[list] = None
 
     def _build_tables(self):
         # use X as generator candidate; fall back to scanning if not primitive
@@ -248,6 +250,58 @@ class GF2k:
                 table.setdefault(img, x)
             self._artin_table = table
         return self._artin_table.get(a)
+
+    # bit-sliced lanes ----------------------------------------------------------
+
+    def lanes(self, n: int):
+        """(zero, one, add, mul) of the product ring GF(2^k)^n in bit-sliced lanes.
+
+        A lane value is a tuple of k ints, one bit plane each: bit l of plane
+        p is bit p of the payload in lane l.  ``add`` is one xor per plane;
+        ``mul`` makes 2k-1 product planes from k^2 ands and folds the top k-1
+        back through the modulus.  The closures fit ``charpoly_raw``, which
+        then runs one Berkowitz for n matrices at once.
+        """
+        k = self.k
+        width = 2 * k - 1
+        taps = [t for t in range(k) if self.modulus >> t & 1]
+
+        def add(a, b):
+            return tuple(map(operator.xor, a, b))
+
+        def mul(a, b):
+            prod = [0] * width
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] ^= x & y
+            for d in range(width - 1, k - 1, -1):
+                top = prod[d]
+                if top:
+                    for t in taps:
+                        prod[d - k + t] ^= top
+            return tuple(prod[:k])
+
+        return (0,) * k, self.lane_scalar(self.rone, n), add, mul
+
+    def lane_scalar(self, a: int, n: int) -> tuple:
+        """The lane value with the payload a in each of n lanes."""
+        mask = (1 << n) - 1
+        return tuple(mask if a >> p & 1 else 0 for p in range(self.k))
+
+    def to_lanes(self, payloads) -> tuple:
+        """The lane value with payloads[l] in lane l."""
+        if self._bit_strings is None:
+            self._bit_strings = [format(a, f"0{self.k}b") for a in range(self.order)]
+        k = self.k
+        # lane n-1 first, each payload most significant bit first
+        bits = "".join(map(self._bit_strings.__getitem__, reversed(payloads)))
+        return tuple(int(bits[k - 1 - p :: k], 2) for p in range(k))
+
+    def from_lanes(self, value, n: int) -> list:
+        """The payloads of the n lanes of a lane value."""
+        planes = [format(plane, f"0{n}b") for plane in reversed(value)]
+        return [int("".join(bits), 2) for bits in zip(*planes)][::-1]
 
     # element-level API -------------------------------------------------------
 
@@ -791,7 +845,7 @@ class QuadraticExtension:
 
     A field exactly when c is outside the Artin-Schreier image of F; the
     split case still supports all ring operations (inversion may fail).
-    Like a field it has payload arithmetic (rzero, radd, rmul, _el) on
+    Like a field it has payload arithmetic (rzero, rone, radd, rmul, _el) on
     ``EtaleElement.raw``.
     """
 
@@ -799,6 +853,7 @@ class QuadraticExtension:
         self.field = field
         self.c = c
         self.rzero = (field.rzero, field.rzero)
+        self.rone = (field.rone, field.rzero)
         self.radd, self.rmul = etale_ops(c.raw, field.rzero, field.radd, field.rmul)
         self.zero = EtaleElement(self, field.zero, field.zero)
         self.one = EtaleElement(self, field.one, field.zero)

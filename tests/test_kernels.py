@@ -11,8 +11,15 @@ quadratic-form kernels against the sum over i <= j and the polarization
 identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
 and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
-GF(2^k)(t) normal form against cross-multiplied schoolbook fractions.
+GF(2^k)(t) normal form against cross-multiplied schoolbook fractions;
+``Span.insert`` against the batch ``Span``; the bit-sliced GF(2^k) lane ring
+against the log-table payload arithmetic lane by lane, and its Berkowitz
+run against one scalar run per lane.
 """
+
+import random
+
+import pytest
 
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -38,7 +45,7 @@ from charform.fields import (
 )
 from charform.forms import RawQuadraticForm
 from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
-from charform.linalg import Mat, Span, kernel, rank
+from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
 from charform.quaternions import Quat, QuaternionAlgebra
 
 FIELDS = [GF2, gf2k(2), gf2k(3), ratfunc(GF2)]
@@ -332,6 +339,26 @@ def test_span_input_coords_reconstruct(field, data):
     assert span.dim == rank(vectors_raw, field)
 
 
+@QUICK
+@given(st.sampled_from([GF2, gf2k(2), ratfunc(GF2)]), st.data())
+def test_span_insert_matches_batch_span(field, data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 6))
+    vectors = [[e.raw for e in row] for row in matrix(data, sparse(field, elements(field)), n, m)]
+    vectors.append(list(map(field.radd, vectors[0], vectors[-1])))  # a dependent one
+    span = Span([], field)
+    kept = [v for v in vectors if span.insert(v)]
+    batch = Span(kept, field)
+    assert span.dim == batch.dim == len(kept) == rank(vectors, field)
+    assert span.rows == batch.rows == Span(vectors, field).rows
+    for v in vectors:
+        assert span.input_coords(v) == batch.input_coords(v)
+    # a copy grows on its own
+    other = span.copy()
+    if other.insert([field.rone] * m):
+        assert span.dim == other.dim - 1
+
+
 # ---------------------------------------------------------------------------
 # quadratic forms
 # ---------------------------------------------------------------------------
@@ -476,3 +503,43 @@ def test_ratfunc_operations_keep_normal_form(field, data):
         i = field.rinv(x.raw)
         assert_normal(field, i)
         assert same_fraction(i, da, na)
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced GF(2^k) lanes
+# ---------------------------------------------------------------------------
+
+LANE_FIELDS = [GF2, gf2k(2), gf2k(3), gf2k(9)]
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(LANE_FIELDS), st.data())
+def test_lane_ring_matches_payload_ops(field, data):
+    n = data.draw(st.integers(1, 70))
+    payloads = st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n)
+    a, b = data.draw(payloads), data.draw(payloads)
+    zero, one, add, mul = field.lanes(n)
+    la, lb = field.to_lanes(a), field.to_lanes(b)
+    assert field.from_lanes(la, n) == a
+    assert field.from_lanes(add(la, lb), n) == list(map(field.radd, a, b))
+    assert field.from_lanes(mul(la, lb), n) == list(map(field.rmul, a, b))
+    assert field.from_lanes(zero, n) == [field.rzero] * n
+    assert field.from_lanes(one, n) == [field.rone] * n
+    assert field.from_lanes(field.lane_scalar(a[0], n), n) == [a[0]] * n
+
+
+@pytest.mark.parametrize("field", LANE_FIELDS, ids=lambda f: f.text())
+def test_lane_berkowitz_matches_scalar_runs(field):
+    rng = random.Random(field.k)
+    n = 40
+
+    def entry():
+        return rng.randrange(field.order) if rng.random() < 0.7 else field.rzero
+
+    mats = [[[entry() for _ in range(8)] for _ in range(8)] for _ in range(n)]
+    zero, one, add, mul = field.lanes(n)
+    rows = [[field.to_lanes([m[r][j] for m in mats]) for j in range(8)] for r in range(8)]
+    coeffs = [field.from_lanes(c, n) for c in charpoly_raw(rows, zero, one, add, mul)]
+    for lane, m in enumerate(mats):
+        scalar = charpoly_raw(m, field.rzero, field.rone, field.radd, field.rmul)
+        assert [c[lane] for c in coeffs] == scalar

@@ -46,6 +46,7 @@ from .involutions import (
     CASE_DIMS,
     InvolutionSpace,
     SplitSymp,
+    _pfaffian,
     _SympBase,
     det_orthogonal,
     pfaffian_form,
@@ -53,7 +54,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Mat, Span, charpoly, combination, kernel, unit_vector
+from .linalg import Span, charpoly_raw, combination, kernel, unit_vector
 from .quaternions import nrd_form, q_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -351,9 +352,13 @@ def _component_checks(comps: WComponents) -> None:
                     if full.polar(v, w):
                         raise DecompositionFailure("components are not orthogonal")
     # squaring lands in L_i with the second coefficient equal to T_i(x^2)
+    symplectic = desc.case == "symplectic"
+    elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
+    if symplectic:
+        # one batch of Berkowitz runs (bit-sliced lanes over GF(2^k))
+        polys = iter(desc._charpolys([desc.split_rows(x) for w in elems for x in w]))
     for i in (1, 2, 3):
-        for coords in comps.w_coords[i - 1]:
-            x = comps.space.element(coords)
+        for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
             x2 = desc.el_mul(x, x)
             li = comps.L.li_coords(i, x2)
             if li is None:
@@ -361,9 +366,8 @@ def _component_checks(comps: WComponents) -> None:
             t, _ = li_trace_norm(comps.L, i, x2)
             if full.evaluate(coords) != t:
                 raise DecompositionFailure("second coefficient differs from T_i(x^2)")
-            if desc.case == "symplectic":
-                if reduced_pfaffian(desc, x).trace:
-                    raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
+            if symplectic and _pfaffian(next(polys), field).trace:
+                raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
     # q_i nonsingular over L_i (rank >= 2 cases)
     if desc.case != "orthogonal":
         for i in (1, 2, 3):
@@ -371,7 +375,8 @@ def _component_checks(comps: WComponents) -> None:
 
 
 def _li_module_basis(comps: WComponents, i: int) -> List[list]:
-    """An L_i-module basis of W_i, as space-coordinate vectors."""
+    """An L_i-module basis of W_i, as space-coordinate vectors: the first
+    candidates v that are, with g_i*v, independent of those chosen so far."""
     desc = comps.desc
     field = desc.field
     g, _ = comps.L.generator(i)
@@ -381,15 +386,15 @@ def _li_module_basis(comps: WComponents, i: int) -> List[list]:
         return comps.space.coords(desc.el_mul(comps.space.element(v), g))
 
     chosen: List[list] = []
-    acc: List[list] = []
+    span = Span([], field)
     for cs in candidates(field, len(vectors), None, 0, 0):
         if 2 * len(chosen) == len(vectors):
             break
         v = combination(field, cs, vectors, comps.space.dim)
-        trial = acc + [v, g_image(v)]
-        if Span(trial, field).dim == len(trial):
+        trial = span.copy()
+        if trial.insert(v) and trial.insert(g_image(v)):
             chosen.append(v)
-            acc = trial
+            span = trial
     if 2 * len(chosen) != len(vectors):
         raise DecompositionFailure(f"W_{i} is not free over L_{i}")
     return chosen
@@ -408,10 +413,11 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
             co = comps.L.li_coords(i, z)
             if co is None:
                 raise DecompositionFailure("polar of q_i escapes L_i")
-            row.append(ring._el(co))
+            row.append(tuple(co))
         rows.append(row)
-    det = charpoly(Mat(ring, rows))[0]
-    if not det.norm():
+    # the Berkowitz determinant on etale payloads (a, b) = a + b*g_i
+    det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
+    if not ring._el(det).norm():
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
 
 

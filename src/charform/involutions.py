@@ -27,6 +27,7 @@ Pfaffian form and the second-trace form, made by one builder) come from
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .errors import (
 from .fields import (
     Fe,
     Field,
+    GF2k,
     QuadraticExtension,
     RatFunc,
     etale_ops,
@@ -290,6 +292,30 @@ class _MatrixDescriptor:
             coeffs = _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
         return list(map(field._el, coeffs))
 
+    def _charpolys(self, split) -> List[List[Fe]]:
+        """The characteristic polynomials of split_rows matrices (rows, c) of
+        one shape and one c: over GF(2^k) from one Berkowitz run in
+        bit-sliced lanes, one lane per matrix; otherwise one run each."""
+        field = self.field
+        if not isinstance(field, GF2k):
+            return [self._charpoly(rows, c) for rows, c in split]
+        n, c = len(split), split[0][1]
+        zero, one, add, mul = field.lanes(n)
+
+        def pack(r, j):
+            entries = [m[r][j] for m, _ in split]
+            if c is None:
+                return field.to_lanes(entries)
+            # etale entries (x, y): the x parts and the y parts each fill a lane value
+            return tuple(map(field.to_lanes, zip(*entries)))
+
+        size = len(split[0][0])
+        rows = [[pack(r, j) for j in range(size)] for r in range(size)]
+        if c is not None:
+            c = field.lane_scalar(c, n)
+        coeffs = [field.from_lanes(v, n) for v in _berkowitz(rows, c, None, zero, one, add, mul)]
+        return [list(map(field._el, poly)) for poly in zip(*coeffs)]
+
     def trd(self, x) -> Fe:
         """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""
         return self.trd_product(x, self.one_el())
@@ -513,18 +539,18 @@ def _pfaffian(pc: List[Fe], field: Field) -> PfaffianData:
     return PfaffianData(tuple(coeffs), trace=p3, second=p2, linear=p1, norm=p0)
 
 
-def _trace_form(desc: Descriptor) -> RawQuadraticForm:
+def _trace_form(desc: Descriptor, split) -> RawQuadraticForm:
     """The second coefficient of the reduced Pfaffian (symplectic) or of the
     reduced characteristic polynomial on the symmetric space.
 
-    One Berkowitz run per split basis vector gives the diagonal entry and the
-    first coefficient t; the off-diagonal entries come from the polarization
+    ``split`` holds the split_rows of each basis vector.  Their Berkowitz
+    runs (one batch) give the diagonal entries and the first coefficients t;
+    the off-diagonal entries come from the polarization
     b(x, y) = t(x) t(y) + Trd(x y'), y' the stored half of y (symplectic) or y.
     """
     space = symmetric_space(desc)
     field = desc.field
-    split = [desc.split_rows(b) for b in space.basis]
-    polys = [desc._charpoly(rows, c) for rows, c in split]
+    polys = desc._charpolys(split)
     if desc.case == "symplectic":
         pfs = [_pfaffian(pc, field) for pc in polys]
         ts, diag = [p.trace for p in pfs], [p.second for p in pfs]
@@ -543,25 +569,87 @@ def _trace_form(desc: Descriptor) -> RawQuadraticForm:
     return RawQuadraticForm(field, u)
 
 
+def _basis_split(desc: Descriptor) -> list:
+    """split_rows of each basis vector of the symmetric space."""
+    return [desc.split_rows(b) for b in symmetric_space(desc).basis]
+
+
+def _lane_gate(field: GF2k, split, raw: RawQuadraticForm, vectors) -> bool:
+    """Whether raw is the second Pfaffian coefficient at the coordinate
+    vectors and at every e_i and e_i + e_j, from one Berkowitz run over
+    GF(2^k) in bit-sliced lanes.  Two quadratic forms that agree on all
+    e_i and e_i + e_j are equal, so a pass proves raw right.
+
+    The matrix of coordinates v is sum_i v_i * S_i, S_i the split_rows of
+    the i-th basis vector (split_rows is F-linear and lies over F for
+    GF(2^k)).  Its odd coefficients must vanish, and q(v)^2 must equal its
+    X^4 coefficient, the square of the second Pfaffian coefficient (squaring
+    is injective, so no square root is taken).
+    """
+    dim = len(split)
+    points = [(i,) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
+    n = len(vectors) + len(points)
+    zero, one, add, mul = field.lanes(n)
+    # coordinate i in every lane: the vectors first, then the points in plane 0
+    on_points = [0] * dim
+    for lane, point in enumerate(points, start=len(vectors)):
+        for i in point:
+            on_points[i] |= 1 << lane
+    coords = []
+    for i in range(dim):
+        planes = field.to_lanes([v[i] for v in vectors])
+        coords.append((planes[0] | on_points[i],) + planes[1:])
+
+    def scale(a, x):
+        return mul(field.lane_scalar(a, n), x)
+
+    size = len(split[0][0])
+    m = [[zero] * size for _ in range(size)]
+    for x, (rows, _) in zip(coords, split):
+        for r, row in enumerate(rows):
+            for j, a in enumerate(row):
+                if a:
+                    m[r][j] = add(m[r][j], scale(a, x))
+    coeffs = charpoly_raw(m, zero, one, add, mul)
+    if any(any(c) for c in coeffs[1::2]):
+        return False
+    q = zero
+    for x, row in zip(coords, raw._rows):
+        if row:
+            q = add(q, mul(x, functools.reduce(add, (scale(a, coords[j]) for j, a in row))))
+    return mul(q, q) == coeffs[4]
+
+
 def pfaffian_form(
     desc: Descriptor, *, validate: int = 200, seed: int = 0
 ) -> RawQuadraticForm:
     """The second Pfaffian coefficient as a raw quadratic form on Symd
     (built by _trace_form), cross-checked against direct Pfaffian
-    evaluation on ``validate`` random vectors.
+    evaluation on ``validate`` random vectors (none when it is 0).
+
+    Over GF(2^k) the check runs in bit-sliced lanes (_lane_gate) and also
+    covers every e_i and e_i + e_j, which makes it a proof.  Over
+    GF(2^k)(t), and whenever the lanes disagree, the random vectors are
+    checked one by one, so a failure raises as it always has.
     """
     if desc._srp_raw is not None:
         return desc._srp_raw
     if desc.case != "symplectic":
         raise UnsupportedDescriptor("reduced Pfaffians need a symplectic descriptor")
     space = symmetric_space(desc)
-    raw = _trace_form(desc)
-    rng = random.Random(seed)
-    for _ in range(validate):
-        v = space.rand_coords(rng)
-        direct = reduced_pfaffian(desc, space.element(v)).second
-        if raw.evaluate(v) != direct:
-            raise CharformError("Pfaffian form disagrees with direct evaluation")
+    split = _basis_split(desc)
+    raw = _trace_form(desc, split)
+    if validate > 0:
+        rng = random.Random(seed)
+        vectors = [space.rand_coords(rng) for _ in range(validate)]
+        lanes = isinstance(desc.field, GF2k)
+        if not (lanes and _lane_gate(desc.field, split, raw, vectors)):
+            for v in vectors:
+                direct = reduced_pfaffian(desc, space.element(v)).second
+                if raw.evaluate(v) != direct:
+                    raise CharformError("Pfaffian form disagrees with direct evaluation")
+            if lanes:  # only the points e_i and e_i + e_j disagree
+                raise CharformError("Pfaffian form disagrees with direct evaluation")
     desc._srp_raw = raw
     return raw
 
@@ -574,7 +662,7 @@ def second_trace_form(desc: Descriptor) -> RawQuadraticForm:
     if desc.case == "symplectic":
         raise UnsupportedDescriptor("use pfaffian_form for symplectic descriptors")
     if desc._srp_raw is None:
-        desc._srp_raw = _trace_form(desc)
+        desc._srp_raw = _trace_form(desc, _basis_split(desc))
     return desc._srp_raw
 
 

@@ -5,23 +5,29 @@ expansion determinant oracle over polynomial entries, against Berkowitz on
 matrices of entry-ring objects (the splitting image over F or over the etale
 ring F[s]/(s^2 + s + a), the etale entries of the unitary algebra, the field
 entries of the E block), and against closed forms for projectors and block
-elements.
+elements.  The batched Berkowitz runs (bit-sliced lanes over GF(2^k)) are
+checked against one scalar run per element, and the Pfaffian form's gate
+must reject a form with one corrupted entry, with the random vectors, with
+the points e_i and e_i + e_j alone, and over GF(2)(t).
 """
 
 import random
 
 import pytest
 
+from charform import involutions
 from charform.errors import (
+    CharformError,
     CoefficientNotRational,
     NotPfaffian,
     ShapeMismatch,
     UnsupportedDescriptor,
 )
 from charform.fields import GF2, RatFunc, gf2k, ratfunc
-from charform.forms import normalize
+from charform.forms import RawQuadraticForm, normalize
 from charform.involutions import (
     Index2Symp,
+    InvolutionSpace,
     Orthogonal,
     SplitSymp,
     UnitaryEtale,
@@ -306,6 +312,85 @@ def test_unitary_etale_coefficient_outside_f_raises(field, c):
         desc.trd_product(x, desc.projector(0))
     with pytest.raises(CoefficientNotRational):
         desc.reduced_charpoly(x)
+
+
+def _batch_descriptor(field, kind):
+    one, g = field.one, field.gen
+    gram = (one, g, one, g)
+    if kind == "split_symp":
+        return SplitSymp(field)
+    if kind == "index2_symp":
+        return idx2(field, g, one, gram[1:])
+    if kind == "orthogonal":
+        return Orthogonal(field, gram)
+    if kind == "unitary_exchange":
+        return UnitaryExchange(field)
+    c = next(c for c in field.elements() if field.rartin(c.raw) is None)
+    return UnitaryEtale(field, c, gram)
+
+
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
+@pytest.mark.parametrize(
+    "kind", ["split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale"]
+)
+def test_batched_charpolys_match_scalar_runs(field, kind):
+    desc = _batch_descriptor(field, kind)
+    rng = random.Random(5)
+    xs = [desc.rand(rng) for _ in range(12)]
+    if kind == "unitary_etale":  # symmetric elements have their coefficients in F
+        xs = [desc.el_add(x, desc.involve(x)) for x in xs]
+    split = [desc.split_rows(x) for x in xs]
+    assert desc._charpolys(split) == [desc.reduced_charpoly(x) for x in xs]
+    if kind == "unitary_etale":
+        # s at (0, 0) in one lane: its trace s lies outside F
+        x = desc.zero_el()
+        x = x[:1] + (field.rone,) + x[2:]
+        with pytest.raises(CoefficientNotRational):
+            desc._charpolys(split + [desc.split_rows(x)])
+
+
+def _corrupt_trace_form(monkeypatch, i, j):
+    """Make _trace_form add 1 to the entry (i, j) of the form it builds."""
+    build = involutions._trace_form
+
+    def corrupted(desc, split):
+        raw = build(desc, split)
+        u = [list(row) for row in raw.u]
+        u[i][j] = u[i][j] + raw.field.one
+        return RawQuadraticForm(raw.field, u)
+
+    monkeypatch.setattr(involutions, "_trace_form", corrupted)
+
+
+GATE_MESSAGE = "Pfaffian form disagrees with direct evaluation"
+GATE_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8}
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (0, 27), (5, 11)], ids=["diag", "corner", "offdiag"])
+@pytest.mark.parametrize("name", list(GATE_FIELDS))
+@pytest.mark.parametrize("points_only", [False, True], ids=["full", "points"])
+def test_pfaffian_gate_rejects_a_corrupted_entry(monkeypatch, name, entry, points_only):
+    field = GATE_FIELDS[name]
+    g = field.gen
+    desc = idx2(field, g, field.one, (g, field.one, g))
+    _corrupt_trace_form(monkeypatch, *entry)
+    if points_only:
+        # random vectors that are all zero agree with any form, so only the
+        # points e_i and e_i + e_j can catch it
+        monkeypatch.setattr(InvolutionSpace, "rand_coords", lambda sp, rng: [0] * sp.dim)
+    with pytest.raises(CharformError) as err:
+        pfaffian_form(desc)
+    assert type(err.value) is CharformError and str(err.value) == GATE_MESSAGE
+    assert desc._srp_raw is None
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (5, 11)], ids=["diag", "offdiag"])
+def test_pfaffian_gate_rejects_a_corrupted_entry_over_ratfunc(monkeypatch, entry):
+    desc = idx2(R2, R2.t, R2.one, (R2.one, R2.t, R2.one))
+    _corrupt_trace_form(monkeypatch, *entry)
+    with pytest.raises(CharformError) as err:
+        pfaffian_form(desc)
+    assert type(err.value) is CharformError and str(err.value) == GATE_MESSAGE
 
 
 def test_prp_of_identity():

@@ -912,8 +912,8 @@ def extract_orthogonal_invariants(
     # star multiplicativity of the second trace on W_1 x W_2
     ok = True
     for _ in range(100):
-        c1 = [field.rand(rng).raw for _ in range(2)]
-        c2 = [field.rand(rng).raw for _ in range(2)]
+        c1 = [field.rrand(rng) for _ in range(2)]
+        c2 = [field.rrand(rng) for _ in range(2)]
         w1 = comps.w_element(1, c1)
         w2 = comps.w_element(2, c2)
         prod = desc.el_add(desc.el_mul(w1, w2), desc.el_mul(w2, w1))

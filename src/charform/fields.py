@@ -325,8 +325,11 @@ class GF2k:
     def elements(self) -> Iterator[Fe]:
         return (self._el(i) for i in range(self.order))
 
+    def rrand(self, rng) -> int:
+        return rng.randrange(self.order)
+
     def rand(self, rng) -> Fe:
-        return self._el(rng.randrange(self.order))
+        return self._el(self.rrand(rng))
 
     def rand_nonzero(self, rng) -> Fe:
         return self._el(rng.randrange(1, self.order))
@@ -590,10 +593,12 @@ class RatFunc:
     def t(self) -> Fe:
         return Fe(self, (1 << self.base.k, 1))
 
+    def rrand(self, rng):
+        """The payload of a polynomial of degree at most 2 with seeded coefficients."""
+        return (pmake([rng.randrange(self.base.order) for _ in range(3)], self.base), 1)
+
     def rand(self, rng) -> Fe:
-        """A polynomial of degree at most 2 with seeded coefficients."""
-        num = pmake([rng.randrange(self.base.order) for _ in range(3)], self.base)
-        return Fe(self, self._norm(num, 1))
+        return Fe(self, self.rrand(rng))
 
     def rand_nonzero(self, rng) -> Fe:
         while True:

@@ -471,7 +471,7 @@ def candidates(
         return
     zero = field.rzero
     for _ in range(draws):
-        v = [field.rand(rng).raw for _ in range(n)]
+        v = [field.rrand(rng) for _ in range(n)]
         if any(a != zero for a in v):
             yield v
 

@@ -8,20 +8,17 @@ algebra E x E^op, 4x4 matrices over a quadratic etale extension with a
 twisted-transpose unitary involution, and 4x4 matrices over F with a
 transpose-type orthogonal involution.
 
-Every descriptor has one hook, ``split_rows(x)``: a square payload matrix
-whose characteristic polynomial is the reduced one of x, and the parameter
-c of its entry ring F[s]/(s^2 + s + c), or None when the entries lie in F.
-The symplectic shapes return the 8x8 image of the splitting embedding of Q
-into 2x2 matrices, which lies over F when x^2 + x = a has a root in F or
-when b/a is a square in F (always over GF(2^k)), and otherwise over the
-etale ring with c = a; the unitary etale shape returns its etale entries;
-the orthogonal and exchange shapes return their field entries (the E block
-for the exchange algebra).  One ``reduced_charpoly`` runs one Berkowitz
-driver on it: on payloads over GF(2^k), fraction-free on packed polynomials
-over GF(2^k)(t).  The reduced Pfaffian of a symmetrized element is read off
-the square root of its even coefficients.  Trd and both trace forms (the
-Pfaffian form and the second-trace form, made by one builder) come from
-``split_rows`` too, and the class attribute ``case`` holds the involution type.
+Every descriptor is three sparse tables over its payload coordinates: the
+structure constants, sigma, and ``split_rows``, a square payload matrix
+with the reduced characteristic polynomial (and the parameter c of its
+entry ring F[s]/(s^2 + s + c), or None over F).  That matrix is the 8x8
+splitting image of Q for the symplectic shapes (over the etale ring with
+c = a only when Q does not split over F), and the entries themselves (the
+E block of the exchange algebra) for the others.  Products run one loop
+over the structure constants, sigma and split_rows one sparse linear map.
+One Berkowitz driver gives ``reduced_charpoly``; the reduced Pfaffian of a
+symmetrized element is the square root of its even coefficients.  Trd and
+both trace forms come from ``split_rows`` too.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .fields import (
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm, candidates
-from .linalg import Span, charpoly_raw, combination, kernel, matmul_raw
+from .linalg import Span, charpoly_raw, combination, kernel
 from .quaternions import QuaternionAlgebra
 
 # per involution type: the dimension of Symd (symplectic) or Sym, and the
@@ -104,7 +101,7 @@ class InvolutionSpace:
         return self._combine(coords, self.halves)
 
     def rand_coords(self, rng: random.Random) -> list:
-        return [self.desc.field.rand(rng).raw for _ in range(self.dim)]
+        return [self.desc.field.rrand(rng) for _ in range(self.dim)]
 
 
 @dataclass(frozen=True)
@@ -173,43 +170,59 @@ def _charpoly_fraction_free(field: RatFunc, rows, c) -> list:
     return coeffs
 
 
-class _MatrixDescriptor:
-    """4x4 matrices over an entry ring, with sigma(x) = G^-1 conj(x)^t G.
+def _matrix_tables(field: Field, k: int, entry_mul, conj, gram: Sequence[Fe]):
+    """The structure constants and the sigma table of 4x4 matrices over an
+    entry ring whose product and conjugation act on k-tuples of payloads,
+    for sigma(x) = G^-1 conj(x)^t G with the Gram diagonal G."""
+    if any(not g for g in gram):
+        raise ZeroScalar("Gram coefficients must be nonzero")
+    zero, one, mul = field.rzero, field.rone, field.rmul
+    units = [(zero,) * a + (one,) + (zero,) * (k - a - 1) for a in range(k)]
+    mults = [[entry_mul(u, v) for v in units] for u in units]
+    slots = list(itertools.product(range(4), range(k)))
+    cells = [(r, s, a) for r in range(4) for s, a in slots]
+    at = {cell: i for i, cell in enumerate(cells)}
+    ratio = [[(gr / gs).raw for gs in gram] for gr in gram]
+    # (e_rs q_a)(e_st q_b) = e_rt q_a q_b, and sigma(e_rs q) = (g_r / g_s) e_sr conj(q)
+    product = [
+        tuple(
+            (at[s, t, b], tuple((at[r, t, l], c) for l, c in enumerate(mults[a][b]) if c != zero))
+            for t, b in slots
+        )
+        for r, s, a in cells
+    ]
+    sigma = [
+        tuple((at[s, r, l], mul(ratio[r][s], c)) for l, c in enumerate(conj(units[a])) if c != zero)
+        for r, s, a in cells
+    ]
+    return product, sigma
 
-    An element is a flat tuple of field payloads: the entries row by row,
-    each expanded into the ``k`` payloads of one entry of the ring (4 for a
-    quaternion, 2 for an etale entry, 1 for a field entry).  That is also
-    the order of the coordinates and of the standard basis, so ``to_vec``
-    only checks the shape.  A
-    subclass passes the entry ring, ``k``, the conjugation ``conj`` of one
-    entry (on its k-tuple of payloads) and the Gram diagonal G.  Products
-    run on ``entries(x)`` through the entry ring's payload arithmetic
-    (``rzero``, ``radd``, ``rmul``), which fields, quaternion algebras and
-    etale rings all provide.
+
+class _MatrixDescriptor:
+    """An algebra with involution as three sparse tables over the payload
+    coordinates of its elements, built once by the subclass.
+
+    An element is a flat tuple of field payloads: for 4x4 matrices over an
+    entry ring, the entries row by row, each as its ``k`` payloads.
+    ``_product[i]`` lists the (j, terms) with e_i e_j = sum c e_l over the
+    (l, c) in terms, ``_sigma[i]`` the terms of sigma(e_i), and ``_split[i]``
+    those of e_i in the flat split_size x split_size matrix of ``split_rows``
+    (two payloads per entry when split_c is not None).
     """
 
     n = 4
     case: str  # the involution type, a key of CASE_DIMS
 
-    def __init__(self, field: Field, entry_ring, k: int, conj, gram: Sequence[Fe]):
-        if any(not g for g in gram):
-            raise ZeroScalar("Gram coefficients must be nonzero")
-        self.field = field
-        self.entry_ring = entry_ring
-        self.k = k
-        self.conj = conj
-        self.gram = tuple(gram)
-        self._ratios = [[(gj / gi).raw for gj in self.gram] for gi in self.gram]
+    def __init__(self, field: Field, k: int, product, sigma, split, split_size: int, split_c=None):
+        self.field, self.k, self.ambient_dim = field, k, len(product)
+        self._product, self._sigma, self._split = product, sigma, split
+        self._split_size, self._split_c = split_size, split_c
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
         self._components = None
         for e in self.std_basis():
             if self.involve(self.involve(e)) != e:
                 raise UnsupportedDescriptor("the induced map is not an involution")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n * self.n * self.k
 
     # element plumbing --------------------------------------------------------
 
@@ -226,22 +239,33 @@ class _MatrixDescriptor:
         v[(i * n + i) * k] = self.field.rone
         return tuple(v)
 
-    def entries(self, x):
-        """The rows of entry payloads of x: k-tuples, or bare payloads for k = 1."""
-        n, k = self.n, self.k
-        if k == 1:
-            return [x[i * n : (i + 1) * n] for i in range(n)]
-        return [[x[(i * n + j) * k : (i * n + j + 1) * k] for j in range(n)] for i in range(n)]
-
     def el_add(self, x, y):
         return tuple(map(self.field.radd, x, y))
 
     def el_mul(self, x, y):
-        ring = self.entry_ring
-        rows = matmul_raw(self.entries(x), self.entries(y), ring.rzero, ring.radd, ring.rmul)
-        if self.k == 1:
-            return tuple(e for row in rows for e in row)
-        return tuple(c for row in rows for e in row for c in e)
+        field = self.field
+        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
+        acc = [zero] * self.ambient_dim
+        for a, row in zip(x, self._product):
+            if a != zero:
+                for j, terms in row:
+                    b = y[j]
+                    if b != zero:
+                        p = mul(a, b)
+                        for l, c in terms:
+                            acc[l] = add(acc[l], p if c == one else mul(c, p))
+        return tuple(acc)
+
+    def _apply(self, table, x, width: int) -> list:
+        """The linear map e_i -> table[i] (sparse terms) on x, as ``width`` payloads."""
+        field = self.field
+        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
+        acc = [zero] * width
+        for a, terms in zip(x, table):
+            if a != zero:
+                for l, c in terms:
+                    acc[l] = add(acc[l], a if c == one else mul(c, a))
+        return acc
 
     def el_scal(self, c: Fe, x):
         c, mul, zero = c.raw, self.field.rmul, self.field.rzero
@@ -251,7 +275,7 @@ class _MatrixDescriptor:
         return x == y
 
     def rand(self, rng: random.Random):
-        return tuple(self.field.rand(rng).raw for _ in range(self.ambient_dim))
+        return tuple(self.field.rrand(rng) for _ in range(self.ambient_dim))
 
     def std_basis(self):
         zero, one, m = self.field.rzero, self.field.rone, self.ambient_dim
@@ -263,13 +287,7 @@ class _MatrixDescriptor:
         return x
 
     def involve(self, x):
-        n, k, conj, mul, one = self.n, self.k, self.conj, self.field.rmul, self.field.rone
-        out = []
-        for i, ratios in enumerate(self._ratios):
-            for j, r in enumerate(ratios):
-                e = conj(x[(j * n + i) * k : (j * n + i + 1) * k])
-                out.extend(e if r == one else [mul(r, c) for c in e])
-        return tuple(out)
+        return tuple(self._apply(self._sigma, x, self.ambient_dim))
 
     def scalar_part(self, x) -> Fe:
         return self.field._el(x[0])
@@ -278,7 +296,11 @@ class _MatrixDescriptor:
         """A square payload matrix whose characteristic polynomial is the
         reduced one of x, and the etale parameter c of its entry ring
         F[s]/(s^2 + s + c) (None when the entries lie in F)."""
-        return self.entries(x), None
+        size, c = self._split_size, self._split_c
+        flat = self._apply(self._split, x, size * size * (1 if c is None else 2))
+        if c is not None:
+            flat = list(zip(flat[::2], flat[1::2]))
+        return [flat[r * size : (r + 1) * size] for r in range(size)], c
 
     def reduced_charpoly(self, x) -> List[Fe]:
         return self._charpoly(*self.split_rows(x))
@@ -342,47 +364,27 @@ class _MatrixDescriptor:
 
 class _SympBase(_MatrixDescriptor):
     """4x4 matrices over a quaternion algebra, sigma adjoint to a diagonal
-    hermitian form <1, u1, u2, u3>."""
+    hermitian form <1, u1, u2, u3>.  ``split_rows`` is the 8x8 image of the
+    algebra's splitting embedding on payloads: field payloads when it lies
+    over F, else (x, y) pairs over F[s]/(s^2 + s + a)."""
 
     case = "symplectic"
 
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
         self.quat = quat
-        self.us = tuple(us)
+        self.us = us = tuple(us)
         add = field.radd
-        super().__init__(
-            field, quat, 4, lambda e: (add(e[0], e[1]),) + e[1:], (field.one,) + self.us
+        tables = _matrix_tables(
+            field, 4, quat.rmul, lambda e: (add(e[0], e[1]),) + e[1:], (field.one, *us)
         )
-
-    def split_rows(self, x):
-        """The 8x8 splitting image on payloads.
-
-        Each quaternion entry (c0, c1, c2, c3) maps to the 2x2 block
-        sum_k c_k * (image of the k-th basis quaternion) of the algebra's
-        splitting embedding.  Entries are field payloads when the embedding
-        lies over F, else (x, y) pairs over F[s]/(s^2 + s + a).
-        """
-        field = self.field
-        sp = self.quat.split()
-        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
-        split_over_f = sp.ring is field
-        rows = []
-        for entry_row in self.entries(x):
-            top, bottom = [], []
-            for c in entry_row:
-                e = []
-                for term in sp.terms:
-                    acc = zero
-                    for k, m in term:
-                        if c[k] != zero:
-                            acc = add(acc, c[k] if m == one else mul(c[k], m))
-                    e.append(acc)
-                if not split_over_f:
-                    e = list(zip(e[::2], e[1::2]))
-                top += e[:2]
-                bottom += e[2:]
-            rows += (top, bottom)
-        return rows, None if split_over_f else self.quat.a.raw
+        sp = quat.split()
+        w = 1 if sp.ring is field else 2
+        # the entry (r, s) maps to the 2x2 block at (2r, 2s)
+        split = [
+            tuple((((2 * r + i) * 8 + 2 * s + j) * w + p, m) for (i, j, p), m in sp.terms[a])
+            for r, s, a in itertools.product(range(4), repeat=3)
+        ]
+        super().__init__(field, 4, *tables, split, 8, None if w == 1 else quat.a.raw)
 
 
 class SplitSymp(_SympBase):
@@ -420,11 +422,11 @@ class UnitaryEtale(_MatrixDescriptor):
             )
         self.c = c
         self.center = QuadraticExtension(field, c)
+        self.gram = gs = tuple(gs)
         add = field.radd
-        super().__init__(field, self.center, 2, lambda e: (add(e[0], e[1]), e[1]), gs)
-
-    def split_rows(self, x):
-        return self.entries(x), self.c.raw
+        tables = _matrix_tables(field, 2, self.center.rmul, lambda e: (add(e[0], e[1]), e[1]), gs)
+        split = [((i, field.rone),) for i in range(32)]  # the etale entries themselves
+        super().__init__(field, 2, *tables, split, 4, c.raw)
 
 
 class Orthogonal(_MatrixDescriptor):
@@ -434,33 +436,32 @@ class Orthogonal(_MatrixDescriptor):
     case = "orthogonal"
 
     def __init__(self, field: Field, gs: Sequence[Fe]):
-        super().__init__(field, field, 1, lambda e: e, gs)
+        self.gram = gs = tuple(gs)
+        mul = field.rmul
+        tables = _matrix_tables(field, 1, lambda x, y: (mul(x[0], y[0]),), lambda e: e, gs)
+        super().__init__(field, 1, *tables, [((i, field.rone),) for i in range(16)], 4)
 
 
 class UnitaryExchange(_MatrixDescriptor):
     """B = E x E^op with the exchange involution: an element lists its E block
-    and then its E^op block, each a 4x4 matrix over F."""
+    and then its E^op block, each a 4x4 matrix over F.  The product is
+    blockwise, opposite on E^op; sigma swaps the blocks, and ``split_rows``
+    is the E block."""
 
     kind = "unitary_exchange"
     case = "unitary"
 
     def __init__(self, field: Field):
-        super().__init__(field, field, 1, lambda e: e, (field.one,) * 4)
-
-    @property
-    def ambient_dim(self) -> int:
-        return 32
+        one, cells = field.rone, list(itertools.product(range(4), range(4)))
+        # e_rs e_st = e_rt in E, and e_rs e_qr = e_qs in E^op (offset 16)
+        product = [tuple((4 * s + t, ((4 * r + t, one),)) for t in range(4)) for r, s in cells]
+        op = [tuple((16 + 4 * q + r, ((16 + 4 * q + s, one),)) for q in range(4)) for r, s in cells]
+        swap = [((i + 16, one),) for i in range(16)] + [((i, one),) for i in range(16)]
+        super().__init__(field, 1, product + op, swap, swap[16:] + [()] * 16, 4)
 
     def projector(self, i: int):
         p = super().projector(i)
         return p + p
-
-    def el_mul(self, x, y):
-        mul = super().el_mul
-        return mul(x[:16], y[:16]) + mul(y[16:], x[16:])  # opposite multiplication on E^op
-
-    def involve(self, x):
-        return x[16:] + x[:16]
 
 
 Descriptor = _MatrixDescriptor
@@ -628,9 +629,9 @@ def pfaffian_form(
     evaluation on ``validate`` random vectors (none when it is 0).
 
     Over GF(2^k) the check runs in bit-sliced lanes (_lane_gate) and also
-    covers every e_i and e_i + e_j, which makes it a proof.  Over
-    GF(2^k)(t), and whenever the lanes disagree, the random vectors are
-    checked one by one, so a failure raises as it always has.
+    covers every e_i and e_i + e_j, which makes it a proof; over GF(2^k)(t)
+    the random vectors are checked one by one with scalar reduced
+    Pfaffians.  Either way a disagreement raises CharformError.
     """
     if desc._srp_raw is not None:
         return desc._srp_raw
@@ -642,14 +643,15 @@ def pfaffian_form(
     if validate > 0:
         rng = random.Random(seed)
         vectors = [space.rand_coords(rng) for _ in range(validate)]
-        lanes = isinstance(desc.field, GF2k)
-        if not (lanes and _lane_gate(desc.field, split, raw, vectors)):
-            for v in vectors:
-                direct = reduced_pfaffian(desc, space.element(v)).second
-                if raw.evaluate(v) != direct:
-                    raise CharformError("Pfaffian form disagrees with direct evaluation")
-            if lanes:  # only the points e_i and e_i + e_j disagree
-                raise CharformError("Pfaffian form disagrees with direct evaluation")
+        if isinstance(desc.field, GF2k):
+            agrees = _lane_gate(desc.field, split, raw, vectors)
+        else:
+            agrees = all(
+                raw.evaluate(v) == reduced_pfaffian(desc, space.element(v)).second
+                for v in vectors
+            )
+        if not agrees:
+            raise CharformError("Pfaffian form disagrees with direct evaluation")
     desc._srp_raw = raw
     return raw
 

@@ -49,8 +49,16 @@ class Mat:
     __sub__ = __add__
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Row i sums a * (row k of other) over the nonzero a = self[i][k]."""
         assert self.shape[1] == other.shape[0], "shape mismatch"
-        rows = matmul_raw(self.rows, other.rows, self.ring.zero, operator.add, operator.mul)
+        zero = self.ring.zero
+        rows = []
+        for row in self.rows:
+            acc = [zero] * other.shape[1]
+            for a, orow in zip(row, other.rows):
+                if a != zero:
+                    acc = [s if b == zero else s + a * b for s, b in zip(acc, orow)]
+            rows.append(acc)
         return Mat(self.ring, rows)
 
     def scal(self, c) -> "Mat":
@@ -74,24 +82,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
-
-
-def matmul_raw(x, y, zero, add, mul) -> list:
-    """Product of two matrices given as rows, with explicit ring closures
-    (payload arithmetic on the hot paths, element operators for ``Mat``).
-
-    Row i accumulates a * (row k of y) over the nonzero a = x[i][k] and skips
-    zero entries of y: most matrices of the involution pipeline are sparse.
-    """
-    width = len(y[0]) if y else 0
-    out = []
-    for row in x:
-        acc = [zero] * width
-        for a, yrow in zip(row, y):
-            if a != zero:
-                acc = [s if b == zero else add(s, mul(a, b)) for s, b in zip(acc, yrow)]
-        out.append(acc)
-    return out
 
 
 def charpoly(m: Mat) -> list:

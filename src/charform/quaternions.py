@@ -15,6 +15,7 @@ case of that extension is harmless.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Union
 
@@ -80,9 +81,9 @@ class Quat:
         return f"Quat{self.raw}"
 
 
-def quat_ops(field: Field, a, b):
-    """Addition and multiplication of [a,b) on 4-tuples of field payloads,
-    with a and b the payloads of the slots."""
+def quat_mul(field: Field, a, b):
+    """The multiplication of [a,b) on 4-tuples of field payloads, with a and
+    b the payloads of the slots."""
     add, mul = field.radd, field.rmul
     ab = mul(a, b)
 
@@ -98,12 +99,13 @@ def quat_ops(field: Field, a, b):
         c2 = add(c2, mul(a, add(mul(x1, y3), mul(x3, y1))))
         return (c0, c1, c2, add(c3, mul(x2, y1)))
 
-    return lambda x, y: tuple(map(add, x, y)), qmul
+    return qmul
 
 
 class QuaternionAlgebra:
-    """The symbol algebra [a,b), also usable as a matrix entry ring; like a
-    field it has payload arithmetic (rzero, radd, rmul, _el) on ``Quat.raw``."""
+    """The symbol algebra [a,b), with the payload product ``rmul`` and
+    ``_el`` on ``Quat.raw`` (the structure constants of the symplectic
+    descriptors come from rmul)."""
 
     def __init__(self, field: Field, a: Fe, b: Fe):
         if not b:
@@ -111,8 +113,7 @@ class QuaternionAlgebra:
         self.field = field
         self.a = a
         self.b = b
-        self.rzero = (field.rzero,) * 4
-        self.radd, self.rmul = quat_ops(field, a.raw, b.raw)
+        self.rmul = quat_mul(field, a.raw, b.raw)
         z, o = field.zero, field.one
         self.zero = Quat(self, (z, z, z, z))
         self.one = Quat(self, (o, z, z, z))
@@ -186,12 +187,10 @@ class SplitEmbedding:
     3. otherwise the ring is F[s]/(s^2 + s + a), with the matrices of case 1.
 
     Over GF(2^k) case 3 never occurs.  ``terms`` is the embedding on
-    payloads: an image entry is a ring element with one F-coordinate over F
-    and two (x, y of x + y*s) over the etale ring.  For each image entry in
-    row-major order and each of its F-coordinates in turn, ``terms`` holds
-    the nonzero pairs (k, m), m the payload of that coordinate in the image
-    of the k-th basis quaternion 1, u, v, uv.  None of these tuples is
-    empty, because the images span all 2x2 matrices.
+    payloads: an image entry is a ring element with one F-coordinate p = 0
+    over F and two (x, y of x + y*s) over the etale ring.  ``terms[k]``
+    holds the pairs ((i, j, p), m) with m != 0 the payload of coordinate p
+    of the entry (i, j) in the image of the k-th basis quaternion 1, u, v, uv.
     """
 
     def __init__(self, alg: QuaternionAlgebra):
@@ -223,10 +222,13 @@ class SplitEmbedding:
         rzero = field.rzero
         coords = (lambda e: (e.raw,)) if ring is field else (lambda e: e.raw)
         self.terms = tuple(
-            tuple((k, c) for k, c in enumerate(part) if c != rzero)
-            for i in range(2)
-            for j in range(2)
-            for part in zip(*(coords(m.rows[i][j]) for m in images))
+            tuple(
+                ((i, j, p), c)
+                for i, j in itertools.product(range(2), repeat=2)
+                for p, c in enumerate(coords(m.rows[i][j]))
+                if c != rzero
+            )
+            for m in images
         )
 
     def embed(self, x: Quat) -> Mat:

@@ -150,7 +150,7 @@ def run_forms(field: Field, seed: int, trials: int) -> List[PropertyResult]:
         raw = _random_raw(field, rng, n)
         q, t = normalize(raw)
         for _ in range(20):
-            y = [field.rand(rng).raw for _ in range(n)]
+            y = [field.rrand(rng) for _ in range(n)]
             ty = combination(field, y, list(zip(*t)), n)
             if raw.evaluate(ty) != q.evaluate(y):
                 bad += 1
@@ -303,8 +303,8 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     bad = 0
     n_star = min(trials, 300)
     for _ in range(n_star):
-        c1 = [field.rand(rng).raw for _ in range(comp_dims[1])]
-        c2 = [field.rand(rng).raw for _ in range(comp_dims[2])]
+        c1 = [field.rrand(rng) for _ in range(comp_dims[1])]
+        c2 = [field.rrand(rng) for _ in range(comp_dims[2])]
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from descriptor_layout import entries
 from charform import extraction
 from charform.errors import (
     DecompositionFailure,
@@ -210,10 +211,10 @@ def test_split_case_star_block_formula():
         x1 = comps.w_element(1, c1)
         x2 = comps.w_element(2, c2)
         out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
-        m1, m2 = desc.entries(x1), desc.entries(x2)
+        m1, m2 = entries(desc, x1), entries(desc, x2)
         q = desc.quat._el
         expected = q(m1[0][1]) * q(m2[1][3]) + q(m2[0][2]) * q(m1[2][3])
-        assert q(desc.entries(out)[0][3]) == expected
+        assert q(entries(desc, out)[0][3]) == expected
 
 
 # --- symplectic extraction ----------------------------------------------------

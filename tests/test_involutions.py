@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from descriptor_layout import entries
 from charform import involutions
 from charform.errors import (
     CharformError,
@@ -23,7 +24,7 @@ from charform.errors import (
     ShapeMismatch,
     UnsupportedDescriptor,
 )
-from charform.fields import GF2, RatFunc, gf2k, ratfunc
+from charform.fields import GF2, RatFunc, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import RawQuadraticForm, normalize
 from charform.involutions import (
     Index2Symp,
@@ -66,7 +67,7 @@ def quat_element(desc, placed):
 def quat_matrix(desc, x):
     """The element x as a Mat of quaternions, for the splitting embedding."""
     Q = desc.quat
-    return Mat(Q, [[Q._el(e) for e in row] for row in desc.entries(x)])
+    return Mat(Q, [[Q._el(e) for e in row] for row in entries(desc, x)])
 
 
 # --- oracle: char poly by cofactor expansion over polynomial entries ---------
@@ -104,16 +105,41 @@ def poly_charpoly_oracle(m, field):
     return out + [field.zero] * (n + 1 - len(out))
 
 
+def _gen(field):
+    return field.t if isinstance(field, RatFunc) else field.gen
+
+
+def _non_artin_schreier(field):
+    """A c with x^2 + x = c unsolvable in the field."""
+    if isinstance(field, RatFunc):
+        return field.t
+    return next(c for c in field.elements() if solve_artin_schreier(c) is None)
+
+
+def _gram(field):
+    """A Gram diagonal (g, 1, g + 1, 1/g), or 1 over GF(2), where no other exists."""
+    g, one = _gen(field), field.one
+    return (one,) * 4 if g == one else (g, one, g + one, one / g)
+
+
+SIGMA_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "r2": R2}
+
+
+def _involution_descs(field):
+    """One descriptor of each kind, with non-unit Grams where the field has them."""
+    g, one, gram = _gen(field), field.one, _gram(field)
+    return [
+        SplitSymp(field),
+        idx2(field, g, one, gram[1:]),
+        UnitaryExchange(field),
+        UnitaryEtale(field, _non_artin_schreier(field), gram),
+        Orthogonal(field, gram),
+    ]
+
+
 def test_involution_is_involutive_and_antimultiplicative():
     rng = random.Random(3)
-    descs = [
-        SplitSymp(F4),
-        idx2(F4, F4.gen, F4.one, (F4.one, F4.gen, F4.gen + F4.one)),
-        UnitaryExchange(F4),
-        UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)),
-        Orthogonal(F4, (F4.one, F4.gen, F4.gen + F4.one, F4.one)),
-    ]
-    for desc in descs:
+    for desc in (d for field in (F4, F8, R2) for d in _involution_descs(field)):
         one = desc.one_el()
         assert desc.el_eq(apply_involution(desc, one), one)
         for _ in range(20):
@@ -125,6 +151,52 @@ def test_involution_is_involutive_and_antimultiplicative():
                 apply_involution(desc, desc.el_mul(x, y)),
                 desc.el_mul(apply_involution(desc, y), apply_involution(desc, x)),
             )
+
+
+def _diag(ring, values):
+    n = len(values)
+    return Mat(ring, [[v if i == j else ring.zero for j in range(n)] for i, v in enumerate(values)])
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf4", "r2"])
+@pytest.mark.parametrize("kind", ["index2_symp", "unitary_etale", "orthogonal"])
+def test_sigma_is_the_closed_form(name, kind):
+    # sigma(x) = G^-1 conj(x)^t G on a matrix of Quat, EtaleElement or Fe entries
+    field = SIGMA_FIELDS[name]
+    gram = _gram(field)
+    if kind == "index2_symp":
+        desc = idx2(field, _gen(field), field.one, gram[1:])
+        ring, conj, lift = desc.quat, q_conj, desc.quat.scalar
+        gram = (field.one,) + gram[1:]
+    elif kind == "unitary_etale":
+        desc = UnitaryEtale(field, _non_artin_schreier(field), gram)
+        ring, conj, lift = desc.center, lambda e: e.conj(), desc.center.lift
+    else:
+        desc = Orthogonal(field, gram)
+        ring, conj, lift = field, lambda e: e, lambda g: g
+
+    def matrix(x):
+        return [[ring._el(e) for e in row] for row in entries(desc, x)]
+
+    left = _diag(ring, [lift(g.inv()) for g in gram])
+    right = _diag(ring, [lift(g) for g in gram])
+    rng = random.Random(37)
+    for _ in range(4):
+        x = desc.rand(rng)
+        m = matrix(x)
+        conj_t = Mat(ring, [[conj(m[j][i]) for j in range(4)] for i in range(4)])
+        assert matrix(apply_involution(desc, x)) == [list(r) for r in (left * conj_t * right).rows]
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf4", "r2"])
+def test_exchange_sigma_swaps_the_blocks(name):
+    desc = UnitaryExchange(SIGMA_FIELDS[name])
+    rng = random.Random(41)
+    for _ in range(4):
+        x = desc.rand(rng)
+        sx = apply_involution(desc, x)
+        assert entries(desc, sx) == entries(desc, x[16:])
+        assert entries(desc, sx[16:]) == entries(desc, x[:16])
 
 
 def test_split_symp_sigma_is_conj_transpose():
@@ -224,9 +296,9 @@ def _entry_ring_charpoly(desc, x):
     if desc.kind.endswith("symp"):
         m = desc.quat.split().embed_matrix(quat_matrix(desc, x))
     elif desc.kind == "unitary_etale":
-        m = Mat(desc.center, [[desc.center._el(e) for e in row] for row in desc.entries(x)])
+        m = Mat(desc.center, [[desc.center._el(e) for e in row] for row in entries(desc, x)])
     else:
-        m = Mat(field, [[field._el(e) for e in row] for row in desc.entries(x)])
+        m = Mat(field, [[field._el(e) for e in row] for row in entries(desc, x)])
     coeffs = charpoly(m)
     if m.ring is field:
         return coeffs

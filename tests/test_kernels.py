@@ -27,6 +27,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from descriptor_layout import entries
 from charform.fields import (
     GF2,
     GF2k,
@@ -158,7 +159,7 @@ def flat(rows):
 
 
 def wrapped(desc, rows):
-    """Rows of ``desc.entries`` payloads as field elements, tuples of them when
+    """Rows of entry payloads (``entries``) as field elements, tuples of them when
     an entry has more than one coordinate."""
     wrap = desc.field._el
     if desc.k > 1:
@@ -209,7 +210,7 @@ def test_quaternion_matrix_products(field, data):
     zero = (field.zero,) * 4
     expected = naive_matmul(*coords, coord_add, quaternion_product(field, a, b), zero)
     got_desc = desc.el_mul(*(tuple(e.raw for e in flat(m)) for m in coords))
-    assert wrapped(desc, desc.entries(got_desc)) == expected
+    assert wrapped(desc, entries(desc, got_desc)) == expected
     got_mat = Mat(quat, x) * Mat(quat, y)
     assert [[e.c for e in row] for row in got_mat.rows] == expected
 
@@ -227,7 +228,7 @@ def test_etale_matrix_products(field, data):
     zero = (field.zero, field.zero)
     expected = naive_matmul(*coords, coord_add, etale_product(field, c), zero)
     got = desc.el_mul(*(tuple(e.raw for e in flat(m)) for m in coords))
-    assert wrapped(desc, desc.entries(got)) == expected
+    assert wrapped(desc, entries(desc, got)) == expected
     p, q = x[0][0], y[0][0]
     pq = p * q
     assert (pq.x, pq.y) == etale_product(field, c)((p.x, p.y), (q.x, q.y))
@@ -285,14 +286,14 @@ def test_field_matrix_products(field, data):
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
     orth = Orthogonal(field, gram)
     got_orth = orth.el_mul(*(tuple(e.raw for e in flat(m)) for m in (x, y)))
-    assert wrapped(orth, orth.entries(got_orth)) == expected
+    assert wrapped(orth, entries(orth, got_orth)) == expected
     assert [list(r) for r in (Mat(field, x) * Mat(field, y)).rows] == expected
     exchange = UnitaryExchange(field)
     pair_x, pair_y = (tuple(c.raw for c in flat(e) + flat(f)) for e, f in ((x, x2), (y, y2)))
     got = exchange.el_mul(pair_x, pair_y)
-    assert wrapped(exchange, exchange.entries(got)) == expected  # the E block
+    assert wrapped(exchange, entries(exchange, got)) == expected  # the E block
     # the E^op block multiplies in the opposite order
-    assert wrapped(exchange, exchange.entries(got[16:])) == naive_matmul(
+    assert wrapped(exchange, entries(exchange, got[16:])) == naive_matmul(
         y2, x2, fe_add, fe_mul, field.zero
     )
 

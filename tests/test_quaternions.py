@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from descriptor_layout import entries
 from charform.errors import AlgebraMismatch, ZeroScalar
-from charform.fields import GF2, QuadraticExtension, gf2k, ratfunc, solve_artin_schreier
+from charform.fields import GF2, Fe, QuadraticExtension, gf2k, ratfunc, solve_artin_schreier
 from charform.involutions import Index2Symp
 from charform.linalg import Mat, charpoly
 from charform.quaternions import (
@@ -224,7 +225,7 @@ def _etale_oracle_charpoly(desc, x):
     ]
     images.append(images[1] * images[2])
     rows = [[None] * 8 for _ in range(8)]
-    for i, entry_row in enumerate(desc.entries(x)):
+    for i, entry_row in enumerate(entries(desc, x)):
         for j, c in enumerate(entry_row):
             block = Mat.zeros(ring, 2)
             for ck, m in zip(c, images):
@@ -251,19 +252,24 @@ def test_index2_charpoly_matches_etale_embedding(field):
             assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)
 
 
-@pytest.mark.parametrize(
-    "a,b,over_f",
-    [
-        ("t", "t", True),  # b/a = 1
-        ("1/t", "t", True),  # b/a = t^2, a not a polynomial
-        ("t", "1+t", False),
-        ("1/t", "1", False),  # etale, a not a polynomial
-    ],
-)
-def test_ratfunc_splitting_cases(a, b, over_f):
+RATFUNC_SYMBOLS = [
+    ("t", "t", True),  # b/a = 1
+    ("1/t", "t", True),  # b/a = t^2, a not a polynomial
+    ("t", "1+t", False),
+    ("1/t", "1", False),  # etale, a not a polynomial
+]
+
+
+def _ratfunc_symbol(a, b):
     t, one = R2.t, R2.one
     slots = {"t": t, "1/t": one / t, "1+t": one + t, "1": one}
-    Q = make(R2, slots[a], slots[b])
+    return make(R2, slots[a], slots[b])
+
+
+@pytest.mark.parametrize("a,b,over_f", RATFUNC_SYMBOLS)
+def test_ratfunc_splitting_cases(a, b, over_f):
+    t, one = R2.t, R2.one
+    Q = _ratfunc_symbol(a, b)
     sp = split_embedding(Q)
     assert (sp.ring is R2) == over_f
     _assert_relations(sp, Q)
@@ -272,3 +278,44 @@ def test_ratfunc_splitting_cases(a, b, over_f):
     for _ in range(2):
         x = desc.rand(rng)
         assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)
+
+
+def _splitting_case(Q):
+    """Which splitting embedding applies: a root of x^2 + x = a in F, b/a a
+    square in F, or the etale ring."""
+    if isinstance(solve_artin_schreier(Q.a), Fe):
+        return "root"
+    return "square" if Q.split().ring is Q.field else "etale"
+
+
+def _assert_split_rows_is_the_image(desc, rng):
+    """split_rows(x) is the splitting image of the quaternion matrix of x,
+    entry by entry, with the etale parameter a exactly over the etale ring."""
+    Q, sp = desc.quat, desc.quat.split()
+    for _ in range(2):
+        x = desc.rand(rng)
+        rows, c = desc.split_rows(x)
+        image = sp.embed_matrix(Mat(Q, [[Q._el(e) for e in row] for row in entries(desc, x)]))
+        assert [list(row) for row in rows] == [[e.raw for e in row] for row in image.rows]
+        assert c == (None if sp.ring is desc.field else Q.a.raw)
+
+
+@pytest.mark.parametrize("field", [F4, F8], ids=["gf4", "gf8"])
+def test_split_rows_is_the_splitting_image_over_finite_fields(field):
+    rng = random.Random(43)
+    cases = set()
+    for a in field.elements():
+        Q = make(field, a, field.rand_nonzero(rng))
+        cases.add(_splitting_case(Q))
+        desc = Index2Symp(field, Q, [field.rand_nonzero(rng) for _ in range(3)])
+        _assert_split_rows_is_the_image(desc, rng)
+    assert cases == {"root", "square"}
+
+
+@pytest.mark.parametrize("a,b,over_f", RATFUNC_SYMBOLS)
+def test_split_rows_is_the_splitting_image_over_ratfunc(a, b, over_f):
+    Q = _ratfunc_symbol(a, b)
+    assert _splitting_case(Q) == ("square" if over_f else "etale")
+    t, one = R2.t, R2.one
+    desc = Index2Symp(R2, Q, (t, one / t, one + t))
+    _assert_split_rows_is_the_image(desc, random.Random(47))

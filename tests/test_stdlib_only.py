@@ -1,7 +1,8 @@
 """The runtime stays stdlib-only and keeps nothing it does not use: every
 module that ``src/charform`` imports is charform itself or a module of the
 standard library, every name an import binds is read somewhere in the
-module, and every private helper is read somewhere in ``src/charform``."""
+module, and every private helper or attribute is read somewhere in
+``src/charform``."""
 
 import ast
 import sys
@@ -33,10 +34,23 @@ def unused_imports(source: str) -> set:
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _self_attributes(node) -> list:
+    """The attribute names an assignment stores through ``self.<name> = ...``."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    elts = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [
+        e.attr
+        for e in elts
+        if isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name) and e.value.id == "self"
+    ]
+
+
 def dead_private_names(sources: dict) -> set:
-    """Private top-level functions, classes and constants, and private methods,
-    that no module of ``sources`` reads by name or attribute (a definition is
-    not a read), as ``module:name``."""
+    """Private top-level functions, classes and constants, private methods,
+    and private attributes stored through ``self._x = ...``, that no module
+    of ``sources`` reads by name, by attribute or as a string such as
+    ``getattr(obj, "_x")`` (a definition or a store is not a read), as
+    ``module:name``."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     defined = set()
     read = set()
@@ -52,10 +66,15 @@ def dead_private_names(sources: dict) -> set:
                 names += [t.id for t in targets if isinstance(t, ast.Name)]
             defined.update((module, n) for n in names if n[:1] == "_" and n[:2] != "__")
         for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                stored = _self_attributes(node)
+                defined.update((module, n) for n in stored if n[:1] == "_" and n[:2] != "__")
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
     return {f"{module}:{n}" for module, n in defined if n not in read}
 
 
@@ -96,8 +115,14 @@ def test_guard_flags_dead_private_helpers():
         "class _Base:",
         "    def __init__(self):",
         "        self._live()",
+        "        self._kept, self._left = 1, 2",
+        "        self._named: int = 3",
+        "        self._bumped = 4",
+        "        self._bumped += 1",
+        "        self.__mangled = 5",
+        "        self.public = 6",
         "    def _live(self):",
-        "        pass",
+        "        return self._kept",
         "    def _dead_method(self):",
         "        pass",
         "class _Gone:",
@@ -105,9 +130,10 @@ def test_guard_flags_dead_private_helpers():
         "class Public(_Base):",
         "    pass",
     ])
-    b = "from .a import _helper\n\ndef public():\n    return _helper()"
+    b = "from .a import _helper\n\ndef public(x):\n    return _helper(), getattr(x, '_named')"
     assert dead_private_names({"a.py": a, "b.py": b}) == {
-        "a.py:_UNUSED", "a.py:_dead", "a.py:_dead_method", "a.py:_Gone"
+        "a.py:_UNUSED", "a.py:_dead", "a.py:_dead_method", "a.py:_Gone", "a.py:_left",
+        "a.py:_bumped",
     }
 
 

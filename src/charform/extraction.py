@@ -87,23 +87,17 @@ class BiquadraticEtale:
         self.span = Span(self.basis, desc.field)
         self._li_spans = {i: Span([one, self.generator(i)[0]], desc.field) for i in (1, 2, 3)}
 
-    def alpha(self, i: int, x):
-        """Image of x in L under the i-th Klein involution."""
-        a = self.span.input_coords(self.desc.to_vec(x))
-        if a is None:
-            raise NotInLi("element outside the biquadratic subalgebra")
+    def klein(self, i: int, a: Sequence) -> tuple:
+        """The i-th Klein involution on coordinates over (1, s1, s2, s1*s2)."""
         a0, a1, a2, a3 = a
-        f = self.desc.field
-        add = f.radd
+        add = self.desc.field.radd
         if i == 1:
-            b = (add(a0, a1), a1, add(a2, a3), a3)
-        elif i == 2:
-            b = (add(a0, a2), add(a1, a3), a2, a3)
-        elif i == 3:
-            b = (add(add(a0, a1), add(a2, a3)), add(a1, a3), add(a2, a3), a3)
-        else:
-            raise ValueError("Klein involutions are indexed 1..3")
-        return tuple(combination(f, b, self.basis, self.desc.ambient_dim))
+            return (add(a0, a1), a1, add(a2, a3), a3)
+        if i == 2:
+            return (add(a0, a2), add(a1, a3), a2, a3)
+        if i == 3:
+            return (add(add(a0, a1), add(a2, a3)), add(a1, a3), add(a2, a3), a3)
+        raise ValueError("Klein involutions are indexed 1..3")
 
     def generator(self, i: int):
         """A generator g_i of the fixed algebra L_i with its constant c_i."""
@@ -156,13 +150,12 @@ def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
     cand = BiquadraticEtale(desc, s1, s2, cs[0], cs[1])
     if cand.span.dim != 4:
         raise InvalidCandidate("generators span less than four dimensions")
-    # the Klein maps are order-2 automorphisms with alpha_1 alpha_2 = alpha_3
-    for i in (1, 2, 3):
-        for b in cand.basis:
-            if not desc.el_eq(cand.alpha(i, cand.alpha(i, b)), b):
-                raise InvalidCandidate("Klein action is not an involution")
-    for b in cand.basis:
-        if not desc.el_eq(cand.alpha(1, cand.alpha(2, b)), cand.alpha(3, b)):
+    # the Klein maps are order-2 automorphisms with alpha_1 alpha_2 = alpha_3,
+    # checked on the coordinates of the basis
+    for e in (tuple(unit_vector(desc.field, 4, k)) for k in range(4)):
+        if any(cand.klein(i, cand.klein(i, e)) != e for i in (1, 2, 3)):
+            raise InvalidCandidate("Klein action is not an involution")
+        if cand.klein(1, cand.klein(2, e)) != cand.klein(3, e):
             raise InvalidCandidate("Klein action composition is broken")
     return cand
 
@@ -213,15 +206,14 @@ class WComponents:
     l_coords: List[list]  # payload coordinates over the space basis
     w_coords: List[List[list]]  # [i][vector], i = 0..2 for W_1..W_3
     w_raw: List[RawQuadraticForm] = dc_field(default_factory=list)
+    w_spans: List[Span] = dc_field(init=False)  # of w_coords, built once
+
+    def __post_init__(self):
+        self.w_spans = [Span(w, self.desc.field) for w in self.w_coords]
 
     @property
     def dims(self) -> Tuple[int, int, int, int]:
-        return (
-            len(self.l_coords),
-            len(self.w_coords[0]),
-            len(self.w_coords[1]),
-            len(self.w_coords[2]),
-        )
+        return (len(self.l_coords), *map(len, self.w_coords))
 
     def w_element(self, i: int, coords: Sequence):
         vectors = self.w_coords[i - 1]
@@ -231,7 +223,7 @@ class WComponents:
         sc = self.space.coords(x)
         if sc is None:
             return None
-        return Span(self.w_coords[i - 1], self.desc.field).coords(sc)
+        return self.w_spans[i - 1].coords(sc)
 
 
 def _quat_matrix(desc: _SympBase, entries) -> tuple:
@@ -294,38 +286,37 @@ def galois_components(
             raise DecompositionFailure("L is not inside the symmetric space")
         l_coords.append(c)
 
-    gens = [L.s1, L.s2]
-    w_coords: List[List[list]] = []
+    # alpha_i(s_k) is s_k or s_k + 1 (Klein formula), so the column of b for
+    # s_k is b*s_k + s_k*b, plus b when alpha_i moves s_k; zero rows dropped
+    zero = field.rzero
+    rows = {}
+    for k, s in ((1, L.s1), (2, L.s2)):
+        fixed = [desc.el_add(desc.el_mul(b, s), desc.el_mul(s, b)) for b in space.basis]
+        moved = list(map(desc.el_add, fixed, space.basis))
+        for flag, cols in ((False, fixed), (True, moved)):
+            rows[k, flag] = [r for r in zip(*cols) if any(a != zero for a in r)]
+    solved: List[List[list]] = []
     for i in (1, 2, 3):
-        rows = []
-        for s in gens:
-            a_s = L.alpha(i, s)
-            cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b)) for b in space.basis]
-            rows.extend(zip(*cols))
-        w_coords.append(kernel(rows, field))
+        moves = [L.klein(i, unit_vector(field, 4, k))[0] != zero for k in (1, 2)]
+        solved.append(kernel(rows[1, moves[0]] + rows[2, moves[1]], field))
 
-    comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
+    dims = (len(l_coords), *map(len, solved))
     expected = CASE_DIMS[desc.case][1]
-    if comps.dims != expected:
-        raise DecompositionFailure(f"component dimensions {comps.dims}, expected {expected}")
+    if dims != expected:
+        raise DecompositionFailure(f"component dimensions {dims}, expected {expected}")
 
+    w_coords = solved
     if symplectic and _is_default_l(desc, L):
-        explicit = _explicit_index2_bases(desc)
-        replaced = []
-        for i, basis in enumerate(explicit, start=1):
-            span = Span(w_coords[i - 1], field)
-            coords = []
-            for x in basis:
-                sc = space.coords(x)
-                if sc is None or span.coords(sc) is None:
-                    raise DecompositionFailure(
-                        "closed-form basis escapes the solved component"
-                    )
-                coords.append(sc)
-            if not len(coords) == Span(coords, field).dim == span.dim:
+        w_coords = [[space.coords(x) for x in basis] for basis in _explicit_index2_bases(desc)]
+        if any(None in coords for coords in w_coords):
+            raise DecompositionFailure("closed-form basis escapes the solved component")
+    comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
+    if w_coords is not solved:
+        for span, coords, basis in zip(comps.w_spans, w_coords, solved):
+            if not len(coords) == span.dim == len(basis):
                 raise DecompositionFailure("closed-form basis is not a basis of the component")
-            replaced.append(coords)
-        comps.w_coords = replaced
+            if any(span.coords(v) is None for v in basis):
+                raise DecompositionFailure("closed-form basis escapes the solved component")
 
     comps.w_raw = [full_raw.restrict(comps.w_coords[i]) for i in range(3)]
 
@@ -359,12 +350,11 @@ def _component_checks(comps: WComponents) -> None:
         polys = iter(desc._charpolys([desc.split_rows(x) for w in elems for x in w]))
     for i in (1, 2, 3):
         for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
-            x2 = desc.el_mul(x, x)
-            li = comps.L.li_coords(i, x2)
+            li = comps.L.li_coords(i, desc.el_mul(x, x))
             if li is None:
                 raise DecompositionFailure("a component square escapes L_i")
-            t, _ = li_trace_norm(comps.L, i, x2)
-            if full.evaluate(coords) != t:
+            # T_i(a + b*g_i) = b
+            if full.evaluate(coords) != field._el(li[1]):
                 raise DecompositionFailure("second coefficient differs from T_i(x^2)")
             if symplectic and _pfaffian(next(polys), field).trace:
                 raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
@@ -376,45 +366,50 @@ def _component_checks(comps: WComponents) -> None:
 
 def _li_module_basis(comps: WComponents, i: int) -> List[list]:
     """An L_i-module basis of W_i, as space-coordinate vectors: the first
-    candidates v that are, with g_i*v, independent of those chosen so far."""
+    candidates v that are, with g_i*v, independent of those chosen so far.
+
+    The search runs on W_i coordinates, where v -> v*g_i is the combination
+    of the images of the W_i basis vectors (computed once)."""
     desc = comps.desc
     field = desc.field
+    space = comps.space
     g, _ = comps.L.generator(i)
     vectors = comps.w_coords[i - 1]
-
-    def g_image(v):
-        return comps.space.coords(desc.el_mul(comps.space.element(v), g))
+    n = len(vectors)
+    images = []
+    for v in vectors:
+        sc = space.coords(desc.el_mul(space.element(v), g))
+        wc = None if sc is None else comps.w_spans[i - 1].input_coords(sc)
+        if wc is None:
+            raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
+        images.append(wc)
 
     chosen: List[list] = []
     span = Span([], field)
-    for cs in candidates(field, len(vectors), None, 0, 0):
-        if 2 * len(chosen) == len(vectors):
+    for cs in candidates(field, n, None, 0, 0):
+        if 2 * len(chosen) == n:
             break
-        v = combination(field, cs, vectors, comps.space.dim)
         trial = span.copy()
-        if trial.insert(v) and trial.insert(g_image(v)):
-            chosen.append(v)
+        if trial.insert(cs) and trial.insert(combination(field, cs, images, n)):
+            chosen.append(cs)
             span = trial
-    if 2 * len(chosen) != len(vectors):
+    if 2 * len(chosen) != n:
         raise DecompositionFailure(f"W_{i} is not free over L_{i}")
-    return chosen
+    return [combination(field, cs, vectors, space.dim) for cs in chosen]
 
 
 def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
     desc = comps.desc
     ring = comps.L.li_ring(i)
-    gens = _li_module_basis(comps, i)
-    elems = [comps.space.element(v) for v in gens]
-    rows = []
-    for x in elems:
-        row = []
-        for y in elems:
-            z = desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x))
-            co = comps.L.li_coords(i, z)
-            if co is None:
-                raise DecompositionFailure("polar of q_i escapes L_i")
-            row.append(tuple(co))
-        rows.append(row)
+    elems = [comps.space.element(v) for v in _li_module_basis(comps, i)]
+    # the polar matrix x*y + y*x is symmetric with zero diagonal
+    rows = [[ring.rzero] * len(elems) for _ in elems]
+    for a, b in itertools.combinations(range(len(elems)), 2):
+        x, y = elems[a], elems[b]
+        co = comps.L.li_coords(i, desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x)))
+        if co is None:
+            raise DecompositionFailure("polar of q_i escapes L_i")
+        rows[a][b] = rows[b][a] = tuple(co)
     # the Berkowitz determinant on etale payloads (a, b) = a + b*g_i
     det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
     if not ring._el(det).norm():

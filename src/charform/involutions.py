@@ -220,8 +220,14 @@ class _MatrixDescriptor:
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
         self._components = None
-        for e in self.std_basis():
-            if self.involve(self.involve(e)) != e:
+        # sigma(sigma(e_i)) = e_i, read off the sigma table
+        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
+        for i, terms in enumerate(sigma):
+            acc = {}
+            for l, c in terms:
+                for m, d in sigma[l]:
+                    acc[m] = add(acc.get(m, zero), mul(c, d))
+            if acc.pop(i, zero) != one or any(a != zero for a in acc.values()):
                 raise UnsupportedDescriptor("the induced map is not an involution")
 
     # element plumbing --------------------------------------------------------
@@ -575,11 +581,18 @@ def _basis_split(desc: Descriptor) -> list:
     return [desc.split_rows(b) for b in symmetric_space(desc).basis]
 
 
-def _lane_gate(field: GF2k, split, raw: RawQuadraticForm, vectors) -> bool:
-    """Whether raw is the second Pfaffian coefficient at the coordinate
-    vectors and at every e_i and e_i + e_j, from one Berkowitz run over
-    GF(2^k) in bit-sliced lanes.  Two quadratic forms that agree on all
-    e_i and e_i + e_j are equal, so a pass proves raw right.
+def _random_planes(field: GF2k, dim: int, count: int, rng: random.Random) -> list:
+    """count uniform random vectors of GF(2^k)^dim in bit-sliced lanes: for
+    each coordinate, its k bit planes over the count lanes."""
+    return [tuple(rng.getrandbits(count) for _ in range(field.k)) for _ in range(dim)]
+
+
+def _lane_gate(field: GF2k, split, raw: RawQuadraticForm, planes, count: int) -> bool:
+    """Whether raw is the second Pfaffian coefficient at the count vectors
+    whose coordinates fill the lanes of ``planes`` and at every e_i and
+    e_i + e_j, from one Berkowitz run over GF(2^k) in bit-sliced lanes.  Two
+    quadratic forms that agree on all e_i and e_i + e_j are equal, so a pass
+    proves raw right.
 
     The matrix of coordinates v is sum_i v_i * S_i, S_i the split_rows of
     the i-th basis vector (split_rows is F-linear and lies over F for
@@ -589,17 +602,14 @@ def _lane_gate(field: GF2k, split, raw: RawQuadraticForm, vectors) -> bool:
     """
     dim = len(split)
     points = [(i,) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
-    n = len(vectors) + len(points)
+    n = count + len(points)
     zero, one, add, mul = field.lanes(n)
     # coordinate i in every lane: the vectors first, then the points in plane 0
     on_points = [0] * dim
-    for lane, point in enumerate(points, start=len(vectors)):
+    for lane, point in enumerate(points, start=count):
         for i in point:
             on_points[i] |= 1 << lane
-    coords = []
-    for i in range(dim):
-        planes = field.to_lanes([v[i] for v in vectors])
-        coords.append((planes[0] | on_points[i],) + planes[1:])
+    coords = [(p[0] | on, *p[1:]) for p, on in zip(planes, on_points)]
 
     def scale(a, x):
         return mul(field.lane_scalar(a, n), x)
@@ -642,10 +652,11 @@ def pfaffian_form(
     raw = _trace_form(desc, split)
     if validate > 0:
         rng = random.Random(seed)
-        vectors = [space.rand_coords(rng) for _ in range(validate)]
         if isinstance(desc.field, GF2k):
-            agrees = _lane_gate(desc.field, split, raw, vectors)
+            planes = _random_planes(desc.field, space.dim, validate, rng)
+            agrees = _lane_gate(desc.field, split, raw, planes, validate)
         else:
+            vectors = [space.rand_coords(rng) for _ in range(validate)]
             agrees = all(
                 raw.evaluate(v) == reduced_pfaffian(desc, space.element(v)).second
                 for v in vectors

@@ -29,6 +29,7 @@ from charform.involutions import (
     SplitSymp,
     UnitaryEtale,
     UnitaryExchange,
+    _MatrixDescriptor,
     symmetric_space,
 )
 from charform.extraction import (
@@ -46,6 +47,7 @@ from charform.extraction import (
     validate_biquadratic,
     _as_scalar,
 )
+from charform.linalg import Span, combination, kernel, unit_vector
 from charform.quaternions import QuaternionAlgebra, nrd_form
 
 F4 = gf2k(2)
@@ -155,6 +157,118 @@ def test_component_dimensions_checked_before_closed_form_swap(monkeypatch):
     monkeypatch.setattr(extraction, "kernel", planted)
     with pytest.raises(DecompositionFailure, match="expected"):
         galois_components(SplitSymp(GF2))
+
+
+ORACLE_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "ratfunc": R2}
+
+
+def _oracle_symplectic(field):
+    g = R2.t if field is R2 else field.gen  # 1 over GF(2)
+    return idx2(field, g, field.one, (g, field.one, g))
+
+
+def _oracle_unitary(field):
+    # c outside the Artin-Schreier image: 1 over GF(2) and GF(8), gen over GF(4), t over GF(2)(t)
+    c = {GF2: GF2.one, F4: F4.gen, F8: F8.one, R2: R2.t}[field]
+    g = R2.t if field is R2 else field.gen
+    return UnitaryEtale(field, c, (field.one, g, field.one, g))
+
+
+def _square_central_l(monkeypatch, desc):
+    """The L' = F[g_3, y^2] that find_square_central solves components for."""
+    seen = []
+    solve = extraction.galois_components
+
+    def recorded(d, L=None, **kwargs):
+        seen.append(L)
+        return solve(d, L, **kwargs)
+
+    monkeypatch.setattr(extraction, "galois_components", recorded)
+    find_square_central(desc)
+    monkeypatch.undo()
+    return seen[-1]
+
+
+def _klein_kernels(desc, L):
+    """Each W_i solved column by column: the kernel of x -> x*s + alpha_i(s)*x
+    for s = s1, s2, with alpha_i(s) from the Klein formula on L coordinates."""
+    field, space = desc.field, symmetric_space(desc)
+    out = []
+    for i in (1, 2, 3):
+        rows = []
+        for k, s in ((1, L.s1), (2, L.s2)):
+            a_s = tuple(combination(field, L.klein(i, unit_vector(field, 4, k)), L.basis, len(s)))
+            cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b)) for b in space.basis]
+            rows.extend(zip(*cols))
+        out.append(kernel(rows, field))
+    return out
+
+
+def _same_span(a, b, field):
+    return Span(a, field).dim == Span(b, field).dim == Span(a + b, field).dim
+
+
+@pytest.mark.parametrize(
+    "kind,which",
+    [
+        ("symplectic", "default"),
+        ("symplectic", "variant9"),
+        ("symplectic", "square_central"),
+        ("unitary_etale", "default"),
+        ("unitary_etale", "variant9"),
+    ],
+)
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_components_match_column_by_column_kernels(monkeypatch, name, kind, which):
+    field = ORACLE_FIELDS[name]
+    desc = (_oracle_symplectic if kind == "symplectic" else _oracle_unitary)(field)
+    L = {
+        "default": lambda: construct_biquadratic(desc),
+        "variant9": lambda: construct_biquadratic(desc, variant=9),
+        "square_central": lambda: _square_central_l(monkeypatch, desc),
+    }[which]()
+    comps = galois_components(desc, L)
+    space = comps.space
+    for i, (w, oracle) in enumerate(zip(comps.w_coords, _klein_kernels(desc, L)), start=1):
+        assert _same_span(w, oracle, field)
+        # the chosen generators and their g_i images are a basis of W_i
+        g, _ = L.generator(i)
+        gens = extraction._li_module_basis(comps, i)
+        images = [space.coords(desc.el_mul(space.element(v), g)) for v in gens]
+        assert 2 * len(gens) == len(w) and _same_span(gens + images, w, field)
+
+
+def test_li_module_basis_rejects_an_image_outside_w_i():
+    desc = SplitSymp(F4)
+    comps = galois_components(desc, checks=False)
+    # W_2 in place of W_1: its vectors times g_1 lie in W_2, outside the span of W_1
+    comps.w_coords[0] = comps.w_coords[1]
+    with pytest.raises(DecompositionFailure, match="not stable"):
+        extraction._li_module_basis(comps, 1)
+
+
+@pytest.mark.parametrize(
+    "maker,budget",
+    [
+        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 270),
+        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 125),
+    ],
+    ids=["index2_symp", "unitary_etale"],
+)
+def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
+    # products by s1 and s2 shared by the three components, and the module
+    # basis searched on W_i coordinates
+    desc = maker()
+    calls = []
+    mul = _MatrixDescriptor.el_mul
+
+    def counted(self, x, y):
+        calls.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted)
+    galois_components(desc)
+    assert len(calls) <= budget
 
 
 def test_explicit_w1_form_matches_closed_formula():

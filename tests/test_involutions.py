@@ -28,7 +28,6 @@ from charform.fields import GF2, RatFunc, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import RawQuadraticForm, normalize
 from charform.involutions import (
     Index2Symp,
-    InvolutionSpace,
     Orthogonal,
     SplitSymp,
     UnitaryEtale,
@@ -197,6 +196,25 @@ def test_exchange_sigma_swaps_the_blocks(name):
         sx = apply_involution(desc, x)
         assert entries(desc, sx) == entries(desc, x[16:])
         assert entries(desc, sx[16:]) == entries(desc, x[:16])
+
+
+@pytest.mark.parametrize("name", ["gf4", "r2"])
+@pytest.mark.parametrize("defect", ["scaled", "shifted", "extra_term"])
+def test_a_sigma_table_that_is_not_an_involution_is_rejected(name, defect):
+    field = SIGMA_FIELDS[name]
+    g = (R2.t if field is R2 else field.gen).raw
+    one = field.rone
+    # the block swap e_i -> e_(i+16 mod 32) of the exchange algebra, spoiled
+    bad = [(((i + 16) % 32, one),) for i in range(32)]
+    if defect == "scaled":  # sigma^2 = g^2
+        bad = [((j, g),) for ((j, _),) in bad]
+    elif defect == "shifted":  # sigma^2(e_i) = e_(i+2)
+        bad = [(((i + 1) % 32, one),) for i in range(32)]
+    else:  # sigma(e_0) = e_16 + e_17, so sigma^2(e_0) = e_0 + e_1
+        bad[0] += ((17, one),)
+    good = UnitaryExchange(field)
+    with pytest.raises(UnsupportedDescriptor, match="not an involution"):
+        involutions._MatrixDescriptor(field, 1, good._product, bad, good._split, 4)
 
 
 def test_split_symp_sigma_is_conj_transpose():
@@ -449,7 +467,9 @@ def test_pfaffian_gate_rejects_a_corrupted_entry(monkeypatch, name, entry, point
     if points_only:
         # random vectors that are all zero agree with any form, so only the
         # points e_i and e_i + e_j can catch it
-        monkeypatch.setattr(InvolutionSpace, "rand_coords", lambda sp, rng: [0] * sp.dim)
+        monkeypatch.setattr(
+            involutions, "_random_planes", lambda f, dim, count, rng: [(0,) * f.k] * dim
+        )
     with pytest.raises(CharformError) as err:
         pfaffian_form(desc)
     assert type(err.value) is CharformError and str(err.value) == GATE_MESSAGE

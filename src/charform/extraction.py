@@ -54,7 +54,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Span, charpoly_raw, combination, kernel, unit_vector
+from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
 from .quaternions import nrd_form, q_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -366,7 +366,8 @@ def _component_checks(comps: WComponents) -> None:
 
 def _li_module_basis(comps: WComponents, i: int) -> List[list]:
     """An L_i-module basis of W_i, as space-coordinate vectors: the first
-    candidates v that are, with g_i*v, independent of those chosen so far.
+    candidates v that are, with g_i*v, independent of those chosen so far
+    and their images.
 
     The search runs on W_i coordinates, where v -> v*g_i is the combination
     of the images of the W_i basis vectors (computed once)."""
@@ -385,14 +386,14 @@ def _li_module_basis(comps: WComponents, i: int) -> List[list]:
         images.append(wc)
 
     chosen: List[list] = []
-    span = Span([], field)
+    rows: List[list] = []  # echelon form of the chosen vectors and their images
     for cs in candidates(field, n, None, 0, 0):
         if 2 * len(chosen) == n:
             break
-        trial = span.copy()
-        if trial.insert(cs) and trial.insert(combination(field, cs, images, n)):
+        trial, pivots = rref(rows + [cs, combination(field, cs, images, n)], field)
+        if len(pivots) == len(trial):
             chosen.append(cs)
-            span = trial
+            rows = trial
     if 2 * len(chosen) != n:
         raise DecompositionFailure(f"W_{i} is not free over L_{i}")
     return [combination(field, cs, vectors, space.dim) for cs in chosen]
@@ -427,6 +428,23 @@ def star(desc, x1, x2, components: Optional[WComponents] = None):
     if comps.w_membership(3, out) is None:
         raise NotInComponent("composition escaped W_3")
     return out
+
+
+def star_multiplicative(comps: WComponents, rng: random.Random, trials: int) -> bool:
+    """Whether q(x1 * x2) = q(x1) q(x2) for ``trials`` random x1 in W_1 and
+    x2 in W_2, q the full form; x1 * x2 = x1 x2 + x2 x1 as in ``star``."""
+    desc = comps.desc
+    field = desc.field
+    n1, n2 = len(comps.w_coords[0]), len(comps.w_coords[1])
+    for _ in range(trials):
+        c1 = [field.rrand(rng) for _ in range(n1)]
+        c2 = [field.rrand(rng) for _ in range(n2)]
+        x1, x2 = comps.w_element(1, c1), comps.w_element(2, c2)
+        prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
+        value = comps.full_raw.evaluate(comps.space.coords(prod))
+        if value != comps.w_raw[0].evaluate(c1) * comps.w_raw[1].evaluate(c2):
+            return False
+    return True
 
 
 def default_components(desc) -> WComponents:
@@ -904,21 +922,7 @@ def extract_orthogonal_invariants(
         result = totally_singular_isometry(actual, target)
         checks.append(Check(f"w{i}_joint_witness", Decision(result.state, result.witness or witness)))
 
-    # star multiplicativity of the second trace on W_1 x W_2
-    ok = True
-    for _ in range(100):
-        c1 = [field.rrand(rng) for _ in range(2)]
-        c2 = [field.rrand(rng) for _ in range(2)]
-        w1 = comps.w_element(1, c1)
-        w2 = comps.w_element(2, c2)
-        prod = desc.el_add(desc.el_mul(w1, w2), desc.el_mul(w2, w1))
-        pc = comps.space.coords(prod)
-        v1 = comps.w_raw[0].evaluate(c1)
-        v2 = comps.w_raw[1].evaluate(c2)
-        if full.evaluate(pc) != v1 * v2:
-            ok = False
-            break
-    checks.append(Check("star_multiplicativity", decided(ok)))
+    checks.append(Check("star_multiplicativity", decided(star_multiplicative(comps, rng, 100))))
 
     rad_values = form(field, [], [full.evaluate(v) for v in w_all])
     checks.append(Check("phi_equals_radical_restriction", totally_singular_isometry(phi, rad_values)))

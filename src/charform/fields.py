@@ -163,7 +163,7 @@ class GF2k:
             raise ValueError("supported degrees are 1 <= k <= 16")
         if modulus is None:
             modulus = default_modulus(k)
-        if _gf2_deg(modulus) != k or not _gf2_irreducible(modulus):
+        if modulus < 1 or _gf2_deg(modulus) != k or not _gf2_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {k}")
         self.k = k
         self.modulus = modulus
@@ -659,10 +659,14 @@ def parse_field(text: str) -> Field:
         if parts[0] == "gf2" and len(parts) == 1:
             return GF2
         if parts[0] == "gf2k":
+            if len(parts) > 3:
+                raise ParseError(f"bad field descriptor {text!r}: extra parts")
             k = int(parts[1])
             mod = int(parts[2], 16) if len(parts) > 2 else None
             return gf2k(k, mod)
         if parts[0] == "ratfunc":
+            if not parts[-1]:
+                raise ParseError(f"bad field descriptor {text!r}: empty variable name")
             base = parse_field(":".join(parts[1:-1]))
             if not isinstance(base, GF2k):
                 raise ParseError("function field base must be gf2k")

@@ -10,8 +10,6 @@ rows of a matrix passed to elimination, are lists of field payloads (the
 
 from __future__ import annotations
 
-import bisect
-import copy
 import operator
 from typing import List, Optional, Sequence, Tuple
 
@@ -251,46 +249,6 @@ class Span:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "Span":
-        """The same span, which inserts into either do not change the other."""
-        other = copy.copy(self)
-        other.pivots, other.rows = list(self.pivots), list(self.rows)
-        other.combos = list(self.combos)
-        return other
-
-    def insert(self, v: Sequence) -> bool:
-        """Reduce v against the echelon rows; if a remainder is left, append v
-        to the input family and its row to the echelon form (the same rows
-        and combinations a new Span of the family would have).  Returns
-        whether v was independent."""
-        field = self.field
-        add, mul, zero = field.radd, field.rmul, field.rzero
-        row, combo = list(v), [zero] * self._n
-        for p, prow, pcombo in zip(self.pivots, self.rows, self.combos):
-            c = row[p]
-            if c != zero:
-                row = [add(a, mul(c, b)) for a, b in zip(row, prow)]
-                combo = [add(a, mul(c, b)) for a, b in zip(combo, pcombo)]
-        p = next((j for j, a in enumerate(row) if a != zero), None)
-        if p is None:
-            return False
-        inv = field.rinv(row[p])
-        row = [mul(a, inv) for a in row]
-        combo = [mul(a, inv) for a in combo + [field.rone]]
-        self._n += 1
-        for k, (prow, pcombo) in enumerate(zip(self.rows, self.combos)):
-            pcombo = pcombo + [zero]
-            c = prow[p]
-            if c != zero:
-                self.rows[k] = [add(a, mul(c, b)) for a, b in zip(prow, row)]
-                pcombo = [add(a, mul(c, b)) for a, b in zip(pcombo, combo)]
-            self.combos[k] = pcombo
-        k = bisect.bisect(self.pivots, p)
-        self.pivots.insert(k, p)
-        self.rows.insert(k, row)
-        self.combos.insert(k, combo)
-        return True
 
     def contains(self, v: Sequence) -> bool:
         return self.coords(v) is not None

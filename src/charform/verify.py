@@ -36,6 +36,7 @@ from .involutions import (
     SplitSymp,
     UnitaryEtale,
     UnitaryExchange,
+    _pfaffian,
     pfaffian_form,
     reduced_charpoly,
     reduced_pfaffian,
@@ -49,6 +50,7 @@ from .extraction import (
     extract_unitary_invariants,
     find_square_central,
     galois_components,
+    star_multiplicative,
     _as_scalar,
 )
 from .linalg import combination
@@ -68,6 +70,16 @@ class PropertyResult:
         extra = f", {self.unknowns} unknown" if self.unknowns else ""
         note = f" [{self.detail}]" if self.detail and not self.passed else ""
         return f"{status} {self.name} ({self.trials} trials{extra}){note}"
+
+
+def _checks_result(name: str, checks, ok: bool = True) -> PropertyResult:
+    """One property from an extraction report: it passes when ``ok`` holds
+    and no check is false, and it counts the unknown checks."""
+    falses = [c.name for c in checks if c.result.is_false]
+    unknowns = sum(c.result.is_unknown for c in checks)
+    return PropertyResult(
+        name, ok and not falses, len(checks), unknowns=unknowns, detail=",".join(falses)
+    )
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -278,20 +290,20 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     rng = _rng(seed, "symp.prp")
     bad = 0
     n_el = min(trials, 100)
+    one = desc.one_el()
     for _ in range(n_el):
         x = space.element(space.rand_coords(rng))
-        pf = reduced_pfaffian(desc, x)
         pc = reduced_charpoly(desc, x)
+        pf = _pfaffian(pc, field)
         square = [field.zero] * 9
         for i, c in enumerate(pf.coeffs):
             square[2 * i] = c * c
         if square != pc:
             bad += 1
-        acc = desc.zero_el()
-        power = desc.one_el()
-        for c in pf.coeffs:
-            acc = desc.el_add(acc, desc.el_scal(c, power))
-            power = desc.el_mul(power, x)
+        # Prp(x) by Horner; Prp is monic
+        acc = one
+        for c in reversed(pf.coeffs[:-1]):
+            acc = desc.el_add(desc.el_mul(acc, x), desc.el_scal(c, one))
         if not desc.el_eq(acc, desc.zero_el()):
             bad += 1
     out.append(PropertyResult("symplectic.prp_square_and_annihilation", bad == 0, n_el))
@@ -299,32 +311,12 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     comps = default_components(desc)
     out.append(PropertyResult("symplectic.component_dims", comps.dims == comp_dims, 1))
 
-    rng = _rng(seed, "symp.star")
-    bad = 0
     n_star = min(trials, 300)
-    for _ in range(n_star):
-        c1 = [field.rrand(rng) for _ in range(comp_dims[1])]
-        c2 = [field.rrand(rng) for _ in range(comp_dims[2])]
-        x1 = comps.w_element(1, c1)
-        x2 = comps.w_element(2, c2)
-        prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
-        pc = comps.space.coords(prod)
-        if comps.full_raw.evaluate(pc) != comps.w_raw[0].evaluate(c1) * comps.w_raw[1].evaluate(c2):
-            bad += 1
-    out.append(PropertyResult("symplectic.star_multiplicative", bad == 0, n_star))
+    ok = star_multiplicative(comps, _rng(seed, "symp.star"), n_star)
+    out.append(PropertyResult("symplectic.star_multiplicative", ok, n_star))
 
     inv = extract_symplectic_invariants(desc, comps, seed=seed)
-    unknowns = sum(c.result.is_unknown for c in inv.checks)
-    falses = [c.name for c in inv.checks if c.result.is_false]
-    out.append(
-        PropertyResult(
-            "symplectic.extraction_checks",
-            not falses,
-            len(inv.checks),
-            unknowns=unknowns,
-            detail=",".join(falses),
-        )
-    )
+    out.append(_checks_result("symplectic.extraction_checks", inv.checks))
 
     if isinstance(field, GF2k):
         comps2 = galois_components(desc, construct_biquadratic(desc, variant=9))
@@ -365,17 +357,8 @@ def run_unitary(field: Field, seed: int, trials: int) -> List[PropertyResult]:
         space = symmetric_space(desc)
         comps = default_components(desc)
         inv = extract_unitary_invariants(desc, comps, seed=seed)
-        falses = [c.name for c in inv.checks if c.result.is_false]
-        unknowns = sum(c.result.is_unknown for c in inv.checks)
-        out.append(
-            PropertyResult(
-                f"unitary.{desc.kind}",
-                space.dim == sym_dim and comps.dims == comp_dims and not falses,
-                len(inv.checks),
-                unknowns=unknowns,
-                detail=",".join(falses),
-            )
-        )
+        ok = space.dim == sym_dim and comps.dims == comp_dims
+        out.append(_checks_result(f"unitary.{desc.kind}", inv.checks, ok))
     return out
 
 
@@ -390,18 +373,9 @@ def run_orthogonal(field: Field, seed: int, trials: int) -> List[PropertyResult]
     space = symmetric_space(desc)
     comps = default_components(desc)
     inv = extract_orthogonal_invariants(desc, comps, seed=seed)
-    falses = [c.name for c in inv.checks if c.result.is_false]
-    unknowns = sum(c.result.is_unknown for c in inv.checks)
     sym_dim, comp_dims = CASE_DIMS["orthogonal"]
-    out.append(
-        PropertyResult(
-            "orthogonal.pipeline",
-            space.dim == sym_dim and comps.dims == comp_dims and not falses,
-            len(inv.checks),
-            unknowns=unknowns,
-            detail=",".join(falses),
-        )
-    )
+    ok = space.dim == sym_dim and comps.dims == comp_dims
+    out.append(_checks_result("orthogonal.pipeline", inv.checks, ok))
     return out
 
 

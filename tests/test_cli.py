@@ -223,6 +223,19 @@ def test_verify_ratfunc_suite_passes(suite, capsys):
     assert main(["verify", "--suite", suite, "--field", "ratfunc:gf2:t", "--trials", "50"]) == 0
 
 
+@pytest.mark.parametrize("field", ["gf2k:2:0x7:junk", "gf2k:3:0xb:", "gf2k:2:-0x7", "ratfunc:gf2:"])
+@pytest.mark.parametrize("command", ["extract", "verify"])
+def test_malformed_field_is_exit_2(command, field, tmp_path, capsys):
+    if command == "extract":
+        argv = ["extract", "--input", write_descriptor(tmp_path, {**UNIT, "field": field})]
+    else:
+        argv = ["verify", "--suite", "fields", "--field", field]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: bad field descriptor {field!r}")
+
+
 def test_verify_zero_trials_vacuous(capsys):
     assert main(["verify", "--suite", "fields", "--trials", "0"]) == 0
     err = capsys.readouterr().err

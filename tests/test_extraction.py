@@ -1,13 +1,14 @@
 """Pipeline tests: biquadratic subalgebras, components, star composition,
 and the invariant extraction reports."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from descriptor_layout import entries
-from charform import extraction
+from charform import extraction, verify
 from charform.errors import (
     DecompositionFailure,
     InvalidCandidate,
@@ -245,6 +246,67 @@ def test_li_module_basis_rejects_an_image_outside_w_i():
     comps.w_coords[0] = comps.w_coords[1]
     with pytest.raises(DecompositionFailure, match="not stable"):
         extraction._li_module_basis(comps, 1)
+
+
+def test_component_checks_reject_l_not_orthogonal_to_w1():
+    comps = galois_components(SplitSymp(F4), checks=False)
+    # a W_1 vector in place of s1: the form on W_1 is nonsingular
+    comps.l_coords[1] = comps.w_coords[0][0]
+    with pytest.raises(DecompositionFailure, match="not orthogonal"):
+        extraction._component_checks(comps)
+
+
+def test_component_checks_reject_a_scaled_form():
+    # the squares check reads full_raw, which no longer gives T_i(x^2)
+    comps = galois_components(SplitSymp(F4), checks=False)
+    comps.full_raw = comps.full_raw.scaled(F4.gen)
+    with pytest.raises(DecompositionFailure, match="second coefficient differs"):
+        extraction._component_checks(comps)
+
+
+def test_component_checks_reject_w1_not_free_over_l1():
+    # g_1 = p_2 + p_3 kills the first-layout vectors of W_1 (entries at (0, 1)
+    # and (1, 0)), so no candidate is independent of its image
+    comps = galois_components(SplitSymp(F4), checks=False)
+    comps = dataclasses.replace(comps, w_coords=[comps.w_coords[0][:4], *comps.w_coords[1:]])
+    with pytest.raises(DecompositionFailure, match="W_1 is not free over L_1"):
+        extraction._component_checks(comps)
+
+
+def _scaled_w1_form(comps):
+    return dataclasses.replace(comps, w_raw=[comps.w_raw[0].scaled(F4.gen), *comps.w_raw[1:]])
+
+
+def test_star_check_fails_on_a_corrupted_w_raw(monkeypatch):
+    # verify and orthogonal extraction share the star check
+    monkeypatch.setattr(
+        verify, "default_components", lambda desc: _scaled_w1_form(default_components(desc))
+    )
+    lines = [r.line() for r in verify.run_symplectic(F4, 1, 4)]
+    assert "FAIL symplectic.star_multiplicative (4 trials)" in lines
+    desc = Orthogonal(F4, (F4.one, F4.gen, F4.gen, F4.one))
+    inv = extract_orthogonal_invariants(desc, _scaled_w1_form(default_components(desc)))
+    assert {c.name: c.result for c in inv.checks}["star_multiplicativity"].is_false
+
+
+def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
+    # 4 polarization pairs take 3 reduced charpolys each, the 4 Prp elements
+    # one each (Prp evaluated by Horner), find_square_central 2
+    runs, calls = [], []
+    charpoly, mul = _MatrixDescriptor.reduced_charpoly, _MatrixDescriptor.el_mul
+
+    def counted_charpoly(self, x):
+        runs.append(None)
+        return charpoly(self, x)
+
+    def counted_mul(self, x, y):
+        calls.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(_MatrixDescriptor, "reduced_charpoly", counted_charpoly)
+    monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted_mul)
+    assert all(r.passed for r in verify.run_symplectic(F4, 1, 4))
+    assert len(runs) <= 18 and len(calls) <= 639
 
 
 @pytest.mark.parametrize(

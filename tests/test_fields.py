@@ -205,7 +205,19 @@ def test_parse_field_round_trip():
 def test_parse_field_rejects_garbage():
     from charform.errors import ParseError
 
-    for bad in ["gf3", "gf2k:x", "gf2k:3:0x6", "ratfunc:ratfunc:gf2:t:u", ""]:
+    for bad in [
+        "gf3",
+        "gf2k:x",
+        "gf2k:3:0x6",
+        "ratfunc:ratfunc:gf2:t:u",
+        "",
+        "gf2k:2:0x7:junk",  # extra parts
+        "gf2k:3:0xb:",
+        "gf2k:2:-0x7",  # moduli below 1
+        "gf2k:2:0x0",
+        "ratfunc:gf2:",  # empty variable names
+        "ratfunc:gf2k:2:0x7:",
+    ]:
         with pytest.raises(ParseError):
             parse_field(bad)
 

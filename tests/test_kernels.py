@@ -11,10 +11,9 @@ quadratic-form kernels against the sum over i <= j and the polarization
 identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
 and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
-GF(2^k)(t) normal form against cross-multiplied schoolbook fractions;
-``Span.insert`` against the batch ``Span``; the bit-sliced GF(2^k) lane ring
-against the log-table payload arithmetic lane by lane, and its Berkowitz
-run against one scalar run per lane.
+GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
+bit-sliced GF(2^k) lane ring against the log-table payload arithmetic lane
+by lane, and its Berkowitz run against one scalar run per lane.
 """
 
 import random
@@ -338,26 +337,6 @@ def test_span_input_coords_reconstruct(field, data):
     assert rebuilt == v
     assert span.contains([e.raw for e in v])
     assert span.dim == rank(vectors_raw, field)
-
-
-@QUICK
-@given(st.sampled_from([GF2, gf2k(2), ratfunc(GF2)]), st.data())
-def test_span_insert_matches_batch_span(field, data):
-    n = data.draw(st.integers(1, 6))
-    m = data.draw(st.integers(1, 6))
-    vectors = [[e.raw for e in row] for row in matrix(data, sparse(field, elements(field)), n, m)]
-    vectors.append(list(map(field.radd, vectors[0], vectors[-1])))  # a dependent one
-    span = Span([], field)
-    kept = [v for v in vectors if span.insert(v)]
-    batch = Span(kept, field)
-    assert span.dim == batch.dim == len(kept) == rank(vectors, field)
-    assert span.rows == batch.rows == Span(vectors, field).rows
-    for v in vectors:
-        assert span.input_coords(v) == batch.input_coords(v)
-    # a copy grows on its own
-    other = span.copy()
-    if other.insert([field.rone] * m):
-        assert span.dim == other.dim - 1
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ from .quaternions import nrd_form, q_conj
 
 _S4 = list(itertools.permutations(range(4)))
 
+# whether alpha_1, alpha_2, alpha_3 move (s1, s2): alpha_i(s_k) = s_k + 1 if so
+_KLEIN_MOVES = ((True, False), (False, True), (True, True))
+
 
 @dataclass(frozen=True)
 class Check:
@@ -70,9 +73,10 @@ class BiquadraticEtale:
     """Embedded F[s1] x F[s2] with its Klein four-group action.
 
     The group elements act by s1 -> s1 + e1, s2 -> s2 + e2; with the labels
-    alpha_1 = (1,0), alpha_2 = (0,1), alpha_3 = (1,1) the fixed algebras are
-    L_1 = F[s2], L_2 = F[s1], L_3 = F[s1 + s2].  Coordinates over the basis
-    (1, s1, s2, s1*s2) and over (1, g_i) are lists of field payloads.
+    alpha_1 = (1,0), alpha_2 = (0,1), alpha_3 = (1,1) of _KLEIN_MOVES the
+    fixed algebras are L_1 = F[s2], L_2 = F[s1], L_3 = F[s1 + s2].
+    Coordinates over the basis (1, s1, s2, s1*s2) and over (1, g_i) are
+    lists of field payloads.
     """
 
     def __init__(self, desc, s1, s2, c1: Fe, c2: Fe):
@@ -86,18 +90,6 @@ class BiquadraticEtale:
         self.basis = [one, s1, s2, s12]
         self.span = Span(self.basis, desc.field)
         self._li_spans = {i: Span([one, self.generator(i)[0]], desc.field) for i in (1, 2, 3)}
-
-    def klein(self, i: int, a: Sequence) -> tuple:
-        """The i-th Klein involution on coordinates over (1, s1, s2, s1*s2)."""
-        a0, a1, a2, a3 = a
-        add = self.desc.field.radd
-        if i == 1:
-            return (add(a0, a1), a1, add(a2, a3), a3)
-        if i == 2:
-            return (add(a0, a2), add(a1, a3), a2, a3)
-        if i == 3:
-            return (add(add(a0, a1), add(a2, a3)), add(a1, a3), add(a2, a3), a3)
-        raise ValueError("Klein involutions are indexed 1..3")
 
     def generator(self, i: int):
         """A generator g_i of the fixed algebra L_i with its constant c_i."""
@@ -117,46 +109,30 @@ class BiquadraticEtale:
         """The payloads (a, b) with ell = a + b*g_i, or None."""
         return self._li_spans[i].input_coords(self.desc.to_vec(ell))
 
-    def li_element(self, i: int, a: Fe, b: Fe):
-        g, _ = self.generator(i)
-        out = self.desc.el_scal(a, self.desc.one_el())
-        if b:
-            out = self.desc.el_add(out, self.desc.el_scal(b, g))
-        return out
-
 
 def _as_scalar(desc, x) -> Optional[Fe]:
     """The scalar c with x = c * 1, or None."""
-    c = desc.scalar_part(x)
-    candidate = desc.el_scal(c, desc.one_el())
-    return c if desc.el_eq(x, candidate) else None
+    c = desc.field._el(x[0])
+    return c if x == desc.el_scal(c, desc.one_el()) else None
 
 
 def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
     """Validate generators of a biquadratic etale subalgebra."""
     space = symmetric_space(desc)
     for name, s in (("s1", s1), ("s2", s2)):
-        if not space.contains(s):
+        if space.coords(s) is None:
             raise InvalidCandidate(f"{name} is not a symmetric element")
-    if not desc.el_eq(desc.el_mul(s1, s2), desc.el_mul(s2, s1)):
+    if desc.el_mul(s1, s2) != desc.el_mul(s2, s1):
         raise InvalidCandidate("generators do not commute")
     cs = []
     for name, s in (("s1", s1), ("s2", s2)):
-        m = desc.el_add(desc.el_mul(s, s), s)
-        c = _as_scalar(desc, m)
+        c = _as_scalar(desc, desc.el_add(desc.el_mul(s, s), s))
         if c is None:
             raise InvalidCandidate(f"{name}^2 + {name} is not a scalar")
         cs.append(c)
     cand = BiquadraticEtale(desc, s1, s2, cs[0], cs[1])
     if cand.span.dim != 4:
         raise InvalidCandidate("generators span less than four dimensions")
-    # the Klein maps are order-2 automorphisms with alpha_1 alpha_2 = alpha_3,
-    # checked on the coordinates of the basis
-    for e in (tuple(unit_vector(desc.field, 4, k)) for k in range(4)):
-        if any(cand.klein(i, cand.klein(i, e)) != e for i in (1, 2, 3)):
-            raise InvalidCandidate("Klein action is not an involution")
-        if cand.klein(1, cand.klein(2, e)) != cand.klein(3, e):
-            raise InvalidCandidate("Klein action composition is broken")
     return cand
 
 
@@ -279,15 +255,12 @@ def galois_components(
     symplectic = desc.case == "symplectic"
     full_raw = pfaffian_form(desc) if symplectic else second_trace_form(desc)
 
-    l_coords = []
-    for b in L.basis:
-        c = space.coords(b)
-        if c is None:
-            raise DecompositionFailure("L is not inside the symmetric space")
-        l_coords.append(c)
+    l_coords = [space.coords(b) for b in L.basis]
+    if None in l_coords:
+        raise DecompositionFailure("L is not inside the symmetric space")
 
-    # alpha_i(s_k) is s_k or s_k + 1 (Klein formula), so the column of b for
-    # s_k is b*s_k + s_k*b, plus b when alpha_i moves s_k; zero rows dropped
+    # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k, so
+    # the column of b for s_k is b*s_k + s_k*b, plus b if moved; zero rows dropped
     zero = field.rzero
     rows = {}
     for k, s in ((1, L.s1), (2, L.s2)):
@@ -295,10 +268,7 @@ def galois_components(
         moved = list(map(desc.el_add, fixed, space.basis))
         for flag, cols in ((False, fixed), (True, moved)):
             rows[k, flag] = [r for r in zip(*cols) if any(a != zero for a in r)]
-    solved: List[List[list]] = []
-    for i in (1, 2, 3):
-        moves = [L.klein(i, unit_vector(field, 4, k))[0] != zero for k in (1, 2)]
-        solved.append(kernel(rows[1, moves[0]] + rows[2, moves[1]], field))
+    solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
 
     dims = (len(l_coords), *map(len, solved))
     expected = CASE_DIMS[desc.case][1]
@@ -327,7 +297,7 @@ def galois_components(
 
 def _is_default_l(desc, L: BiquadraticEtale) -> bool:
     s1, s2 = _diag_generators(desc, 0)
-    return desc.el_eq(L.s1, s1) and desc.el_eq(L.s2, s2)
+    return (L.s1, L.s2) == (s1, s2)
 
 
 def _component_checks(comps: WComponents) -> None:
@@ -511,16 +481,11 @@ def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     the form X^2 + XY + Y^2, and its orthogonal complement in L contains the
     isotropic vector 1, so it is a split plane.
     """
-    desc = comps.desc
-    field = desc.field
-    space = comps.space
+    field = comps.desc.field
     full = comps.full_raw
     one = field.one
-    l1, _ = comps.L.generator(1)
-    l2, _ = comps.L.generator(2)
-    v1 = space.coords(l1)
-    v2 = space.coords(l2)
-    vone = space.coords(desc.one_el())
+    # L has coordinates (1, s1, s2, s1*s2); l_1 = s2 and l_2 = s1
+    vone, v2, v1, v4 = comps.l_coords
     conds = []
     vsum = list(map(field.radd, v1, v2))
     for v in (v1, v2, vsum):
@@ -533,9 +498,8 @@ def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     conds.append(not full.polar(vone, v2))
     # complement of the (l1, l2) plane inside L meets 1; it splits because
     # the plane is nonsingular and 1 is isotropic in it
-    v4 = comps.l_coords[3]
     coeffs = (field.rone, full.polar(v4, v2).raw, full.polar(v4, v1).raw)
-    w = combination(field, coeffs, (v4, v1, v2), space.dim)
+    w = combination(field, coeffs, (v4, v1, v2), len(v4))
     # the complement of the (l1, l2) plane is a nondegenerate plane spanned
     # by 1 and w; pairing with the isotropic 1 makes it a split block
     conds.append(bool(full.polar(vone, w)))
@@ -686,16 +650,16 @@ def check_pi3_decomposability(
             checks.append(Check(f"j{k}_square_central", decided(sq is not None and bool(sq))))
             lhs = desc.el_mul(jk, ik)
             rhs = desc.el_mul(desc.el_add(ik, one), jk)
-            checks.append(Check(f"j{k}_twists_i{k}", decided(desc.el_eq(lhs, rhs))))
+            checks.append(Check(f"j{k}_twists_i{k}", decided(lhs == rhs)))
         for a in range(3):
             for b in range(3):
                 if a == b:
                     continue
                 ia, ja = triple[a]
                 ib, jb = triple[b]
-                comm_ii = desc.el_eq(desc.el_mul(ia, ib), desc.el_mul(ib, ia))
-                comm_ij = desc.el_eq(desc.el_mul(ia, jb), desc.el_mul(jb, ia))
-                comm_jj = desc.el_eq(desc.el_mul(ja, jb), desc.el_mul(jb, ja))
+                comm_ii = desc.el_mul(ia, ib) == desc.el_mul(ib, ia)
+                comm_ij = desc.el_mul(ia, jb) == desc.el_mul(jb, ia)
+                comm_jj = desc.el_mul(ja, jb) == desc.el_mul(jb, ja)
                 if not (comm_ii and comm_ij and comm_jj):
                     checks.append(Check(f"factors_{a+1}_{b+1}_commute", decided(False)))
         # L generated by the pairwise sums of the i-generators is the
@@ -756,6 +720,7 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
     """
     field = desc.field
     ring = comps.L.li_ring(1)
+    g1, _ = comps.L.generator(1)
     one = desc.one_el()
     n = len(comps.w_coords[0])
     for yc in candidates(field, n, rng, 60, 0):
@@ -770,9 +735,9 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
         ysq = desc.el_mul(y, y)
         yco = comps.L.li_coords(1, desc.el_add(ysq, one))
         lam = ring._el(yco) * zl.inv()
-        lam_el = comps.L.li_element(1, lam.x, lam.y)
+        lam_el = desc.el_add(desc.el_scal(lam.x, one), desc.el_scal(lam.y, g1))
         cand = desc.el_add(desc.el_mul(x, lam_el), y)
-        if desc.el_eq(desc.el_mul(cand, cand), one):
+        if desc.el_mul(cand, cand) == one:
             return cand
     return None
 
@@ -802,7 +767,7 @@ def find_square_central(
         raise DecompositionFailure("witness does not satisfy the Pfaffian constraints")
     ysq = desc.el_mul(y, y)
     y4 = desc.el_mul(ysq, ysq)
-    if not desc.el_eq(desc.el_add(y4, ysq), desc.el_scal(pf.norm, desc.one_el())):
+    if desc.el_add(y4, ysq) != desc.el_scal(pf.norm, desc.one_el()):
         raise DecompositionFailure("y^4 + y^2 is not the Pfaffian constant")
     if _as_scalar(desc, ysq) is not None:
         raise DecompositionFailure("y^2 central contradicts the unit second coefficient")
@@ -821,7 +786,7 @@ def find_square_central(
         raise DecompositionFailure("z does not satisfy the Pfaffian constraints")
     zsq = desc.el_mul(z, z)
     z4 = desc.el_mul(zsq, zsq)
-    if not desc.el_eq(z4, desc.el_scal(pfz.norm, desc.one_el())):
+    if z4 != desc.el_scal(pfz.norm, desc.one_el()):
         raise DecompositionFailure("z^4 is not the Pfaffian constant")
     x = z if _as_scalar(desc, zsq) is not None else zsq
     if _as_scalar(desc, x) is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from typing import Iterator, Optional, Union
 
 from .decision import UNKNOWN, Unknown
@@ -661,12 +662,16 @@ def parse_field(text: str) -> Field:
         if parts[0] == "gf2k":
             if len(parts) > 3:
                 raise ParseError(f"bad field descriptor {text!r}: extra parts")
-            k = int(parts[1])
-            mod = int(parts[2], 16) if len(parts) > 2 else None
-            return gf2k(k, mod)
+            if not re.fullmatch("[0-9]+", parts[1]):
+                raise ParseError(f"bad field descriptor {text!r}: K is not a decimal number")
+            if len(parts) == 2:
+                return gf2k(int(parts[1]))
+            if not re.fullmatch("(0x)?[0-9a-fA-F]+", parts[2]):
+                raise ParseError(f"bad field descriptor {text!r}: MOD is not a hex number")
+            return gf2k(int(parts[1]), int(parts[2], 16))
         if parts[0] == "ratfunc":
-            if not parts[-1]:
-                raise ParseError(f"bad field descriptor {text!r}: empty variable name")
+            if not (parts[-1].isascii() and parts[-1].isidentifier()):
+                raise ParseError(f"bad field descriptor {text!r}: VAR is not an identifier")
             base = parse_field(":".join(parts[1:-1]))
             if not isinstance(base, GF2k):
                 raise ParseError("function field base must be gf2k")

@@ -52,7 +52,7 @@ from .fields import (
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm, candidates
-from .linalg import Span, charpoly_raw, combination, kernel
+from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
 from .quaternions import QuaternionAlgebra
 
 # per involution type: the dimension of Symd (symplectic) or Sym, and the
@@ -73,11 +73,11 @@ class InvolutionSpace:
     basis are lists of field payloads.
     """
 
-    def __init__(self, desc, basis, halves, span: Span):
+    def __init__(self, desc, basis, halves):
         self.desc = desc
         self.basis = basis
         self.halves = halves
-        self._span = span
+        self._span = Span(basis, desc.field)
 
     @property
     def dim(self) -> int:
@@ -85,9 +85,6 @@ class InvolutionSpace:
 
     def coords(self, x) -> Optional[list]:
         return self._span.coords(self.desc.to_vec(x))
-
-    def contains(self, x) -> bool:
-        return self.coords(x) is not None
 
     def _combine(self, coords: Sequence, elements):
         desc = self.desc
@@ -277,15 +274,8 @@ class _MatrixDescriptor:
         c, mul, zero = c.raw, self.field.rmul, self.field.rzero
         return tuple(a if a == zero else mul(c, a) for a in x)
 
-    def el_eq(self, x, y) -> bool:
-        return x == y
-
     def rand(self, rng: random.Random):
         return tuple(self.field.rrand(rng) for _ in range(self.ambient_dim))
-
-    def std_basis(self):
-        zero, one, m = self.field.rzero, self.field.rone, self.ambient_dim
-        return [(zero,) * p + (one,) + (zero,) * (m - p - 1) for p in range(m)]
 
     def to_vec(self, x) -> tuple:
         if not isinstance(x, tuple) or len(x) != self.ambient_dim:
@@ -294,9 +284,6 @@ class _MatrixDescriptor:
 
     def involve(self, x):
         return tuple(self._apply(self._sigma, x, self.ambient_dim))
-
-    def scalar_part(self, x) -> Fe:
-        return self.field._el(x[0])
 
     def split_rows(self, x):
         """A square payload matrix whose characteristic polynomial is the
@@ -479,27 +466,43 @@ def apply_involution(desc: Descriptor, x):
 
 
 def _symmetrized_images(desc: Descriptor) -> List[tuple]:
-    """The coordinates of e + sigma(e) for each standard basis element e."""
-    return [desc.el_add(e, desc.involve(e)) for e in desc.std_basis()]
+    """e_i + sigma(e_i) for each coordinate i, read off the sigma table."""
+    field = desc.field
+    images = [unit_vector(field, desc.ambient_dim, i) for i in range(desc.ambient_dim)]
+    for v, terms in zip(images, desc._sigma):
+        for l, c in terms:
+            v[l] = field.radd(v[l], c)
+    return list(map(tuple, images))
 
 
 def symmetric_space(desc: Descriptor) -> InvolutionSpace:
-    """Basis of Symd(sigma) (symplectic, with halves) or Sym (fixed points)."""
+    """Basis of Symd(sigma), the image of Id + sigma, with halves (symplectic)
+    or of Sym(sigma), the kernel of x -> x + sigma(x).
+
+    For the symplectic shapes the echelon rows of the images are images:
+    e_(r,s,a) with r < s leads at its own coordinate and has its other
+    entries in block (s, r), which holds no pivot; on the diagonal only
+    e_(r,r,u) has a nonzero image; and the images from block (s, r) are
+    combinations of those from block (r, s).  So the half of a row is its e_i.
+    """
     if desc._space is not None:
         return desc._space
     field = desc.field
     images = _symmetrized_images(desc)
     symplectic = desc.case == "symplectic"
     if symplectic:
-        span = Span(images, field)
-        # a combination over the standard basis has the combination as coordinates
-        halves = [tuple(combo) for combo in span.combos]
+        family = [v for v in images if any(a != field.rzero for a in v)]
     else:
-        # the fixed points are the kernel of x -> x + sigma(x)
-        span = Span(kernel(list(zip(*images)), field), field)
-        halves = None
-    basis = [tuple(row) for row in span.rows]
-    space = InvolutionSpace(desc, basis, halves, span)
+        family = kernel(list(zip(*images)), field)
+    rows, pivots = rref(family, field)
+    basis = [tuple(row) for row in rows[: len(pivots)]]
+    halves = None
+    if symplectic:
+        try:
+            halves = [tuple(unit_vector(field, len(b), images.index(b))) for b in basis]
+        except ValueError:
+            raise CharformError("an echelon row of Symd is not a symmetrized image") from None
+    space = InvolutionSpace(desc, basis, halves)
     expected = CASE_DIMS[desc.case][0]
     if space.dim != expected:
         raise CharformError(
@@ -704,7 +707,8 @@ def det_orthogonal(desc: Orthogonal, *, seed: int = 0) -> Fe:
     """
     # a basis of {x + rho(x)}, the alternating part inside Sym(rho)
     field = desc.field
-    basis = Span(_symmetrized_images(desc), field).rows
+    rows, pivots = rref(_symmetrized_images(desc), field)
+    basis = rows[: len(pivots)]
     found: List[Fe] = []
     for cs in candidates(field, len(basis), random.Random(seed), 500, 0):
         w = tuple(combination(field, cs, basis, desc.ambient_dim))

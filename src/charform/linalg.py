@@ -179,7 +179,7 @@ def _eliminate(rows: List[list], field) -> List[int]:
     """Bring payload rows to reduced row echelon form in place; returns the
     pivot columns.  The pivot of each column is its first nonzero entry at
     or below the current row."""
-    add, mul, zero = field.radd, field.rmul, field.rzero
+    add, mul, zero, one = field.radd, field.rmul, field.rzero, field.rone
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
@@ -189,12 +189,14 @@ def _eliminate(rows: List[list], field) -> List[int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.rinv(rows[r][c])
-        prow = rows[r] = [mul(a, inv) for a in rows[r]]
+        prow = rows[r]
+        if prow[c] != one:
+            inv = field.rinv(prow[c])
+            prow = rows[r] = [mul(a, inv) for a in prow]
         for i in range(nrows):
             f = rows[i][c]
             if i != r and f != zero:
-                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                rows[i] = [a if b == zero else add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -232,8 +234,8 @@ class Span:
 
     Tracks how each echelon row was assembled from the input vectors, so a
     member's coordinates over the original family can be recovered (used to
-    carry symmetrization halves along a basis).  ``rows`` are the echelon
-    rows and ``combos`` their coefficients over the input family.
+    express elements of L_i and W_i over their generators).  ``rows`` are the
+    echelon rows and ``combos`` their coefficients over the input family.
     """
 
     def __init__(self, vectors: Sequence[Sequence], field):

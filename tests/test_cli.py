@@ -223,7 +223,20 @@ def test_verify_ratfunc_suite_passes(suite, capsys):
     assert main(["verify", "--suite", suite, "--field", "ratfunc:gf2:t", "--trials", "50"]) == 0
 
 
-@pytest.mark.parametrize("field", ["gf2k:2:0x7:junk", "gf2k:3:0xb:", "gf2k:2:-0x7", "ratfunc:gf2:"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "gf2k:2:0x7:junk",
+        "gf2k:3:0xb:",
+        "gf2k:2:-0x7",
+        "ratfunc:gf2:",
+        "gf2k: 2",
+        "gf2k:+2",
+        "gf2k:2:0x_7",
+        "gf2k:\uff12",
+        "ratfunc:gf2: t",
+    ],
+)
 @pytest.mark.parametrize("command", ["extract", "verify"])
 def test_malformed_field_is_exit_2(command, field, tmp_path, capsys):
     if command == "extract":

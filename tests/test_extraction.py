@@ -48,7 +48,7 @@ from charform.extraction import (
     validate_biquadratic,
     _as_scalar,
 )
-from charform.linalg import Span, combination, kernel, unit_vector
+from charform.linalg import Span, kernel
 from charform.quaternions import QuaternionAlgebra, nrd_form
 
 F4 = gf2k(2)
@@ -88,7 +88,7 @@ def test_construct_biquadratic_variants_differ():
     desc = SplitSymp(F4)
     L0 = construct_biquadratic(desc, variant=0)
     L1 = construct_biquadratic(desc, variant=7)
-    assert not desc.el_eq(L0.s1, L1.s1) or not desc.el_eq(L0.s2, L1.s2)
+    assert (L0.s1, L0.s2) != (L1.s1, L1.s2)
 
 
 def test_validate_biquadratic_rejects_bad_candidates():
@@ -190,15 +190,20 @@ def _square_central_l(monkeypatch, desc):
     return seen[-1]
 
 
+# the Klein labels: alpha_i acts by s1 -> s1 + e1, s2 -> s2 + e2
+KLEIN_LABELS = {1: (1, 0), 2: (0, 1), 3: (1, 1)}
+
+
 def _klein_kernels(desc, L):
     """Each W_i solved column by column: the kernel of x -> x*s + alpha_i(s)*x
-    for s = s1, s2, with alpha_i(s) from the Klein formula on L coordinates."""
+    for s = s1, s2, with alpha_i(s_k) = s_k + e_k from the Klein labels."""
     field, space = desc.field, symmetric_space(desc)
+    one = desc.one_el()
     out = []
     for i in (1, 2, 3):
         rows = []
-        for k, s in ((1, L.s1), (2, L.s2)):
-            a_s = tuple(combination(field, L.klein(i, unit_vector(field, 4, k)), L.basis, len(s)))
+        for e, s in zip(KLEIN_LABELS[i], (L.s1, L.s2)):
+            a_s = desc.el_add(s, one) if e else s
             cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(a_s, b)) for b in space.basis]
             rows.extend(zip(*cols))
         out.append(kernel(rows, field))
@@ -307,6 +312,21 @@ def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
     monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted_mul)
     assert all(r.passed for r in verify.run_symplectic(F4, 1, 4))
     assert len(runs) <= 18 and len(calls) <= 639
+
+
+def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
+    # a nonzero X coefficient fails the Prp property instead of aborting the suite
+    charpoly = verify.reduced_charpoly
+
+    def flipped(desc, x):
+        pc = charpoly(desc, x)
+        return [pc[0], pc[1] + desc.field.one, *pc[2:]]
+
+    monkeypatch.setattr(verify, "reduced_charpoly", flipped)
+    lines = {r.name: r.line() for r in verify.run_symplectic(F4, 1, 4)}
+    prp = "symplectic.prp_square_and_annihilation"
+    assert lines.pop(prp) == f"FAIL {prp} (4 trials)"
+    assert all(line.startswith("PASS ") for line in lines.values())
 
 
 @pytest.mark.parametrize(

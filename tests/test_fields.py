@@ -217,6 +217,11 @@ def test_parse_field_rejects_garbage():
         "gf2k:2:0x0",
         "ratfunc:gf2:",  # empty variable names
         "ratfunc:gf2k:2:0x7:",
+        "gf2k: 2",  # K in ASCII decimal digits only
+        "gf2k:+2",
+        "gf2k:\uff12",
+        "gf2k:2:0x_7",  # MOD in ASCII hex digits only
+        "ratfunc:gf2: t",  # VAR an ASCII identifier
     ]:
         with pytest.raises(ParseError):
             parse_field(bad)

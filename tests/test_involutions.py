@@ -11,12 +11,14 @@ must reject a form with one corrupted entry, with the random vectors, with
 the points e_i and e_i + e_j alone, and over GF(2)(t).
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from descriptor_layout import entries
-from charform import involutions
+from charform import involutions, linalg
 from charform.errors import (
     CharformError,
     CoefficientNotRational,
@@ -27,6 +29,7 @@ from charform.errors import (
 from charform.fields import GF2, RatFunc, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import RawQuadraticForm, normalize
 from charform.involutions import (
+    Descriptor,
     Index2Symp,
     Orthogonal,
     SplitSymp,
@@ -42,8 +45,9 @@ from charform.involutions import (
     srd_form_unitary,
     symmetric_space,
 )
-from charform.linalg import Mat, charpoly, poly_eval_matrix, poly_mul, rank
+from charform.linalg import Mat, Span, charpoly, poly_eval_matrix, poly_mul, rank
 from charform.quaternions import QuaternionAlgebra, q_conj, q_nrd
+from charform.serialize import descriptor_from_json
 
 F4 = gf2k(2)
 F8 = gf2k(3)
@@ -140,15 +144,12 @@ def test_involution_is_involutive_and_antimultiplicative():
     rng = random.Random(3)
     for desc in (d for field in (F4, F8, R2) for d in _involution_descs(field)):
         one = desc.one_el()
-        assert desc.el_eq(apply_involution(desc, one), one)
+        assert apply_involution(desc, one) == one
         for _ in range(20):
             x, y = desc.rand(rng), desc.rand(rng)
-            assert desc.el_eq(
-                apply_involution(desc, apply_involution(desc, x)), x
-            )
-            assert desc.el_eq(
-                apply_involution(desc, desc.el_mul(x, y)),
-                desc.el_mul(apply_involution(desc, y), apply_involution(desc, x)),
+            assert apply_involution(desc, apply_involution(desc, x)) == x
+            assert apply_involution(desc, desc.el_mul(x, y)) == desc.el_mul(
+                apply_involution(desc, y), apply_involution(desc, x)
             )
 
 
@@ -253,12 +254,83 @@ def test_symmetric_space_dimensions():
     assert symmetric_space(UnitaryEtale(GF2, GF2.one, (GF2.one,) * 4)).dim == 16
 
 
+def _golden_descriptor(name):
+    path = Path(__file__).parent / "golden" / "descriptors" / f"{name}.json"
+    return descriptor_from_json(json.loads(path.read_text()))
+
+
+INDEX2_GOLDENS = (
+    "index2_symp_gf2",
+    "index2_symp_gf2k2",
+    "index2_symp_gf2k3",
+    "index2_symp_gf2k3_nonsplit",
+    "index2_symp_ratfunc_gf2",
+    "index2_symp_ratfunc_gf2_etale",
+    "index2_symp_ratfunc_gf2_nonpoly",
+)
+
+
 def test_symmetric_space_halves():
-    desc = SplitSymp(F4)
-    space = symmetric_space(desc)
-    for i in range(space.dim):
-        b, h = space.basis[i], space.halves[i]
-        assert desc.el_eq(desc.el_add(h, apply_involution(desc, h)), b)
+    # the half of basis row i is one coordinate vector e_j, and row i is e_j + sigma(e_j)
+    split = [SplitSymp(field) for field in (GF2, F4, F8, R2)]
+    for desc in split + [_golden_descriptor(name) for name in INDEX2_GOLDENS]:
+        field = desc.field
+        space = symmetric_space(desc)
+        assert len(space.halves) == space.dim == 28
+        for b, h in zip(space.basis, space.halves):
+            support = [j for j, a in enumerate(h) if a != field.rzero]
+            assert len(support) == 1 and h[support[0]] == field.rone
+            assert desc.el_add(h, apply_involution(desc, h)) == b
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SplitSymp(F8),
+        lambda: _golden_descriptor("index2_symp_gf2k3"),
+        lambda: _golden_descriptor("index2_symp_ratfunc_gf2"),
+    ],
+    ids=["split_gf8", "index2_symp_gf2k3", "index2_symp_ratfunc_gf2"],
+)
+def test_symmetric_space_reads_the_sigma_table(monkeypatch, make):
+    # no involve call, no Span over more than the 28 basis rows, and no
+    # elimination over all 64 coordinate images (the zero images are dropped)
+    desc = make()
+    involves, spans, heights = [], [], []
+    involve, span_init, eliminate = Descriptor.involve, Span.__init__, linalg._eliminate
+
+    def counted_involve(self, x):
+        involves.append(None)
+        return involve(self, x)
+
+    def counted_span(self, vectors, field):
+        spans.append(len(vectors))
+        span_init(self, vectors, field)
+
+    def counted_eliminate(rows, field):
+        heights.append(len(rows))
+        return eliminate(rows, field)
+
+    monkeypatch.setattr(Descriptor, "involve", counted_involve)
+    monkeypatch.setattr(Span, "__init__", counted_span)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    assert symmetric_space(desc).dim == 28
+    assert not involves
+    assert spans and max(spans) <= 28
+    assert heights and max(heights) < desc.ambient_dim
+
+
+def test_a_basis_row_that_is_no_image_is_rejected(monkeypatch):
+    rref = involutions.rref
+
+    def mixed(rows, field):
+        red, pivots = rref(rows, field)
+        red[0] = [field.radd(a, b) for a, b in zip(red[0], red[1])]
+        return red, pivots
+
+    monkeypatch.setattr(involutions, "rref", mixed)
+    with pytest.raises(CharformError, match="not a symmetrized image"):
+        symmetric_space(SplitSymp(F4))
 
 
 def test_pcrd_of_identity():
@@ -571,7 +643,7 @@ def test_prp_annihilates_element():
         for c in pf.coeffs:
             acc = desc.el_add(acc, desc.el_scal(c, power))
             power = desc.el_mul(power, x)
-        assert desc.el_eq(acc, desc.zero_el())
+        assert acc == desc.zero_el()
 
 
 SRD_FIELDS = {"gf4": F4, "r2": R2, "r4": R4}

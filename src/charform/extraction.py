@@ -55,7 +55,7 @@ from .involutions import (
     symmetric_space,
 )
 from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
-from .quaternions import nrd_form, q_conj
+from .quaternions import nrd_form, quat_conj
 
 _S4 = list(itertools.permutations(range(4)))
 
@@ -163,12 +163,8 @@ def li_trace_norm(L: BiquadraticEtale, i: int, ell) -> Tuple[Fe, Fe]:
     coords = L.li_coords(i, ell)
     if coords is None:
         raise NotInLi(f"element is not in L_{i}")
-    a, b = coords
-    _, c = L.generator(i)
     field = L.desc.field
-    add, mul = field.radd, field.rmul
-    norm = add(add(mul(a, a), mul(a, b)), mul(c.raw, mul(b, b)))
-    return field._el(b), field._el(norm)
+    return field._el(coords[1]), field._el(L.li_ring(i).rnorm(coords))
 
 
 @dataclass
@@ -203,10 +199,11 @@ class WComponents:
 
 
 def _quat_matrix(desc: _SympBase, entries) -> tuple:
-    """The element with the quaternion q at (i, j) for each (i, j, q) in entries."""
+    """The element with the payload quaternion q at (i, j) for each (i, j, q)
+    in entries."""
     v = [desc.field.rzero] * desc.ambient_dim
     for i, j, q in entries:
-        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.raw
+        v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q
     return tuple(v)
 
 
@@ -218,14 +215,17 @@ def _explicit_index2_bases(desc: _SympBase) -> List[List]:
     and cyclic analogues for W_2, W_3; the restricted forms are then
     literally <u1, u2*u3> n_Q and its partners.
     """
-    Q = desc.quat
+    field = desc.field
     u1, u2, u3 = desc.us
-    units = (Q.one, Q.u, Q.v, Q.w)
+    mul, z = desc.quat.rmul, field.rzero
 
-    def element(pos_a, ca, pos_b, cb, q):
-        return _quat_matrix(desc, [(*pos_a, q.scal(ca)), (*pos_b, q_conj(q).scal(cb))])
+    def element(pos_a, ca, pos_b, cb, k):
+        q = unit_vector(field, 4, k)
+        qa = mul((ca.raw, z, z, z), q)
+        qb = mul((cb.raw, z, z, z), quat_conj(field, q))
+        return _quat_matrix(desc, [(*pos_a, qa), (*pos_b, qb)])
 
-    one = desc.field.one
+    one = field.one
     out = []
     layouts = [
         (((0, 1), u1, (1, 0), one), ((2, 3), u3, (3, 2), u2)),
@@ -233,8 +233,8 @@ def _explicit_index2_bases(desc: _SympBase) -> List[List]:
         (((0, 3), u3, (3, 0), one), ((1, 2), u2, (2, 1), u1)),
     ]
     for first, second in layouts:
-        basis = [element(first[0], first[1], first[2], first[3], q) for q in units]
-        basis += [element(second[0], second[1], second[2], second[3], q) for q in units]
+        basis = [element(*first, k) for k in range(4)]
+        basis += [element(*second, k) for k in range(4)]
         out.append(basis)
     return out
 
@@ -383,7 +383,7 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
         rows[a][b] = rows[b][a] = tuple(co)
     # the Berkowitz determinant on etale payloads (a, b) = a + b*g_i
     det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
-    if not ring._el(det).norm():
+    if ring.rnorm(det) == desc.field.rzero:
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
 
 
@@ -612,10 +612,9 @@ def _triple_generators(desc: SplitSymp):
     rebalanced pairwise against a canonical one, leaving i-generators
     i1, i1+i2, i1+i3 and j-generators j1*j2*j3, j2, j3.
     """
-    Q = desc.quat
-    o = Q.one
-    i1 = _quat_matrix(desc, [(k, k, Q.u) for k in range(4)])
-    j1 = _quat_matrix(desc, [(k, k, Q.v) for k in range(4)])
+    o, u, v = (unit_vector(desc.field, 4, k) for k in range(3))
+    i1 = _quat_matrix(desc, [(k, k, u) for k in range(4)])
+    j1 = _quat_matrix(desc, [(k, k, v) for k in range(4)])
     i2 = _quat_matrix(desc, [(2, 2, o), (3, 3, o)])  # coarse diag(0, 1)
     j2 = _quat_matrix(desc, [(0, 2, o), (1, 3, o), (2, 0, o), (3, 1, o)])  # coarse swap
     i3 = _quat_matrix(desc, [(1, 1, o), (3, 3, o)])  # fine diag(0, 1)
@@ -727,15 +726,12 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
         y = comps.w_element(1, yc)
         z = desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x))
         co = comps.L.li_coords(1, z)
-        if co is None:
-            continue
-        zl = ring._el(co)
-        if not zl.norm():
+        if co is None or ring.rnorm(co) == field.rzero:
             continue
         ysq = desc.el_mul(y, y)
         yco = comps.L.li_coords(1, desc.el_add(ysq, one))
-        lam = ring._el(yco) * zl.inv()
-        lam_el = desc.el_add(desc.el_scal(lam.x, one), desc.el_scal(lam.y, g1))
+        lam_x, lam_y = map(field._el, ring.rmul(yco, ring.rinv(co)))
+        lam_el = desc.el_add(desc.el_scal(lam_x, one), desc.el_scal(lam_y, g1))
         cand = desc.el_add(desc.el_mul(x, lam_el), y)
         if desc.el_mul(cand, cand) == one:
             return cand

@@ -7,9 +7,11 @@ irreducible, for reproducibility).  Polynomials over GF(2^k) are packed as
 integers with k bits per coefficient, ascending degree, so that addition is a
 single xor.  Rational function field elements are reduced fractions of packed
 polynomials with a monic denominator.  Quadratic etale rings F[s]/(s^2+s+c)
-multiply through ``etale_ops``, which takes the relation s^2 = e*s + c on
-any commutative ring of payloads (e = 1 here; the fraction-free reduced
-characteristic polynomial over GF(2^k)(t) uses e = q for a centre p/q).
+work on payload pairs (x, y) of x + y*s and multiply through ``etale_ops``,
+which takes the relation s^2 = e*s + c on any commutative ring of payloads
+(e = 1 here; the fraction-free reduced characteristic polynomial over
+GF(2^k)(t) uses e = q for a centre p/q).  ``FieldElement`` is the only
+element object, for scalars.
 
 All values are immutable; field objects are interned so that equality of
 fields is identity.
@@ -655,7 +657,7 @@ def parse_field(text: str) -> Field:
     """Parse a field descriptor: gf2 | gf2k:K | gf2k:K:0xMOD | ratfunc:<base>:VAR."""
     if not isinstance(text, str):
         raise ParseError(f"bad field descriptor {text!r}: not a string")
-    parts = text.strip().split(":")
+    parts = text.split(":")
     try:
         if parts[0] == "gf2" and len(parts) == 1:
             return GF2
@@ -672,9 +674,12 @@ def parse_field(text: str) -> Field:
         if parts[0] == "ratfunc":
             if not (parts[-1].isascii() and parts[-1].isidentifier()):
                 raise ParseError(f"bad field descriptor {text!r}: VAR is not an identifier")
-            base = parse_field(":".join(parts[1:-1]))
+            try:
+                base = parse_field(":".join(parts[1:-1]))
+            except ParseError as exc:
+                raise ParseError(f"bad field descriptor {text!r}: in the base, {exc}") from None
             if not isinstance(base, GF2k):
-                raise ParseError("function field base must be gf2k")
+                raise ParseError(f"bad field descriptor {text!r}: the base must be gf2k")
             return ratfunc(base, parts[-1])
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad field descriptor {text!r}: {exc}") from exc
@@ -790,77 +795,13 @@ def etale_ops(c, zero, add, mul, e=None):
     return lambda p, q: tuple(map(add, p, q)), emul
 
 
-class EtaleElement:
-    """Element x + y*s of a quadratic etale extension, s^2 = s + c."""
-
-    __slots__ = ("ring", "x", "y")
-
-    def __init__(self, ring, x: Fe, y: Fe):
-        self.ring = ring
-        self.x = x
-        self.y = y
-
-    def __add__(self, other):
-        return EtaleElement(self.ring, self.x + other.x, self.y + other.y)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        ring = self.ring
-        return ring._el(ring.rmul(self.raw, other.raw))
-
-    def __neg__(self):
-        return self
-
-    @property
-    def raw(self):
-        """The payload pair (x.raw, y.raw)."""
-        return (self.x.raw, self.y.raw)
-
-    def __bool__(self):
-        return bool(self.x) or bool(self.y)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EtaleElement)
-            and other.ring is self.ring
-            and other.x == self.x
-            and other.y == self.y
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.x, self.y))
-
-    def conj(self) -> "EtaleElement":
-        """Image under the nontrivial automorphism s -> s + 1."""
-        return EtaleElement(self.ring, self.x + self.y, self.y)
-
-    def norm(self) -> Fe:
-        c = self.ring.c
-        return self.x * self.x + self.x * self.y + c * self.y * self.y
-
-    def trace(self) -> Fe:
-        return self.y
-
-    def inv(self) -> "EtaleElement":
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("non-invertible etale element")
-        ni = n.inv()
-        co = self.conj()
-        return EtaleElement(self.ring, co.x * ni, co.y * ni)
-
-    def __repr__(self):
-        return f"Etale({self.x!r} + {self.y!r}*s)"
-
-
 class QuadraticExtension:
-    """Rank-2 etale ring F[s]/(s^2 + s + c) with the automorphism s -> s+1.
+    """Rank-2 etale ring F[s]/(s^2 + s + c) on payload pairs (x, y) of x + y*s.
 
     A field exactly when c is outside the Artin-Schreier image of F; the
     split case still supports all ring operations (inversion may fail).
-    Like a field it has payload arithmetic (rzero, rone, radd, rmul, _el) on
-    ``EtaleElement.raw``.
+    Like a field it has payload arithmetic: rzero, rone, radd, rmul, and the
+    norm and inverse through the automorphism s -> s + 1.
     """
 
     def __init__(self, field: Field, c: Fe):
@@ -869,18 +810,19 @@ class QuadraticExtension:
         self.rzero = (field.rzero, field.rzero)
         self.rone = (field.rone, field.rzero)
         self.radd, self.rmul = etale_ops(c.raw, field.rzero, field.radd, field.rmul)
-        self.zero = EtaleElement(self, field.zero, field.zero)
-        self.one = EtaleElement(self, field.one, field.zero)
-        self.s = EtaleElement(self, field.zero, field.one)
 
-    def _el(self, raw) -> EtaleElement:
-        return EtaleElement(self, *map(self.field._el, raw))
+    def rnorm(self, p):
+        """The field payload (x + y*s)(x + y + y*s) = x^2 + x*y + c*y^2."""
+        x, y = p
+        add, mul = self.field.radd, self.field.rmul
+        return add(add(mul(x, x), mul(x, y)), mul(self.c.raw, mul(y, y)))
 
-    def lift(self, x: Fe) -> EtaleElement:
-        return EtaleElement(self, x, self.field.zero)
-
-    def el(self, x: Fe, y: Fe) -> EtaleElement:
-        return EtaleElement(self, x, y)
+    def rinv(self, p):
+        """(x + y + y*s) / norm; ZeroDivisionError when the norm vanishes."""
+        x, y = p
+        field = self.field
+        n = field.rinv(self.rnorm(p))
+        return (field.rmul(field.radd(x, y), n), field.rmul(y, n))
 
     def __repr__(self):
         return f"QuadraticExtension({self.field!r}, c={self.c!r})"

@@ -53,7 +53,7 @@ from .fields import (
 )
 from .forms import RawQuadraticForm, candidates
 from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
-from .quaternions import QuaternionAlgebra
+from .quaternions import QuaternionAlgebra, quat_conj
 
 # per involution type: the dimension of Symd (symplectic) or Sym, and the
 # dimensions of L, W_1, W_2, W_3 in its Klein decomposition
@@ -366,18 +366,16 @@ class _SympBase(_MatrixDescriptor):
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
         self.quat = quat
         self.us = us = tuple(us)
-        add = field.radd
-        tables = _matrix_tables(
-            field, 4, quat.rmul, lambda e: (add(e[0], e[1]),) + e[1:], (field.one, *us)
-        )
+        conj = functools.partial(quat_conj, field)
+        tables = _matrix_tables(field, 4, quat.rmul, conj, (field.one, *us))
         sp = quat.split()
-        w = 1 if sp.ring is field else 2
+        w = 1 if sp.c is None else 2
         # the entry (r, s) maps to the 2x2 block at (2r, 2s)
         split = [
             tuple((((2 * r + i) * 8 + 2 * s + j) * w + p, m) for (i, j, p), m in sp.terms[a])
             for r, s, a in itertools.product(range(4), repeat=3)
         ]
-        super().__init__(field, 4, *tables, split, 8, None if w == 1 else quat.a.raw)
+        super().__init__(field, 4, *tables, split, 8, sp.c)
 
 
 class SplitSymp(_SympBase):

@@ -1,21 +1,25 @@
-"""Generic exact linear algebra: matrices over rings, Berkowitz characteristic
-polynomials, and Gaussian elimination over fields.
+"""Exact linear algebra on payloads: the Berkowitz characteristic
+polynomial over a ring given by closures, and Gaussian elimination over
+fields.
 
-Matrices are immutable tuples of tuples.  A "ring" is any object exposing
-``zero`` and ``one`` whose elements support ``+`` and ``*`` (all rings here
-have characteristic 2, so subtraction is addition).  Field vectors, and the
-rows of a matrix passed to elimination, are lists of field payloads (the
-``raw`` of a FieldElement); elimination uses exact division.
+Field vectors, and the rows of a matrix passed to elimination, are lists of
+field payloads (the ``raw`` of a FieldElement); elimination uses exact
+division.  ``Mat``, an immutable matrix of element objects, is not used by
+the runtime: the benchmark tracer (perfbench/tracer.py) rebinds
+``Mat.__mul__`` by name, and the object oracles of the tests
+(tests/oracles.py) build their matrices from it.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import List, Optional, Sequence, Tuple
 
 
 class Mat:
-    """Immutable matrix over a ring with zero/one."""
+    """Immutable matrix over a ring with zero/one whose elements support +
+    and * (all rings here have characteristic 2, so subtraction is
+    addition).  No runtime path builds one; it stays for the benchmark
+    tracer and the test oracles."""
 
     __slots__ = ("ring", "rows")
 
@@ -44,8 +48,6 @@ class Mat:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
 
-    __sub__ = __add__
-
     def __mul__(self, other: "Mat") -> "Mat":
         """Row i sums a * (row k of other) over the nonzero a = self[i][k]."""
         assert self.shape[1] == other.shape[0], "shape mismatch"
@@ -71,25 +73,12 @@ class Mat:
     def __eq__(self, other):
         return isinstance(other, Mat) and other.rows == self.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def __bool__(self):
         z = self.ring.zero
         return any(a != z for row in self.rows for a in row)
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
-
-
-def charpoly(m: Mat) -> list:
-    """Coefficients of det(X*I - m), ascending degree, via Berkowitz.
-
-    Division-free, so valid over any commutative ring (here characteristic 2,
-    which also makes all the classical signs vanish).
-    """
-    ring = m.ring
-    return charpoly_raw(m.rows, ring.zero, ring.one, operator.add, operator.mul)
 
 
 def charpoly_raw(rows, zero, one, add, mul) -> list:
@@ -131,30 +120,6 @@ def charpoly_raw(rows, zero, one, add, mul) -> list:
             new.append(acc)
         vec = new
     return list(reversed(vec))
-
-
-# ---------------------------------------------------------------------------
-# polynomials over a ring, as coefficient lists (ascending degree)
-# ---------------------------------------------------------------------------
-
-
-def poly_mul(p: Sequence, q: Sequence, ring) -> list:
-    out = [ring.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == ring.zero:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly_eval_matrix(p: Sequence, m: Mat) -> Mat:
-    """Evaluate a polynomial with scalar coefficients at a square matrix."""
-    n = m.shape[0]
-    acc = Mat.zeros(m.ring, n)
-    for c in reversed(list(p)):
-        acc = acc * m + Mat.identity(m.ring, n).scal(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,39 @@
-"""Characteristic-2 quaternion algebras [a,b).
+"""Characteristic-2 quaternion algebras [a,b), on payloads.
 
 The algebra [a,b) over F has basis 1, u, v, uv with relations u^2 + u = a,
-v^2 = b (b nonzero), vu = (u+1)v.  Conjugation x -> trd(x) + x is the
-canonical (symplectic) involution.  A splitting embedding into 2x2 matrices
-is built over F itself in two cases: when x^2 + x = a has a root in F, and
-when b/a is a square in F (then b = a*y^2 is the norm of y*u, so [a,b) is
-split; Knus, Merkurjev, Rost and Tignol, The Book of Involutions, section 2).
-Over GF(2^k) every element is a square, so every [a,b) splits over F
-(Wedderburn).  Only over GF(2^k)(t), when neither case applies, the
-embedding goes to the quadratic extension ring F[s]/(s^2 + s + a); the
-characteristic polynomial machinery only needs ring arithmetic, so the split
-case of that extension is harmless.
+v^2 = b (b nonzero), vu = (u+1)v.  An element is the 4-tuple of the field
+payloads of its coordinates; ``quat_mul`` multiplies two of them and
+``quat_conj`` is the canonical (symplectic) involution x -> trd(x) + x.  A
+splitting embedding into 2x2 matrices is built over F itself in two cases:
+when x^2 + x = a has a root in F, and when b/a is a square in F (then
+b = a*y^2 is the norm of y*u, so [a,b) is split; Knus, Merkurjev, Rost and
+Tignol, The Book of Involutions, section 2).  Over GF(2^k) every element is
+a square, so every [a,b) splits over F (Wedderburn).  Only over GF(2^k)(t),
+when neither case applies, the embedding goes to the quadratic extension
+ring F[s]/(s^2 + s + a); the characteristic polynomial machinery only needs
+ring arithmetic, so the split case of that extension is harmless.
+
+``Quat`` is the one object class left here and no runtime path builds one:
+the benchmark tracer (perfbench/tracer.py) rebinds ``Quat.__mul__`` by name,
+and the object oracles of the tests (tests/oracles.py) build their
+quaternions from it.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from typing import Union
 
 from .decision import Decision
 from .errors import AlgebraMismatch, ZeroScalar
-from .fields import (
-    Fe,
-    Field,
-    QuadraticExtension,
-    frobenius_sqrt,
-    solve_artin_schreier,
-)
+from .fields import Fe, Field, frobenius_sqrt, solve_artin_schreier
 from .forms import QuadraticForm, is_anisotropic, quad_pfister
-from .linalg import Mat
 
 
 class Quat:
-    """Quaternion x0 + x1*u + x2*v + x3*uv."""
+    """Quaternion x0 + x1*u + x2*v + x3*uv with FieldElement coordinates.
+
+    No runtime path builds one; the class stays for the benchmark tracer,
+    which rebinds ``Quat.__mul__`` by name, and for the test oracles.
+    """
 
     __slots__ = ("alg", "c")
 
@@ -50,15 +50,10 @@ class Quat:
         other = self._same(other)
         return Quat(self.alg, tuple(p + q for p, q in zip(self.c, other.c)))
 
-    __sub__ = __add__
-
     def __mul__(self, other):
         other = self._same(other)
         alg = self.alg
-        return alg._el(alg.rmul(self.raw, other.raw))
-
-    def __neg__(self):
-        return self
+        return Quat(alg, map(alg.field._el, alg.rmul(self.raw, other.raw)))
 
     @property
     def raw(self):
@@ -70,12 +65,6 @@ class Quat:
 
     def __eq__(self, other):
         return isinstance(other, Quat) and other.alg is self.alg and other.c == self.c
-
-    def __hash__(self):
-        return hash((id(self.alg), self.c))
-
-    def scal(self, c: Fe) -> "Quat":
-        return Quat(self.alg, tuple(c * x for x in self.c))
 
     def __repr__(self):
         return f"Quat{self.raw}"
@@ -102,10 +91,14 @@ def quat_mul(field: Field, a, b):
     return qmul
 
 
+def quat_conj(field: Field, x) -> tuple:
+    """The canonical involution trd(x) + x = (x0 + x1, x1, x2, x3) on payloads."""
+    return (field.radd(x[0], x[1]), *x[1:])
+
+
 class QuaternionAlgebra:
-    """The symbol algebra [a,b), with the payload product ``rmul`` and
-    ``_el`` on ``Quat.raw`` (the structure constants of the symplectic
-    descriptors come from rmul)."""
+    """The symbol algebra [a,b), with the payload product ``rmul`` (the
+    structure constants of the symplectic descriptors come from rmul)."""
 
     def __init__(self, field: Field, a: Fe, b: Fe):
         if not b:
@@ -114,55 +107,16 @@ class QuaternionAlgebra:
         self.a = a
         self.b = b
         self.rmul = quat_mul(field, a.raw, b.raw)
-        z, o = field.zero, field.one
-        self.zero = Quat(self, (z, z, z, z))
-        self.one = Quat(self, (o, z, z, z))
-        self.u = Quat(self, (z, o, z, z))
-        self.v = Quat(self, (z, z, o, z))
-        self.w = Quat(self, (z, z, z, o))
         self._split = None
 
-    def _el(self, raw) -> Quat:
-        return Quat(self, map(self.field._el, raw))
-
-    def el(self, x0: Fe, x1: Fe, x2: Fe, x3: Fe) -> Quat:
-        return Quat(self, (x0, x1, x2, x3))
-
-    def scalar(self, c: Fe) -> Quat:
-        z = self.field.zero
-        return Quat(self, (c, z, z, z))
-
-    def rand(self, rng: random.Random) -> Quat:
-        return Quat(self, tuple(self.field.rand(rng) for _ in range(4)))
-
     def split(self) -> "SplitEmbedding":
+        """The cached splitting data of the algebra."""
         if self._split is None:
             self._split = SplitEmbedding(self)
         return self._split
 
     def __repr__(self):
         return f"QuaternionAlgebra[{self.a!r},{self.b!r})"
-
-
-def q_conj(x: Quat) -> Quat:
-    """Canonical involution: conj(x) = trd(x) + x."""
-    x0, x1, x2, x3 = x.c
-    return Quat(x.alg, (x0 + x1, x1, x2, x3))
-
-
-def q_trd(x: Quat) -> Fe:
-    return x.c[1]
-
-
-def q_nrd(x: Quat) -> Fe:
-    """Reduced norm x * conj(x), as a scalar."""
-    a, b = x.alg.a, x.alg.b
-    x0, x1, x2, x3 = x.c
-    return x0 * x0 + x0 * x1 + a * x1 * x1 + b * (x2 * x2 + x2 * x3 + a * x3 * x3)
-
-
-def q_mul(x: Quat, y: Quat) -> Quat:
-    return x * y
 
 
 def nrd_form(q: QuaternionAlgebra) -> QuadraticForm:
@@ -176,91 +130,46 @@ def is_division(q: QuaternionAlgebra, *, seed: int = 0) -> Decision:
 
 
 class SplitEmbedding:
-    """Images of the generators in 2x2 matrices over a splitting ring.
+    """Images of the basis 1, u, v, uv in 2x2 matrices over a splitting ring,
+    on payloads.
 
     The first case that applies is taken:
 
-    1. x^2 + x = a has a root s in F: the ring is F, u -> diag(s, s+1),
-       v -> [[0, b], [1, 0]];
+    1. x^2 + x = a has a root r in F: the ring is F, u -> diag(r, r+1),
+       v -> [[0, b], [1, 0]], so uv -> [[0, r*b], [r+1, 0]];
     2. b/a = y^2 for some y in F: the ring is F, u -> [[0, a], [1, 1]],
-       v -> y*[[1, 1+a], [1, 1]] (u^2 + u = a, v^2 = a*y^2 = b, vu = (u+1)v);
-    3. otherwise the ring is F[s]/(s^2 + s + a), with the matrices of case 1.
+       v -> y*[[1, 1+a], [1, 1]] (u^2 + u = a, v^2 = a*y^2 = b, vu = (u+1)v),
+       so uv -> y*a*[[1, 1], [0, 1]];
+    3. otherwise the ring is F[s]/(s^2 + s + a), with the matrices of case 1
+       for r = s.
 
-    Over GF(2^k) case 3 never occurs.  ``terms`` is the embedding on
-    payloads: an image entry is a ring element with one F-coordinate p = 0
-    over F and two (x, y of x + y*s) over the etale ring.  ``terms[k]``
-    holds the pairs ((i, j, p), m) with m != 0 the payload of coordinate p
-    of the entry (i, j) in the image of the k-th basis quaternion 1, u, v, uv.
+    Over GF(2^k) case 3 never occurs.  ``c`` is the etale parameter: the
+    payload of a in case 3, None when the ring is F.  An image entry is a
+    ring element with one F-coordinate p = 0 over F and two (x, y of
+    x + y*s) over the etale ring.  ``terms[k]`` holds the pairs
+    ((i, j, p), m) with m != 0 the payload of coordinate p of the entry
+    (i, j) in the image of the k-th basis quaternion 1, u, v, uv.
     """
 
     def __init__(self, alg: QuaternionAlgebra):
-        field = alg.field
-        a, b = alg.a, alg.b
+        a, b, one = alg.a, alg.b, alg.field.one
         root = solve_artin_schreier(a)
         y = None if isinstance(root, Fe) or not a else frobenius_sqrt(b / a)
-        if isinstance(root, Fe) or y is not None:
-            ring: Union[Field, QuadraticExtension] = field
-            self.lift = lambda c: c
+        self.c = None
+        if isinstance(root, Fe):
+            r1 = root + one
+            u = {(0, 0, 0): root, (1, 1, 0): r1}
+            v = {(0, 1, 0): b, (1, 0, 0): one}
+            uv = {(0, 1, 0): root * b, (1, 0, 0): r1}
+        elif y is not None:
+            ya = y * a
+            u = {(0, 1, 0): a, (1, 0, 0): one, (1, 1, 0): one}
+            v = {(0, 0, 0): y, (0, 1, 0): y * (one + a), (1, 0, 0): y, (1, 1, 0): y}
+            uv = {(0, 0, 0): ya, (0, 1, 0): ya, (1, 1, 0): ya}
         else:
-            ring = QuadraticExtension(field, a)
-            self.lift = ring.lift
-        one, zero = ring.one, ring.zero
-        if y is None:
-            s = root if ring is field else ring.s
-            u_img = Mat(ring, [[s, zero], [zero, s + one]])
-            v_img = Mat(ring, [[zero, self.lift(b)], [one, zero]])
-        else:
-            u_img = Mat(ring, [[zero, a], [one, one]])
-            v_img = Mat(ring, [[y, y * (one + a)], [y, y]])
-        self.alg = alg
-        self.ring = ring
-        self.u_img = u_img
-        self.v_img = v_img
-        self.w_img = u_img * v_img
-        self.one_img = Mat.identity(ring, 2)
-        images = (self.one_img, u_img, v_img, self.w_img)
-        rzero = field.rzero
-        coords = (lambda e: (e.raw,)) if ring is field else (lambda e: e.raw)
-        self.terms = tuple(
-            tuple(
-                ((i, j, p), c)
-                for i, j in itertools.product(range(2), repeat=2)
-                for p, c in enumerate(coords(m.rows[i][j]))
-                if c != rzero
-            )
-            for m in images
-        )
-
-    def embed(self, x: Quat) -> Mat:
-        if x.alg is not self.alg:
-            raise AlgebraMismatch("quaternion from a different algebra")
-        x0, x1, x2, x3 = (self.lift(c) for c in x.c)
-        mats = (self.one_img, self.u_img, self.v_img, self.w_img)
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc = self.ring.zero
-                for coef, m in zip((x0, x1, x2, x3), mats):
-                    acc = acc + coef * m.rows[i][j]
-                row.append(acc)
-            rows.append(row)
-        return Mat(self.ring, rows)
-
-    def embed_matrix(self, m: Mat) -> Mat:
-        """Blockwise embedding of a matrix over the quaternion algebra."""
-        n = len(m.rows)
-        blocks = [[self.embed(m.rows[i][j]) for j in range(n)] for i in range(n)]
-        rows = []
-        for i in range(n):
-            for r in range(2):
-                row = []
-                for j in range(n):
-                    row.extend(blocks[i][j].rows[r])
-                rows.append(row)
-        return Mat(self.ring, rows)
-
-
-def split_embedding(q: QuaternionAlgebra) -> SplitEmbedding:
-    """Cached splitting data for the algebra."""
-    return q.split()
+            self.c = a.raw
+            u = {(0, 0, 1): one, (1, 1, 0): one, (1, 1, 1): one}
+            v = {(0, 1, 0): b, (1, 0, 0): one}
+            uv = {(0, 1, 1): b, (1, 0, 0): one, (1, 0, 1): one}
+        images = ({(0, 0, 0): one, (1, 1, 0): one}, u, v, uv)
+        self.terms = tuple(tuple((k, m.raw) for k, m in im.items() if m) for im in images)

@@ -235,6 +235,11 @@ def test_verify_ratfunc_suite_passes(suite, capsys):
         "gf2k:2:0x_7",
         "gf2k:\uff12",
         "ratfunc:gf2: t",
+        " gf2k:2",
+        "gf2k:2\n",
+        "\tratfunc:gf2:t",
+        "ratfunc: gf2k:2:t",
+        "ratfunc:gf2 :t",
     ],
 )
 @pytest.mark.parametrize("command", ["extract", "verify"])

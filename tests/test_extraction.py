@@ -8,6 +8,7 @@ import random
 import pytest
 
 from descriptor_layout import entries
+from oracles import QuatRing
 from charform import extraction, verify
 from charform.errors import (
     DecompositionFailure,
@@ -97,7 +98,7 @@ def test_validate_biquadratic_rejects_bad_candidates():
     with pytest.raises(InvalidCandidate):
         validate_biquadratic(desc, one, one)  # spans only 1 dimension
     # a non-symmetric element: the quaternion 1 at (0, 1)
-    bad = quat_element(desc, {(0, 1): desc.quat.one})
+    bad = quat_element(desc, {(0, 1): QuatRing(desc.quat).one})
     with pytest.raises(InvalidCandidate):
         validate_biquadratic(desc, bad, construct_biquadratic(desc).s2)
 
@@ -121,7 +122,7 @@ def test_li_trace_norm_split_diagonal():
     L = construct_biquadratic(desc)
     x1, x2 = F8.gen, F8.gen * F8.gen
     diag = enumerate((x1, x1, x2, x2))
-    ell = quat_element(desc, {(i, i): desc.quat.scalar(x) for i, x in diag})
+    ell = quat_element(desc, {(i, i): QuatRing(desc.quat).scalar(x) for i, x in diag})
     t, n = li_trace_norm(L, 1, ell)
     assert t == x1 + x2 and n == x1 * x2
 
@@ -408,7 +409,7 @@ def test_split_case_star_block_formula():
         x2 = comps.w_element(2, c2)
         out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
         m1, m2 = entries(desc, x1), entries(desc, x2)
-        q = desc.quat._el
+        q = QuatRing(desc.quat)._el
         expected = q(m1[0][1]) * q(m2[1][3]) + q(m2[0][2]) * q(m1[2][3])
         assert q(entries(desc, out)[0][3]) == expected
 

@@ -1,9 +1,11 @@
 """Field arithmetic tests, with naive-reduction oracles for derived values."""
 
+import itertools
 import random
 
 import pytest
 
+from oracles import EtaleRing
 from charform.decision import UNKNOWN
 from charform.errors import FieldMismatch, UnsupportedField
 from charform.fields import (
@@ -222,6 +224,10 @@ def test_parse_field_rejects_garbage():
         "gf2k:\uff12",
         "gf2k:2:0x_7",  # MOD in ASCII hex digits only
         "ratfunc:gf2: t",  # VAR an ASCII identifier
+        " gf2k:2\n",  # no whitespace around the descriptor or a part
+        "\tratfunc:gf2:t",
+        "ratfunc: gf2k:2:t",
+        "ratfunc:gf2 :t",
     ]:
         with pytest.raises(ParseError):
             parse_field(bad)
@@ -229,16 +235,26 @@ def test_parse_field_rejects_garbage():
 
 def test_quadratic_extension_ring():
     # F4[s]/(s^2+s+g) with g of trace 1 is a field of 16 elements
-    ring = QuadraticExtension(F4, F4.gen)
+    ring = EtaleRing(F4, F4.gen)
     s = ring.s
     assert s * s == ring.el(F4.gen, F4.one)  # s^2 = s + g
     assert s.conj() == ring.el(F4.one, F4.one)  # s + 1
     assert (s * s.conj()) == ring.lift(F4.gen)  # norm(s) = g
     assert s.inv() * s == ring.one
     # split case: F2[s]/(s^2+s) has zero divisors
-    split = QuadraticExtension(GF2, GF2.zero)
+    split = EtaleRing(GF2, GF2.zero)
     with pytest.raises(ZeroDivisionError):
         split.s.inv()
+    # the payload ring agrees with the objects on every element
+    payload = QuadraticExtension(F4, F4.gen)
+    for p, q in itertools.product(itertools.product(F4.elements(), repeat=2), repeat=2):
+        x, y = ring.el(*p), ring.el(*q)
+        assert payload.rmul(x.raw, y.raw) == (x * y).raw
+        assert payload.rnorm(x.raw) == x.norm().raw
+        if x:
+            assert payload.rinv(x.raw) == x.inv().raw
+    with pytest.raises(ZeroDivisionError):
+        QuadraticExtension(GF2, GF2.zero).rinv(split.s.raw)
 
 
 def test_packed_polynomials_over_gf4():

@@ -18,6 +18,16 @@ from pathlib import Path
 import pytest
 
 from descriptor_layout import entries
+from oracles import (
+    EtaleRing,
+    QuatRing,
+    SplitImages,
+    charpoly,
+    poly_eval_matrix,
+    poly_mul,
+    q_conj,
+    q_nrd,
+)
 from charform import involutions, linalg
 from charform.errors import (
     CharformError,
@@ -45,8 +55,8 @@ from charform.involutions import (
     srd_form_unitary,
     symmetric_space,
 )
-from charform.linalg import Mat, Span, charpoly, poly_eval_matrix, poly_mul, rank
-from charform.quaternions import QuaternionAlgebra, q_conj, q_nrd
+from charform.linalg import Mat, Span, rank
+from charform.quaternions import QuaternionAlgebra
 from charform.serialize import descriptor_from_json
 
 F4 = gf2k(2)
@@ -69,8 +79,8 @@ def quat_element(desc, placed):
 
 def quat_matrix(desc, x):
     """The element x as a Mat of quaternions, for the splitting embedding."""
-    Q = desc.quat
-    return Mat(Q, [[Q._el(e) for e in row] for row in entries(desc, x)])
+    R = QuatRing(desc.quat)
+    return Mat(R, [[R._el(e) for e in row] for row in entries(desc, x)])
 
 
 # --- oracle: char poly by cofactor expansion over polynomial entries ---------
@@ -166,11 +176,13 @@ def test_sigma_is_the_closed_form(name, kind):
     gram = _gram(field)
     if kind == "index2_symp":
         desc = idx2(field, _gen(field), field.one, gram[1:])
-        ring, conj, lift = desc.quat, q_conj, desc.quat.scalar
+        ring = QuatRing(desc.quat)
+        conj, lift = q_conj, ring.scalar
         gram = (field.one,) + gram[1:]
     elif kind == "unitary_etale":
         desc = UnitaryEtale(field, _non_artin_schreier(field), gram)
-        ring, conj, lift = desc.center, lambda e: e.conj(), desc.center.lift
+        ring = EtaleRing(field, desc.c)
+        conj, lift = (lambda e: e.conj()), ring.lift
     else:
         desc = Orthogonal(field, gram)
         ring, conj, lift = field, lambda e: e, lambda g: g
@@ -232,7 +244,7 @@ def test_split_symp_sigma_is_conj_transpose():
 @pytest.mark.parametrize(
     "foreign",
     [
-        lambda desc: Mat(desc.quat, [[desc.quat.zero] * 4 for _ in range(4)]),
+        lambda desc: quat_matrix(desc, desc.zero_el()),
         lambda desc: desc.one_el()[:-1],
         lambda desc: UnitaryExchange(desc.field).one_el(),
     ],
@@ -345,7 +357,7 @@ def test_pcrd_of_identity():
 
 def test_pcrd_of_rank2_projector():
     desc = SplitSymp(GF2)
-    p1 = quat_element(desc, {(0, 0): desc.quat.one})
+    p1 = quat_element(desc, {(0, 0): QuatRing(desc.quat).one})
     pc = reduced_charpoly(desc, p1)
     # projector onto a 2-dimensional block: X^6 (X+1)^2 = X^8 + X^6? no:
     # (X+1)^2 = X^2 + 1, so X^6(X+1)^2 = X^8 + X^6
@@ -359,7 +371,7 @@ def test_pcrd_cayley_hamilton():
     for _ in range(5):
         x = desc.rand(rng)
         pc = reduced_charpoly(desc, x)
-        sp = desc.quat.split()
+        sp = SplitImages(desc.quat)
         m = sp.embed_matrix(quat_matrix(desc, x))
         lifted = [sp.lift(c) if sp.ring is not desc.field else c for c in pc]
         assert not poly_eval_matrix(lifted, m)
@@ -368,7 +380,7 @@ def test_pcrd_cayley_hamilton():
 def test_pcrd_against_cofactor_oracle():
     rng = random.Random(11)
     desc = SplitSymp(F4)
-    sp = desc.quat.split()
+    sp = SplitImages(desc.quat)
     assert sp.ring is desc.field  # [0,1) splits over F itself
     for _ in range(5):
         x = desc.rand(rng)
@@ -384,9 +396,10 @@ def _entry_ring_charpoly(desc, x):
     orthogonal element or of the E block.  Etale coefficients must lie in F."""
     field = desc.field
     if desc.kind.endswith("symp"):
-        m = desc.quat.split().embed_matrix(quat_matrix(desc, x))
+        m = SplitImages(desc.quat).embed_matrix(quat_matrix(desc, x))
     elif desc.kind == "unitary_etale":
-        m = Mat(desc.center, [[desc.center._el(e) for e in row] for row in entries(desc, x)])
+        ring = EtaleRing(field, desc.c)
+        m = Mat(ring, [[ring._el(e) for e in row] for row in entries(desc, x)])
     else:
         m = Mat(field, [[field._el(e) for e in row] for row in entries(desc, x)])
     coeffs = charpoly(m)
@@ -570,14 +583,14 @@ def test_prp_rejects_non_symmetrized():
     # diag(u, 0, 0, 0) has reduced trace 1, so an odd coefficient survives
     desc = SplitSymp(GF2)
     with pytest.raises(NotPfaffian):
-        reduced_pfaffian(desc, quat_element(desc, {(0, 0): desc.quat.u}))
+        reduced_pfaffian(desc, quat_element(desc, {(0, 0): QuatRing(desc.quat).u}))
 
 
 def test_prp_block_element_closed_form():
     # W1-shaped element: Prp = (X^2 + nrd(x12)) (X^2 + nrd(x34))
     rng = random.Random(13)
     desc = SplitSymp(F8)
-    Q = desc.quat
+    Q = QuatRing(desc.quat)
     for _ in range(10):
         x12, x34 = Q.rand(rng), Q.rand(rng)
         x = quat_element(

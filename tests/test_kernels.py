@@ -27,6 +27,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
+from oracles import EtaleRing, QuatRing
 from charform.fields import (
     GF2,
     GF2k,
@@ -210,7 +211,7 @@ def test_quaternion_matrix_products(field, data):
     expected = naive_matmul(*coords, coord_add, quaternion_product(field, a, b), zero)
     got_desc = desc.el_mul(*(tuple(e.raw for e in flat(m)) for m in coords))
     assert wrapped(desc, entries(desc, got_desc)) == expected
-    got_mat = Mat(quat, x) * Mat(quat, y)
+    got_mat = Mat(QuatRing(quat), x) * Mat(QuatRing(quat), y)
     assert [[e.c for e in row] for row in got_mat.rows] == expected
 
 
@@ -220,7 +221,7 @@ def test_etale_matrix_products(field, data):
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
     c = non_artin_schreier(field)
     desc = UnitaryEtale(field, c, gram)
-    center = desc.center
+    center = EtaleRing(field, c)
     entry = st.tuples(*[sparse(field, elements(field))] * 2).map(lambda xy: center.el(*xy))
     x, y = matrix(data, entry), matrix(data, entry)
     coords = [[(e.x, e.y) for e in row] for row in x], [[(e.x, e.y) for e in row] for row in y]

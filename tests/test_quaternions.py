@@ -1,4 +1,6 @@
-"""Quaternion algebra tests against the defining relations."""
+"""Quaternion algebra tests against the defining relations, on the object
+oracles of ``oracles`` (Quat elements and the 2x2 splitting images), and
+the payload splitting data ``SplitEmbedding.terms`` against those images."""
 
 import itertools
 import random
@@ -6,24 +8,18 @@ import random
 import pytest
 
 from descriptor_layout import entries
+from oracles import EtaleRing, QuatRing, SplitImages, charpoly, q_conj, q_mul, q_nrd, q_trd
+from charform import quaternions, verify
 from charform.errors import AlgebraMismatch, ZeroScalar
-from charform.fields import GF2, Fe, QuadraticExtension, gf2k, ratfunc, solve_artin_schreier
+from charform.fields import GF2, Fe, gf2k, parse_field, ratfunc, solve_artin_schreier
 from charform.involutions import Index2Symp
-from charform.linalg import Mat, charpoly
-from charform.quaternions import (
-    QuaternionAlgebra,
-    is_division,
-    nrd_form,
-    q_conj,
-    q_mul,
-    q_nrd,
-    q_trd,
-    split_embedding,
-)
+from charform.linalg import Mat
+from charform.quaternions import QuaternionAlgebra, is_division, nrd_form
 
 F4 = gf2k(2)
 F8 = gf2k(3)
 R2 = ratfunc(GF2)
+R4 = ratfunc(F4)
 
 
 def make(field, a, b):
@@ -32,9 +28,10 @@ def make(field, a, b):
 
 def test_defining_relations():
     Q = make(F4, F4.gen, F4.gen + F4.one)
-    u, v = Q.u, Q.v
-    assert u * u == Q.scalar(Q.a) + u
-    assert v * v == Q.scalar(Q.b)
+    R = QuatRing(Q)
+    u, v = R.u, R.v
+    assert u * u == R.scalar(Q.a) + u
+    assert v * v == R.scalar(Q.b)
     assert v * u == u * v + v
 
 
@@ -46,41 +43,42 @@ def test_zero_b_rejected():
 def test_algebra_mismatch():
     q1, q2 = make(GF2, GF2.one, GF2.one), make(GF2, GF2.zero, GF2.one)
     with pytest.raises(AlgebraMismatch):
-        q_mul(q1.u, q2.u)
+        q_mul(QuatRing(q1).u, QuatRing(q2).u)
 
 
 def test_conj_trd_nrd_examples():
     Q = make(F4, F4.gen, F4.one)
-    assert q_conj(Q.u) == Q.u + Q.one
-    assert q_conj(Q.v) == Q.v
-    assert q_trd(Q.u) == F4.one
-    assert q_nrd(Q.u) == Q.a  # u(u+1) = u^2 + u = a
+    R = QuatRing(Q)
+    assert q_conj(R.u) == R.u + R.one
+    assert q_conj(R.v) == R.v
+    assert q_trd(R.u) == F4.one
+    assert q_nrd(R.u) == Q.a  # u(u+1) = u^2 + u = a
 
 
 def test_conj_is_antiautomorphism_500():
     rng = random.Random(5)
-    Q = make(F4, F4.gen, F4.gen)
+    R = QuatRing(make(F4, F4.gen, F4.gen))
     for _ in range(500):
-        x, y = Q.rand(rng), Q.rand(rng)
+        x, y = R.rand(rng), R.rand(rng)
         assert q_conj(x * y) == q_conj(y) * q_conj(x)
         assert q_conj(q_conj(x)) == x
 
 
 def test_nrd_multiplicative_500():
     rng = random.Random(7)
-    Q = make(F4, F4.gen, F4.gen + F4.one)
+    R = QuatRing(make(F4, F4.gen, F4.gen + F4.one))
     for _ in range(500):
-        x, y = Q.rand(rng), Q.rand(rng)
+        x, y = R.rand(rng), R.rand(rng)
         assert q_nrd(x * y) == q_nrd(x) * q_nrd(y)
         # nrd(x) = x * conj(x) as a scalar
-        assert x * q_conj(x) == Q.scalar(q_nrd(x))
+        assert x * q_conj(x) == R.scalar(q_nrd(x))
 
 
 def test_trd_symmetry_500():
     rng = random.Random(9)
-    Q = make(F4, F4.one, F4.gen)
+    R = QuatRing(make(F4, F4.one, F4.gen))
     for _ in range(500):
-        x, y = Q.rand(rng), Q.rand(rng)
+        x, y = R.rand(rng), R.rand(rng)
         assert q_trd(x * y) == q_trd(y * x)
 
 
@@ -93,7 +91,7 @@ def test_nrd_form_agrees_with_direct_norm():
         Q = make(field, a, b)
         nf = nrd_form(Q)
         for _ in range(500):
-            x = Q.rand(rng)
+            x = QuatRing(Q).rand(rng)
             # scale(b, (1,a)) stores (b, a/b); the substitution x3 -> b*x3
             # identifies its coordinates with the quaternion basis 1,u,v,uv
             coords = [x.c[0], x.c[1], x.c[2], b * x.c[3]]
@@ -108,7 +106,7 @@ def test_nrd_form_split_and_isotropic_examples():
     assert arf_invariant(nrd_form(Q)) == 0
     # [1,1) over GF(2): 1 + u + v is a zero of the norm
     Q2 = make(GF2, GF2.one, GF2.one)
-    x = Q2.el(GF2.one, GF2.one, GF2.one, GF2.zero)
+    x = QuatRing(Q2).el(GF2.one, GF2.one, GF2.one, GF2.zero)
     assert not q_nrd(x)
 
 
@@ -123,7 +121,7 @@ def test_is_division_over_finite_fields():
                 dec = is_division(Q)
                 assert dec.is_false
                 zero_found = any(
-                    q_nrd(Q.el(*v)) == field.zero and any(v)
+                    q_nrd(QuatRing(Q).el(*v)) == field.zero and any(v)
                     for v in itertools.product(field.elements(), repeat=4)
                 )
                 assert zero_found
@@ -131,14 +129,15 @@ def test_is_division_over_finite_fields():
 
 def test_is_division_zero_a_has_zero_divisors():
     Q = make(R2, R2.zero, R2.t)
-    assert not q_nrd(Q.u)  # u(u+1) = 0
+    assert not q_nrd(QuatRing(Q).u)  # u(u+1) = 0
     assert is_division(Q).is_false
 
 
 def test_tt_symbol_is_split_with_explicit_zero():
     # nrd(u + v) = a + b vanishes for [t,t), so the symbol splits
     Q = make(R2, R2.t, R2.t)
-    assert q_nrd(Q.u + Q.v) == R2.zero
+    R = QuatRing(Q)
+    assert q_nrd(R.u + R.v) == R2.zero
     assert is_division(Q).is_false
 
 
@@ -165,19 +164,20 @@ def _det2(m):
 )
 def test_split_embedding_relations(field, a, b):
     Q = make(field, getattr(field, a), getattr(field, b))
-    _assert_relations(split_embedding(Q), Q)
+    _assert_relations(SplitImages(Q), Q)
 
 
 def test_split_embedding_preserves_trd_nrd():
     rng = random.Random(13)
     Q = make(F4, F4.gen, F4.one)
-    sp = split_embedding(Q)
+    R = QuatRing(Q)
+    sp = SplitImages(Q)
     for _ in range(200):
-        x = Q.rand(rng)
+        x = R.rand(rng)
         m = sp.embed(x)
         assert m.trace() == sp.lift(q_trd(x))
         assert _det2(m) == sp.lift(q_nrd(x))
-        y = Q.rand(rng)
+        y = R.rand(rng)
         assert sp.embed(x * y) == sp.embed(x) * sp.embed(y)
         assert sp.embed(x + y) == sp.embed(x) + sp.embed(y)
 
@@ -185,9 +185,10 @@ def test_split_embedding_preserves_trd_nrd():
 def test_split_embedding_matrix_blocks():
     rng = random.Random(17)
     Q = make(F4, F4.gen, F4.gen)
-    sp = split_embedding(Q)
-    m = Mat(Q, [[Q.rand(rng) for _ in range(2)] for _ in range(2)])
-    m2 = Mat(Q, [[Q.rand(rng) for _ in range(2)] for _ in range(2)])
+    R = QuatRing(Q)
+    sp = SplitImages(Q)
+    m = Mat(R, [[R.rand(rng) for _ in range(2)] for _ in range(2)])
+    m2 = Mat(R, [[R.rand(rng) for _ in range(2)] for _ in range(2)])
     assert sp.embed_matrix(m * m2) == sp.embed_matrix(m) * sp.embed_matrix(m2)
 
 
@@ -206,8 +207,9 @@ def test_every_finite_quaternion_algebra_splits_over_f(field):
             if not b:
                 continue
             Q = make(field, a, b)
-            sp = split_embedding(Q)
+            sp = SplitImages(Q)
             assert sp.ring is Q.field
+            assert Q.split().c is None
             _assert_relations(sp, Q)
 
 
@@ -216,7 +218,7 @@ def _etale_oracle_charpoly(desc, x):
     v -> [[0, b], [1, 0]] over F[s]/(s^2 + s + a), with the y parts checked
     to vanish."""
     Q, field = desc.quat, desc.field
-    ring = QuadraticExtension(field, Q.a)
+    ring = EtaleRing(field, Q.a)
     s, one, zero = ring.s, ring.one, ring.zero
     images = [
         Mat(ring, [[one, zero], [zero, one]]),
@@ -246,35 +248,41 @@ def test_index2_charpoly_matches_etale_embedding(field):
         b = field.rand(rng) or field.one
         us = [field.rand(rng) or field.one for _ in range(3)]
         desc = Index2Symp(field, make(field, a, b), us)
-        assert desc.quat.split().ring is field
+        assert desc.quat.split().c is None
         for _ in range(3):
             x = desc.rand(rng)
             assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)
 
 
+# symbols over GF(2)(t), or over GF(4)(t) when a slot names the generator g of GF(4)
 RATFUNC_SYMBOLS = [
     ("t", "t", True),  # b/a = 1
     ("1/t", "t", True),  # b/a = t^2, a not a polynomial
     ("t", "1+t", False),
     ("1/t", "1", False),  # etale, a not a polynomial
+    ("g", "t", False),  # etale over GF(4)(t): g has absolute trace 1
 ]
 
 
 def _ratfunc_symbol(a, b):
-    t, one = R2.t, R2.one
+    field = R4 if "g" in (a, b) else R2
+    t, one = field.t, field.one
     slots = {"t": t, "1/t": one / t, "1+t": one + t, "1": one}
-    return make(R2, slots[a], slots[b])
+    if field is R4:
+        slots["g"] = field.const(F4.gen)
+    return make(field, slots[a], slots[b])
 
 
 @pytest.mark.parametrize("a,b,over_f", RATFUNC_SYMBOLS)
 def test_ratfunc_splitting_cases(a, b, over_f):
-    t, one = R2.t, R2.one
     Q = _ratfunc_symbol(a, b)
-    sp = split_embedding(Q)
-    assert (sp.ring is R2) == over_f
+    field = Q.field
+    t, one = field.t, field.one
+    sp = SplitImages(Q)
+    assert (sp.ring is field) == over_f
     _assert_relations(sp, Q)
     rng = random.Random(23)
-    desc = Index2Symp(R2, Q, (one, t, one + t))
+    desc = Index2Symp(field, Q, (one, t, one + t))
     for _ in range(2):
         x = desc.rand(rng)
         assert desc.reduced_charpoly(x) == _etale_oracle_charpoly(desc, x)
@@ -285,22 +293,35 @@ def _splitting_case(Q):
     square in F, or the etale ring."""
     if isinstance(solve_artin_schreier(Q.a), Fe):
         return "root"
-    return "square" if Q.split().ring is Q.field else "etale"
+    return "square" if SplitImages(Q).ring is Q.field else "etale"
 
 
 def _assert_split_rows_is_the_image(desc, rng):
-    """split_rows(x) is the splitting image of the quaternion matrix of x,
-    entry by entry, with the etale parameter a exactly over the etale ring."""
-    Q, sp = desc.quat, desc.quat.split()
+    """SplitEmbedding.terms are the object images of 1, u, v, uv, coordinate
+    by coordinate, and split_rows(x) is the splitting image of the
+    quaternion matrix of x, entry by entry, with the etale parameter a
+    exactly over the etale ring."""
+    Q, field, sp = desc.quat, desc.field, SplitImages(desc.quat)
+    images = (sp.one_img, sp.u_img, sp.v_img, sp.w_img)
+    for terms, image in zip(Q.split().terms, images, strict=True):
+        coords = [[(e.raw,) if sp.ring is field else e.raw for e in row] for row in image.rows]
+        expected = [
+            ((i, j, p), c)
+            for i, j in itertools.product(range(2), repeat=2)
+            for p, c in enumerate(coords[i][j])
+            if c != field.rzero
+        ]
+        assert sorted(terms) == sorted(expected)
     for _ in range(2):
         x = desc.rand(rng)
         rows, c = desc.split_rows(x)
-        image = sp.embed_matrix(Mat(Q, [[Q._el(e) for e in row] for row in entries(desc, x)]))
+        R = QuatRing(Q)
+        image = sp.embed_matrix(Mat(R, [[R._el(e) for e in row] for row in entries(desc, x)]))
         assert [list(row) for row in rows] == [[e.raw for e in row] for row in image.rows]
-        assert c == (None if sp.ring is desc.field else Q.a.raw)
+        assert c == (None if sp.ring is field else Q.a.raw)
 
 
-@pytest.mark.parametrize("field", [F4, F8], ids=["gf4", "gf8"])
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
 def test_split_rows_is_the_splitting_image_over_finite_fields(field):
     rng = random.Random(43)
     cases = set()
@@ -316,6 +337,47 @@ def test_split_rows_is_the_splitting_image_over_finite_fields(field):
 def test_split_rows_is_the_splitting_image_over_ratfunc(a, b, over_f):
     Q = _ratfunc_symbol(a, b)
     assert _splitting_case(Q) == ("square" if over_f else "etale")
-    t, one = R2.t, R2.one
-    desc = Index2Symp(R2, Q, (t, one / t, one + t))
+    field = Q.field
+    t, one = field.t, field.one
+    desc = Index2Symp(field, Q, (t, one / t, one + t))
     _assert_split_rows_is_the_image(desc, random.Random(47))
+
+
+# (field, seed) of verify's quaternion suite, one per splitting case of its algebra
+SUITE_CASES = [("gf2k:2", 1), ("gf2k:2", 0), ("ratfunc:gf2:t", 1)]
+
+
+def _suite_lines_with_one_failure(field, seed, failing):
+    lines = {r.name: r.line() for r in verify.run_quaternions(parse_field(field), seed, 8)}
+    trials = 8 + 3 if failing == "quaternions.split_embedding" else 8
+    assert lines.pop(failing) == f"FAIL {failing} ({trials} trials)"
+    assert all(line.startswith("PASS ") for line in lines.values())
+
+
+@pytest.mark.parametrize("field,seed", SUITE_CASES, ids=["root", "square", "etale"])
+def test_verify_reports_a_conjugation_that_is_no_antiautomorphism(monkeypatch, field, seed):
+    # conj(x) + (a*x1, x0, 0, 0) keeps coordinate 0 of x * conj(x), the reduced
+    # norm, so only the antiautomorphism property can see the defect
+    Q = verify._random_quat_algebra(parse_field(field), verify._rng(seed, "quat.make"))
+    conj = verify.quat_conj
+
+    def spoiled(f, x):
+        y = conj(f, x)
+        return (f.radd(y[0], f.rmul(Q.a.raw, x[1])), f.radd(y[1], x[0]), *y[2:])
+
+    monkeypatch.setattr(verify, "quat_conj", spoiled)
+    _suite_lines_with_one_failure(field, seed, "quaternions.conj_antiautomorphism")
+
+
+@pytest.mark.parametrize("field,seed", SUITE_CASES, ids=["root", "square", "etale"])
+def test_verify_reports_a_split_image_with_one_wrong_coefficient(monkeypatch, field, seed):
+    build = quaternions.SplitEmbedding.__init__
+
+    def spoiled(self, alg):
+        build(self, alg)
+        (pos, m), *rest = self.terms[2]  # the first coefficient of the image of v, plus 1
+        bad = ((pos, alg.field.radd(m, alg.field.rone)), *rest)
+        self.terms = (*self.terms[:2], bad, self.terms[3])
+
+    monkeypatch.setattr(quaternions.SplitEmbedding, "__init__", spoiled)
+    _suite_lines_with_one_failure(field, seed, "quaternions.split_embedding")

@@ -21,7 +21,6 @@ quaternions from it.
 
 from __future__ import annotations
 
-
 from .decision import Decision
 from .errors import AlgebraMismatch, ZeroScalar
 from .fields import Fe, Field, frobenius_sqrt, solve_artin_schreier

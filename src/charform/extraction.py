@@ -46,6 +46,7 @@ from .involutions import (
     CASE_DIMS,
     InvolutionSpace,
     SplitSymp,
+    _basis_split,
     _pfaffian,
     _SympBase,
     det_orthogonal,
@@ -316,8 +317,9 @@ def _component_checks(comps: WComponents) -> None:
     symplectic = desc.case == "symplectic"
     elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
     if symplectic:
-        # one batch of Berkowitz runs (bit-sliced lanes over GF(2^k))
-        polys = iter(desc._charpolys([desc.split_rows(x) for w in elems for x in w]))
+        # one batch of Berkowitz runs at the W_i coordinates, on the basis split
+        w_vectors = [v for w in comps.w_coords for v in w]
+        polys = iter(desc._charpolys_at(_basis_split(desc), w_vectors))
     for i in (1, 2, 3):
         for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
             li = comps.L.li_coords(i, desc.el_mul(x, x))

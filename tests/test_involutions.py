@@ -5,10 +5,11 @@ expansion determinant oracle over polynomial entries, against Berkowitz on
 matrices of entry-ring objects (the splitting image over F or over the etale
 ring F[s]/(s^2 + s + a), the etale entries of the unitary algebra, the field
 entries of the E block), and against closed forms for projectors and block
-elements.  The batched Berkowitz runs (bit-sliced lanes over GF(2^k)) are
-checked against one scalar run per element, and the Pfaffian form's gate
-must reject a form with one corrupted entry, with the random vectors, with
-the points e_i and e_i + e_j alone, and over GF(2)(t).
+elements.  The batched Berkowitz runs at coordinate vectors (bit-sliced
+lanes over GF(2^k)) are checked against one scalar run per element.  The
+trace forms read off the points e_i and e_i + e_j are checked against the
+Pfaffian or characteristic coefficient of random elements, and the Pfaffian
+form must refuse a point whose charpoly is not a Pfaffian square.
 """
 
 import json
@@ -37,7 +38,7 @@ from charform.errors import (
     UnsupportedDescriptor,
 )
 from charform.fields import GF2, RatFunc, gf2k, ratfunc, solve_artin_schreier
-from charform.forms import RawQuadraticForm, normalize
+from charform.forms import normalize
 from charform.involutions import (
     Descriptor,
     Index2Symp,
@@ -279,6 +280,7 @@ INDEX2_GOLDENS = (
     "index2_symp_ratfunc_gf2",
     "index2_symp_ratfunc_gf2_etale",
     "index2_symp_ratfunc_gf2_nonpoly",
+    "index2_symp_ratfunc_gf2k2",
 )
 
 
@@ -510,64 +512,58 @@ def _batch_descriptor(field, kind):
 )
 def test_batched_charpolys_match_scalar_runs(field, kind):
     desc = _batch_descriptor(field, kind)
+    space = symmetric_space(desc)
     rng = random.Random(5)
-    xs = [desc.rand(rng) for _ in range(12)]
-    if kind == "unitary_etale":  # symmetric elements have their coefficients in F
-        xs = [desc.el_add(x, desc.involve(x)) for x in xs]
-    split = [desc.split_rows(x) for x in xs]
-    assert desc._charpolys(split) == [desc.reduced_charpoly(x) for x in xs]
+    vectors = [space.rand_coords(rng) for _ in range(12)]
+    split = involutions._basis_split(desc)
+    expected = [desc.reduced_charpoly(space.element(v)) for v in vectors]
+    assert desc._charpolys_at(split, vectors) == expected
     if kind == "unitary_etale":
-        # s at (0, 0) in one lane: its trace s lies outside F
+        # s at (0, 0) in the last lane only: its trace s lies outside F
         x = desc.zero_el()
         x = x[:1] + (field.rone,) + x[2:]
+        vectors = [v + [field.rzero] for v in vectors[:-1]] + [vectors[-1] + [field.rone]]
         with pytest.raises(CoefficientNotRational):
-            desc._charpolys(split + [desc.split_rows(x)])
+            desc._charpolys_at(split + [desc._split_flat(x)], vectors)
 
 
-def _corrupt_trace_form(monkeypatch, i, j):
-    """Make _trace_form add 1 to the entry (i, j) of the form it builds."""
-    build = involutions._trace_form
-
-    def corrupted(desc, split):
-        raw = build(desc, split)
-        u = [list(row) for row in raw.u]
-        u[i][j] = u[i][j] + raw.field.one
-        return RawQuadraticForm(raw.field, u)
-
-    monkeypatch.setattr(involutions, "_trace_form", corrupted)
-
-
-GATE_MESSAGE = "Pfaffian form disagrees with direct evaluation"
-GATE_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8}
+@pytest.mark.parametrize("name", INDEX2_GOLDENS)
+def test_pfaffian_form_matches_reduced_pfaffian(name):
+    # the form read off the points agrees with the Pfaffian of the element itself
+    desc = _golden_descriptor(name)
+    raw = pfaffian_form(desc)
+    space = symmetric_space(desc)
+    rng = random.Random(31)
+    for _ in range(12):
+        v = space.rand_coords(rng)
+        assert raw.evaluate(v) == reduced_pfaffian(desc, space.element(v)).second
 
 
-@pytest.mark.parametrize("entry", [(3, 3), (0, 27), (5, 11)], ids=["diag", "corner", "offdiag"])
-@pytest.mark.parametrize("name", list(GATE_FIELDS))
-@pytest.mark.parametrize("points_only", [False, True], ids=["full", "points"])
-def test_pfaffian_gate_rejects_a_corrupted_entry(monkeypatch, name, entry, points_only):
-    field = GATE_FIELDS[name]
-    g = field.gen
+# the points e_3, e_0 + e_27 and e_5 + e_11 of Symd
+POINTS = {"diag": [3], "corner": [0, 27], "offdiag": [5, 11]}
+POINT_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "r2": R2}
+
+
+@pytest.mark.parametrize("point", list(POINTS))
+@pytest.mark.parametrize("name", list(POINT_FIELDS))
+def test_pfaffian_form_rejects_a_non_pfaffian_point(monkeypatch, name, point):
+    field = POINT_FIELDS[name]
+    g = field.t if isinstance(field, RatFunc) else field.gen
     desc = idx2(field, g, field.one, (g, field.one, g))
-    _corrupt_trace_form(monkeypatch, *entry)
-    if points_only:
-        # random vectors that are all zero agree with any form, so only the
-        # points e_i and e_i + e_j can catch it
-        monkeypatch.setattr(
-            involutions, "_random_planes", lambda f, dim, count, rng: [(0,) * f.k] * dim
-        )
-    with pytest.raises(CharformError) as err:
+    vector = [field.rone if i in POINTS[point] else field.rzero for i in range(28)]
+    batch = involutions._MatrixDescriptor._charpolys_at
+
+    def corrupted(self, split, vectors):
+        # give the charpoly at the point a nonzero X^3 coefficient
+        polys = batch(self, split, vectors)
+        i = vectors.index(vector)
+        polys[i][3] = polys[i][3] + self.field.one
+        return polys
+
+    monkeypatch.setattr(involutions._MatrixDescriptor, "_charpolys_at", corrupted)
+    with pytest.raises(NotPfaffian):
         pfaffian_form(desc)
-    assert type(err.value) is CharformError and str(err.value) == GATE_MESSAGE
     assert desc._srp_raw is None
-
-
-@pytest.mark.parametrize("entry", [(3, 3), (5, 11)], ids=["diag", "offdiag"])
-def test_pfaffian_gate_rejects_a_corrupted_entry_over_ratfunc(monkeypatch, entry):
-    desc = idx2(R2, R2.t, R2.one, (R2.one, R2.t, R2.one))
-    _corrupt_trace_form(monkeypatch, *entry)
-    with pytest.raises(CharformError) as err:
-        pfaffian_form(desc)
-    assert type(err.value) is CharformError and str(err.value) == GATE_MESSAGE
 
 
 def test_prp_of_identity():
@@ -659,14 +655,17 @@ def test_prp_annihilates_element():
         assert acc == desc.zero_el()
 
 
-SRD_FIELDS = {"gf4": F4, "r2": R2, "r4": R4}
+SRD_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "r2": R2, "r4": R4}
+# the etale centres c = t and c = 1/t; over GF(2) t = 1/t = 1, and over GF(8)
+# x^2 + x = t has a root, so each of them keeps one
+SRD_CENTRES = {"gf2": ["t"], "gf8": ["1/t"]}
 SRD_CASES = [
     (name, kind, c)
     for name in SRD_FIELDS
     for kind, cs in (
         ("unitary_exchange", [None]),
         ("orthogonal", [None]),
-        ("unitary_etale", ["t", "1/t"]),
+        ("unitary_etale", SRD_CENTRES.get(name, ["t", "1/t"])),
     )
     for c in cs
 ]
@@ -674,11 +673,11 @@ SRD_CASES = [
 
 @pytest.mark.parametrize("name,kind,c", SRD_CASES)
 def test_second_trace_form_matches_charpoly_coefficient(name, kind, c):
-    # over GF(4), t stands for the generator
+    # over GF(2^k), t stands for the generator
     field = SRD_FIELDS[name]
     one = field.one
-    t = field.gen if field is F4 else field.t
-    gram = (one, t, one + t, one)
+    t = field.t if isinstance(field, RatFunc) else field.gen
+    gram = (one, t, one + t, one) if t != one else (one,) * 4
     if kind == "unitary_exchange":
         desc = UnitaryExchange(field)
     elif kind == "orthogonal":

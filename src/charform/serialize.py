@@ -7,6 +7,7 @@ lists (ascending degree, hex entries over the base field).
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Dict, Sequence
 
 from .errors import ParseError, UnsupportedDescriptor, ZeroScalar
@@ -33,15 +34,32 @@ def fe_to_json(x: Fe):
     }
 
 
+# a payload is hex digits with an optional 0x, as MOD in parse_field
+_HEX = re.compile("(0x)?[0-9a-fA-F]+")
+
+
+def _payload(text, what: str) -> int:
+    """The payload a hex string writes; anything else raises ValueError."""
+    if isinstance(text, str) and text[:1] == "-" and _HEX.fullmatch(text[1:]):
+        raise ValueError(f"{what} {text} out of range")  # no payload is negative
+    if not isinstance(text, str) or not _HEX.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not a hex number")
+    return int(text, 16)
+
+
 def fe_from_json(field: Field, obj) -> Fe:
     try:
         if isinstance(field, GF2k):
-            return field.el(int(obj, 16))
-        num, den = ([int(c, 16) for c in obj[key]] for key in ("num", "den"))
+            return field.el(_payload(obj, "element"))
+        if not (isinstance(obj, dict) and sorted(obj) == ["den", "num"]):
+            raise ValueError("expected an object with the keys num and den only")
+        if not all(isinstance(obj[key], list) for key in obj):
+            raise ValueError("num and den must be lists of coefficients")
+        num, den = ([_payload(c, "coefficient") for c in obj[key]] for key in ("num", "den"))
         if den and not any(den):
             raise ValueError("zero denominator")
         return field.el(pmake(num, field.base), pmake(den, field.base) if den else 1)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad field element {obj!r}: {exc}") from exc
 
 

@@ -81,6 +81,14 @@ def test_descriptor_json_rejects_malformed():
         ({"num": ["0x3"], "den": ["0x1"]}, "coefficient 0x3 out of range"),
         ({"num": ["-0x1"], "den": ["0x1"]}, "coefficient -0x1 out of range"),
         ({"num": ["0x1"], "den": ["0x0"]}, "zero denominator"),
+        # a string is not a coefficient list, nor are the keys of an object
+        ({"num": "11", "den": "1"}, "num and den must be lists"),
+        ({"num": {"0x1": 0}, "den": ["1"]}, "num and den must be lists"),
+        ({"num": ["0x1"], "den": ["0x1"], "deg": 0}, "the keys num and den only"),
+        ({"num": ["0x1"]}, "the keys num and den only"),
+        ({"num": ["+1"], "den": ["0x1"]}, "coefficient '+1' is not a hex number"),
+        ({"num": [1], "den": ["0x1"]}, "coefficient 1 is not a hex number"),
+        (["0x1"], "the keys num and den only"),
     ],
 )
 def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsys):
@@ -90,7 +98,19 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
     assert main(["extract", "--input", path, "--json"]) == 2
     captured = capsys.readouterr()
     assert not captured.out
+    assert f"error: bad field element {c!r}" in captured.err
     assert message in captured.err
+
+
+# padded, signed, separated, non-ASCII, newline-terminated, a number
+@pytest.mark.parametrize("x", [" 0x3", "0x_3", "+3", "\uff13", "3\n", 3, "-0x0"])
+def test_extract_malformed_gf2k_element_is_exit_2(x, tmp_path, capsys):
+    obj = {"kind": "orthogonal", "field": "gf2k:3", "gram": [x, "0x1", "0x1", "0x1"]}
+    path = write_descriptor(tmp_path, obj)
+    assert main(["extract", "--input", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: bad field element {x!r}: element ")
 
 
 @pytest.mark.parametrize(

@@ -102,17 +102,6 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
     assert message in captured.err
 
 
-# padded, signed, separated, non-ASCII, newline-terminated, a number
-@pytest.mark.parametrize("x", [" 0x3", "0x_3", "+3", "\uff13", "3\n", 3, "-0x0"])
-def test_extract_malformed_gf2k_element_is_exit_2(x, tmp_path, capsys):
-    obj = {"kind": "orthogonal", "field": "gf2k:3", "gram": [x, "0x1", "0x1", "0x1"]}
-    path = write_descriptor(tmp_path, obj)
-    assert main(["extract", "--input", path, "--json"]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err.startswith(f"error: bad field element {x!r}: element ")
-
-
 @pytest.mark.parametrize(
     "obj, message",
     [
@@ -155,11 +144,24 @@ def test_extract_malformed_gf2k_element_is_exit_2(x, tmp_path, capsys):
              "quaternion": {"a": "0x1", "b": "0x1", "c": "0x1"}, "h": ["0x1"] * 3},
             "quaternion has unexpected keys: c",
         ),
+        *(
+            (
+                {"kind": "orthogonal", "field": "gf2k:3", "gram": [x, "0x1", "0x1", "0x1"]},
+                f"bad field element {x!r}: element {x!r} is not a hex number",
+            )
+            for x in (" 0x3", "0x_3", "+3", "\uff13", "3\n", 3)
+        ),
+        (
+            {"kind": "orthogonal", "field": "gf2k:3", "gram": ["-0x0", "0x1", "0x1", "0x1"]},
+            "bad field element '-0x0': element -0x0 out of range",
+        ),
     ],
     ids=[
         "split_center", "zero_gram", "zero_slot_b", "zero_h",
         "gram_number", "gram_null", "quaternion_string", "field_number",
         "split_extra_key", "etale_misspelt_key", "quaternion_extra_slot",
+        "element_padded", "element_separated", "element_signed", "element_fullwidth",
+        "element_newline", "element_number", "element_minus_zero",
     ],
 )
 def test_extract_invalid_descriptor_is_exit_2(obj, message, tmp_path, capsys):

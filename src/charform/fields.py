@@ -653,6 +653,11 @@ def ratfunc(base: GF2k, var: str = "t") -> RatFunc:
     return f
 
 
+# a hex number, ASCII digits with an optional 0x: MOD here, and every field
+# element payload in a descriptor file
+HEX = re.compile("(0x)?[0-9a-fA-F]+")
+
+
 def parse_field(text: str) -> Field:
     """Parse a field descriptor: gf2 | gf2k:K | gf2k:K:0xMOD | ratfunc:<base>:VAR."""
     if not isinstance(text, str):
@@ -668,7 +673,7 @@ def parse_field(text: str) -> Field:
                 raise ParseError(f"bad field descriptor {text!r}: K is not a decimal number")
             if len(parts) == 2:
                 return gf2k(int(parts[1]))
-            if not re.fullmatch("(0x)?[0-9a-fA-F]+", parts[2]):
+            if not HEX.fullmatch(parts[2]):
                 raise ParseError(f"bad field descriptor {text!r}: MOD is not a hex number")
             return gf2k(int(parts[1]), int(parts[2], 16))
         if parts[0] == "ratfunc":

@@ -7,11 +7,10 @@ lists (ascending degree, hex entries over the base field).
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Dict, Sequence
 
 from .errors import ParseError, UnsupportedDescriptor, ZeroScalar
-from .fields import Fe, Field, GF2k, parse_field, pcoeffs, pmake
+from .fields import HEX, Fe, Field, GF2k, parse_field, pcoeffs, pmake
 from .forms import QuadraticForm, form
 from .involutions import (
     Index2Symp,
@@ -34,15 +33,11 @@ def fe_to_json(x: Fe):
     }
 
 
-# a payload is hex digits with an optional 0x, as MOD in parse_field
-_HEX = re.compile("(0x)?[0-9a-fA-F]+")
-
-
 def _payload(text, what: str) -> int:
     """The payload a hex string writes; anything else raises ValueError."""
-    if isinstance(text, str) and text[:1] == "-" and _HEX.fullmatch(text[1:]):
+    if isinstance(text, str) and text[:1] == "-" and HEX.fullmatch(text[1:]):
         raise ValueError(f"{what} {text} out of range")  # no payload is negative
-    if not isinstance(text, str) or not _HEX.fullmatch(text):
+    if not isinstance(text, str) or not HEX.fullmatch(text):
         raise ValueError(f"{what} {text!r} is not a hex number")
     return int(text, 16)
 

@@ -344,12 +344,9 @@ class _MatrixDescriptor:
         return self.trd_product(x, self.one_el())
 
     def trd_product(self, x, y) -> Fe:
-        """Trd(x*y) without forming the product."""
-        rows, c = self.split_rows(x)
-        return self._trace_product(rows, self.split_rows(y)[0], c)
-
-    def _trace_product(self, xs, ys, c) -> Fe:
-        """The sum of X_ik * Y_ki over two split_rows matrices, which lies in F."""
+        """Trd(x*y) without forming the product: the sum of X_ik * Y_ki over
+        the split_rows matrices X of x and Y of y, which lies in F."""
+        (xs, c), ys = self.split_rows(x), self.split_rows(y)[0]
         field = self.field
         zero, add, mul = field.rzero, field.radd, field.rmul
         if c is not None:

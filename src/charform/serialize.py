@@ -51,9 +51,9 @@ def fe_from_json(field: Field, obj) -> Fe:
         if not all(isinstance(obj[key], list) for key in obj):
             raise ValueError("num and den must be lists of coefficients")
         num, den = ([_payload(c, "coefficient") for c in obj[key]] for key in ("num", "den"))
-        if den and not any(den):
+        if not any(den):
             raise ValueError("zero denominator")
-        return field.el(pmake(num, field.base), pmake(den, field.base) if den else 1)
+        return field.el(pmake(num, field.base), pmake(den, field.base))
     except ValueError as exc:
         raise ParseError(f"bad field element {obj!r}: {exc}") from exc
 

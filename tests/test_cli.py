@@ -81,6 +81,7 @@ def test_descriptor_json_rejects_malformed():
         ({"num": ["0x3"], "den": ["0x1"]}, "coefficient 0x3 out of range"),
         ({"num": ["-0x1"], "den": ["0x1"]}, "coefficient -0x1 out of range"),
         ({"num": ["0x1"], "den": ["0x0"]}, "zero denominator"),
+        ({"num": ["0x1"], "den": []}, "zero denominator"),
         # a string is not a coefficient list, nor are the keys of an object
         ({"num": "11", "den": "1"}, "num and den must be lists"),
         ({"num": {"0x1": 0}, "den": ["1"]}, "num and den must be lists"),

@@ -10,6 +10,7 @@ into the report for replay.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -46,8 +47,6 @@ from .involutions import (
     CASE_DIMS,
     InvolutionSpace,
     SplitSymp,
-    _basis_split,
-    _pfaffian,
     _SympBase,
     det_orthogonal,
     pfaffian_form,
@@ -316,10 +315,7 @@ def _component_checks(comps: WComponents) -> None:
     # squaring lands in L_i with the second coefficient equal to T_i(x^2)
     symplectic = desc.case == "symplectic"
     elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
-    if symplectic:
-        # one batch of Berkowitz runs at the W_i coordinates, on the basis split
-        w_vectors = [v for w in comps.w_coords for v in w]
-        polys = iter(desc._charpolys_at(_basis_split(desc), w_vectors))
+    trp = desc._trp_raw  # the Pfaffian trace at the basis of Symd, a linear form
     for i in (1, 2, 3):
         for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
             li = comps.L.li_coords(i, desc.el_mul(x, x))
@@ -328,7 +324,7 @@ def _component_checks(comps: WComponents) -> None:
             # T_i(a + b*g_i) = b
             if full.evaluate(coords) != field._el(li[1]):
                 raise DecompositionFailure("second coefficient differs from T_i(x^2)")
-            if symplectic and _pfaffian(next(polys), field).trace:
+            if symplectic and functools.reduce(field.radd, map(field.rmul, coords, trp)) != field.rzero:
                 raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
     # q_i nonsingular over L_i (rank >= 2 cases)
     if desc.case != "orthogonal":

@@ -178,7 +178,6 @@ class GF2k:
         self.zero = self._el(0)
         self.one = self._el(1)
         self._artin_table: Optional[dict] = None
-        self._bit_strings: Optional[list] = None
 
     def _build_tables(self):
         # use X as generator candidate; fall back to scanning if not primitive
@@ -292,19 +291,12 @@ class GF2k:
         mask = (1 << n) - 1
         return tuple(mask if a >> p & 1 else 0 for p in range(self.k))
 
-    def to_lanes(self, payloads) -> tuple:
-        """The lane value with payloads[l] in lane l."""
-        if self._bit_strings is None:
-            self._bit_strings = [format(a, f"0{self.k}b") for a in range(self.order)]
-        k = self.k
-        # lane n-1 first, each payload most significant bit first
-        bits = "".join(map(self._bit_strings.__getitem__, reversed(payloads)))
-        return tuple(int(bits[k - 1 - p :: k], 2) for p in range(k))
-
     def from_lanes(self, value, n: int) -> list:
-        """The payloads of the n lanes of a lane value."""
-        planes = [format(plane, f"0{n}b") for plane in reversed(value)]
-        return [int("".join(bits), 2) for bits in zip(*planes)][::-1]
+        """The payloads of the first n lanes of a lane value."""
+        # a bit above lane n - 1 fixes the width; each string lists lane 0 first
+        mask = (1 << n) - 1
+        planes = [format(plane & mask | 1 << n, "b")[:0:-1] for plane in reversed(value)]
+        return [int("".join(bits), 2) for bits in zip(*planes)]
 
     # element-level API -------------------------------------------------------
 

@@ -219,6 +219,7 @@ class _MatrixDescriptor:
         self._split_size, self._split_c = split_size, split_c
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
+        self._trp_raw: Optional[list] = None  # Trp at the Symd basis, cached with _srp_raw
         self._components = None
         # sigma(sigma(e_i)) = e_i, read off the sigma table
         zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
@@ -262,11 +263,10 @@ class _MatrixDescriptor:
                             acc[l] = add(acc[l], p if c == one else mul(c, p))
         return tuple(acc)
 
-    def _apply(self, table, x, width: int, ring=None) -> list:
-        """The linear map e_i -> table[i] (sparse terms) on x, as ``width``
-        values of ring (zero, one, add, mul), by default the field payloads."""
+    def _apply(self, table, x, width: int) -> list:
+        """The linear map e_i -> table[i] (sparse terms) on x, as ``width`` payloads."""
         field = self.field
-        zero, one, add, mul = ring or (field.rzero, field.rone, field.radd, field.rmul)
+        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
         acc = [zero] * width
         for a, terms in zip(x, table):
             if a != zero:
@@ -308,36 +308,45 @@ class _MatrixDescriptor:
         return [flat[r * size : (r + 1) * size] for r in range(size)]
 
     def reduced_charpoly(self, x) -> List[Fe]:
-        return self._charpoly(*self.split_rows(x))
+        return list(map(self.field._el, self._charpoly(*self.split_rows(x))))
 
-    def _charpoly(self, rows, c) -> List[Fe]:
-        """The characteristic polynomial of a split_rows matrix."""
+    def _charpoly(self, rows, c) -> list:
+        """The payloads of the characteristic polynomial of a split_rows matrix."""
         field = self.field
         if isinstance(field, RatFunc):
-            coeffs = _charpoly_fraction_free(field, rows, c)
-        else:
-            coeffs = _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
-        return list(map(field._el, coeffs))
+            return _charpoly_fraction_free(field, rows, c)
+        return _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
 
-    def _charpolys_at(self, split, vectors) -> List[List[Fe]]:
-        """The characteristic polynomials of M(v) = sum_i v_i S_i at each
-        coordinate vector v, S_i = split[i] a flat split_rows matrix
-        (split_rows is F-linear).  Over GF(2^k) one Berkowitz run in
-        bit-sliced lanes, one lane per vector; otherwise one fraction-free
-        run each."""
-        field, c, width = self.field, self._split_c, len(split[0])
+    def _charpolys_at_points(self, split, wanted) -> Tuple[bool, dict]:
+        """Characteristic polynomials of M(v) = sum_i v_i S_i, S_i = split[i] a
+        flat split_rows matrix, at the points v = e_i, then e_i + e_j (i < j),
+        in the order `candidates` yields them: whether every odd coefficient
+        vanishes at every point, and the payloads of coefficient d at the first
+        m points for each d: m in wanted.  Over GF(2^k) one Berkowitz run in bit-sliced
+        lanes, one lane per point: coordinate i of the points is the 0/1 mask
+        _point_masks(n)[i] in plane 0, so an entry of M is the xor of the masks
+        of the S_i whose payload has the plane's bit set, and only the wanted
+        coefficients are unpacked.  Otherwise one fraction-free run per point."""
+        field, c, n, width = self.field, self._split_c, len(split), len(split[0])
         table = [[(l, a) for l, a in enumerate(s) if a != field.rzero] for s in split]
         if isinstance(field, GF2k):
-            n = len(vectors)
-            ring = field.lanes(n)
-            # coordinate i of every vector, one lane each, times the payloads of S_i
-            xs = [field.to_lanes(column) for column in zip(*vectors)]
-            table = [[(l, field.lane_scalar(a, n)) for l, a in terms] for terms in table]
-            rows = self._rows(self._apply(table, xs, width, ring))
-            lane_c = None if c is None else field.lane_scalar(c, n)
-            coeffs = [field.from_lanes(v, n) for v in _berkowitz(rows, lane_c, None, *ring)]
-            return [list(map(field._el, poly)) for poly in zip(*coeffs)]
-        return [self._charpoly(self._rows(self._apply(table, v, width)), c) for v in vectors]
+            k, lanes = field.k, n * (n + 1) // 2
+            entries = [[0] * k for _ in range(width)]
+            for terms, mask in zip(table, _point_masks(n)):
+                for l, a in terms:
+                    for p in range(k):
+                        if a >> p & 1:
+                            entries[l][p] ^= mask
+            lane_c = None if c is None else field.lane_scalar(c, lanes)
+            coeffs = _berkowitz(self._rows(list(map(tuple, entries))), lane_c, None, *field.lanes(lanes))
+            values = {d: field.from_lanes(coeffs[d], m) for d, m in wanted.items()}
+            return not any(map(any, coeffs[1::2])), values
+        polys = [
+            self._charpoly(self._rows(self._apply(table, v, width)), c)
+            for v in candidates(field, n, None, 0, 0)
+        ]
+        values = {d: [pc[d] for pc in polys[:m]] for d, m in wanted.items()}
+        return all(a == field.rzero for pc in polys for a in pc[1::2]), values
 
     def trd(self, x) -> Fe:
         """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""
@@ -557,35 +566,52 @@ def _basis_split(desc: Descriptor) -> list:
     return [desc._split_flat(b) for b in symmetric_space(desc).basis]
 
 
-def _points_form(desc: Descriptor) -> RawQuadraticForm:
+def _point_masks(n: int) -> List[int]:
+    """Coordinate i of the points e_i, then e_i + e_j (i < j), one bit per
+    point in the order `candidates` yields them: bit l of masks[i] is 1 when
+    point l has a 1 at i."""
+    masks, lane = [1 << i for i in range(n)], n
+    for i in range(n):
+        masks[i] |= ((1 << (n - 1 - i)) - 1) << lane  # the points e_i + e_j, j > i
+        for j in range(i + 1, n):
+            masks[j] |= 1 << (lane + j - i - 1)
+        lane += n - 1 - i
+    return masks
+
+
+def _points_form(desc: Descriptor) -> Tuple[RawQuadraticForm, Optional[list]]:
     """The second coefficient q of the reduced Pfaffian (symplectic) or of the
     reduced characteristic polynomial on the symmetric space, read off its
     values at the points e_i and e_i + e_j: u_ii = q(e_i) and
     u_ij = q(e_i + e_j) + q(e_i) + q(e_j), since q is a quadratic form.
 
-    One _charpolys_at batch runs at the points in the order `candidates`
-    yields them.  In the symplectic case each charpoly is the square of the
-    reduced Pfaffian, so its odd coefficients vanish and its X^4 coefficient
-    is the square of q; otherwise NotPfaffian, as in _pfaffian.
+    One _charpolys_at_points batch runs at the points.  In the symplectic
+    case each charpoly is the square of the reduced Pfaffian, so its odd
+    coefficients vanish, its X^4 coefficient is the square of q and its X^6
+    coefficient the square of the Pfaffian trace Trp; otherwise NotPfaffian,
+    as in _pfaffian.  Trp is linear, so its payloads at the e_i come back
+    too (None outside the symplectic case).
     """
     field = desc.field
     n = symmetric_space(desc).dim
-    polys = desc._charpolys_at(_basis_split(desc), list(candidates(field, n, None, 0, 0)))
-    if desc.case == "symplectic":
-        if any(any(pc[1::2]) for pc in polys):
+    degree, symplectic = desc._split_size, desc.case == "symplectic"
+    second = degree - 4 if symplectic else degree - 2  # ascending coefficients
+    wanted = {second: n * (n + 1) // 2, degree - 2: n} if symplectic else {second: n * (n + 1) // 2}
+    odd_zero, coeffs = desc._charpolys_at_points(_basis_split(desc), wanted)
+    values, trp = coeffs[second], None
+    if symplectic:
+        if not odd_zero:
             raise NotPfaffian("odd characteristic coefficient is nonzero")
-        values = [pc[4].sqrt() for pc in polys]
-        if any(q is None for q in values):
+        values, trp = [list(map(field.rsqrt, coeffs[d])) for d in (second, degree - 2)]
+        if None in values or None in trp:
             raise NotPfaffian("even characteristic coefficient is not a square")
-    else:
-        values = [pc[-3] for pc in polys]  # ascending coefficients: X^(n-2) at -3
-    sums = iter(values[n:])
+    add, sums = field.radd, iter(values[n:])
     u = [[field.zero] * n for _ in range(n)]
     for i in range(n):
-        u[i][i] = values[i]
+        u[i][i] = field._el(values[i])
         for j in range(i + 1, n):
-            u[i][j] = next(sums) + values[i] + values[j]
-    return RawQuadraticForm(field, u)
+            u[i][j] = field._el(add(add(next(sums), values[i]), values[j]))
+    return RawQuadraticForm(field, u), trp
 
 
 def pfaffian_form(
@@ -593,7 +619,7 @@ def pfaffian_form(
 ) -> RawQuadraticForm:
     """The second Pfaffian coefficient as a raw quadratic form on Symd
     (built by _points_form, exact over both field kinds), cached on the
-    descriptor.
+    descriptor with the payloads of the Pfaffian trace at the basis of Symd.
 
     Nothing reads ``validate`` or ``seed``: the form needs no check.  They
     stay for the benchmark tracer, which passes them by name.
@@ -602,7 +628,7 @@ def pfaffian_form(
         return desc._srp_raw
     if desc.case != "symplectic":
         raise UnsupportedDescriptor("reduced Pfaffians need a symplectic descriptor")
-    desc._srp_raw = _points_form(desc)
+    desc._srp_raw, desc._trp_raw = _points_form(desc)
     return desc._srp_raw
 
 
@@ -614,7 +640,7 @@ def second_trace_form(desc: Descriptor) -> RawQuadraticForm:
     if desc.case == "symplectic":
         raise UnsupportedDescriptor("use pfaffian_form for symplectic descriptors")
     if desc._srp_raw is None:
-        desc._srp_raw = _points_form(desc)
+        desc._srp_raw = _points_form(desc)[0]
     return desc._srp_raw
 
 

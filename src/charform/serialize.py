@@ -103,6 +103,8 @@ def descriptor_to_json(desc) -> Dict[str, Any]:
 
 
 def descriptor_from_json(obj: Dict[str, Any]):
+    if not isinstance(obj, dict):
+        raise ParseError("descriptor must be a JSON object")
     try:
         kind = obj["kind"]
         field = parse_field(obj["field"])

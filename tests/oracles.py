@@ -10,7 +10,9 @@ overloading, beside the payload tuples of the runtime.
   the case formulas of ``SplitEmbedding`` (never from its ``terms``), with
   ``embed`` and ``embed_matrix``;
 - ``charpoly`` (Berkowitz on a ``Mat`` of ring objects), ``poly_mul`` and
-  ``poly_eval_matrix``.
+  ``poly_eval_matrix``;
+- ``to_lanes``: payloads packed into the bit planes of ``GF2k.lanes``, one
+  bit at a time.
 """
 
 import operator
@@ -259,3 +261,16 @@ def poly_eval_matrix(p: Sequence, m: Mat) -> Mat:
     for c in reversed(list(p)):
         acc = acc * m + Mat.identity(m.ring, n).scal(c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced GF(2^k) lanes
+# ---------------------------------------------------------------------------
+
+
+def to_lanes(field, payloads) -> tuple:
+    """The GF(2^k) lane value with payloads[l] in lane l: bit l of plane p is
+    bit p of payloads[l] (the layout of ``GF2k.lanes``)."""
+    return tuple(
+        sum((a >> p & 1) << lane for lane, a in enumerate(payloads)) for p in range(field.k)
+    )

@@ -156,6 +156,7 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
             {"kind": "orthogonal", "field": "gf2k:3", "gram": ["-0x0", "0x1", "0x1", "0x1"]},
             "bad field element '-0x0': element -0x0 out of range",
         ),
+        *((obj, "descriptor must be a JSON object") for obj in ([], "x", None)),
     ],
     ids=[
         "split_center", "zero_gram", "zero_slot_b", "zero_h",
@@ -163,6 +164,7 @@ def test_extract_malformed_ratfunc_element_is_exit_2(c, message, tmp_path, capsy
         "split_extra_key", "etale_misspelt_key", "quaternion_extra_slot",
         "element_padded", "element_separated", "element_signed", "element_fullwidth",
         "element_newline", "element_number", "element_minus_zero",
+        "descriptor_list", "descriptor_string", "descriptor_null",
     ],
 )
 def test_extract_invalid_descriptor_is_exit_2(obj, message, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from descriptor_layout import entries
 from oracles import QuatRing
-from charform import extraction, verify
+from charform import extraction, involutions, verify
 from charform.errors import (
     DecompositionFailure,
     InvalidCandidate,
@@ -352,6 +352,34 @@ def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
     monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted)
     galois_components(desc)
     assert len(calls) <= budget
+
+
+def test_galois_components_runs_one_berkowitz_batch(monkeypatch):
+    # the points batch of the form gives Trp too, so the W_i need no charpolys
+    desc = idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen))
+    runs = []
+    batch = involutions.charpoly_raw
+
+    def counted(*args):
+        runs.append(None)
+        return batch(*args)
+
+    monkeypatch.setattr(involutions, "charpoly_raw", counted)
+    galois_components(desc)
+    assert len(runs) == 1
+
+
+def test_component_checks_reject_a_nonzero_pfaffian_trace_on_w(monkeypatch):
+    # a Trp that is 1 on the first W_1 basis vector
+    desc = idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen))
+    comps = galois_components(desc, checks=False)
+    w = comps.w_coords[0][0]
+    j = next(j for j, a in enumerate(w) if a)
+    trp = [F4.rzero] * len(w)
+    trp[j] = F4.rinv(w[j])
+    monkeypatch.setattr(desc, "_trp_raw", trp)
+    with pytest.raises(DecompositionFailure, match="first Pfaffian coefficient nonzero on W_i"):
+        extraction._component_checks(comps)
 
 
 def test_explicit_w1_form_matches_closed_formula():

@@ -5,11 +5,13 @@ expansion determinant oracle over polynomial entries, against Berkowitz on
 matrices of entry-ring objects (the splitting image over F or over the etale
 ring F[s]/(s^2 + s + a), the etale entries of the unitary algebra, the field
 entries of the E block), and against closed forms for projectors and block
-elements.  The batched Berkowitz runs at coordinate vectors (bit-sliced
-lanes over GF(2^k)) are checked against one scalar run per element.  The
-trace forms read off the points e_i and e_i + e_j are checked against the
-Pfaffian or characteristic coefficient of random elements, and the Pfaffian
-form must refuse a point whose charpoly is not a Pfaffian square.
+elements.  The batched Berkowitz run at the points e_i and e_i + e_j
+(bit-sliced lanes over GF(2^k), whose point masks are checked against the
+packed points) is checked against one scalar run per point.  The trace forms
+read off the points are checked against the Pfaffian or characteristic
+coefficient of random elements, the Pfaffian trace read off the e_i against
+that of random elements, and the Pfaffian form must refuse a point whose
+charpoly is not a Pfaffian square.
 """
 
 import json
@@ -28,6 +30,7 @@ from oracles import (
     poly_mul,
     q_conj,
     q_nrd,
+    to_lanes,
 )
 from charform import involutions, linalg
 from charform.errors import (
@@ -38,7 +41,7 @@ from charform.errors import (
     UnsupportedDescriptor,
 )
 from charform.fields import GF2, RatFunc, gf2k, ratfunc, solve_artin_schreier
-from charform.forms import normalize
+from charform.forms import candidates, normalize
 from charform.involutions import (
     Descriptor,
     Index2Symp,
@@ -511,20 +514,34 @@ def _batch_descriptor(field, kind):
     "kind", ["split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale"]
 )
 def test_batched_charpolys_match_scalar_runs(field, kind):
+    # the lane batch at the points e_i, e_i + e_j agrees with one scalar run per point
     desc = _batch_descriptor(field, kind)
     space = symmetric_space(desc)
-    rng = random.Random(5)
-    vectors = [space.rand_coords(rng) for _ in range(12)]
+    points = list(candidates(field, space.dim, None, 0, 0))
     split = involutions._basis_split(desc)
-    expected = [desc.reduced_charpoly(space.element(v)) for v in vectors]
-    assert desc._charpolys_at(split, vectors) == expected
+    expected = [desc.reduced_charpoly(space.element(v)) for v in points]
+    # every coefficient, each at its own number of leading points
+    wanted = {d: len(points) - 5 * d for d in range(desc._split_size + 1)}
+    odd_zero, got = desc._charpolys_at_points(split, wanted)
+    assert odd_zero == (kind in ("split_symp", "index2_symp"))
+    assert odd_zero == all(not c for pc in expected for c in pc[1::2])
+    for d, m in wanted.items():
+        assert got[d] == [pc[d].raw for pc in expected[:m]]
     if kind == "unitary_etale":
-        # s at (0, 0) in the last lane only: its trace s lies outside F
+        # s at (0, 0) as one more coordinate: its trace s lies outside F
         x = desc.zero_el()
         x = x[:1] + (field.rone,) + x[2:]
-        vectors = [v + [field.rzero] for v in vectors[:-1]] + [vectors[-1] + [field.rone]]
         with pytest.raises(CoefficientNotRational):
-            desc._charpolys_at(split + [desc._split_flat(x)], vectors)
+            desc._charpolys_at_points(split + [desc._split_flat(x)], {2: 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 28])
+@pytest.mark.parametrize("field", [F4, F8], ids=["gf4", "gf8"])
+def test_point_masks_are_the_lanes_of_the_points(field, n):
+    # coordinate i of the points, packed payload by payload, is the mask in plane 0
+    points = list(candidates(field, n, None, 0, 0))
+    for i, mask in enumerate(involutions._point_masks(n)):
+        assert to_lanes(field, [v[i] for v in points]) == (mask,) + (0,) * (field.k - 1)
 
 
 @pytest.mark.parametrize("name", INDEX2_GOLDENS)
@@ -544,26 +561,64 @@ POINTS = {"diag": [3], "corner": [0, 27], "offdiag": [5, 11]}
 POINT_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "r2": R2}
 
 
+def _point_descriptor(field):
+    g = field.t if isinstance(field, RatFunc) else field.gen
+    return idx2(field, g, field.one, (g, field.one, g))
+
+
+def _corrupt_point(monkeypatch, point, d, delta):
+    """Add the payload delta to coefficient d of the Berkowitz output at the
+    point with this index in the points batch: in its lane over GF(2^k), in
+    its own run over GF(2^k)(t), where delta is a packed polynomial added to
+    the numerator of the coefficient."""
+    berkowitz, runs = involutions._berkowitz, []
+
+    def corrupted(rows, *args):
+        coeffs = berkowitz(rows, *args)
+        if isinstance(coeffs[d], tuple):  # bit planes, one lane per point
+            coeffs[d] = tuple(a ^ (delta >> p & 1) << point for p, a in enumerate(coeffs[d]))
+        elif len(runs) == point:
+            coeffs[d] ^= delta
+        runs.append(None)
+        return coeffs
+
+    monkeypatch.setattr(involutions, "_berkowitz", corrupted)
+
+
 @pytest.mark.parametrize("point", list(POINTS))
 @pytest.mark.parametrize("name", list(POINT_FIELDS))
 def test_pfaffian_form_rejects_a_non_pfaffian_point(monkeypatch, name, point):
+    # give the charpoly at the point a nonzero X^3 coefficient
     field = POINT_FIELDS[name]
-    g = field.t if isinstance(field, RatFunc) else field.gen
-    desc = idx2(field, g, field.one, (g, field.one, g))
+    desc = _point_descriptor(field)
     vector = [field.rone if i in POINTS[point] else field.rzero for i in range(28)]
-    batch = involutions._MatrixDescriptor._charpolys_at
-
-    def corrupted(self, split, vectors):
-        # give the charpoly at the point a nonzero X^3 coefficient
-        polys = batch(self, split, vectors)
-        i = vectors.index(vector)
-        polys[i][3] = polys[i][3] + self.field.one
-        return polys
-
-    monkeypatch.setattr(involutions._MatrixDescriptor, "_charpolys_at", corrupted)
-    with pytest.raises(NotPfaffian):
+    _corrupt_point(monkeypatch, list(candidates(field, 28, None, 0, 0)).index(vector), 3, 1)
+    with pytest.raises(NotPfaffian, match="odd characteristic coefficient"):
         pfaffian_form(desc)
-    assert desc._srp_raw is None
+    assert desc._srp_raw is None and desc._trp_raw is None
+
+
+def test_pfaffian_form_rejects_a_trace_coefficient_that_is_not_a_square(monkeypatch):
+    # adding t to the X^6 coefficient at e_3 leaves a non-square: Trp(e_3) has no root
+    desc = _point_descriptor(R2)
+    _corrupt_point(monkeypatch, 3, 6, 0b10)
+    with pytest.raises(NotPfaffian, match="not a square"):
+        pfaffian_form(desc)
+    assert desc._srp_raw is None and desc._trp_raw is None
+
+
+@pytest.mark.parametrize("name", INDEX2_GOLDENS)
+def test_pfaffian_trace_read_off_the_points_matches_reduced_pfaffian(name):
+    # Trp is linear, so its values at the e_i, kept with the form, give it everywhere
+    desc = _golden_descriptor(name)
+    pfaffian_form(desc)
+    field, space = desc.field, symmetric_space(desc)
+    trp = [field._el(t) for t in desc._trp_raw]
+    rng = random.Random(37)
+    for _ in range(12):
+        v = space.rand_coords(rng)
+        trace = sum((field._el(a) * t for a, t in zip(v, trp)), field.zero)
+        assert trace == reduced_pfaffian(desc, space.element(v)).trace
 
 
 def test_prp_of_identity():

@@ -13,7 +13,8 @@ and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
 GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
 bit-sliced GF(2^k) lane ring against the log-table payload arithmetic lane
-by lane, and its Berkowitz run against one scalar run per lane.
+by lane, its Berkowitz run against one scalar run per lane, and the unpack
+of the first lanes against the full unpack.
 """
 
 import random
@@ -27,7 +28,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
-from oracles import EtaleRing, QuatRing
+from oracles import EtaleRing, QuatRing, to_lanes
 from charform.fields import (
     GF2,
     GF2k,
@@ -500,13 +501,25 @@ def test_lane_ring_matches_payload_ops(field, data):
     payloads = st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n)
     a, b = data.draw(payloads), data.draw(payloads)
     zero, one, add, mul = field.lanes(n)
-    la, lb = field.to_lanes(a), field.to_lanes(b)
+    la, lb = to_lanes(field, a), to_lanes(field, b)
     assert field.from_lanes(la, n) == a
     assert field.from_lanes(add(la, lb), n) == list(map(field.radd, a, b))
     assert field.from_lanes(mul(la, lb), n) == list(map(field.rmul, a, b))
     assert field.from_lanes(zero, n) == [field.rzero] * n
     assert field.from_lanes(one, n) == [field.rone] * n
     assert field.from_lanes(field.lane_scalar(a[0], n), n) == [a[0]] * n
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(LANE_FIELDS), st.data())
+def test_from_lanes_unpacks_the_first_lanes(field, data):
+    # the selective unpack of the first m lanes is a prefix of the full unpack
+    n = data.draw(st.integers(1, 450))
+    m = data.draw(st.integers(0, n))
+    payloads = data.draw(st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n))
+    value = to_lanes(field, payloads)
+    assert field.from_lanes(value, n) == payloads
+    assert field.from_lanes(value, m) == field.from_lanes(value, n)[:m]
 
 
 @pytest.mark.parametrize("field", LANE_FIELDS, ids=lambda f: f.text())
@@ -519,7 +532,7 @@ def test_lane_berkowitz_matches_scalar_runs(field):
 
     mats = [[[entry() for _ in range(8)] for _ in range(8)] for _ in range(n)]
     zero, one, add, mul = field.lanes(n)
-    rows = [[field.to_lanes([m[r][j] for m in mats]) for j in range(8)] for r in range(8)]
+    rows = [[to_lanes(field, [m[r][j] for m in mats]) for j in range(8)] for r in range(8)]
     coeffs = [field.from_lanes(c, n) for c in charpoly_raw(rows, zero, one, add, mul)]
     for lane, m in enumerate(mats):
         scalar = charpoly_raw(m, field.rzero, field.rone, field.radd, field.rmul)

@@ -54,7 +54,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
+from .linalg import Span, charpoly_raw, combination, kernel, unit_vector
 from .quaternions import nrd_form, quat_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -260,14 +260,14 @@ def galois_components(
         raise DecompositionFailure("L is not inside the symmetric space")
 
     # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k, so
-    # the column of b for s_k is b*s_k + s_k*b, plus b if moved; zero rows dropped
-    zero = field.rzero
+    # the column of b for s_k is b*s_k + s_k*b, plus b if moved.  That lies in
+    # the symmetric space (it is y + sigma(y), y = b*s_k), whose coordinates
+    # are the entries at the pivots of its reduced echelon basis
     rows = {}
     for k, s in ((1, L.s1), (2, L.s2)):
-        fixed = [desc.el_add(desc.el_mul(b, s), desc.el_mul(s, b)) for b in space.basis]
-        moved = list(map(desc.el_add, fixed, space.basis))
-        for flag, cols in ((False, fixed), (True, moved)):
-            rows[k, flag] = [r for r in zip(*cols) if any(a != zero for a in r)]
+        cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(s, b)) for b in space.basis]
+        rows[k, False] = fixed = [[col[p] for col in cols] for p in space.pivots]
+        rows[k, True] = [r[:i] + [field.radd(r[i], field.rone)] + r[i + 1 :] for i, r in enumerate(fixed)]
     solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
 
     dims = (len(l_coords), *map(len, solved))
@@ -304,14 +304,16 @@ def _component_checks(comps: WComponents) -> None:
     desc = comps.desc
     field = desc.field
     full = comps.full_raw
-    # pairwise polar orthogonality
+    # pairwise polar orthogonality: B*v once per vector of L, W_1, W_2, then sparse dots
+    zero, add, mul = field.rzero, field.radd, field.rmul
     groups = [comps.l_coords] + comps.w_coords
-    for gi in range(4):
-        for gj in range(gi + 1, 4):
-            for v in groups[gi]:
-                for w in groups[gj]:
-                    if full.polar(v, w):
-                        raise DecompositionFailure("components are not orthogonal")
+    later = [[[(j, a) for j, a in enumerate(w) if a != zero] for g in groups[gi + 1 :] for w in g] for gi in range(3)]
+    for gi in range(3):
+        for v in groups[gi]:
+            bv = full.polar_vector(v)
+            for w in later[gi]:
+                if functools.reduce(add, (mul(a, bv[j]) for j, a in w), zero) != zero:
+                    raise DecompositionFailure("components are not orthogonal")
     # squaring lands in L_i with the second coefficient equal to T_i(x^2)
     symplectic = desc.case == "symplectic"
     elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
@@ -353,15 +355,27 @@ def _li_module_basis(comps: WComponents, i: int) -> List[list]:
             raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
         images.append(wc)
 
+    add, mul, zero = field.radd, field.rmul, field.rzero
     chosen: List[list] = []
-    rows: List[list] = []  # echelon form of the chosen vectors and their images
+    # (pivot, row): the echelon rows of the chosen vectors and their images,
+    # each 1 at its pivot and 0 at the pivots of the rows kept before it
+    kept: list = []
     for cs in candidates(field, n, None, 0, 0):
         if 2 * len(chosen) == n:
             break
-        trial, pivots = rref(rows + [cs, combination(field, cs, images, n)], field)
-        if len(pivots) == len(trial):
+        new: list = []  # the candidate and its image, each reduced by the rows before it
+        for v in (cs, combination(field, cs, images, n)):
+            for p, row in kept + new:
+                if v[p] != zero:
+                    v = [add(a, mul(v[p], b)) for a, b in zip(v, row)]
+            p = next((j for j, a in enumerate(v) if a != zero), None)
+            if p is None:
+                break
+            inv = field.rinv(v[p])
+            new.append((p, [mul(inv, a) for a in v]))
+        else:
             chosen.append(cs)
-            rows = trial
+            kept += new
     if 2 * len(chosen) != n:
         raise DecompositionFailure(f"W_{i} is not free over L_{i}")
     return [combination(field, cs, vectors, space.dim) for cs in chosen]

@@ -86,6 +86,12 @@ class InvolutionSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def pivots(self) -> List[int]:
+        """The pivot columns of the reduced echelon basis: the coordinates of
+        a member are its entries there."""
+        return self._span.pivots
+
     def coords(self, x) -> Optional[list]:
         return self._span.coords(self.desc.to_vec(x))
 

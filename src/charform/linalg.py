@@ -211,6 +211,7 @@ class Span:
         pivots = _eliminate(aug, field)
         self.pivots = [p for p in pivots if p < m]  # the pivots increase
         self.rows = [row[:m] for row in aug[: self.dim]]
+        self._terms = [[(j, a) for j, a in enumerate(row) if a != field.rzero] for row in self.rows]
         self.combos = [row[m:] for row in aug[: self.dim]]
 
     @property
@@ -224,13 +225,14 @@ class Span:
         """Coefficients over the echelon basis, or None if not a member."""
         field = self.field
         add, mul, zero = field.radd, field.rmul, field.rzero
-        coeffs = [zero] * self.dim
-        for i, p in enumerate(self.pivots):
+        v, coeffs = list(v), [zero] * self.dim
+        for i, (p, row) in enumerate(zip(self.pivots, self._terms)):
             c = v[p]
             if c != zero:
                 coeffs[i] = c
-                v = [add(a, mul(c, b)) for a, b in zip(v, self.rows[i])]
-        return None if any(a != zero for a in v) else coeffs
+                for j, b in row:
+                    v[j] = add(v[j], mul(c, b))
+        return None if v.count(zero) != len(v) else coeffs
 
     def input_coords(self, v: Sequence) -> Optional[list]:
         """Coefficients over the original input family, or None."""

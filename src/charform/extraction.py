@@ -260,14 +260,13 @@ def galois_components(
         raise DecompositionFailure("L is not inside the symmetric space")
 
     # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k, so
-    # the column of b for s_k is b*s_k + s_k*b, plus b if moved.  That lies in
-    # the symmetric space (it is y + sigma(y), y = b*s_k), whose coordinates
-    # are the entries at the pivots of its reduced echelon basis
-    rows = {}
+    # the column of b for s_k is b*s_k + s_k*b (= y + sigma(y), y = b*s_k, in the
+    # space), plus b if moved, read at the pivots of the space's echelon basis
+    add, one, rows = field.radd, field.rone, {}
     for k, s in ((1, L.s1), (2, L.s2)):
         cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(s, b)) for b in space.basis]
-        rows[k, False] = fixed = [[col[p] for col in cols] for p in space.pivots]
-        rows[k, True] = [r[:i] + [field.radd(r[i], field.rone)] + r[i + 1 :] for i, r in enumerate(fixed)]
+        rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
+        rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
     solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
 
     dims = (len(l_coords), *map(len, solved))
@@ -307,17 +306,16 @@ def _component_checks(comps: WComponents) -> None:
     # pairwise polar orthogonality: B*v once per vector of L, W_1, W_2, then sparse dots
     zero, add, mul = field.rzero, field.radd, field.rmul
     groups = [comps.l_coords] + comps.w_coords
-    later = [[[(j, a) for j, a in enumerate(w) if a != zero] for g in groups[gi + 1 :] for w in g] for gi in range(3)]
+    terms = [[[(j, a) for j, a in enumerate(w) if a != zero] for w in g] for g in groups]
     for gi in range(3):
         for v in groups[gi]:
             bv = full.polar_vector(v)
-            for w in later[gi]:
+            for w in itertools.chain(*terms[gi + 1 :]):
                 if functools.reduce(add, (mul(a, bv[j]) for j, a in w), zero) != zero:
                     raise DecompositionFailure("components are not orthogonal")
     # squaring lands in L_i with the second coefficient equal to T_i(x^2)
     symplectic = desc.case == "symplectic"
     elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
-    trp = desc._trp_raw  # the Pfaffian trace at the basis of Symd, a linear form
     for i in (1, 2, 3):
         for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
             li = comps.L.li_coords(i, desc.el_mul(x, x))
@@ -326,7 +324,8 @@ def _component_checks(comps: WComponents) -> None:
             # T_i(a + b*g_i) = b
             if full.evaluate(coords) != field._el(li[1]):
                 raise DecompositionFailure("second coefficient differs from T_i(x^2)")
-            if symplectic and functools.reduce(field.radd, map(field.rmul, coords, trp)) != field.rzero:
+            # Trp is linear: its payloads at the basis were read off with the form
+            if symplectic and functools.reduce(add, map(mul, coords, desc._trp_raw)) != zero:
                 raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
     # q_i nonsingular over L_i (rank >= 2 cases)
     if desc.case != "orthogonal":
@@ -340,7 +339,8 @@ def _li_module_basis(comps: WComponents, i: int) -> List[list]:
     and their images.
 
     The search runs on W_i coordinates, where v -> v*g_i is the combination
-    of the images of the W_i basis vectors (computed once)."""
+    of the images of the W_i basis vectors (computed once), and reduces each
+    candidate and its image against the echelon rows kept so far."""
     desc = comps.desc
     field = desc.field
     space = comps.space
@@ -357,9 +357,7 @@ def _li_module_basis(comps: WComponents, i: int) -> List[list]:
 
     add, mul, zero = field.radd, field.rmul, field.rzero
     chosen: List[list] = []
-    # (pivot, row): the echelon rows of the chosen vectors and their images,
-    # each 1 at its pivot and 0 at the pivots of the rows kept before it
-    kept: list = []
+    kept: list = []  # (pivot, row), row 1 at pivot and 0 at the pivots kept before
     for cs in candidates(field, n, None, 0, 0):
         if 2 * len(chosen) == n:
             break

@@ -293,9 +293,8 @@ class GF2k:
 
     def from_lanes(self, value, n: int) -> list:
         """The payloads of the first n lanes of a lane value."""
-        # a bit above lane n - 1 fixes the width; each string lists lane 0 first
-        mask = (1 << n) - 1
-        planes = [format(plane & mask | 1 << n, "b")[:0:-1] for plane in reversed(value)]
+        # bit n of a plane fixes the width of its string, which lists lane 0 first
+        planes = [format(plane & ((1 << n) - 1) | 1 << n, "b")[:0:-1] for plane in reversed(value)]
         return [int("".join(bits), 2) for bits in zip(*planes)]
 
     # element-level API -------------------------------------------------------

@@ -95,16 +95,15 @@ class RawQuadraticForm:
         return self.field._el(acc)
 
     def polar_vector(self, x: Sequence) -> list:
-        """B x on payloads, B = U + U^t the polar matrix: polar(x, y) is the dot of B x and y."""
+        """B x on payloads, B = U + U^t the polar matrix: polar(x, y) = (B x) . y."""
         add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         out = [zero] * self.dim
         for i, row in enumerate(self._rows):
-            for j, c in row:
-                if j != i:
-                    if x[j] != zero:
-                        out[i] = add(out[i], mul(c, x[j]))
-                    if x[i] != zero:
-                        out[j] = add(out[j], mul(c, x[i]))
+            for j, c in row:  # B_ij = B_ji = U_ij for j > i
+                if j != i and x[j] != zero:
+                    out[i] = add(out[i], mul(c, x[j]))
+                if j != i and x[i] != zero:
+                    out[j] = add(out[j], mul(c, x[i]))
         return out
 
     def restrict(self, vectors: Sequence[Sequence]) -> "RawQuadraticForm":

@@ -80,31 +80,21 @@ class InvolutionSpace:
         self.desc = desc
         self.basis = basis
         self.halves = halves
-        self._span = Span(basis, desc.field)
+        self._span = Span(basis, desc.field)  # the basis is its echelon form, row by row
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def pivots(self) -> List[int]:
-        """The pivot columns of the reduced echelon basis: the coordinates of
-        a member are its entries there."""
-        return self._span.pivots
-
     def coords(self, x) -> Optional[list]:
         return self._span.coords(self.desc.to_vec(x))
 
-    def _combine(self, coords: Sequence, elements):
-        desc = self.desc
-        return tuple(combination(desc.field, coords, elements, desc.ambient_dim))
-
     def element(self, coords: Sequence):
-        return self._combine(coords, self.basis)
+        return tuple(self.desc._apply(self._span.terms, coords, self.desc.ambient_dim))
 
     def half(self, coords: Sequence):
         assert self.halves is not None, "halves are stored for symplectic spaces only"
-        return self._combine(coords, self.halves)
+        return tuple(combination(self.desc.field, coords, self.halves, self.desc.ambient_dim))
 
     def rand_coords(self, rng: random.Random) -> list:
         return [self.desc.field.rrand(rng) for _ in range(self.dim)]
@@ -323,18 +313,17 @@ class _MatrixDescriptor:
             return _charpoly_fraction_free(field, rows, c)
         return _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
 
-    def _charpolys_at_points(self, split, wanted) -> Tuple[bool, dict]:
-        """Characteristic polynomials of M(v) = sum_i v_i S_i, S_i = split[i] a
-        flat split_rows matrix, at the points v = e_i, then e_i + e_j (i < j),
-        in the order `candidates` yields them: whether every odd coefficient
-        vanishes at every point, and the payloads of coefficient d at the first
-        m points for each d: m in wanted.  Over GF(2^k) one Berkowitz run in bit-sliced
-        lanes, one lane per point: coordinate i of the points is the 0/1 mask
-        _point_masks(n)[i] in plane 0, so an entry of M is the xor of the masks
-        of the S_i whose payload has the plane's bit set, and only the wanted
-        coefficients are unpacked.  Otherwise one fraction-free run per point."""
-        field, c, n, width = self.field, self._split_c, len(split), len(split[0])
+    def _charpolys_at_points(self, elements, wanted) -> Tuple[bool, dict]:
+        """Whether the reduced charpolys at the points sum_i v_i elements[i], v
+        as in _point_masks, have zero odd coefficients, and the payloads of
+        coefficient d at the first m points for each d: m in wanted.  Over
+        GF(2^k) one Berkowitz run in bit-sliced lanes, one lane per point,
+        where split_rows (F-linear) has the xor of the masks of the elements
+        with bit p set as plane p of an entry; otherwise one run per point."""
+        field, c, n = self.field, self._split_c, len(elements)
+        split = list(map(self._split_flat, elements))
         table = [[(l, a) for l, a in enumerate(s) if a != field.rzero] for s in split]
+        width = len(split[0])
         if isinstance(field, GF2k):
             k, lanes = field.k, n * (n + 1) // 2
             entries = [[0] * k for _ in range(width)]
@@ -344,13 +333,12 @@ class _MatrixDescriptor:
                         if a >> p & 1:
                             entries[l][p] ^= mask
             lane_c = None if c is None else field.lane_scalar(c, lanes)
-            coeffs = _berkowitz(self._rows(list(map(tuple, entries))), lane_c, None, *field.lanes(lanes))
+            rows = self._rows(list(map(tuple, entries)))
+            coeffs = _berkowitz(rows, lane_c, None, *field.lanes(lanes))
             values = {d: field.from_lanes(coeffs[d], m) for d, m in wanted.items()}
             return not any(map(any, coeffs[1::2])), values
-        polys = [
-            self._charpoly(self._rows(self._apply(table, v, width)), c)
-            for v in candidates(field, n, None, 0, 0)
-        ]
+        points = candidates(field, n, None, 0, 0)
+        polys = [self._charpoly(self._rows(self._apply(table, v, width)), c) for v in points]
         values = {d: [pc[d] for pc in polys[:m]] for d, m in wanted.items()}
         return all(a == field.rzero for pc in polys for a in pc[1::2]), values
 
@@ -567,21 +555,13 @@ def _pfaffian(pc: List[Fe], field: Field) -> PfaffianData:
     return PfaffianData(tuple(coeffs), trace=p3, second=p2, linear=p1, norm=p0)
 
 
-def _basis_split(desc: Descriptor) -> list:
-    """The flat split_rows matrix of each basis vector of the symmetric space."""
-    return [desc._split_flat(b) for b in symmetric_space(desc).basis]
-
-
 def _point_masks(n: int) -> List[int]:
-    """Coordinate i of the points e_i, then e_i + e_j (i < j), one bit per
-    point in the order `candidates` yields them: bit l of masks[i] is 1 when
-    point l has a 1 at i."""
-    masks, lane = [1 << i for i in range(n)], n
-    for i in range(n):
-        masks[i] |= ((1 << (n - 1 - i)) - 1) << lane  # the points e_i + e_j, j > i
-        for j in range(i + 1, n):
-            masks[j] |= 1 << (lane + j - i - 1)
-        lane += n - 1 - i
+    """Bit l of masks[i] is coordinate i (0 or 1) of point l, the points being
+    the e_i, then the e_i + e_j (i < j), in the order `candidates` yields them."""
+    masks = [1 << i for i in range(n)]
+    for lane, (i, j) in enumerate(itertools.combinations(range(n), 2), n):
+        masks[i] |= 1 << lane
+        masks[j] |= 1 << lane
     return masks
 
 
@@ -591,19 +571,16 @@ def _points_form(desc: Descriptor) -> Tuple[RawQuadraticForm, Optional[list]]:
     values at the points e_i and e_i + e_j: u_ii = q(e_i) and
     u_ij = q(e_i + e_j) + q(e_i) + q(e_j), since q is a quadratic form.
 
-    One _charpolys_at_points batch runs at the points.  In the symplectic
-    case each charpoly is the square of the reduced Pfaffian, so its odd
-    coefficients vanish, its X^4 coefficient is the square of q and its X^6
-    coefficient the square of the Pfaffian trace Trp; otherwise NotPfaffian,
-    as in _pfaffian.  Trp is linear, so its payloads at the e_i come back
-    too (None outside the symplectic case).
-    """
-    field = desc.field
-    n = symmetric_space(desc).dim
+    On Symd each charpoly is the square of the reduced Pfaffian: its odd
+    coefficients vanish, and its X^4 and X^6 coefficients are the squares of
+    q and of the linear Pfaffian trace Trp, whose payloads at the e_i come
+    back too; otherwise NotPfaffian, as in _pfaffian."""
+    field, basis = desc.field, symmetric_space(desc).basis
+    n = len(basis)
     degree, symplectic = desc._split_size, desc.case == "symplectic"
     second = degree - 4 if symplectic else degree - 2  # ascending coefficients
     wanted = {second: n * (n + 1) // 2, degree - 2: n} if symplectic else {second: n * (n + 1) // 2}
-    odd_zero, coeffs = desc._charpolys_at_points(_basis_split(desc), wanted)
+    odd_zero, coeffs = desc._charpolys_at_points(basis, wanted)
     values, trp = coeffs[second], None
     if symplectic:
         if not odd_zero:

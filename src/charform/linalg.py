@@ -200,7 +200,8 @@ class Span:
     Tracks how each echelon row was assembled from the input vectors, so a
     member's coordinates over the original family can be recovered (used to
     express elements of L_i and W_i over their generators).  ``rows`` are the
-    echelon rows and ``combos`` their coefficients over the input family.
+    echelon rows, ``terms`` their nonzero (column, payload) entries and
+    ``combos`` their coefficients over the input family.
     """
 
     def __init__(self, vectors: Sequence[Sequence], field):
@@ -211,7 +212,7 @@ class Span:
         pivots = _eliminate(aug, field)
         self.pivots = [p for p in pivots if p < m]  # the pivots increase
         self.rows = [row[:m] for row in aug[: self.dim]]
-        self._terms = [[(j, a) for j, a in enumerate(row) if a != field.rzero] for row in self.rows]
+        self.terms = [[(j, a) for j, a in enumerate(row) if a != field.rzero] for row in self.rows]
         self.combos = [row[m:] for row in aug[: self.dim]]
 
     @property
@@ -226,7 +227,7 @@ class Span:
         field = self.field
         add, mul, zero = field.radd, field.rmul, field.rzero
         v, coeffs = list(v), [zero] * self.dim
-        for i, (p, row) in enumerate(zip(self.pivots, self._terms)):
+        for i, (p, row) in enumerate(zip(self.pivots, self.terms)):
             c = v[p]
             if c != zero:
                 coeffs[i] = c

@@ -333,8 +333,8 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
 @pytest.mark.parametrize(
     "maker,budget",
     [
-        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 270),
-        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 125),
+        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 201),
+        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 99),
     ],
     ids=["index2_symp", "unitary_etale"],
 )

@@ -264,24 +264,21 @@ class GF2k:
         back through the modulus.  The closures fit ``charpoly_raw``, which
         then runs one Berkowitz for n matrices at once.
         """
-        k = self.k
-        width = 2 * k - 1
+        k, width = self.k, 2 * self.k - 1
+        ands = [(i, j, i + j) for i in range(k) for j in range(k)]
+        # plane d >= k folds into the planes d - k + t of the taps t of the modulus
         taps = [t for t in range(k) if self.modulus >> t & 1]
+        folds = [(d, d - k + t) for d in range(width - 1, k - 1, -1) for t in taps]
 
         def add(a, b):
             return tuple(map(operator.xor, a, b))
 
         def mul(a, b):
             prod = [0] * width
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        prod[i + j] ^= x & y
-            for d in range(width - 1, k - 1, -1):
-                top = prod[d]
-                if top:
-                    for t in taps:
-                        prod[d - k + t] ^= top
+            for i, j, d in ands:
+                prod[d] ^= a[i] & b[j]
+            for d, e in folds:
+                prod[e] ^= prod[d]
             return tuple(prod[:k])
 
         return (0,) * k, self.lane_scalar(self.rone, n), add, mul

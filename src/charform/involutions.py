@@ -20,7 +20,7 @@ One Berkowitz driver gives ``reduced_charpoly``; the reduced Pfaffian of a
 symmetrized element is the square root of its even coefficients.  Trd comes
 from ``split_rows`` too, and both trace forms are read off the reduced
 characteristic polynomials at the points e_i and e_i + e_j of the symmetric
-space, one batch per form.
+space, one batch per form, which also gives the Pfaffian trace at the e_i.
 """
 
 from __future__ import annotations
@@ -579,7 +579,8 @@ def _points_form(desc: Descriptor) -> Tuple[RawQuadraticForm, Optional[list]]:
     n = len(basis)
     degree, symplectic = desc._split_size, desc.case == "symplectic"
     second = degree - 4 if symplectic else degree - 2  # ascending coefficients
-    wanted = {second: n * (n + 1) // 2, degree - 2: n} if symplectic else {second: n * (n + 1) // 2}
+    points = n * (n + 1) // 2
+    wanted = {second: points, degree - 2: n} if symplectic else {second: points}
     odd_zero, coeffs = desc._charpolys_at_points(basis, wanted)
     values, trp = coeffs[second], None
     if symplectic:

@@ -12,15 +12,19 @@ overloading, beside the payload tuples of the runtime.
 - ``charpoly`` (Berkowitz on a ``Mat`` of ring objects), ``poly_mul`` and
   ``poly_eval_matrix``;
 - ``to_lanes``: payloads packed into the bit planes of ``GF2k.lanes``, one
-  bit at a time.
+  bit at a time;
+- ``normalize_by_polar``: the symplectic-basis reduction of a raw form with
+  one ``RawQuadraticForm.polar`` call per pairing and one ``evaluate`` per
+  value, beside the congruence updates of ``charform.forms.normalize``.
 """
 
 import operator
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from charform.errors import AlgebraMismatch
 from charform.fields import Fe, frobenius_sqrt, solve_artin_schreier
-from charform.linalg import Mat, charpoly_raw
+from charform.forms import QuadraticForm, RawQuadraticForm, form
+from charform.linalg import Mat, charpoly_raw, combination, unit_vector
 from charform.quaternions import Quat
 
 
@@ -274,3 +278,60 @@ def to_lanes(field, payloads) -> tuple:
     return tuple(
         sum((a >> p & 1) << lane for lane, a in enumerate(payloads)) for p in range(field.k)
     )
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms
+# ---------------------------------------------------------------------------
+
+
+def normalize_by_polar(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
+    """Symplectic-basis reduction of a raw form.
+
+    Returns the block form together with the change of basis T on payloads
+    (columns are the new basis in old coordinates), so q(T y) equals the
+    block form at y.
+    The radical of the polar form lands in the diagonal part.
+    """
+    field = q.field
+    n = q.dim
+    one = field.rone
+    vecs = [unit_vector(field, n, i) for i in range(n)]
+    remaining = list(range(n))
+    blocks: List[Tuple[Fe, Fe]] = []
+    ordered: List[list] = []
+    bil = q.polar
+
+    while True:
+        pair = None
+        for ii in range(len(remaining)):
+            for jj in range(ii + 1, len(remaining)):
+                if bil(vecs[remaining[ii]], vecs[remaining[jj]]):
+                    pair = (ii, jj)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        ii, jj = pair
+        vi = vecs[remaining[ii]]
+        c = field.rinv(bil(vi, vecs[remaining[jj]]).raw)
+        vj = [field.rmul(a, c) for a in vecs[remaining[jj]]]
+        for idx in remaining:
+            if idx in (remaining[ii], remaining[jj]):
+                continue
+            w = vecs[idx]
+            vecs[idx] = combination(field, (one, bil(w, vj).raw, bil(w, vi).raw), (w, vi, vj), n)
+        blocks.append((q.evaluate(vi), q.evaluate(vj)))
+        ordered.append(vi)
+        ordered.append(vj)
+        hi = remaining[jj]
+        lo = remaining[ii]
+        remaining = [idx for idx in remaining if idx not in (lo, hi)]
+    diag = []
+    for idx in remaining:
+        diag.append(q.evaluate(vecs[idx]))
+        ordered.append(vecs[idx])
+    # columns are the new basis vectors
+    transform = tuple(zip(*ordered))
+    return form(field, blocks, diag), transform

@@ -8,7 +8,9 @@ product with e != 1 against that reduction, on field payloads and on the
 packed GF(2)[t] polynomials of the fraction-free Berkowitz; elimination
 against A x = 0, dimension counts and, over GF(2), sympy's rank; the
 quadratic-form kernels against the sum over i <= j and the polarization
-identity; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
+identity, ``normalize`` against the polar-based reduction of
+``oracles.normalize_by_polar`` and ``restrict`` against one evaluate or
+polar call per entry; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
 and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
 GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
@@ -28,7 +30,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
-from oracles import EtaleRing, QuatRing, to_lanes
+from oracles import EtaleRing, QuatRing, normalize_by_polar, to_lanes
 from charform.fields import (
     GF2,
     GF2k,
@@ -45,7 +47,7 @@ from charform.fields import (
     ratfunc,
     solve_artin_schreier,
 )
-from charform.forms import RawQuadraticForm
+from charform.forms import RawQuadraticForm, normalize
 from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
 from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
 from charform.quaternions import Quat, QuaternionAlgebra
@@ -363,6 +365,51 @@ def test_form_evaluate_and_polar(field, data):
     assert q.evaluate([a.raw for a in v]) == direct(v)
     vw = [a + b for a, b in zip(v, w)]
     assert q.polar([a.raw for a in v], [a.raw for a in w]) == direct(vw) + direct(v) + direct(w)
+
+
+def restrict_by_polar(q, vectors):
+    """The restriction with one evaluate (diagonal) or polar (above it) per entry."""
+    n = len(vectors)
+    u = [[q.field.zero] * n for _ in range(n)]
+    for i in range(n):
+        u[i][i] = q.evaluate(vectors[i])
+        for j in range(i + 1, n):
+            u[i][j] = q.polar(vectors[i], vectors[j])
+    return RawQuadraticForm(q.field, u)
+
+
+def raw_form(data, field, n, entry):
+    u = [[data.draw(entry) if j >= i else field.zero for j in range(n)] for i in range(n)]
+    return RawQuadraticForm(field, u)
+
+
+def payload_vectors(data, field, count, n):
+    entry = sparse(field, elements(field))
+    return [[data.draw(entry).raw for _ in range(n)] for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(FIELDS), st.sampled_from(["sparse", "dense", "radical"]), st.data())
+def test_normalize_matches_polar_reduction(field, shape, data):
+    n = data.draw(st.integers(1, 10))
+    if shape == "radical":
+        # pulled back from dimension m < n, so the radical has dimension >= n - m
+        m = data.draw(st.integers(1, max(1, n - 1)))
+        base = raw_form(data, field, m, sparse(field, elements(field)))
+        q = restrict_by_polar(base, payload_vectors(data, field, n, m))
+    else:
+        entry = elements(field, nonzero=True) if shape == "dense" else sparse(field, elements(field))
+        q = raw_form(data, field, n, entry)
+    assert normalize(q) == normalize_by_polar(q)
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(FIELDS), st.data())
+def test_restrict_matches_entrywise_polar(field, data):
+    n = data.draw(st.integers(1, 10))
+    q = raw_form(data, field, n, sparse(field, elements(field)))
+    vectors = payload_vectors(data, field, data.draw(st.integers(1, 6)), n)
+    assert q.restrict(vectors).u == restrict_by_polar(q, vectors).u
 
 
 # ---------------------------------------------------------------------------

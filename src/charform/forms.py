@@ -41,9 +41,10 @@ from .linalg import Span, combination, unit_vector
 class RawQuadraticForm:
     """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on payload coordinate
     vectors; evaluate and polar run on payload rows of the nonzero U[i][j],
-    j >= i, built once, and return field elements."""
+    j >= i, built once, and return field elements.  ``_polar[k]`` lists the
+    nonzero (j, B[k][j]) of the polar matrix B = U + U^t."""
 
-    __slots__ = ("field", "u", "_rows")
+    __slots__ = ("field", "u", "_rows", "_polar")
 
     def __init__(self, field: Field, u):
         rows = tuple(tuple(r) for r in u)
@@ -56,6 +57,12 @@ class RawQuadraticForm:
         self._rows = tuple(
             tuple((j, row[j].raw) for j in range(i, n) if row[j]) for i, row in enumerate(rows)
         )
+        self._polar = [[] for _ in range(n)]
+        for i, row in enumerate(self._rows):
+            for j, c in row:
+                if j != i:
+                    self._polar[i].append((j, c))
+                    self._polar[j].append((i, c))
 
     @property
     def dim(self) -> int:
@@ -77,10 +84,11 @@ class RawQuadraticForm:
 
     def polar_matrix(self) -> Tuple[tuple, ...]:
         """B = U + U^t on payloads; alternating (zero diagonal) in characteristic 2."""
-        n = self.dim
-        return tuple(
-            tuple((self.u[i][j] + self.u[j][i]).raw for j in range(n)) for i in range(n)
-        )
+        rows = [[self.field.rzero] * self.dim for _ in range(self.dim)]
+        for row, col in zip(rows, self._polar):
+            for j, c in col:
+                row[j] = c
+        return tuple(map(tuple, rows))
 
     def polar(self, x: Sequence, y: Sequence) -> Fe:
         """The polar form on payload vectors."""
@@ -98,24 +106,26 @@ class RawQuadraticForm:
         """B x on payloads, B = U + U^t the polar matrix: polar(x, y) = (B x) . y."""
         add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
         out = [zero] * self.dim
-        for i, row in enumerate(self._rows):
-            for j, c in row:  # B_ij = B_ji = U_ij for j > i
-                if j != i and x[j] != zero:
-                    out[i] = add(out[i], mul(c, x[j]))
-                if j != i and x[i] != zero:
-                    out[j] = add(out[j], mul(c, x[i]))
+        for xk, col in zip(x, self._polar):
+            if xk != zero:
+                for j, c in col:
+                    out[j] = add(out[j], mul(c, xk))
         return out
 
     def restrict(self, vectors: Sequence[Sequence]) -> "RawQuadraticForm":
-        """The form induced on the span of the given payload coordinate vectors."""
+        """The form induced on the span of the given payload coordinate vectors:
+        U'[i][i] = q(v_i) and U'[i][j] = (B v_i) . v_j for j > i."""
+        field = self.field
+        add, mul, zero = field.radd, field.rmul, field.rzero
         n = len(vectors)
-        z = self.field.zero
-        u = [[z] * n for _ in range(n)]
+        terms = [[(k, a) for k, a in enumerate(v) if a != zero] for v in vectors]
+        u = [[field.zero] * n for _ in range(n)]
         for i in range(n):
             u[i][i] = self.evaluate(vectors[i])
+            bv = self.polar_vector(vectors[i])
             for j in range(i + 1, n):
-                u[i][j] = self.polar(vectors[i], vectors[j])
-        return RawQuadraticForm(self.field, u)
+                u[i][j] = field._el(functools.reduce(add, (mul(a, bv[k]) for k, a in terms[j]), zero))
+        return RawQuadraticForm(field, u)
 
     def scaled(self, c: Fe) -> "RawQuadraticForm":
         if not c:
@@ -187,52 +197,61 @@ def block00(field: Field) -> QuadraticForm:
 
 
 def normalize(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
-    """Symplectic-basis reduction of a raw form.
+    """Symplectic Gram-Schmidt reduction of a raw form, by congruence on its
+    polar matrix.
 
     Returns the block form together with the change of basis T on payloads
     (columns are the new basis in old coordinates), so q(T y) equals the
     block form at y.
     The radical of the polar form lands in the diagonal part.
+
+    The pivot is the first remaining pair (a, b) with B(v_a, v_b) != 0, v_b
+    is scaled by c = B(v_a, v_b)^-1, and every other remaining w becomes
+    w + alpha*v_a + beta*v_b with alpha = B(w, v_b), beta = B(w, v_a).  The
+    rows B(v_i, .) and values q(v_i) of the remaining vectors follow by
+    congruence: B(w', x) = B(w, x) + alpha*B(v_a, x) + beta*B(v_b, x), which
+    is also B(w', x') because w' is orthogonal to v_a and v_b, and q(w') =
+    q(w) + alpha^2*q(v_a) + beta^2*q(v_b) + alpha*beta, so no polar form or
+    value is evaluated.
     """
     field = q.field
     n = q.dim
-    one = field.rone
+    add, mul, zero, one = field.radd, field.rmul, field.rzero, field.rone
+    bil = list(map(list, q.polar_matrix()))
+    val = [q.u[i][i].raw for i in range(n)]
     vecs = [unit_vector(field, n, i) for i in range(n)]
     remaining = list(range(n))
     blocks: List[Tuple[Fe, Fe]] = []
     ordered: List[list] = []
-    bil = q.polar
 
     while True:
-        pair = None
-        for ii in range(len(remaining)):
-            for jj in range(ii + 1, len(remaining)):
-                if bil(vecs[remaining[ii]], vecs[remaining[jj]]):
-                    pair = (ii, jj)
-                    break
-            if pair:
-                break
+        pair = next(
+            ((a, b) for k, a in enumerate(remaining) for b in remaining[k + 1 :] if bil[a][b] != zero),
+            None,
+        )
         if pair is None:
             break
-        ii, jj = pair
-        vi = vecs[remaining[ii]]
-        c = field.rinv(bil(vi, vecs[remaining[jj]]).raw)
-        vj = [field.rmul(a, c) for a in vecs[remaining[jj]]]
-        for idx in remaining:
-            if idx in (remaining[ii], remaining[jj]):
+        a, b = pair
+        c = field.rinv(bil[a][b])
+        va = vecs[a]
+        vb = [mul(x, c) for x in vecs[b]]
+        row_a = bil[a]
+        row_b = [mul(c, x) for x in bil[b]]
+        val_a, val_b = val[a], mul(mul(c, c), val[b])
+        remaining = [i for i in remaining if i != a and i != b]
+        for w in remaining:
+            alpha, beta = row_b[w], bil[w][a]
+            if alpha == zero and beta == zero:
                 continue
-            w = vecs[idx]
-            vecs[idx] = combination(field, (one, bil(w, vj).raw, bil(w, vi).raw), (w, vi, vj), n)
-        blocks.append((q.evaluate(vi), q.evaluate(vj)))
-        ordered.append(vi)
-        ordered.append(vj)
-        hi = remaining[jj]
-        lo = remaining[ii]
-        remaining = [idx for idx in remaining if idx not in (lo, hi)]
-    diag = []
-    for idx in remaining:
-        diag.append(q.evaluate(vecs[idx]))
-        ordered.append(vecs[idx])
+            coeffs = (one, alpha, beta)
+            vecs[w] = combination(field, coeffs, (vecs[w], va, vb), n)
+            bil[w] = combination(field, coeffs, (bil[w], row_a, row_b), n)
+            terms = (val[w], mul(mul(alpha, alpha), val_a), mul(mul(beta, beta), val_b), mul(alpha, beta))
+            val[w] = functools.reduce(add, terms)
+        blocks.append((field._el(val_a), field._el(val_b)))
+        ordered += [va, vb]
+    diag = [field._el(val[i]) for i in remaining]
+    ordered += [vecs[i] for i in remaining]
     # columns are the new basis vectors
     transform = tuple(zip(*ordered))
     return form(field, blocks, diag), transform

@@ -1,15 +1,19 @@
 """Pipeline tests: biquadratic subalgebras, components, star composition,
 and the invariant extraction reports."""
 
+import collections
 import dataclasses
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from descriptor_layout import entries
 from oracles import QuatRing
 from charform import extraction, involutions, verify
+from charform.cli import main
 from charform.errors import (
     DecompositionFailure,
     InvalidCandidate,
@@ -19,6 +23,7 @@ from charform.errors import (
 )
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import (
+    RawQuadraticForm,
     bilinear_tensor,
     blocks_match_upto_squares,
     is_hyperbolic,
@@ -352,6 +357,23 @@ def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
     monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted)
     galois_components(desc)
     assert len(calls) <= budget
+
+
+def test_extract_polar_budget(monkeypatch, capsys):
+    # normalize and restrict work on the polar matrix and polar_vector; only
+    # the [1,1] + [0,0] certificate of L pairs vectors through polar
+    callers = collections.Counter()
+    polar = RawQuadraticForm.polar
+
+    def counted(self, x, y):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return polar(self, x, y)
+
+    monkeypatch.setattr(RawQuadraticForm, "polar", counted)
+    golden = Path(__file__).parent / "golden" / "descriptors" / "pool_index2_symp_gf2k3.json"
+    assert main(["extract", "--input", str(golden), "--json", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert callers == {"_restriction_certificate_11_00": 6}
 
 
 def test_galois_components_runs_one_berkowitz_batch(monkeypatch):

@@ -240,7 +240,8 @@ class GF2k:
         for _ in range(self.k):
             t ^= x
             x = self._mul_raw(x, x)
-        assert t in (0, 1)
+        if t not in (0, 1):
+            raise AssertionError("absolute trace is not in GF(2)")
         return t
 
     def rartin(self, a: int) -> Optional[int]:

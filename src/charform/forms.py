@@ -19,6 +19,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .decision import Decision, decided, unknown
 from .errors import (
     FieldMismatch,
+    ShapeMismatch,
     SingularForm,
     UnsupportedField,
     ZeroScalar,
@@ -50,8 +51,10 @@ class RawQuadraticForm:
         rows = tuple(tuple(r) for r in u)
         n = len(rows)
         for i, row in enumerate(rows):
-            assert len(row) == n
-            assert all(not row[j] for j in range(i)), "coefficients must be upper-triangular"
+            if len(row) != n:
+                raise ShapeMismatch("coefficient matrix must be square")
+            if any(row[j] for j in range(i)):
+                raise ShapeMismatch("coefficients must be upper-triangular")
         self.field = field
         self.u = rows
         self._rows = tuple(
@@ -553,7 +556,8 @@ def _split_off_plane(q: QuadraticForm, v: Sequence) -> QuadraticForm:
     n = q.dim
     basis = [unit_vector(field, n, i) for i in range(n)]
     w = next((cand for cand in basis if raw.polar(v, cand)), None)
-    assert w is not None, "nonsingular form has no radical vectors"
+    if w is None:
+        raise SingularForm("nonsingular form has no radical vectors")
     c = field.rinv(raw.polar(v, w).raw)
     w = [field.rmul(a, c) for a in w]
     one = field.rone
@@ -562,7 +566,8 @@ def _split_off_plane(q: QuadraticForm, v: Sequence) -> QuadraticForm:
         for cand in basis
     ]
     span = Span(rest, field)
-    assert span.dim == n - 2
+    if span.dim != n - 2:
+        raise SingularForm("complement of the split plane has the wrong dimension")
     out, _ = normalize(raw.restrict(span.rows))
     return out
 

@@ -93,7 +93,8 @@ class InvolutionSpace:
         return tuple(self.desc._apply(self._span.terms, coords, self.desc.ambient_dim))
 
     def half(self, coords: Sequence):
-        assert self.halves is not None, "halves are stored for symplectic spaces only"
+        if self.halves is None:
+            raise UnsupportedDescriptor("halves are stored for symplectic spaces only")
         return tuple(combination(self.desc.field, coords, self.halves, self.desc.ambient_dim))
 
     def rand_coords(self, rng: random.Random) -> list:
@@ -539,7 +540,8 @@ def reduced_pfaffian(desc: Descriptor, x) -> PfaffianData:
 
 def _pfaffian(pc: List[Fe], field: Field) -> PfaffianData:
     """The monic square root of a degree-8 reduced characteristic polynomial."""
-    assert len(pc) == 9
+    if len(pc) != 9:
+        raise ShapeMismatch("a reduced characteristic polynomial of degree 8 has 9 coefficients")
     coeffs = []
     for i, c in enumerate(pc):
         if i % 2:
@@ -551,7 +553,8 @@ def _pfaffian(pc: List[Fe], field: Field) -> PfaffianData:
                 raise NotPfaffian("even characteristic coefficient is not a square")
             coeffs.append(r)
     p0, p1, p2, p3, p4 = coeffs
-    assert p4 == field.one
+    if p4 != field.one:
+        raise NotPfaffian("square root of the characteristic polynomial is not monic")
     return PfaffianData(tuple(coeffs), trace=p3, second=p2, linear=p1, norm=p0)
 
 

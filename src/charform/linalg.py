@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import ShapeMismatch
+
 
 class Mat:
     """Immutable matrix over a ring with zero/one whose elements support +
@@ -50,7 +52,8 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Row i sums a * (row k of other) over the nonzero a = self[i][k]."""
-        assert self.shape[1] == other.shape[0], "shape mismatch"
+        if self.shape[1] != other.shape[0]:
+            raise ShapeMismatch("shape mismatch")
         zero = self.ring.zero
         rows = []
         for row in self.rows:

@@ -2,11 +2,15 @@
 isotropy/Witt-index oracles that enumerate every vector."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from charform.errors import SingularForm, UnsupportedField, ZeroScalar
+from charform.errors import ShapeMismatch, SingularForm, UnsupportedField, ZeroScalar
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
@@ -114,6 +118,36 @@ def test_polar_diagonal_is_zero_random():
         raw = RawQuadraticForm(F4, u)
         b = raw.polar_matrix()
         assert all(not b[i][i] for i in range(n))
+
+
+# payloads of a coefficient below the diagonal, a short last row, a short first row
+MALFORMED = ([[0, 0], [1, 0]], [[1, 1], [1]], [[1], [0, 1]])
+
+
+@pytest.mark.parametrize("u", MALFORMED)
+def test_malformed_coefficients_raise_shape_mismatch(u):
+    with pytest.raises(ShapeMismatch):
+        RawQuadraticForm(GF2, [[GF2.el(a) for a in row] for row in u])
+
+
+def test_malformed_coefficients_raise_under_python_o():
+    # the checks are explicit raises, which `python -O` keeps
+    code = "\n".join([
+        "from charform.errors import ShapeMismatch",
+        "from charform.fields import GF2",
+        "from charform.forms import RawQuadraticForm",
+        f"for u in {MALFORMED!r}:",
+        "    try:",
+        "        RawQuadraticForm(GF2, [[GF2.el(a) for a in row] for row in u])",
+        "        print('accepted')",
+        "    except ShapeMismatch:",
+        "        print('ShapeMismatch')",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ShapeMismatch"] * len(MALFORMED)
 
 
 def test_normalize_xy_form():

@@ -2,7 +2,8 @@
 module that ``src/charform`` imports is charform itself or a module of the
 standard library, every name an import binds is read somewhere in the
 module, and every private helper or attribute is read somewhere in
-``src/charform``."""
+``src/charform``.  Its runtime checks are explicit raises: no ``assert``
+statement, which ``python -O`` strips, stands in ``src/charform``."""
 
 import ast
 import sys
@@ -78,6 +79,11 @@ def dead_private_names(sources: dict) -> set:
     return {f"{module}:{n}" for module, n in defined if n not in read}
 
 
+def assert_lines(source: str) -> list:
+    """The line numbers of the ``assert`` statements."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
 def _sources():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 1
@@ -137,6 +143,21 @@ def test_guard_flags_dead_private_helpers():
     }
 
 
+def test_guard_flags_assert_statements():
+    lines = [
+        "def f(x):",
+        "    assert x, 'message'",
+        "    if not x:",
+        "        raise AssertionError('kept under -O')",
+        "class C:",
+        "    def g(self):",
+        "        assert self.x == 1",
+        "# assert in a comment",
+        "text = 'assert in a string'",
+    ]
+    assert assert_lines("\n".join(lines)) == [2, 7]
+
+
 def test_runtime_imports_are_stdlib_or_charform():
     foreign = {name: foreign_imports(src) for name, src in _sources().items()}
     assert not {name: mods for name, mods in foreign.items() if mods}
@@ -149,3 +170,8 @@ def test_runtime_imports_are_used():
 
 def test_private_helpers_are_read():
     assert not dead_private_names(_sources())
+
+
+def test_runtime_has_no_assert_statements():
+    found = {name: assert_lines(src) for name, src in _sources().items()}
+    assert not {name: lines for name, lines in found.items() if lines}

@@ -359,7 +359,7 @@ def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
     assert len(calls) <= budget
 
 
-def test_extract_polar_budget(monkeypatch, capsys):
+def test_extract_polar_budget(monkeypatch):
     # normalize and restrict work on the polar matrix and polar_vector; only
     # the [1,1] + [0,0] certificate of L pairs vectors through polar
     callers = collections.Counter()
@@ -372,7 +372,6 @@ def test_extract_polar_budget(monkeypatch, capsys):
     monkeypatch.setattr(RawQuadraticForm, "polar", counted)
     golden = Path(__file__).parent / "golden" / "descriptors" / "pool_index2_symp_gf2k3.json"
     assert main(["extract", "--input", str(golden), "--json", "--seed", "0"]) == 0
-    capsys.readouterr()
     assert callers == {"_restriction_certificate_11_00": 6}
 
 

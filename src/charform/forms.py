@@ -738,10 +738,10 @@ def block_square_witness(b1: Tuple[Fe, Fe], b2: Tuple[Fe, Fe]) -> Optional[Fe]:
 
 
 def blocks_match_upto_squares(q1: QuadraticForm, q2: QuadraticForm) -> Decision:
-    """Greedy multiset matching of blocks by square-substitution witnesses.
-
-    Decided(true) certifies isometry block by block; Decided(false) only
-    means no pairing was found with these witnesses.
+    """Greedy matching of blocks by square-substitution witnesses: Decided(true)
+    certifies isometry block by block.  When no pairing is found the answer
+    is Witt equivalence over GF(2^k), exact for nonsingular forms of one
+    dimension, and Unknown otherwise; differing block counts are false.
     """
     if q1.diag or q2.diag:
         raise SingularForm("block matching needs nonsingular forms")
@@ -757,7 +757,9 @@ def blocks_match_upto_squares(q1: QuadraticForm, q2: QuadraticForm) -> Decision:
                 hit = (j, lam)
                 break
         if hit is None:
-            return decided(False, {"unmatched_block": i})
+            if isinstance(q1.field, GF2k):
+                return decided(witt_equivalent_gf2k(q1, q2))
+            return unknown({"unmatched_block": i})
         unused.remove(hit[0])
         pairing.append((i, hit[0], hit[1].raw))
     return decided(True, {"pairing": pairing})

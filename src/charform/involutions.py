@@ -9,13 +9,13 @@ twisted-transpose unitary involution, and 4x4 matrices over F with a
 transpose-type orthogonal involution.
 
 Every descriptor is three sparse tables over its payload coordinates: the
-structure constants, sigma, and ``split_rows``, a square payload matrix
-with the reduced characteristic polynomial (and the parameter c of its
-entry ring F[s]/(s^2 + s + c), or None over F).  That matrix is the 8x8
+products of its entry ring's unit payloads, sigma, and ``split_rows``, a
+square payload matrix with the reduced characteristic polynomial (and the
+parameter c of its entry ring F[s]/(s^2 + s + c), or None over F): the 8x8
 splitting image of Q for the symplectic shapes (over the etale ring with
-c = a only when Q does not split over F), and the entries themselves (the
-E block of the exchange algebra) for the others.  Products run one loop
-over the structure constants, sigma and split_rows one sparse linear map.
+c = a only when Q does not split over F), the entries themselves (the E
+block of the exchange algebra) for the others.  Products walk one skeleton
+per entry size; sigma and split_rows are one sparse linear map each.
 One Berkowitz driver gives ``reduced_charpoly``; the reduced Pfaffian of a
 symmetrized element is the square root of its even coefficients.  Trd comes
 from ``split_rows`` too, and both trace forms are read off the reduced
@@ -77,9 +77,7 @@ class InvolutionSpace:
     """
 
     def __init__(self, desc, basis, halves):
-        self.desc = desc
-        self.basis = basis
-        self.halves = halves
+        self.desc, self.basis, self.halves = desc, basis, halves
         self._span = Span(basis, desc.field)  # the basis is its echelon form, row by row
 
     @property
@@ -167,32 +165,35 @@ def _charpoly_fraction_free(field: RatFunc, rows, c) -> list:
     return coeffs
 
 
+@functools.cache
+def _skeleton(k: int) -> tuple:
+    """The structure constants of 4x4 matrices over any entry ring of k
+    payloads, less the ring: for the coordinate i = (r, s, a), a and the
+    triples (j, (4r + t)k, b) with e_i e_j = e_(r,t) q_a q_b, j = (s, t, b)."""
+    return tuple(
+        (a, tuple(((4 * s + t) * k + b, (4 * r + t) * k, b) for t in range(4) for b in range(k)))
+        for r, s, a in itertools.product(range(4), range(4), range(k))
+    )
+
+
 def _matrix_tables(field: Field, k: int, entry_mul, conj, gram: Sequence[Fe]):
-    """The structure constants and the sigma table of 4x4 matrices over an
-    entry ring whose product and conjugation act on k-tuples of payloads,
-    for sigma(x) = G^-1 conj(x)^t G with the Gram diagonal G."""
+    """The unit products and the sigma table of 4x4 matrices over an entry
+    ring whose product and conjugation act on k-tuples of payloads, for
+    sigma(x) = G^-1 conj(x)^t G with the Gram diagonal G.  ``units[a][b]``
+    lists the (l, c) with q_a q_b = sum c q_l over the unit payloads q_a."""
     if any(not g for g in gram):
         raise ZeroScalar("Gram coefficients must be nonzero")
     zero, one, mul = field.rzero, field.rone, field.rmul
     units = [(zero,) * a + (one,) + (zero,) * (k - a - 1) for a in range(k)]
     mults = [[entry_mul(u, v) for v in units] for u in units]
-    slots = list(itertools.product(range(4), range(k)))
-    cells = [(r, s, a) for r in range(4) for s, a in slots]
-    at = {cell: i for i, cell in enumerate(cells)}
-    ratio = [[(gr / gs).raw for gs in gram] for gr in gram]
-    # (e_rs q_a)(e_st q_b) = e_rt q_a q_b, and sigma(e_rs q) = (g_r / g_s) e_sr conj(q)
-    product = [
-        tuple(
-            (at[s, t, b], tuple((at[r, t, l], c) for l, c in enumerate(mults[a][b]) if c != zero))
-            for t, b in slots
-        )
-        for r, s, a in cells
-    ]
+    products = [[[(l, c) for l, c in enumerate(m) if c != zero] for m in row] for row in mults]
+    rat = [[(gr / gs).raw for gs in gram] for gr in gram]
+    # sigma(e_rs q) = (g_r / g_s) e_sr conj(q)
     sigma = [
-        tuple((at[s, r, l], mul(ratio[r][s], c)) for l, c in enumerate(conj(units[a])) if c != zero)
-        for r, s, a in cells
+        tuple(((4 * s + r) * k + l, mul(rat[r][s], c)) for l, c in enumerate(conj(u)) if c != zero)
+        for r, s, u in itertools.product(range(4), range(4), units)
     ]
-    return product, sigma
+    return products, sigma
 
 
 class _MatrixDescriptor:
@@ -200,19 +201,18 @@ class _MatrixDescriptor:
     coordinates of its elements, built once by the subclass.
 
     An element is a flat tuple of field payloads: for 4x4 matrices over an
-    entry ring, the entries row by row, each as its ``k`` payloads.
-    ``_product[i]`` lists the (j, terms) with e_i e_j = sum c e_l over the
-    (l, c) in terms, ``_sigma[i]`` the terms of sigma(e_i), and ``_split[i]``
-    those of e_i in the flat split_size x split_size matrix of ``split_rows``
-    (two payloads per entry when split_c is not None).
+    entry ring, the entries row by row, each as its ``k`` payloads.  The
+    product walks ``_skeleton(k)`` with the unit products ``_units``;
+    ``_sigma[i]`` lists the terms (l, c) of sigma(e_i), and ``_split[i]``
+    those of e_i in the flat split_size x split_size matrix of ``split_rows``.
     """
 
     n = 4
     case: str  # the involution type, a key of CASE_DIMS
 
-    def __init__(self, field: Field, k: int, product, sigma, split, split_size: int, split_c=None):
-        self.field, self.k, self.ambient_dim = field, k, len(product)
-        self._product, self._sigma, self._split = product, sigma, split
+    def __init__(self, field: Field, k: int, units, sigma, split, split_size: int, split_c=None):
+        self.field, self.k, self.ambient_dim = field, k, len(sigma)
+        self._skeleton, self._units, self._sigma, self._split = _skeleton(k), units, sigma, split
         self._split_size, self._split_c = split_size, split_c
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
@@ -249,15 +249,16 @@ class _MatrixDescriptor:
     def el_mul(self, x, y):
         field = self.field
         zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
-        acc = [zero] * self.ambient_dim
-        for a, row in zip(x, self._product):
-            if a != zero:
-                for j, terms in row:
-                    b = y[j]
-                    if b != zero:
-                        p = mul(a, b)
-                        for l, c in terms:
-                            acc[l] = add(acc[l], p if c == one else mul(c, p))
+        acc = [zero] * len(x)
+        for xi, (a, row) in zip(x, self._skeleton):
+            if xi != zero:
+                products = self._units[a]
+                for j, out, b in row:
+                    yj = y[j]
+                    if yj != zero:
+                        p = mul(xi, yj)
+                        for l, c in products[b]:
+                            acc[out + l] = add(acc[out + l], p if c == one else mul(c, p))
         return tuple(acc)
 
     def _apply(self, table, x, width: int) -> list:
@@ -373,10 +374,9 @@ class _SympBase(_MatrixDescriptor):
     case = "symplectic"
 
     def __init__(self, field: Field, quat: QuaternionAlgebra, us: Sequence[Fe]):
-        self.quat = quat
-        self.us = us = tuple(us)
+        self.quat, self.us = quat, tuple(us)
         conj = functools.partial(quat_conj, field)
-        tables = _matrix_tables(field, 4, quat.rmul, conj, (field.one, *us))
+        tables = _matrix_tables(field, 4, quat.rmul, conj, (field.one, *self.us))
         sp = quat.split()
         w = 1 if sp.c is None else 2
         # the entry (r, s) maps to the 2x2 block at (2r, 2s)
@@ -415,13 +415,11 @@ class UnitaryEtale(_MatrixDescriptor):
     case = "unitary"
 
     def __init__(self, field: Field, c: Fe, gs: Sequence[Fe]):
-        root = solve_artin_schreier(c)
-        if isinstance(root, Fe):
+        if isinstance(solve_artin_schreier(c), Fe):
             raise UnsupportedDescriptor(
                 "the center parameter c must be outside the Artin-Schreier image"
             )
-        self.c = c
-        self.center = QuadraticExtension(field, c)
+        self.c, self.center = c, QuadraticExtension(field, c)
         self.gram = gs = tuple(gs)
         add = field.radd
         tables = _matrix_tables(field, 2, self.center.rmul, lambda e: (add(e[0], e[1]), e[1]), gs)
@@ -437,8 +435,7 @@ class Orthogonal(_MatrixDescriptor):
 
     def __init__(self, field: Field, gs: Sequence[Fe]):
         self.gram = gs = tuple(gs)
-        mul = field.rmul
-        tables = _matrix_tables(field, 1, lambda x, y: (mul(x[0], y[0]),), lambda e: e, gs)
+        tables = _matrix_tables(field, 1, lambda x, y: (field.rmul(x[0], y[0]),), lambda e: e, gs)
         super().__init__(field, 1, *tables, [((i, field.rone),) for i in range(16)], 4)
 
 
@@ -452,12 +449,12 @@ class UnitaryExchange(_MatrixDescriptor):
     case = "unitary"
 
     def __init__(self, field: Field):
-        one, cells = field.rone, list(itertools.product(range(4), range(4)))
-        # e_rs e_st = e_rt in E, and e_rs e_qr = e_qs in E^op (offset 16)
-        product = [tuple((4 * s + t, ((4 * r + t, one),)) for t in range(4)) for r, s in cells]
-        op = [tuple((16 + 4 * q + r, ((16 + 4 * q + s, one),)) for q in range(4)) for r, s in cells]
+        one = field.rone
         swap = [((i + 16, one),) for i in range(16)] + [((i, one),) for i in range(16)]
-        super().__init__(field, 1, product + op, swap, swap[16:] + [()] * 16, 4)
+        super().__init__(field, 1, ((((0, one),),),), swap, swap[16:] + [()] * 16, 4)
+
+    def el_mul(self, x, y):
+        return super().el_mul(x[:16], y[:16]) + super().el_mul(y[16:], x[16:])
 
     def projector(self, i: int):
         p = super().projector(i)

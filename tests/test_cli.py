@@ -1,9 +1,14 @@
 """CLI surface tests: descriptor parsing, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from charform import cli
 from charform.cli import main
 from charform.errors import ParseError
 from charform.fields import GF2, gf2k, ratfunc
@@ -183,6 +188,25 @@ def test_describe_output(tmp_path, capsys):
     path = write_descriptor(tmp_path, ORTH, "orth.json")
     assert main(["describe", "--input", path]) == 0
     assert "Sym dim 10" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    path = write_descriptor(tmp_path, SPLIT)
+    assert main(["describe", "--input", path]) == 0
+    assert main(["describe", "--input", path, "--json"]) == 0
+    assert cli.build_parser() is cli.build_parser() and cli.build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser_and_no_skeleton():
+    # both are built on first use: the import stays as cheap as before
+    code = (
+        "import charform.cli as c, charform.involutions as i; "
+        "print(c.build_parser.cache_info().currsize, i._skeleton.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_describe_malformed_json_is_exit_2(tmp_path, capsys):

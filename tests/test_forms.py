@@ -471,8 +471,20 @@ def test_blocks_match_upto_squares():
     q2 = form(R2, [(one, t * t)])
     dec = blocks_match_upto_squares(q1, q2)
     assert dec.is_true
+    # no square substitution maps (t^2, 1) to (t, 1), yet q3(x, y) = q1(x, y + t*x):
+    # a failed pairing over GF(2)(t) is Unknown, not false
     q3 = form(R2, [(t, one)])
-    assert blocks_match_upto_squares(q1, q3).is_false
+    dec = blocks_match_upto_squares(q1, q3)
+    assert dec.is_unknown and dec.witness == {"unmatched_block": 0}
+    for x, y in itertools.product([R2.zero, one, t, one / (one + t)], repeat=2):
+        assert q3.evaluate(_raw([x, y])) == q1.evaluate(_raw([x, y + t * x]))
+    # over GF(2^k) a failed pairing falls back on Witt equivalence: (1, w) and
+    # (1, w + 1) both have Arf invariant w, with no square substitution between them
+    w = F4.gen
+    dec = blocks_match_upto_squares(form(F4, [(F4.one, w)]), form(F4, [(F4.one, w + F4.one)]))
+    assert dec.is_true
+    assert blocks_match_upto_squares(form(F4, [(F4.one, w)]), block11(F4)).is_false
+    assert blocks_match_upto_squares(q1, form(R2, [(t, one), (t, one)])).is_false
 
 
 def test_isotropic_vector_finds_duplicates():

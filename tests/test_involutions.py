@@ -231,7 +231,26 @@ def test_a_sigma_table_that_is_not_an_involution_is_rejected(name, defect):
         bad[0] += ((17, one),)
     good = UnitaryExchange(field)
     with pytest.raises(UnsupportedDescriptor, match="not an involution"):
-        involutions._MatrixDescriptor(field, 1, good._product, bad, good._split, 4)
+        involutions._MatrixDescriptor(field, 1, good._units, bad, good._split, 4)
+
+
+def test_descriptors_share_one_skeleton_per_entry_size():
+    # the structure constants less the entry ring are one skeleton per k; a
+    # descriptor keeps only the k x k products of its ring's unit payloads
+    a = idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen))
+    b = idx2(F4, F4.one, F4.gen, (F4.one,) * 3)
+    assert a._units != b._units and a._skeleton is b._skeleton is involutions._skeleton(4)
+    others = [
+        SplitSymp(F4),
+        UnitaryEtale(F4, F4.gen, (F4.one,) * 4),
+        Orthogonal(F4, (F4.one,) * 4),
+        UnitaryExchange(F4),
+    ]
+    for desc in [a, b, *others]:
+        k = desc.k
+        assert desc._skeleton is involutions._skeleton(k) and not hasattr(desc, "_product")
+        assert len(desc._units) == k and all(len(row) == k for row in desc._units)
+        assert all(l < k for row in desc._units for terms in row for l, _ in terms)
 
 
 def test_split_symp_sigma_is_conj_transpose():

@@ -10,7 +10,8 @@ against A x = 0, dimension counts and, over GF(2), sympy's rank; the
 quadratic-form kernels against the sum over i <= j and the polarization
 identity, ``normalize`` against the polar-based reduction of
 ``oracles.normalize_by_polar`` and ``restrict`` against one evaluate or
-polar call per entry; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
+polar call per entry, block matching against forms pulled back through
+invertible matrices; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
 and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
 GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
@@ -47,7 +48,7 @@ from charform.fields import (
     ratfunc,
     solve_artin_schreier,
 )
-from charform.forms import RawQuadraticForm, normalize
+from charform.forms import RawQuadraticForm, blocks_match_upto_squares, form, normalize
 from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
 from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
 from charform.quaternions import Quat, QuaternionAlgebra
@@ -410,6 +411,31 @@ def test_restrict_matches_entrywise_polar(field, data):
     q = raw_form(data, field, n, sparse(field, elements(field)))
     vectors = payload_vectors(data, field, data.draw(st.integers(1, 6)), n)
     assert q.restrict(vectors).u == restrict_by_polar(q, vectors).u
+
+
+def invertible_rows(data, field, n):
+    """The rows of the identity under random elementary row operations."""
+    rows = [[field.rone if j == i else field.rzero for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(elements(field, nonzero=True)).raw
+        if i == j:
+            rows[i] = [field.rmul(c, a) for a in rows[i]]
+        else:
+            rows[i] = [field.radd(a, field.rmul(c, b)) for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=60, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(FIELDS), st.data())
+def test_block_matching_never_refutes_an_isometry(field, data):
+    # a nonsingular form and its normal form after a change of basis are isometric
+    blocks = data.draw(st.lists(st.tuples(elements(field), elements(field)), min_size=1, max_size=3))
+    q = form(field, blocks)
+    pulled = normalize(q.to_raw().restrict(invertible_rows(data, field, q.dim)))[0]
+    dec = blocks_match_upto_squares(pulled, q)
+    assert not dec.is_false
+    assert dec.is_true or not isinstance(field, GF2k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A raw form is an upper-triangular coefficient matrix; a normalized form is a
 list of nonsingular binary blocks (a,b), each meaning a*X^2 + X*Y + b*Y^2,
 followed by totally singular diagonal entries <c> meaning c*X^2.  Over
 GF(2^k) classification is complete (dimension, Witt index, Arf invariant);
-over GF(2^k)(t) the decision procedures are three-valued and every Decided
-answer is backed by an explicit certificate.
+over GF(2^k)(t) the decision procedures are three-valued: every Decided
+answer is backed by an explicit certificate, and a search that finds none
+(a failed block pairing, say) answers Unknown.
 """
 
 from __future__ import annotations
@@ -741,8 +742,7 @@ def blocks_match_upto_squares(q1: QuadraticForm, q2: QuadraticForm) -> Decision:
     """Greedy matching of blocks by square-substitution witnesses: Decided(true)
     certifies isometry block by block.  When no pairing is found the answer
     is Witt equivalence over GF(2^k), exact for nonsingular forms of one
-    dimension, and Unknown otherwise; differing block counts are false.
-    """
+    dimension, and Unknown otherwise; differing block counts are false."""
     if q1.diag or q2.diag:
         raise SingularForm("block matching needs nonsingular forms")
     if len(q1.blocks) != len(q2.blocks) or q1.field is not q2.field:

@@ -198,7 +198,7 @@ def test_main_builds_the_parser_once(tmp_path, capsys):
 
 
 def test_importing_the_cli_builds_no_parser_and_no_skeleton():
-    # both are built on first use: the import stays as cheap as before
+    # both are built on first use, so importing the CLI builds neither
     code = (
         "import charform.cli as c, charform.involutions as i; "
         "print(c.build_parser.cache_info().currsize, i._skeleton.cache_info().currsize)"

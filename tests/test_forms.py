@@ -478,8 +478,8 @@ def test_blocks_match_upto_squares():
     assert dec.is_unknown and dec.witness == {"unmatched_block": 0}
     for x, y in itertools.product([R2.zero, one, t, one / (one + t)], repeat=2):
         assert q3.evaluate(_raw([x, y])) == q1.evaluate(_raw([x, y + t * x]))
-    # over GF(2^k) a failed pairing falls back on Witt equivalence: (1, w) and
-    # (1, w + 1) both have Arf invariant w, with no square substitution between them
+    # over GF(2^k) a failed pairing falls back on Witt equivalence: the Arf
+    # invariants w and w + 1 of (1, w) and (1, w + 1) agree modulo x^2 + x
     w = F4.gen
     dec = blocks_match_upto_squares(form(F4, [(F4.one, w)]), form(F4, [(F4.one, w + F4.one)]))
     assert dec.is_true

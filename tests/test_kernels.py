@@ -430,8 +430,8 @@ def invertible_rows(data, field, n):
 @given(st.sampled_from(FIELDS), st.data())
 def test_block_matching_never_refutes_an_isometry(field, data):
     # a nonsingular form and its normal form after a change of basis are isometric
-    blocks = data.draw(st.lists(st.tuples(elements(field), elements(field)), min_size=1, max_size=3))
-    q = form(field, blocks)
+    block = st.tuples(elements(field), elements(field))
+    q = form(field, data.draw(st.lists(block, min_size=1, max_size=3)))
     pulled = normalize(q.to_raw().restrict(invertible_rows(data, field, q.dim)))[0]
     dec = blocks_match_upto_squares(pulled, q)
     assert not dec.is_false

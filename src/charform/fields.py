@@ -254,6 +254,19 @@ class GF2k:
             self._artin_table = table
         return self._artin_table.get(a)
 
+    # cleared numerators -------------------------------------------------------
+
+    def rclear(self, payloads):
+        """The payloads as (numerators, common denominator): over GF(2^k)
+        themselves, over 1.  ``nmul`` and xor are the ring operations on
+        numerators, and ``rfractions`` turns them back into payloads."""
+        return payloads, 1
+
+    nmul = rmul
+
+    def rfractions(self, nums, den) -> tuple:
+        return tuple(nums)
+
     # bit-sliced lanes ----------------------------------------------------------
 
     def lanes(self, n: int):
@@ -558,6 +571,35 @@ class RatFunc:
         if ds is None:
             return None
         return self._norm(ns, ds)
+
+    # cleared numerators -------------------------------------------------------
+
+    def rclear(self, payloads):
+        """The payloads as packed numerators over their monic lcm den, and
+        den: one gcd per distinct denominator after the first."""
+        base = self.base
+        dens = {d for _, d in payloads}
+        dens.discard(1)
+        den = 1
+        for d in dens:
+            den = d if den == 1 else pmul(pdivmod(den, pgcd(den, d, base), base)[0], d, base)
+        if den == 1:
+            return [n for n, _ in payloads], 1
+        cofactors = {d: pdivmod(den, d, base)[0] for d in dens if d != den}
+        cofactors[1] = den
+        return [pmul(n, cofactors[d], base) if n and d != den else n for n, d in payloads], den
+
+    @property
+    def nmul(self):
+        """The product of packed numerators."""
+        return functools.partial(pmul, base=self.base)
+
+    def rfractions(self, nums, den) -> tuple:
+        """The payloads num/den for the packed numerators nums."""
+        if den == 1:
+            return tuple([(n, 1) for n in nums])
+        norm, zero = self._norm, self.rzero
+        return tuple([norm(n, den) if n else zero for n in nums])
 
     # element-level API -------------------------------------------------------
 

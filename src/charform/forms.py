@@ -42,9 +42,10 @@ from .linalg import Span, combination, unit_vector
 
 class RawQuadraticForm:
     """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on payload coordinate
-    vectors; evaluate and polar run on payload rows of the nonzero U[i][j],
-    j >= i, built once, and return field elements.  ``_polar[k]`` lists the
-    nonzero (j, B[k][j]) of the polar matrix B = U + U^t."""
+    vectors; evaluate and polar walk the nonzero payloads of their vectors
+    against ``_rows[i]``, the nonzero U[i][j], j >= i, as payloads by j, built
+    once, and return field elements.  ``_polar[k]`` lists the nonzero
+    (j, B[k][j]) of the polar matrix B = U + U^t."""
 
     __slots__ = ("field", "u", "_rows", "_polar")
 
@@ -58,12 +59,10 @@ class RawQuadraticForm:
                 raise ShapeMismatch("coefficients must be upper-triangular")
         self.field = field
         self.u = rows
-        self._rows = tuple(
-            tuple((j, row[j].raw) for j in range(i, n) if row[j]) for i, row in enumerate(rows)
-        )
+        self._rows = tuple({j: row[j].raw for j in range(i, n) if row[j]} for i, row in enumerate(rows))
         self._polar = [[] for _ in range(n)]
         for i, row in enumerate(self._rows):
-            for j, c in row:
+            for j, c in row.items():
                 if j != i:
                     self._polar[i].append((j, c))
                     self._polar[j].append((i, c))
@@ -72,18 +71,23 @@ class RawQuadraticForm:
     def dim(self) -> int:
         return len(self.u)
 
-    def _dot(self, row, x):
-        """sum_j U[i][j] x_j over the payload row i."""
-        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
-        return functools.reduce(add, (mul(c, x[j]) for j, c in row if x[j] != zero), zero)
+    def _terms(self, x) -> list:
+        """The (j, x_j) of the nonzero payloads of x."""
+        zero = self.field.rzero
+        return [(j, a) for j, a in enumerate(x) if a != zero]
+
+    def _dot(self, row, terms):
+        """sum_j U[i][j] x_j over the payload row i and the terms of x."""
+        add, mul = self.field.radd, self.field.rmul
+        return functools.reduce(add, (mul(row[j], a) for j, a in terms if j in row), self.field.rzero)
 
     def evaluate(self, x: Sequence) -> Fe:
         """q(x) on a payload vector."""
-        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
-        acc = zero
-        for xi, row in zip(x, self._rows):
-            if xi != zero:
-                acc = add(acc, mul(xi, self._dot(row, x)))
+        add, mul = self.field.radd, self.field.rmul
+        acc = self.field.rzero
+        terms = self._terms(x)
+        for s, (i, a) in enumerate(terms):
+            acc = add(acc, mul(a, self._dot(self._rows[i], terms[s:])))
         return self.field._el(acc)
 
     def polar_matrix(self) -> Tuple[tuple, ...]:
@@ -97,13 +101,12 @@ class RawQuadraticForm:
     def polar(self, x: Sequence, y: Sequence) -> Fe:
         """The polar form on payload vectors."""
         # sum_{i<=j} U[i][j] (x_i y_j + x_j y_i): the diagonal terms cancel
-        add, mul, zero = self.field.radd, self.field.rmul, self.field.rzero
-        acc = zero
-        for xi, yi, row in zip(x, y, self._rows):
-            if xi != zero:
-                acc = add(acc, mul(xi, self._dot(row, y)))
-            if yi != zero:
-                acc = add(acc, mul(yi, self._dot(row, x)))
+        add, mul = self.field.radd, self.field.rmul
+        acc = self.field.rzero
+        tx, ty = self._terms(x), self._terms(y)
+        for terms, others in ((tx, ty), (ty, tx)):
+            for i, a in terms:
+                acc = add(acc, mul(a, self._dot(self._rows[i], others)))
         return self.field._el(acc)
 
     def polar_vector(self, x: Sequence) -> list:
@@ -122,7 +125,7 @@ class RawQuadraticForm:
         field = self.field
         add, mul, zero = field.radd, field.rmul, field.rzero
         n = len(vectors)
-        terms = [[(k, a) for k, a in enumerate(v) if a != zero] for v in vectors]
+        terms = list(map(self._terms, vectors))
         u = [[field.zero] * n for _ in range(n)]
         for i in range(n):
             u[i][i] = self.evaluate(vectors[i])

@@ -48,8 +48,6 @@ from .fields import (
     QuadraticExtension,
     RatFunc,
     etale_ops,
-    pdivmod,
-    pgcd,
     pmul,
     solve_artin_schreier,
 )
@@ -127,41 +125,27 @@ def _berkowitz(rows, c, e, zero, one, add, mul) -> list:
     return _base_parts(charpoly_raw(rows, (zero, zero), (one, zero), eadd, emul), zero)
 
 
-def _charpoly_fraction_free(field: RatFunc, rows, c) -> list:
+def _charpoly_fraction_free(field: RatFunc, flat, c, rows) -> list:
     """Berkowitz over GF(2^k)(t) on packed polynomials, with no gcd in the
-    inner loops: the denominators are cleared once into den, and coefficient
-    i of den*M is divided by den^(n-i).  A centre c = p/q with q != 1 is
-    replaced by the integral generator r = q*s, with r^2 = q*r + p*q and
-    x + y*s = x + (y/q)*r."""
-    base = field.base
+    inner loops: the payloads flat of the matrix are cleared once to
+    numerators over den, ``rows`` lays them out, and coefficient i of den*M
+    is divided by den^(n-i).  A centre c = p/q with q != 1 is replaced by the
+    integral generator r = q*s, with r^2 = q*r + p*q and x + y*s = x + (y/q)*r."""
     e = None
     if c is not None:
         p, q = c
         c = p
         if q != 1:
-            inv_q = (1, q)
-            rows = [[(x, field.rmul(y, inv_q)) for x, y in row] for row in rows]
-            e, c = q, pmul(p, q, base)
-    den = 1
-    for row in rows:
-        for entry in row:
-            for _, d in (entry,) if c is None else entry:
-                if d != 1 and d != den:
-                    den = pmul(pdivmod(den, pgcd(den, d, base), base)[0], d, base)
-
-    def cleared(v):
-        num, d = v
-        return num if d == den else pmul(num, pdivmod(den, d, base)[0], base)
-
-    if c is None:
-        rows = [[cleared(v) for v in row] for row in rows]
-    else:
-        rows = [[(cleared(x), cleared(y)) for x, y in row] for row in rows]
-    coeffs = _berkowitz(rows, c, e, 0, 1, operator.xor, lambda a, b: pmul(a, b, base))
+            flat = list(flat)
+            flat[1::2] = [field.rmul(y, (1, q)) for y in flat[1::2]]
+            e, c = q, pmul(p, q, field.base)
+    nums, den = field.rclear(flat)
+    mul = field.nmul
+    coeffs = _berkowitz(rows(nums), c, e, 0, 1, operator.xor, mul)
     power = 1
     for i in range(len(coeffs) - 1, -1, -1):
         coeffs[i] = field._norm(coeffs[i], power)
-        power = pmul(power, den, base)
+        power = mul(power, den)
     return coeffs
 
 
@@ -212,7 +196,11 @@ class _MatrixDescriptor:
 
     def __init__(self, field: Field, k: int, units, sigma, split, split_size: int, split_c=None):
         self.field, self.k, self.ambient_dim = field, k, len(sigma)
-        self._skeleton, self._units, self._sigma, self._split = _skeleton(k), units, sigma, split
+        self._skeleton, self._sigma, self._split = _skeleton(k), sigma, split
+        # the unit products as numerators over one denominator _du
+        nums, self._du = field.rclear([c for row in units for terms in row for _, c in terms])
+        nums = iter(nums)
+        self._units = [[[(l, next(nums)) for l, _ in terms] for terms in row] for row in units]
         self._split_size, self._split_c = split_size, split_c
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
@@ -247,19 +235,23 @@ class _MatrixDescriptor:
         return tuple(map(self.field.radd, x, y))
 
     def el_mul(self, x, y):
+        """The product on cleared numerators: ring products summed by xor over
+        the skeleton, then each coordinate over Dx*Dy*Du normalised once."""
         field = self.field
-        zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
-        acc = [zero] * len(x)
-        for xi, (a, row) in zip(x, self._skeleton):
-            if xi != zero:
-                products = self._units[a]
+        mul = field.nmul
+        (xs, dx), (ys, dy) = field.rclear(x), field.rclear(y)
+        units = self._units
+        acc = [0] * len(x)
+        for xi, (a, row) in zip(xs, self._skeleton):
+            if xi:
+                products = units[a]
                 for j, out, b in row:
-                    yj = y[j]
-                    if yj != zero:
+                    yj = ys[j]
+                    if yj:
                         p = mul(xi, yj)
                         for l, c in products[b]:
-                            acc[out + l] = add(acc[out + l], p if c == one else mul(c, p))
-        return tuple(acc)
+                            acc[out + l] ^= p if c == 1 else mul(c, p)
+        return field.rfractions(acc, mul(mul(dx, dy), self._du))
 
     def _apply(self, table, x, width: int) -> list:
         """The linear map e_i -> table[i] (sparse terms) on x, as ``width`` payloads."""
@@ -306,14 +298,15 @@ class _MatrixDescriptor:
         return [flat[r * size : (r + 1) * size] for r in range(size)]
 
     def reduced_charpoly(self, x) -> List[Fe]:
-        return list(map(self.field._el, self._charpoly(*self.split_rows(x))))
+        return list(map(self.field._el, self._charpoly(self._split_flat(x))))
 
-    def _charpoly(self, rows, c) -> list:
-        """The payloads of the characteristic polynomial of a split_rows matrix."""
-        field = self.field
+    def _charpoly(self, flat) -> list:
+        """The payloads of the characteristic polynomial of the split_rows
+        matrix with the flat payloads flat."""
+        field, c = self.field, self._split_c
         if isinstance(field, RatFunc):
-            return _charpoly_fraction_free(field, rows, c)
-        return _berkowitz(rows, c, None, field.rzero, field.rone, field.radd, field.rmul)
+            return _charpoly_fraction_free(field, flat, c, self._rows)
+        return _berkowitz(self._rows(flat), c, None, field.rzero, field.rone, field.radd, field.rmul)
 
     def _charpolys_at_points(self, elements, wanted) -> Tuple[bool, dict]:
         """Whether the reduced charpolys at the points sum_i v_i elements[i], v
@@ -340,7 +333,7 @@ class _MatrixDescriptor:
             values = {d: field.from_lanes(coeffs[d], m) for d, m in wanted.items()}
             return not any(map(any, coeffs[1::2])), values
         points = candidates(field, n, None, 0, 0)
-        polys = [self._charpoly(self._rows(self._apply(table, v, width)), c) for v in points]
+        polys = [self._charpoly(self._apply(table, v, width)) for v in points]
         values = {d: [pc[d] for pc in polys[:m]] for d, m in wanted.items()}
         return all(a == field.rzero for pc in polys for a in pc[1::2]), values
 

@@ -231,7 +231,7 @@ def test_a_sigma_table_that_is_not_an_involution_is_rejected(name, defect):
         bad[0] += ((17, one),)
     good = UnitaryExchange(field)
     with pytest.raises(UnsupportedDescriptor, match="not an involution"):
-        involutions._MatrixDescriptor(field, 1, good._units, bad, good._split, 4)
+        involutions._MatrixDescriptor(field, 1, ((((0, one),),),), bad, good._split, 4)
 
 
 def test_descriptors_share_one_skeleton_per_entry_size():

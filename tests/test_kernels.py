@@ -32,6 +32,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
 from oracles import EtaleRing, QuatRing, normalize_by_polar, to_lanes
+from charform import fields
 from charform.fields import (
     GF2,
     GF2k,
@@ -54,6 +55,9 @@ from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
 from charform.quaternions import Quat, QuaternionAlgebra
 
 FIELDS = [GF2, gf2k(2), gf2k(3), ratfunc(GF2)]
+# the algebra products also run over GF(4)(t), whose numerators multiply
+# slot by slot
+PRODUCT_FIELDS = [*FIELDS, ratfunc(gf2k(2))]
 # An example holds up to a few hundred field elements; shrinking a failing
 # one takes minutes, so the full example is reported instead.
 QUICK = settings(
@@ -69,11 +73,25 @@ T = symbols("t")
 
 
 def elements(field, nonzero=False):
-    """Field elements; over GF(2)(t) quotients of polynomials of degree <= 2."""
+    """Field elements; over GF(2^k)(t) quotients whose numerator and
+    denominator are each a small packed polynomial (an int below 8) times a
+    product of t, t + 1 and t^2 + t + 1, so that denominators share factors
+    with each other and with numerators."""
     if isinstance(field, GF2k):
         return st.integers(1 if nonzero else 0, field.order - 1).map(field.el)
-    num = st.integers(1 if nonzero else 0, 7)
-    return st.tuples(num, st.integers(1, 7)).map(lambda nd: field.el(*nd))
+    base = field.base
+    factors = [pmake(cs, base) for cs in ([0, 1], [1, 1], [1, 1, 1])]
+
+    def times_factors(pm):
+        p, mask = pm
+        for i, f in enumerate(factors):
+            if mask >> i & 1:
+                p = pmul(p, f, base)
+        return p
+
+    num = st.tuples(st.integers(1 if nonzero else 0, 7), st.integers(0, 7)).map(times_factors)
+    den = st.tuples(st.integers(1, 7), st.integers(0, 7)).map(times_factors)
+    return st.tuples(num, den).map(lambda nd: field.el(*nd))
 
 
 def sparse(field, values):
@@ -201,8 +219,9 @@ def from_poly(poly):
 
 
 @QUICK
-@given(st.sampled_from(FIELDS), st.data())
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
 def test_quaternion_matrix_products(field, data):
+    # rational slots a, b make the unit products fractions
     a = data.draw(elements(field))
     b = data.draw(elements(field, nonzero=True))
     us = [data.draw(elements(field, nonzero=True)) for _ in range(3)]
@@ -220,10 +239,12 @@ def test_quaternion_matrix_products(field, data):
 
 
 @QUICK
-@given(st.sampled_from(FIELDS), st.data())
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
 def test_etale_matrix_products(field, data):
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
     c = non_artin_schreier(field)
+    if not isinstance(field, GF2k) and data.draw(st.booleans()):
+        c = c.inv()  # 1/t, an odd valuation too: the unit products are fractions
     desc = UnitaryEtale(field, c, gram)
     center = EtaleRing(field, c)
     entry = st.tuples(*[sparse(field, elements(field))] * 2).map(lambda xy: center.el(*xy))
@@ -282,7 +303,7 @@ def test_etale_ops_on_packed_polynomials(data):
 
 
 @QUICK
-@given(st.sampled_from(FIELDS), st.data())
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
 def test_field_matrix_products(field, data):
     entry = sparse(field, elements(field))
     x, y, x2, y2 = (matrix(data, entry) for _ in range(4))
@@ -300,6 +321,34 @@ def test_field_matrix_products(field, data):
     assert wrapped(exchange, entries(exchange, got[16:])) == naive_matmul(
         y2, x2, fe_add, fe_mul, field.zero
     )
+
+
+@pytest.mark.parametrize("base", [GF2, gf2k(2)], ids=lambda f: f.text())
+def test_a_dense_ratfunc_product_normalises_each_coordinate_once(base, monkeypatch):
+    # the operands are cleared to numerators over one denominator each, so
+    # the gcds are the lcms of their few denominators and one per coordinate
+    field = ratfunc(base)
+    t, one = field.t, field.one
+    desc = Index2Symp(field, QuaternionAlgebra(field, one / t, t + one), (one, t, t + one))
+    rng = random.Random(11)
+    dens = [one, t, t + one, t * (t + one), t * t + t + one]
+
+    def dense():
+        return tuple((field.rand_nonzero(rng) / rng.choice(dens)).raw for _ in range(desc.ambient_dim))
+
+    x, y = dense(), dense()
+    gcds = []
+    pgcd_ = fields.pgcd
+    monkeypatch.setattr(fields, "pgcd", lambda *args: gcds.append(args) or pgcd_(*args))
+    got = desc.el_mul(x, y)
+    # an lcm of m denominators other than 1 takes m - 1 gcds
+    lcm_gcds = sum(len({d for _, d in v} - {1}) - 1 for v in (x, y))
+    assert len(gcds) <= desc.ambient_dim + lcm_gcds
+    monkeypatch.undo()
+    quat = desc.quat
+    xq, yq = ([[Quat(quat, e) for e in row] for row in wrapped(desc, entries(desc, v))] for v in (x, y))
+    expected = (Mat(QuatRing(quat), xq) * Mat(QuatRing(quat), yq)).rows
+    assert wrapped(desc, entries(desc, got)) == [[e.c for e in row] for row in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +413,8 @@ def test_form_evaluate_and_polar(field, data):
         return sum(terms, field.zero)
 
     assert q.evaluate([a.raw for a in v]) == direct(v)
+    for i in range(n):  # one nonzero payload: q(e_i) = U[i][i]
+        assert q.evaluate([field.rone if j == i else field.rzero for j in range(n)]) == u[i][i]
     vw = [a + b for a, b in zip(v, w)]
     assert q.polar([a.raw for a in v], [a.raw for a in w]) == direct(vw) + direct(v) + direct(w)
 

@@ -12,6 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from charform.cli import main
 from charform.extraction import galois_components
 from charform.fields import GF2
 from charform.involutions import SplitSymp, pfaffian_form
@@ -58,3 +59,17 @@ def test_tracer_keywords_and_form_cache_resolve():
     assert desc._srp_raw is None
     raw = pfaffian_form(desc, validate=0, seed=0)
     assert desc._srp_raw is raw
+
+
+def test_a_traced_verify_run_completes(capsys):
+    # the counters wrap pmul and the other kernels positionally, so a call
+    # that passes base by keyword fails only under the tracer
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        argv = ["verify", "--suite", "symplectic", "--field", "ratfunc:gf2:t", "--trials", "2"]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert "FAIL" not in capsys.readouterr().out
+    assert tracer.counts["fields.pmul"][0] and tracer.counts["fields.pgcd"][0]

@@ -38,6 +38,13 @@ def test_verify_report_is_byte_identical(name, capsys):
     assert rc == 0
 
 
+def test_the_benchmark_verify_batches_are_pinned():
+    # verify at 50 trials makes the batch sizes of the verify-suites workload
+    for name in ("gf2k3.trials50.json", "ratfunc_gf2.trials50.json"):
+        assert name in VERIFY_CASES
+        assert json.loads((GOLDEN / "verify" / name).read_text())["trials"] == 50
+
+
 @pytest.mark.parametrize("name", DESCRIPTORS)
 def test_descriptor_json_round_trip(name):
     # the benchmark tracer rebuilds descriptors through this round trip

@@ -48,6 +48,8 @@ from .fields import (
     QuadraticExtension,
     RatFunc,
     etale_ops,
+    gf2k,
+    pdeg,
     pmul,
     solve_artin_schreier,
 )
@@ -149,6 +151,93 @@ def _charpoly_fraction_free(field: RatFunc, flat, c, rows) -> list:
     return coeffs
 
 
+# the widest lane run of the Berkowitz driver: more evaluation points run in
+# more chunks, so a descriptor of high degree costs time, not memory
+_MAX_LANES = 1 << 14
+
+
+def _power(mul, x, n: int):
+    acc = 1
+    for _ in range(n):
+        acc = mul(acc, x)
+    return acc
+
+
+def _times(mul, poly, planes: dict, out: dict) -> dict:
+    """out plus poly times a polynomial in lanes (plane P: bit P of a packed
+    numerator in each lane), with mul the product of packed numerators."""
+    for p, a in planes.items():
+        prod = mul(poly, 1 << p)
+        while prod:
+            bit = prod & -prod
+            q = bit.bit_length() - 1
+            out[q] = out.get(q, 0) ^ a
+            prod ^= bit
+    return out
+
+
+def _weight(entries, k: int) -> int:
+    """The largest degree of a polynomial in lanes among the entries, or -1."""
+    return max((p for planes in entries for p, a in planes.items() if a), default=-k) // k
+
+
+@functools.cache
+def _embedding(base: GF2k, target: GF2k) -> Tuple[tuple, tuple]:
+    """GF(2^k) inside GF(2^m), k | m: the images of the payload bits X^b of
+    base, the powers of the least root of its modulus in target, and for each
+    b the bits of target whose xor is bit b of the preimage of an image."""
+    k = base.k
+    if target is base:
+        return tuple(1 << b for b in range(k)), tuple((b,) for b in range(k))
+
+    def modulus_at(r):
+        acc = 0
+        for i in range(k, -1, -1):
+            acc = target.rmul(acc, r) ^ (base.modulus >> i & 1)
+        return acc
+
+    root = next(r for r in range(target.order) if not modulus_at(r))
+    images = tuple(_power(target.rmul, root, b) for b in range(k))
+    # reduced echelon rows (pivot bit, row, the bits b whose images sum to it)
+    rows = []
+    for b, v in enumerate(images):
+        combo = 1 << b
+        for pivot, w, cw in rows:
+            if v >> pivot & 1:
+                v, combo = v ^ w, combo ^ cw
+        pivot = v.bit_length() - 1
+        rows = [(p, w ^ v, cw ^ combo) if w >> pivot & 1 else (p, w, cw) for p, w, cw in rows]
+        rows.append((pivot, v, combo))
+    return images, tuple(tuple(p for p, _, cw in rows if cw >> b & 1) for b in range(k))
+
+
+@functools.cache
+def _interpolation(target: GF2k, n: int) -> tuple:
+    """The inverse Vandermonde matrix of the points z = 0..n-1 of target as
+    xors of lane planes: entry [e][p] lists the indices z*m + q of the planes
+    q of the values at the z whose xor is plane p of the coefficient of t^e."""
+    mul, m = target.rmul, target.k
+    master = [1]  # prod_z (t + z), ascending
+    for z in range(n):
+        master = [a ^ mul(b, z) for a, b in zip([0] + master, master + [0])]
+    rows = [[[] for _ in range(m)] for _ in range(n)]
+    for z in range(n):
+        # the Lagrange basis polynomial of z: master / (t + z), over its value at z
+        quot, acc = [0] * n, 0
+        for i in range(n, 0, -1):
+            acc = master[i] ^ mul(acc, z)
+            quot[i - 1] = acc
+        scale = target.rinv(functools.reduce(lambda s, a: mul(s, z) ^ a, reversed(quot), 0))
+        for e, a in enumerate(quot):
+            v = mul(a, scale)
+            for q in range(m):
+                prod = mul(v, 1 << q)
+                for p in range(m):
+                    if prod >> p & 1:
+                        rows[e][p].append(z * m + q)
+    return tuple(tuple(map(tuple, row)) for row in rows)
+
+
 @functools.cache
 def _skeleton(k: int) -> tuple:
     """The structure constants of 4x4 matrices over any entry ring of k
@@ -202,6 +291,11 @@ class _MatrixDescriptor:
         nums = iter(nums)
         self._units = [[[(l, next(nums)) for l, _ in terms] for terms in row] for row in units]
         self._split_size, self._split_c = split_size, split_c
+        # the split table as numerators over one denominator _split_den
+        nums, self._split_den = field.rclear([c for terms in split for _, c in terms])
+        nums = iter(nums)
+        self._split_nums = [[(l, next(nums)) for l, _ in terms] for terms in split]
+        self._one = None
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
         self._trp_raw: Optional[list] = None  # Trp at the Symd basis, cached with _srp_raw
@@ -222,7 +316,9 @@ class _MatrixDescriptor:
         return (self.field.rzero,) * self.ambient_dim
 
     def one_el(self):
-        return functools.reduce(self.el_add, map(self.projector, range(self.n)))
+        if self._one is None:
+            self._one = functools.reduce(self.el_add, map(self.projector, range(self.n)))
+        return self._one
 
     def projector(self, i: int):
         """The diagonal matrix unit at (i, i)."""
@@ -302,40 +398,141 @@ class _MatrixDescriptor:
 
     def _charpoly(self, flat) -> list:
         """The payloads of the characteristic polynomial of the split_rows
-        matrix with the flat payloads flat."""
+        matrix with the flat payloads flat, by one scalar run: a batch of one
+        through _charpolys_at_points costs more (its lane products do not
+        shrink with the lanes)."""
         field, c = self.field, self._split_c
         if isinstance(field, RatFunc):
             return _charpoly_fraction_free(field, flat, c, self._rows)
         return _berkowitz(self._rows(flat), c, None, field.rzero, field.rone, field.radd, field.rmul)
 
-    def _charpolys_at_points(self, elements, wanted) -> Tuple[bool, dict]:
-        """Whether the reduced charpolys at the points sum_i v_i elements[i], v
-        as in _point_masks, have zero odd coefficients, and the payloads of
-        coefficient d at the first m points for each d: m in wanted.  Over
-        GF(2^k) one Berkowitz run in bit-sliced lanes, one lane per point,
-        where split_rows (F-linear) has the xor of the masks of the elements
-        with bit p set as plane p of an entry; otherwise one run per point."""
-        field, c, n = self.field, self._split_c, len(elements)
-        split = list(map(self._split_flat, elements))
-        table = [[(l, a) for l, a in enumerate(s) if a != field.rzero] for s in split]
-        width = len(split[0])
-        if isinstance(field, GF2k):
-            k, lanes = field.k, n * (n + 1) // 2
-            entries = [[0] * k for _ in range(width)]
-            for terms, mask in zip(table, _point_masks(n)):
+    def reduced_charpolys(self, xs, masks=None) -> List[List[Fe]]:
+        """The reduced characteristic polynomials at the lanes of one driver
+        run: lane l holds the sum of the xs[i] whose masks[i] has bit l set,
+        by default xs[i] alone in lane i."""
+        if masks is None:
+            masks = [1 << i for i in range(len(xs))]
+        size, el = self._split_size, self.field._el
+        lanes = functools.reduce(operator.or_, masks).bit_length()
+        values = self._charpolys_at_points(xs, masks, dict.fromkeys(range(size + 1), lanes))
+        return [[el(values[d][l]) for d in range(size + 1)] for l in range(lanes)]
+
+    def _charpolys_at_points(self, elements, masks, wanted) -> dict:
+        """The payloads of coefficient d of the reduced characteristic
+        polynomials at the first m lanes, for each d: m in wanted, where lane l
+        holds the sum of the elements[i] whose masks[i] has bit l set.
+
+        One Berkowitz driver for both field kinds.  The batch is cleared to
+        packed numerators over one denominator D (1 over GF(2^k)), and
+        split_rows, which is linear, maps them as lane values: bit l of plane P
+        of an entry is bit P of its numerator at lane l.  With W the weight of
+        the entries and j the largest degree wanted, each entry is evaluated
+        at the N = jW + 1 points z = 0, 1, ... of GF(2^m), GF(2^k) embedded by
+        a root of its modulus, and one Berkowitz runs in bit-sliced lanes per
+        chunk of at most _MAX_LANES lanes, one block of lanes per z.  Each
+        coefficient that is not zero at every lane is interpolated by an
+        inverse Vandermonde matrix applied to the lanes, read back in GF(2^k)
+        and divided by D^j.  Over GF(2^k) all weights are 0: one block, m = k.
+
+        A centre c = p/q of the etale ring is replaced by the integral
+        generator r = q*s, with r^2 = q*r + p*q and x + y*s = (q*x + y*r)/q;
+        r has weight w, deg q <= w and deg pq <= 2w, and an entry x + y*r
+        the weight max(deg x, deg y + w), so the x part of the coefficient of
+        X^(size - j) has degree at most jW, and N values prove it (and the y
+        part, checked to vanish) exactly."""
+        field, size, c = self.field, self._split_size, self._split_c
+        base = getattr(field, "base", field)
+        k, mul, dim = base.k, field.nmul, self.ambient_dim
+        lanes = functools.reduce(operator.or_, masks).bit_length()
+        nums, den = field.rclear([a for x in elements for a in x])
+        coords = [{} for _ in range(dim)]
+        for start, mask in zip(range(0, len(nums), dim), masks):
+            for planes, a in zip(coords, nums[start : start + dim]):
+                while a:
+                    bit = a & -a
+                    p = bit.bit_length() - 1
+                    planes[p] = planes.get(p, 0) ^ mask
+                    a ^= bit
+        entries = [{} for _ in range(size * size * (1 if c is None else 2))]
+        for planes, terms in zip(coords, self._split_nums):
+            if planes:
                 for l, a in terms:
-                    for p in range(k):
-                        if a >> p & 1:
-                            entries[l][p] ^= mask
-            lane_c = None if c is None else field.lane_scalar(c, lanes)
-            rows = self._rows(list(map(tuple, entries)))
-            coeffs = _berkowitz(rows, lane_c, None, *field.lanes(lanes))
-            values = {d: field.from_lanes(coeffs[d], m) for d, m in wanted.items()}
-            return not any(map(any, coeffs[1::2])), values
-        points = candidates(field, n, None, 0, 0)
-        polys = [self._charpoly(self._apply(table, v, width)) for v in points]
-        values = {d: [pc[d] for pc in polys[:m]] for d, m in wanted.items()}
-        return all(a == field.rzero for pc in polys for a in pc[1::2]), values
+                    _times(mul, a, planes, entries[l])
+        den = mul(den, self._split_den)
+        e = None
+        if c is not None:
+            (p,), q = field.rclear([c])
+            c = p
+            if q != 1:
+                entries[::2] = [_times(mul, q, planes, {}) for planes in entries[::2]]
+                den, e, c = mul(den, q), q, mul(p, q)
+            w = max(pdeg(e, k) if e else 0, (pdeg(c, k) + 1) // 2)
+            weight = max(_weight(entries[1::2], k) + w, _weight(entries[::2], k), 0)
+        else:
+            weight = max(_weight(entries, k), 0)
+        n_points = (size - min(wanted)) * weight + 1
+        m = k
+        while 1 << m < n_points:
+            m += k
+        if m > 16:
+            raise CharformError(f"no field GF(2^m), m <= 16, holds {n_points} evaluation points")
+        target = base if m == k else gf2k(m)
+        images, readback = _embedding(base, target)
+        tmul = target.rmul
+        # coefficient d needs the values at its first (size - d) * weight + 1 points
+        counts = {d: (size - d) * weight + 1 for d in wanted}
+        values = {d: [] for d in wanted}
+        chunks = -(-n_points * lanes // _MAX_LANES)
+        per = -(-n_points // chunks)
+        block = (1 << lanes) - 1
+        for z0 in range(0, n_points, per):
+            zs = range(z0, min(z0 + per, n_points))
+            rep = sum(1 << i * lanes for i in range(len(zs)))
+            patterns = {}
+
+            def evaluate(planes):
+                # sum_P plane_P * X^(P mod k) z^(P div k) in each block z
+                acc = [0] * m
+                for p, a in planes.items():
+                    pats = patterns.get(p)
+                    if pats is None:
+                        g = [tmul(images[p % k], _power(tmul, z, p // k)) for z in zs]
+                        pats = patterns[p] = [
+                            (q, pat)
+                            for q in range(m)
+                            if (pat := sum(block << i * lanes for i, v in enumerate(g) if v >> q & 1))
+                        ]
+                    a *= rep
+                    for q, pat in pats:
+                        acc[q] ^= a & pat
+                return tuple(acc)
+
+            def scalar(poly):
+                return None if poly is None else evaluate(_times(mul, poly, {0: block}, {}))
+
+            rows = self._rows(list(map(evaluate, entries)))
+            coeffs = _berkowitz(rows, scalar(c), scalar(e), *target.lanes(len(zs) * lanes))
+            for d, out in values.items():
+                value = coeffs[d]
+                out += [[plane >> i * lanes & block for plane in value] for i, z in enumerate(zs) if z < counts[d]]
+        result = {}
+        for d, count in wanted.items():
+            flat = [plane for value in values[d] for plane in value]
+            if not any(flat):
+                result[d] = [field.rzero] * count
+                continue
+            polys = []  # plane P = e*k + b of the numerator: bit b of its coefficient of t^e
+            for row in _interpolation(target, counts[d]):
+                coef = [functools.reduce(operator.xor, map(flat.__getitem__, idx), 0) for idx in row]
+                if target is not base:
+                    back = [functools.reduce(operator.xor, map(coef.__getitem__, idx), 0) for idx in readback]
+                    for q, plane in enumerate(coef):
+                        if plane != functools.reduce(operator.xor, (bk for bk, im in zip(back, images) if im >> q & 1), 0):
+                            raise CharformError("an interpolated coefficient lies outside GF(2^k)")
+                    coef = back
+                polys += coef
+            result[d] = list(field.rfractions(base.from_lanes(polys, count), _power(mul, den, size - d)))
+        return result
 
     def trd(self, x) -> Fe:
         """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""
@@ -516,6 +713,13 @@ def reduced_charpoly(desc: Descriptor, x) -> List[Fe]:
     return desc.reduced_charpoly(x)
 
 
+def reduced_charpolys(desc: Descriptor, xs, masks=None) -> List[List[Fe]]:
+    """The reduced characteristic polynomials of a batch in one Berkowitz
+    run, lane by lane: xs[i] alone in lane i, or with masks, the sum of the
+    xs[i] whose masks[i] has bit l set in lane l."""
+    return desc.reduced_charpolys(xs, masks)
+
+
 def reduced_pfaffian(desc: Descriptor, x) -> PfaffianData:
     """Monic square root of the reduced characteristic polynomial.
 
@@ -573,11 +777,14 @@ def _points_form(desc: Descriptor) -> Tuple[RawQuadraticForm, Optional[list]]:
     degree, symplectic = desc._split_size, desc.case == "symplectic"
     second = degree - 4 if symplectic else degree - 2  # ascending coefficients
     points = n * (n + 1) // 2
-    wanted = {second: points, degree - 2: n} if symplectic else {second: points}
-    odd_zero, coeffs = desc._charpolys_at_points(basis, wanted)
+    odd = range(1, degree, 2) if symplectic else ()
+    wanted = {second: points, **dict.fromkeys(odd, points)}
+    if symplectic:
+        wanted[degree - 2] = n
+    coeffs = desc._charpolys_at_points(basis, _point_masks(n), wanted)
     values, trp = coeffs[second], None
     if symplectic:
-        if not odd_zero:
+        if any(a != field.rzero for d in odd for a in coeffs[d]):
             raise NotPfaffian("odd characteristic coefficient is nonzero")
         values, trp = [list(map(field.rsqrt, coeffs[d])) for d in (second, degree - 2)]
         if None in values or None in trp:

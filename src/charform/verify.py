@@ -47,8 +47,7 @@ from .involutions import (
     UnitaryExchange,
     _pfaffian,
     pfaffian_form,
-    reduced_charpoly,
-    reduced_pfaffian,
+    reduced_charpolys,
     symmetric_space,
 )
 from .extraction import (
@@ -305,19 +304,21 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     sym_dim, comp_dims = CASE_DIMS["symplectic"]
     out.append(PropertyResult(f"symplectic.symd_dim_{sym_dim}", space.dim == sym_dim, 1))
 
+    # every element is drawn first; the charpolys of each property are one
+    # batch, and each goes through _pfaffian in the order of the draws
     rng = _rng(seed, "symp.polarization")
     raw = pfaffian_form(desc)
-    bad = 0
     n_pairs = min(trials, 200)
-    for _ in range(n_pairs):
-        cv, cw = space.rand_coords(rng), space.rand_coords(rng)
-        x, y = space.element(cv), space.element(cw)
-        yh = space.half(cw)
-        pf_x = reduced_pfaffian(desc, x)
-        pf_y = reduced_pfaffian(desc, y)
-        pf_xy = reduced_pfaffian(desc, desc.el_add(x, y))
+    draws = [(space.rand_coords(rng), space.rand_coords(rng)) for _ in range(n_pairs)]
+    pairs = [(space.element(cv), space.element(cw)) for cv, cw in draws]
+    # x in lanes 3p and 3p + 2, y in lanes 3p + 1 and 3p + 2: x + y in lane 3p + 2
+    masks = [mask << 3 * p for p in range(n_pairs) for mask in (0b101, 0b110)]
+    pcs = reduced_charpolys(desc, [z for pair in pairs for z in pair], masks)
+    bad = 0
+    for p, ((cv, cw), (x, y)) in enumerate(zip(draws, pairs)):
+        pf_x, pf_y, pf_xy = (_pfaffian(pc, field) for pc in pcs[3 * p : 3 * p + 3])
         lhs = pf_xy.second + pf_x.second + pf_y.second
-        if lhs != pf_x.trace * pf_y.trace + desc.trd_product(x, yh):
+        if lhs != pf_x.trace * pf_y.trace + desc.trd_product(x, space.half(cw)):
             bad += 1
         if pf_x.trace != desc.trd(space.half(cv)):
             bad += 1
@@ -327,11 +328,11 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     bad = 0
     n_el = min(trials, 100)
     one = desc.one_el()
-    for _ in range(n_el):
-        x = space.element(space.rand_coords(rng))
+    xs = [space.element(space.rand_coords(rng)) for _ in range(n_el)]
+    for x, pc in zip(xs, reduced_charpolys(desc, xs)):
         # the charpoly is Prp(x)^2 exactly when _pfaffian takes its square root
         try:
-            pf = _pfaffian(reduced_charpoly(desc, x), field)
+            pf = _pfaffian(pc, field)
         except NotPfaffian:
             bad += 1
             continue

@@ -301,10 +301,16 @@ def test_star_check_fails_on_a_corrupted_w_raw(monkeypatch):
 
 
 def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
-    # 4 polarization pairs take 3 reduced charpolys each, the 4 Prp elements
-    # one each (Prp evaluated by Horner), find_square_central 2
+    # one batch for the points form, one for the 4 polarization pairs, one for
+    # the 4 Prp elements (Prp evaluated by Horner), and the 2 scalar runs of
+    # find_square_central: 5 Berkowitz runs
     runs, calls = [], []
-    charpoly, mul = _MatrixDescriptor.reduced_charpoly, _MatrixDescriptor.el_mul
+    batch, charpoly = _MatrixDescriptor._charpolys_at_points, _MatrixDescriptor.reduced_charpoly
+    mul = _MatrixDescriptor.el_mul
+
+    def counted_batch(self, *args):
+        runs.append(None)
+        return batch(self, *args)
 
     def counted_charpoly(self, x):
         runs.append(None)
@@ -314,21 +320,26 @@ def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
         calls.append(None)
         return mul(self, x, y)
 
+    monkeypatch.setattr(_MatrixDescriptor, "_charpolys_at_points", counted_batch)
     monkeypatch.setattr(_MatrixDescriptor, "reduced_charpoly", counted_charpoly)
     monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted_mul)
     assert all(r.passed for r in verify.run_symplectic(F4, 1, 4))
-    assert len(runs) <= 18 and len(calls) <= 639
+    assert len(runs) <= 5 and len(calls) <= 639
 
 
 def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
-    # a nonzero X coefficient fails the Prp property instead of aborting the suite
-    charpoly = verify.reduced_charpoly
+    # a nonzero X coefficient fails the Prp property instead of aborting the
+    # suite; the flip hits the Prp batch (one element per lane), not the
+    # polarization batch (masks put x, y and x + y in lanes of their own)
+    charpolys = verify.reduced_charpolys
 
-    def flipped(desc, x):
-        pc = charpoly(desc, x)
-        return [pc[0], pc[1] + desc.field.one, *pc[2:]]
+    def flipped(desc, xs, masks=None):
+        pcs = charpolys(desc, xs, masks)
+        if masks is None:
+            pcs = [[pc[0], pc[1] + desc.field.one, *pc[2:]] for pc in pcs]
+        return pcs
 
-    monkeypatch.setattr(verify, "reduced_charpoly", flipped)
+    monkeypatch.setattr(verify, "reduced_charpolys", flipped)
     lines = {r.name: r.line() for r in verify.run_symplectic(F4, 1, 4)}
     prp = "symplectic.prp_square_and_annihilation"
     assert lines.pop(prp) == f"FAIL {prp} (4 trials)"

@@ -528,29 +528,71 @@ def _batch_descriptor(field, kind):
     return UnitaryEtale(field, c, gram)
 
 
-@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
-@pytest.mark.parametrize(
-    "kind", ["split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale"]
-)
-def test_batched_charpolys_match_scalar_runs(field, kind):
-    # the lane batch at the points e_i, e_i + e_j agrees with one scalar run per point
-    desc = _batch_descriptor(field, kind)
-    space = symmetric_space(desc)
+# the small descriptors of every kind over GF(2), GF(4) and GF(8), and every golden
+# over GF(2^k)(t): symplectic (over F and over the etale ring), unitary etale
+# (centres t, 1/t and 0x2*t) and orthogonal
+BATCH_CASES = {
+    **{
+        f"{name}-{kind}": (lambda field=field, kind=kind: _batch_descriptor(field, kind))
+        for name, field in (("gf2", GF2), ("gf4", F4), ("gf8", F8))
+        for kind in ("split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale")
+    },
+    **{
+        name: (lambda name=name: _golden_descriptor(name))
+        for name in sorted(
+            p.stem for p in (Path(__file__).parent / "golden" / "descriptors").glob("*ratfunc*.json")
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_charpolys_match_scalar_runs(case):
+    # the driver's batch at the points e_i, e_i + e_j agrees with one scalar run
+    # per point: a lane run over GF(2^k), evaluation and interpolation over F(t)
+    desc = BATCH_CASES[case]()
+    field, space = desc.field, symmetric_space(desc)
     points = list(candidates(field, space.dim, None, 0, 0))
     expected = [desc.reduced_charpoly(space.element(v)) for v in points]
     # every coefficient, each at its own number of leading points
     wanted = {d: len(points) - 5 * d for d in range(desc._split_size + 1)}
-    odd_zero, got = desc._charpolys_at_points(space.basis, wanted)
-    assert odd_zero == (kind in ("split_symp", "index2_symp"))
-    assert odd_zero == all(not c for pc in expected for c in pc[1::2])
+    got = desc._charpolys_at_points(space.basis, involutions._point_masks(space.dim), wanted)
     for d, m in wanted.items():
         assert got[d] == [pc[d].raw for pc in expected[:m]]
-    if kind == "unitary_etale":
+    odd = [c for pc in expected for c in pc[1::2]]
+    assert (desc.case == "symplectic") == (not any(odd))
+    if desc.kind == "unitary_etale":
         # s at (0, 0) as one more coordinate: its trace s lies outside F
         x = desc.zero_el()
         x = x[:1] + (field.rone,) + x[2:]
         with pytest.raises(CoefficientNotRational):
-            desc._charpolys_at_points(space.basis + [x], {2: 1})
+            masks = involutions._point_masks(space.dim + 1)
+            desc._charpolys_at_points(space.basis + [x], masks, {2: 1})
+
+
+def test_a_high_degree_descriptor_runs_in_chunks(monkeypatch):
+    # slots of degree up to 6 need 7 * 20 + 1 evaluation points of GF(2^8): the
+    # 406-lane blocks run in four chunks, none wider than _MAX_LANES, and the
+    # coefficients agree with the fraction-free run at the first points
+    t, one = R2.t, R2.one
+    desc = idx2(R2, t * t + t, t**3 + one, (t**5 + t + one, t**4 + t**3 + one, t**6 + t**2 + one))
+    space = symmetric_space(desc)
+    berkowitz, widths = involutions._berkowitz, []
+
+    def counted(rows, c, e, zero, one, add, mul):
+        if isinstance(one, tuple):  # a lane run, not a fraction-free one
+            widths.append(one[0].bit_length())
+        return berkowitz(rows, c, e, zero, one, add, mul)
+
+    monkeypatch.setattr(involutions, "_berkowitz", counted)
+    masks = involutions._point_masks(space.dim)
+    got = desc._charpolys_at_points(space.basis, masks, {1: 406, 4: 30, 6: 28})
+    assert len(widths) == 4 and max(widths) <= involutions._MAX_LANES
+    assert got[1] == [R2.rzero] * 406
+    points = list(candidates(R2, space.dim, None, 0, 0))[:30]
+    expected = [desc.reduced_charpoly(space.element(v)) for v in points]
+    assert got[4] == [pc[4].raw for pc in expected]
+    assert got[6] == [pc[6].raw for pc in expected[:28]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 28])
@@ -585,19 +627,24 @@ def _point_descriptor(field):
 
 
 def _corrupt_point(monkeypatch, point, d, delta):
-    """Add the payload delta to coefficient d of the Berkowitz output at the
-    point with this index in the points batch: in its lane over GF(2^k), in
-    its own run over GF(2^k)(t), where delta is a packed polynomial added to
-    the numerator of the coefficient."""
-    berkowitz, runs = involutions._berkowitz, []
+    """Add delta to coefficient d of the charpoly at the point with this index
+    in the points batch of the 28-dimensional Symd.  The driver's Berkowitz
+    runs hold one block of lanes per evaluation point z = 0, 1, ... (in order
+    across its runs; one block, z = 0, over GF(2^k)), so delta, a packed
+    polynomial over GF(2) added to the numerator of the coefficient, adds its
+    value at z in GF(2^m) to the lane of the point in each block."""
+    berkowitz, lanes, seen = involutions._berkowitz, 28 * 29 // 2, [0]
 
-    def corrupted(rows, *args):
-        coeffs = berkowitz(rows, *args)
-        if isinstance(coeffs[d], tuple):  # bit planes, one lane per point
-            coeffs[d] = tuple(a ^ (delta >> p & 1) << point for p, a in enumerate(coeffs[d]))
-        elif len(runs) == point:
-            coeffs[d] ^= delta
-        runs.append(None)
+    def corrupted(rows, c, e, zero, one, add, mul):
+        coeffs = berkowitz(rows, c, e, zero, one, add, mul)
+        target, blocks = gf2k(len(one)), one[0].bit_length() // lanes
+        for i in range(blocks):
+            z, value, power = seen[0] + i, 0, 1
+            for b in range(delta.bit_length()):
+                value ^= power if delta >> b & 1 else 0
+                power = target.rmul(power, z)
+            coeffs[d] = tuple(a ^ (value >> p & 1) << (i * lanes + point) for p, a in enumerate(coeffs[d]))
+        seen[0] += blocks
         return coeffs
 
     monkeypatch.setattr(involutions, "_berkowitz", corrupted)

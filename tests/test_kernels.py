@@ -20,6 +20,7 @@ by lane, its Berkowitz run against one scalar run per lane, and the unpack
 of the first lanes against the full unpack.
 """
 
+import functools
 import random
 
 import pytest
@@ -31,10 +32,11 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
-from oracles import EtaleRing, QuatRing, normalize_by_polar, to_lanes
+from oracles import EtaleRing, QuatRing, charpoly, normalize_by_polar, to_lanes
 from charform import fields
 from charform.fields import (
     GF2,
+    Fe,
     GF2k,
     QuadraticExtension,
     etale_ops,
@@ -50,7 +52,13 @@ from charform.fields import (
     solve_artin_schreier,
 )
 from charform.forms import RawQuadraticForm, blocks_match_upto_squares, form, normalize
-from charform.involutions import Index2Symp, Orthogonal, UnitaryEtale, UnitaryExchange
+from charform.involutions import (
+    Index2Symp,
+    Orthogonal,
+    UnitaryEtale,
+    UnitaryExchange,
+    symmetric_space,
+)
 from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
 from charform.quaternions import Quat, QuaternionAlgebra
 
@@ -661,3 +669,58 @@ def test_lane_berkowitz_matches_scalar_runs(field):
     for lane, m in enumerate(mats):
         scalar = charpoly_raw(m, field.rzero, field.rone, field.radd, field.rmul)
         assert [c[lane] for c in coeffs] == scalar
+
+
+# ---------------------------------------------------------------------------
+# the Berkowitz driver over GF(2^k)(t)
+# ---------------------------------------------------------------------------
+
+
+def object_charpoly(desc, x):
+    """Berkowitz (``oracles.charpoly``) on the entries of x as field objects,
+    or as etale ring objects whose coefficients must have zero y parts."""
+    field, rows = desc.field, entries(desc, x)
+    if desc.k == 1:
+        return charpoly(Mat(field, [[field._el(a) for a in row] for row in rows]))
+    ring = EtaleRing(field, desc.c)
+    coeffs = charpoly(Mat(ring, [[ring._el(a) for a in row] for row in rows]))
+    assert all(not e.y for e in coeffs)
+    return [e.x for e in coeffs]
+
+
+@settings(max_examples=30, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from([ratfunc(GF2), ratfunc(gf2k(2))]), st.booleans(), st.data())
+def test_ratfunc_driver_matches_object_and_fraction_free_runs(field, etale, data):
+    # low-degree 4x4 matrices over F(t), or symmetric ones over F(t)[s] with
+    # s^2 + s = c for a centre c = p/q (q != 1 nearly always), summed into
+    # lanes by random masks: the driver's evaluation and interpolation agree
+    # with Berkowitz on objects and with one fraction-free run per lane
+    gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
+    entry = sparse(field, elements(field))
+    if etale:
+        c = data.draw(
+            elements(field, nonzero=True).filter(
+                lambda c: not isinstance(solve_artin_schreier(c), Fe)
+            )
+        )
+        desc = UnitaryEtale(field, c, gram)
+        space = symmetric_space(desc)  # reduced coefficients of Sym lie in F
+
+        def draw():
+            return space.element([a.raw for a in data.draw(st.lists(entry, min_size=16, max_size=16))])
+
+    else:
+        desc = Orthogonal(field, gram)
+
+        def draw():
+            return tuple(a.raw for a in data.draw(st.lists(entry, min_size=16, max_size=16)))
+
+    xs = [draw() for _ in range(data.draw(st.integers(1, 3)))]
+    lanes = st.integers(1, (1 << data.draw(st.integers(1, 4))) - 1)
+    masks = [data.draw(lanes) for _ in xs]
+    for lane, pc in enumerate(desc.reduced_charpolys(xs, masks)):
+        x = functools.reduce(
+            desc.el_add, (x for x, m in zip(xs, masks) if m >> lane & 1), desc.zero_el()
+        )
+        assert pc == object_charpoly(desc, x)
+        assert pc == desc.reduced_charpoly(x)  # the fraction-free run

@@ -16,11 +16,15 @@ splitting image of Q for the symplectic shapes (over the etale ring with
 c = a only when Q does not split over F), the entries themselves (the E
 block of the exchange algebra) for the others.  Products walk one skeleton
 per entry size; sigma and split_rows are one sparse linear map each.
-One Berkowitz driver gives ``reduced_charpoly``; the reduced Pfaffian of a
-symmetrized element is the square root of its even coefficients.  Trd comes
-from ``split_rows`` too, and both trace forms are read off the reduced
-characteristic polynomials at the points e_i and e_i + e_j of the symmetric
-space, one batch per form, which also gives the Pfaffian trace at the e_i.
+One scalar Berkowitz run gives ``reduced_charpoly`` (fraction-free over
+GF(2^k)(t)); the reduced Pfaffian of a symmetrized element is the square
+root of its even coefficients.  Batches run through one lane driver,
+``_charpolys_at_points``, for both field kinds: bit-sliced GF(2^k) lanes,
+and over GF(2^k)(t) evaluation at the points of some GF(2^m) and
+interpolation, in lanes too.  Trd comes from ``split_rows`` too, and both
+trace forms are read off the reduced characteristic polynomials at the
+points e_i and e_i + e_j of the symmetric space, one batch per form, which
+also gives the Pfaffian trace at the e_i.
 """
 
 from __future__ import annotations
@@ -163,22 +167,78 @@ def _power(mul, x, n: int):
     return acc
 
 
+def _bits(a: int):
+    """The positions of the set bits of a, lowest first."""
+    while a:
+        low = a & -a
+        yield low.bit_length() - 1
+        a ^= low
+
+
+def _xor(values) -> int:
+    return functools.reduce(operator.xor, values, 0)
+
+
 def _times(mul, poly, planes: dict, out: dict) -> dict:
     """out plus poly times a polynomial in lanes (plane P: bit P of a packed
     numerator in each lane), with mul the product of packed numerators."""
     for p, a in planes.items():
-        prod = mul(poly, 1 << p)
-        while prod:
-            bit = prod & -prod
-            q = bit.bit_length() - 1
+        for q in (p,) if poly == 1 else _bits(mul(poly, 1 << p)):
             out[q] = out.get(q, 0) ^ a
-            prod ^= bit
     return out
 
 
 def _weight(entries, k: int) -> int:
     """The largest degree of a polynomial in lanes among the entries, or -1."""
     return max((p for planes in entries for p, a in planes.items() if a), default=-k) // k
+
+
+def _evaluator(base: GF2k, target: GF2k, zs, lanes: int):
+    """The value of a polynomial in lanes over GF(2^k) at the points zs of
+    GF(2^m), one block of the given number of lanes per point: plane P
+    contributes X^(P mod k) z^(P div k) in block z, a pattern of bit planes
+    applied with one product (a copy of the plane in each block) and an and
+    per plane."""
+    k, m, mul = base.k, target.k, target.rmul
+    images = _embedding(base, target)[0]
+    block, rep = (1 << lanes) - 1, sum(1 << i * lanes for i in range(len(zs)))
+    patterns = {}
+
+    def evaluate(planes) -> tuple:
+        acc = [0] * m
+        for p, a in planes.items():
+            if p not in patterns:
+                g = [mul(images[p % k], _power(mul, z, p // k)) for z in zs]
+                bits = ((q, sum(block << i * lanes for i, v in enumerate(g) if v >> q & 1))
+                        for q in range(m))
+                patterns[p] = [(q, pattern) for q, pattern in bits if pattern]
+            a *= rep
+            for q, pattern in patterns[p]:
+                acc[q] ^= a & pattern
+        return tuple(acc)
+
+    return evaluate
+
+
+def _interpolate(base: GF2k, target: GF2k, values, n: int) -> list:
+    """The packed numerators at the first n lanes of the polynomials over
+    GF(2^k) whose values at z = 0, 1, ... of GF(2^m) are the lane values
+    values[z] (lists of bit planes): the inverse Vandermonde matrix applied to
+    the planes, each coefficient read back in GF(2^k), which it must lie in."""
+    flat = [plane for value in values for plane in value]
+    if not any(flat):
+        return [0] * n
+    images, readback = _embedding(base, target)
+    planes = []  # plane e*k + b: bit b of the coefficient of t^e
+    for row in _interpolation(target, len(values)):
+        coef = [_xor(map(flat.__getitem__, terms)) for terms in row]
+        if target is not base:
+            back = [_xor(map(coef.__getitem__, terms)) for terms in readback]
+            if coef != [_xor(b for b, im in zip(back, images) if im >> q & 1) for q in range(target.k)]:
+                raise CharformError("an interpolated coefficient lies outside GF(2^k)")
+            coef = back
+        planes += coef
+    return base.from_lanes(planes, n)
 
 
 @functools.cache
@@ -422,117 +482,87 @@ class _MatrixDescriptor:
         polynomials at the first m lanes, for each d: m in wanted, where lane l
         holds the sum of the elements[i] whose masks[i] has bit l set.
 
-        One Berkowitz driver for both field kinds.  The batch is cleared to
-        packed numerators over one denominator D (1 over GF(2^k)), and
-        split_rows, which is linear, maps them as lane values: bit l of plane P
-        of an entry is bit P of its numerator at lane l.  With W the weight of
-        the entries and j the largest degree wanted, each entry is evaluated
-        at the N = jW + 1 points z = 0, 1, ... of GF(2^m), GF(2^k) embedded by
-        a root of its modulus, and one Berkowitz runs in bit-sliced lanes per
-        chunk of at most _MAX_LANES lanes, one block of lanes per z.  Each
-        coefficient that is not zero at every lane is interpolated by an
-        inverse Vandermonde matrix applied to the lanes, read back in GF(2^k)
-        and divided by D^j.  Over GF(2^k) all weights are 0: one block, m = k.
-
-        A centre c = p/q of the etale ring is replaced by the integral
-        generator r = q*s, with r^2 = q*r + p*q and x + y*s = (q*x + y*r)/q;
-        r has weight w, deg q <= w and deg pq <= 2w, and an entry x + y*r
-        the weight max(deg x, deg y + w), so the x part of the coefficient of
-        X^(size - j) has degree at most jW, and N values prove it (and the y
-        part, checked to vanish) exactly."""
-        field, size, c = self.field, self._split_size, self._split_c
+        One Berkowitz driver for both field kinds.  With the entries of
+        split_rows as polynomials in lanes over one denominator D
+        (``_lane_matrix``), W their weight and j the largest degree wanted,
+        each entry is evaluated at the N = jW + 1 points z = 0, 1, ... of
+        GF(2^m), m the least multiple of k with 2^m >= N, and one Berkowitz
+        runs in bit-sliced GF(2^m) lanes per chunk of at most _MAX_LANES lanes,
+        one block of lanes per z.  The coefficient of X^(size - j) is a
+        polynomial of degree at most jW over D^j, so its first jW + 1 values
+        give it by interpolation (``_interpolate``).  Over GF(2^k) all weights
+        are 0: one block, m = k and nothing to interpolate."""
+        field, size = self.field, self._split_size
         base = getattr(field, "base", field)
-        k, mul, dim = base.k, field.nmul, self.ambient_dim
         lanes = functools.reduce(operator.or_, masks).bit_length()
-        nums, den = field.rclear([a for x in elements for a in x])
-        coords = [{} for _ in range(dim)]
-        for start, mask in zip(range(0, len(nums), dim), masks):
-            for planes, a in zip(coords, nums[start : start + dim]):
-                while a:
-                    bit = a & -a
-                    p = bit.bit_length() - 1
-                    planes[p] = planes.get(p, 0) ^ mask
-                    a ^= bit
-        entries = [{} for _ in range(size * size * (1 if c is None else 2))]
-        for planes, terms in zip(coords, self._split_nums):
-            if planes:
-                for l, a in terms:
-                    _times(mul, a, planes, entries[l])
-        den = mul(den, self._split_den)
-        e = None
-        if c is not None:
-            (p,), q = field.rclear([c])
-            c = p
-            if q != 1:
-                entries[::2] = [_times(mul, q, planes, {}) for planes in entries[::2]]
-                den, e, c = mul(den, q), q, mul(p, q)
-            w = max(pdeg(e, k) if e else 0, (pdeg(c, k) + 1) // 2)
-            weight = max(_weight(entries[1::2], k) + w, _weight(entries[::2], k), 0)
-        else:
-            weight = max(_weight(entries, k), 0)
+        entries, den, c, e, weight = self._lane_matrix(elements, masks)
         n_points = (size - min(wanted)) * weight + 1
-        m = k
+        m = base.k
         while 1 << m < n_points:
-            m += k
+            m += base.k
         if m > 16:
             raise CharformError(f"no field GF(2^m), m <= 16, holds {n_points} evaluation points")
-        target = base if m == k else gf2k(m)
-        images, readback = _embedding(base, target)
-        tmul = target.rmul
-        # coefficient d needs the values at its first (size - d) * weight + 1 points
+        target = base if m == base.k else gf2k(m)
         counts = {d: (size - d) * weight + 1 for d in wanted}
-        values = {d: [] for d in wanted}
-        chunks = -(-n_points * lanes // _MAX_LANES)
-        per = -(-n_points // chunks)
-        block = (1 << lanes) - 1
+        values = {d: [] for d in wanted}  # per z, the planes of coefficient d
+        per = -(-n_points // -(-n_points * lanes // _MAX_LANES))
         for z0 in range(0, n_points, per):
             zs = range(z0, min(z0 + per, n_points))
-            rep = sum(1 << i * lanes for i in range(len(zs)))
-            patterns = {}
-
-            def evaluate(planes):
-                # sum_P plane_P * X^(P mod k) z^(P div k) in each block z
-                acc = [0] * m
-                for p, a in planes.items():
-                    pats = patterns.get(p)
-                    if pats is None:
-                        g = [tmul(images[p % k], _power(tmul, z, p // k)) for z in zs]
-                        pats = patterns[p] = [
-                            (q, pat)
-                            for q in range(m)
-                            if (pat := sum(block << i * lanes for i, v in enumerate(g) if v >> q & 1))
-                        ]
-                    a *= rep
-                    for q, pat in pats:
-                        acc[q] ^= a & pat
-                return tuple(acc)
+            evaluate = _evaluator(base, target, zs, lanes)
+            block = (1 << lanes) - 1
 
             def scalar(poly):
-                return None if poly is None else evaluate(_times(mul, poly, {0: block}, {}))
+                return None if poly is None else evaluate(dict.fromkeys(_bits(poly), block))
 
             rows = self._rows(list(map(evaluate, entries)))
             coeffs = _berkowitz(rows, scalar(c), scalar(e), *target.lanes(len(zs) * lanes))
             for d, out in values.items():
-                value = coeffs[d]
-                out += [[plane >> i * lanes & block for plane in value] for i, z in enumerate(zs) if z < counts[d]]
+                blocks = range(min(len(zs), counts[d] - z0))
+                out += [[plane >> i * lanes & block for plane in coeffs[d]] for i in blocks]
         result = {}
-        for d, count in wanted.items():
-            flat = [plane for value in values[d] for plane in value]
-            if not any(flat):
-                result[d] = [field.rzero] * count
-                continue
-            polys = []  # plane P = e*k + b of the numerator: bit b of its coefficient of t^e
-            for row in _interpolation(target, counts[d]):
-                coef = [functools.reduce(operator.xor, map(flat.__getitem__, idx), 0) for idx in row]
-                if target is not base:
-                    back = [functools.reduce(operator.xor, map(coef.__getitem__, idx), 0) for idx in readback]
-                    for q, plane in enumerate(coef):
-                        if plane != functools.reduce(operator.xor, (bk for bk, im in zip(back, images) if im >> q & 1), 0):
-                            raise CharformError("an interpolated coefficient lies outside GF(2^k)")
-                    coef = back
-                polys += coef
-            result[d] = list(field.rfractions(base.from_lanes(polys, count), _power(mul, den, size - d)))
+        for d, m_d in wanted.items():
+            nums = _interpolate(base, target, values[d], m_d)
+            result[d] = list(field.rfractions(nums, _power(field.nmul, den, size - d)))
         return result
+
+    def _lane_matrix(self, elements, masks) -> tuple:
+        """The split_rows entries at the lanes as polynomials in lanes (dicts
+        {P: plane}, bit l of plane P the bit P of the packed numerator at lane
+        l), over one denominator D; the etale parameters c and e of the lane
+        ring s^2 = e*s + c as packed polynomials (None for no etale ring, and
+        for e = 1); and the weight W of the entries.
+
+        The batch is cleared once to numerators and split_rows, which is
+        linear, maps them with the split table cleared once per descriptor.
+        A centre c = p/q is replaced by the integral generator r = q*s, with
+        r^2 = q*r + p*q and x + y*s = (q*x + y*r)/q.  r has a weight w with
+        deg q <= w and deg pq <= 2w, an entry x + y*r the weight
+        max(deg x, deg y + w), and a product of j entries at most j times the
+        largest, so the x part of the coefficient of X^(size - j), and the y
+        part that ``_berkowitz`` checks to vanish, have degree at most jW."""
+        field, c = self.field, self._split_c
+        k, mul, dim = getattr(field, "base", field).k, field.nmul, self.ambient_dim
+        nums, den = field.rclear([a for x in elements for a in x])
+        coords = [{} for _ in range(dim)]
+        for start, mask in zip(range(0, len(nums), dim), masks):
+            for planes, a in zip(coords, nums[start : start + dim]):
+                if a:
+                    for p in _bits(a):
+                        planes[p] = planes.get(p, 0) ^ mask
+        entries = [{} for _ in range(self._split_size ** 2 * (1 if c is None else 2))]
+        for planes, terms in zip(coords, self._split_nums):
+            if planes:
+                for l, a in terms:
+                    _times(mul, a, planes, entries[l])
+        den, e = mul(den, self._split_den), None
+        if c is None:
+            return entries, den, None, None, max(_weight(entries, k), 0)
+        (c,), q = field.rclear([c])
+        if q != 1:
+            entries[::2] = [_times(mul, q, planes, {}) for planes in entries[::2]]
+            den, e, c = mul(den, q), q, mul(c, q)
+        w = max(pdeg(e, k) if e else 0, (pdeg(c, k) + 1) // 2)
+        return entries, den, c, e, max(_weight(entries[1::2], k) + w, _weight(entries[::2], k), 0)
 
     def trd(self, x) -> Fe:
         """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""

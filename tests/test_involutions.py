@@ -5,9 +5,13 @@ expansion determinant oracle over polynomial entries, against Berkowitz on
 matrices of entry-ring objects (the splitting image over F or over the etale
 ring F[s]/(s^2 + s + a), the etale entries of the unitary algebra, the field
 entries of the E block), and against closed forms for projectors and block
-elements.  The batched Berkowitz run at the points e_i and e_i + e_j
+elements.  The batched Berkowitz driver at the points e_i and e_i + e_j
 (bit-sliced lanes over GF(2^k), whose point masks are checked against the
-packed points) is checked against one scalar run per point.  The trace forms
+packed points; evaluation and interpolation over GF(2^k)(t), on every F(t)
+golden and on a high-degree descriptor that needs several lane runs) is
+checked against one scalar run per point, and must refuse an interpolated
+value outside the base field and a degree no GF(2^m), m <= 16, can
+interpolate.  The trace forms
 read off the points are checked against the Pfaffian or characteristic
 coefficient of random elements, the Pfaffian trace read off the e_i against
 that of random elements, and the Pfaffian form must refuse a point whose
@@ -593,6 +597,30 @@ def test_a_high_degree_descriptor_runs_in_chunks(monkeypatch):
     expected = [desc.reduced_charpoly(space.element(v)) for v in points]
     assert got[4] == [pc[4].raw for pc in expected]
     assert got[6] == [pc[6].raw for pc in expected[:28]]
+
+
+def test_the_driver_refuses_a_value_outside_the_base_field(monkeypatch):
+    # the class of X in GF(2^m), added to one coefficient at one lane of every
+    # evaluation block, interpolates to a constant outside GF(2)
+    desc = _point_descriptor(R2)
+    berkowitz = involutions._berkowitz
+
+    def corrupted(rows, c, e, zero, one, add, mul):
+        coeffs = berkowitz(rows, c, e, zero, one, add, mul)
+        coeffs[4] = (coeffs[4][0], coeffs[4][1] ^ one[0]) + coeffs[4][2:]
+        return coeffs
+
+    monkeypatch.setattr(involutions, "_berkowitz", corrupted)
+    with pytest.raises(CharformError, match="outside GF"):
+        pfaffian_form(desc)
+
+
+def test_the_driver_refuses_more_points_than_gf_2_16_holds():
+    # an entry of degree 20000 needs 4 * 20000 + 1 points
+    desc = Orthogonal(R2, (R2.one,) * 4)
+    x = (R2.el(1 << 20000),) + (R2.zero,) * 15
+    with pytest.raises(CharformError, match="m <= 16"):
+        desc.reduced_charpolys([tuple(a.raw for a in x)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 28])

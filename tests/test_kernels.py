@@ -17,7 +17,10 @@ GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
 GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
 bit-sliced GF(2^k) lane ring against the log-table payload arithmetic lane
 by lane, its Berkowitz run against one scalar run per lane, and the unpack
-of the first lanes against the full unpack.
+of the first lanes against the full unpack; the Berkowitz driver over
+GF(2)(t) and GF(4)(t), on lanes that sum random elements by random masks,
+against Berkowitz on matrices of field or etale ring objects (centres p/q)
+and against one fraction-free run per lane.
 """
 
 import functools

@@ -293,8 +293,11 @@ def test_symmetric_space_dimensions():
     assert symmetric_space(UnitaryEtale(GF2, GF2.one, (GF2.one,) * 4)).dim == 16
 
 
+GOLDEN_DESCRIPTORS = Path(__file__).parent / "golden" / "descriptors"
+
+
 def _golden_descriptor(name):
-    path = Path(__file__).parent / "golden" / "descriptors" / f"{name}.json"
+    path = GOLDEN_DESCRIPTORS / f"{name}.json"
     return descriptor_from_json(json.loads(path.read_text()))
 
 
@@ -537,15 +540,15 @@ def _batch_descriptor(field, kind):
 # (centres t, 1/t and 0x2*t) and orthogonal
 BATCH_CASES = {
     **{
-        f"{name}-{kind}": (lambda field=field, kind=kind: _batch_descriptor(field, kind))
+        f"{kind}-{name}": (lambda field=field, kind=kind: _batch_descriptor(field, kind))
         for name, field in (("gf2", GF2), ("gf4", F4), ("gf8", F8))
-        for kind in ("split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale")
+        for kind in (
+            "split_symp", "index2_symp", "orthogonal", "unitary_exchange", "unitary_etale"
+        )
     },
     **{
         name: (lambda name=name: _golden_descriptor(name))
-        for name in sorted(
-            p.stem for p in (Path(__file__).parent / "golden" / "descriptors").glob("*ratfunc*.json")
-        )
+        for name in sorted(p.stem for p in GOLDEN_DESCRIPTORS.glob("*ratfunc*.json"))
     },
 }
 
@@ -600,8 +603,8 @@ def test_a_high_degree_descriptor_runs_in_chunks(monkeypatch):
 
 
 def test_the_driver_refuses_a_value_outside_the_base_field(monkeypatch):
-    # the class of X in GF(2^m), added to one coefficient at one lane of every
-    # evaluation block, interpolates to a constant outside GF(2)
+    # the class of X in GF(2^m), added to the X^4 coefficient at every lane
+    # of every evaluation block, interpolates to a constant outside GF(2)
     desc = _point_descriptor(R2)
     berkowitz = involutions._berkowitz
 
@@ -671,7 +674,8 @@ def _corrupt_point(monkeypatch, point, d, delta):
             for b in range(delta.bit_length()):
                 value ^= power if delta >> b & 1 else 0
                 power = target.rmul(power, z)
-            coeffs[d] = tuple(a ^ (value >> p & 1) << (i * lanes + point) for p, a in enumerate(coeffs[d]))
+            lane = i * lanes + point
+            coeffs[d] = tuple(a ^ (value >> p & 1) << lane for p, a in enumerate(coeffs[d]))
         seen[0] += blocks
         return coeffs
 

@@ -699,7 +699,7 @@ def test_ratfunc_driver_matches_object_and_fraction_free_runs(field, etale, data
     # lanes by random masks: the driver's evaluation and interpolation agree
     # with Berkowitz on objects and with one fraction-free run per lane
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
-    entry = sparse(field, elements(field))
+    entries16 = st.lists(sparse(field, elements(field)), min_size=16, max_size=16)
     if etale:
         c = data.draw(
             elements(field, nonzero=True).filter(
@@ -710,13 +710,13 @@ def test_ratfunc_driver_matches_object_and_fraction_free_runs(field, etale, data
         space = symmetric_space(desc)  # reduced coefficients of Sym lie in F
 
         def draw():
-            return space.element([a.raw for a in data.draw(st.lists(entry, min_size=16, max_size=16))])
+            return space.element([a.raw for a in data.draw(entries16)])
 
     else:
         desc = Orthogonal(field, gram)
 
         def draw():
-            return tuple(a.raw for a in data.draw(st.lists(entry, min_size=16, max_size=16)))
+            return tuple(a.raw for a in data.draw(entries16))
 
     xs = [draw() for _ in range(data.draw(st.integers(1, 3)))]
     lanes = st.integers(1, (1 << data.draw(st.integers(1, 4))) - 1)

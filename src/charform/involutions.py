@@ -9,19 +9,21 @@ twisted-transpose unitary involution, and 4x4 matrices over F with a
 transpose-type orthogonal involution.
 
 Every descriptor is three sparse tables over its payload coordinates: the
-products of its entry ring's unit payloads, sigma, and ``split_rows``, a
-square payload matrix with the reduced characteristic polynomial (and the
-parameter c of its entry ring F[s]/(s^2 + s + c), or None over F): the 8x8
-splitting image of Q for the symplectic shapes (over the etale ring with
-c = a only when Q does not split over F), the entries themselves (the E
-block of the exchange algebra) for the others.  Products walk one skeleton
-per entry size; sigma and split_rows are one sparse linear map each.
-One scalar Berkowitz run gives ``reduced_charpoly`` (fraction-free over
-GF(2^k)(t)); the reduced Pfaffian of a symmetrized element is the square
-root of its even coefficients.  Batches run through one lane driver,
-``_charpolys_at_points``, for both field kinds: bit-sliced GF(2^k) lanes,
-and over GF(2^k)(t) evaluation at the points of some GF(2^m) and
-interpolation, in lanes too.  Trd comes from ``split_rows`` too, and both
+products of its entry ring's unit payloads, sigma, and the split table, the
+terms of each e_i in a square matrix with the reduced characteristic
+polynomial, over the etale ring F[s]/(s^2 + s + c) when the descriptor has a
+parameter c: the 8x8 splitting image of Q for the symplectic shapes (over
+the etale ring with c = a only when Q does not split over F), the entries
+themselves (the E block of the exchange algebra) for the others.  Products
+walk one skeleton per entry size, and sigma is one sparse linear map.  One
+builder, ``_cleared``, turns elements into split matrices: integral ones,
+sparse numerators over one denominator D, with a centre c = p/q made
+integral as r = q*s.  Three readers share it: ``reduced_charpoly``, one
+scalar Berkowitz run on numerators for both field kinds; ``trd_product``
+(and ``trd``); and the lane driver ``_charpolys_at_points`` for batches:
+bit-sliced GF(2^k) lanes, and over GF(2^k)(t) evaluation at the points of
+some GF(2^m) and interpolation, in lanes too.  The reduced Pfaffian of a
+symmetrized element is the square root of its even coefficients, and both
 trace forms are read off the reduced characteristic polynomials at the
 points e_i and e_i + e_j of the symmetric space, one batch per form, which
 also gives the Pfaffian trace at the e_i.
@@ -50,11 +52,9 @@ from .fields import (
     Field,
     GF2k,
     QuadraticExtension,
-    RatFunc,
     etale_ops,
     gf2k,
     pdeg,
-    pmul,
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm, candidates
@@ -131,30 +131,6 @@ def _berkowitz(rows, c, e, zero, one, add, mul) -> list:
     return _base_parts(charpoly_raw(rows, (zero, zero), (one, zero), eadd, emul), zero)
 
 
-def _charpoly_fraction_free(field: RatFunc, flat, c, rows) -> list:
-    """Berkowitz over GF(2^k)(t) on packed polynomials, with no gcd in the
-    inner loops: the payloads flat of the matrix are cleared once to
-    numerators over den, ``rows`` lays them out, and coefficient i of den*M
-    is divided by den^(n-i).  A centre c = p/q with q != 1 is replaced by the
-    integral generator r = q*s, with r^2 = q*r + p*q and x + y*s = x + (y/q)*r."""
-    e = None
-    if c is not None:
-        p, q = c
-        c = p
-        if q != 1:
-            flat = list(flat)
-            flat[1::2] = [field.rmul(y, (1, q)) for y in flat[1::2]]
-            e, c = q, pmul(p, q, field.base)
-    nums, den = field.rclear(flat)
-    mul = field.nmul
-    coeffs = _berkowitz(rows(nums), c, e, 0, 1, operator.xor, mul)
-    power = 1
-    for i in range(len(coeffs) - 1, -1, -1):
-        coeffs[i] = field._norm(coeffs[i], power)
-        power = mul(power, den)
-    return coeffs
-
-
 # the widest lane run of the Berkowitz driver: more evaluation points run in
 # more chunks, so a descriptor of high degree costs time, not memory
 _MAX_LANES = 1 << 14
@@ -177,15 +153,6 @@ def _bits(a: int):
 
 def _xor(values) -> int:
     return functools.reduce(operator.xor, values, 0)
-
-
-def _times(mul, poly, planes: dict, out: dict) -> dict:
-    """out plus poly times a polynomial in lanes (plane P: bit P of a packed
-    numerator in each lane), with mul the product of packed numerators."""
-    for p, a in planes.items():
-        for q in (p,) if poly == 1 else _bits(mul(poly, 1 << p)):
-            out[q] = out.get(q, 0) ^ a
-    return out
 
 
 def _weight(entries, k: int) -> int:
@@ -336,8 +303,12 @@ class _MatrixDescriptor:
     An element is a flat tuple of field payloads: for 4x4 matrices over an
     entry ring, the entries row by row, each as its ``k`` payloads.  The
     product walks ``_skeleton(k)`` with the unit products ``_units``;
-    ``_sigma[i]`` lists the terms (l, c) of sigma(e_i), and ``_split[i]``
-    those of e_i in the flat split_size x split_size matrix of ``split_rows``.
+    ``_sigma[i]`` lists the terms (l, c) of sigma(e_i), and
+    ``_split_nums[i]`` those of e_i in the flat split_size x split_size
+    split matrix (x and y of each entry over the etale ring), as numerators
+    over one denominator ``_split_den``.  ``_centre`` is the etale
+    parameter c = p/q made integral: (p*q, q) for the generator r = q*s,
+    with r^2 = q*r + p*q, and (c, None) for q = 1 (e = 1).
     """
 
     n = 4
@@ -345,16 +316,21 @@ class _MatrixDescriptor:
 
     def __init__(self, field: Field, k: int, units, sigma, split, split_size: int, split_c=None):
         self.field, self.k, self.ambient_dim = field, k, len(sigma)
-        self._skeleton, self._sigma, self._split = _skeleton(k), sigma, split
+        self._skeleton, self._sigma = _skeleton(k), sigma
         # the unit products as numerators over one denominator _du
         nums, self._du = field.rclear([c for row in units for terms in row for _, c in terms])
         nums = iter(nums)
         self._units = [[[(l, next(nums)) for l, _ in terms] for terms in row] for row in units]
         self._split_size, self._split_c = split_size, split_c
+        self._split_width = split_size * split_size * (1 if split_c is None else 2)
         # the split table as numerators over one denominator _split_den
         nums, self._split_den = field.rclear([c for terms in split for _, c in terms])
         nums = iter(nums)
         self._split_nums = [[(l, next(nums)) for l, _ in terms] for terms in split]
+        self._centre = (None, None)
+        if split_c is not None:
+            (p,), q = field.rclear([split_c])
+            self._centre = (p, None) if q == 1 else (field.nmul(p, q), q)
         self._one = None
         self._space: Optional[InvolutionSpace] = None
         self._srp_raw: Optional[RawQuadraticForm] = None
@@ -435,36 +411,54 @@ class _MatrixDescriptor:
     def involve(self, x):
         return tuple(self._apply(self._sigma, x, self.ambient_dim))
 
-    def split_rows(self, x):
-        """A square payload matrix whose characteristic polynomial is the
-        reduced one of x, and the etale parameter c of its entry ring
-        F[s]/(s^2 + s + c) (None when the entries lie in F)."""
-        return self._rows(self._split_flat(x)), self._split_c
+    def _cleared(self, elements) -> tuple:
+        """The split matrices of the elements as one sparse dict {entry:
+        packed numerator} each (x and y of each etale entry, zeros allowed),
+        over one denominator D, and D.
 
-    def _split_flat(self, x) -> list:
-        """The payloads of split_rows(x), row by row (x and y of each etale entry)."""
-        size, c = self._split_size, self._split_c
-        return self._apply(self._split, x, size * size * (1 if c is None else 2))
+        The batch is cleared once through ``rclear`` and the split table,
+        which is linear, maps each element's numerators.  Over a centre
+        c = p/q the entries become x + y*s = (q*x + y*r)/q in the integral
+        generator r = q*s: the x parts times q, and D times q."""
+        field, dim = self.field, self.ambient_dim
+        mul, q = field.nmul, self._centre[1]
+        nums, den = field.rclear([a for x in elements for a in x])
+        out = []
+        for start in range(0, len(nums), dim):
+            acc = {}
+            for a, terms in zip(nums[start : start + dim], self._split_nums):
+                if a:
+                    for l, s in terms:
+                        acc[l] = acc.get(l, 0) ^ (a if s == 1 else mul(s, a))
+            if q is not None:
+                for l in acc:
+                    if not l & 1:
+                        acc[l] = mul(q, acc[l])
+            out.append(acc)
+        den = mul(den, self._split_den)
+        return out, den if q is None else mul(den, q)
 
     def _rows(self, flat) -> list:
-        """The rows of a flat split_rows matrix."""
+        """The rows of a flat split matrix (payloads, or pairs over the etale ring)."""
         size = self._split_size
         if self._split_c is not None:
             flat = list(zip(flat[::2], flat[1::2]))
         return [flat[r * size : (r + 1) * size] for r in range(size)]
 
     def reduced_charpoly(self, x) -> List[Fe]:
-        return list(map(self.field._el, self._charpoly(self._split_flat(x))))
-
-    def _charpoly(self, flat) -> list:
-        """The payloads of the characteristic polynomial of the split_rows
-        matrix with the flat payloads flat, by one scalar run: a batch of one
+        """One scalar Berkowitz run on the numerators of the split matrix
+        over D, coefficient i of the result over D^(n-i): a batch of one
         through _charpolys_at_points costs more (its lane products do not
         shrink with the lanes)."""
-        field, c = self.field, self._split_c
-        if isinstance(field, RatFunc):
-            return _charpoly_fraction_free(field, flat, c, self._rows)
-        return _berkowitz(self._rows(flat), c, None, field.rzero, field.rone, field.radd, field.rmul)
+        field, mul = self.field, self.field.nmul
+        (entries,), den = self._cleared([x])
+        rows = self._rows([entries.get(l, 0) for l in range(self._split_width)])
+        coeffs = _berkowitz(rows, *self._centre, 0, 1, operator.xor, mul)
+        power = 1
+        for i in range(len(coeffs) - 1, -1, -1):
+            coeffs[i] = field._el(field.rfractions((coeffs[i],), power)[0])
+            power = mul(power, den)
+        return coeffs
 
     def reduced_charpolys(self, xs, masks=None) -> List[List[Fe]]:
         """The reduced characteristic polynomials at the lanes of one driver
@@ -482,9 +476,9 @@ class _MatrixDescriptor:
         polynomials at the first m lanes, for each d: m in wanted, where lane l
         holds the sum of the elements[i] whose masks[i] has bit l set.
 
-        One Berkowitz driver for both field kinds.  With the entries of
-        split_rows as polynomials in lanes over one denominator D
-        (``_lane_matrix``), W their weight and j the largest degree wanted,
+        One Berkowitz driver for both field kinds.  With the entries of the
+        split matrices, cleared by ``_cleared``, as polynomials in lanes over
+        one denominator D (``_lane_matrix``), W their weight and j the largest degree wanted,
         each entry is evaluated at the N = jW + 1 points z = 0, 1, ... of
         GF(2^m), m the least multiple of k with 2^m >= N, and one Berkowitz
         runs in bit-sliced GF(2^m) lanes per chunk of at most _MAX_LANES lanes,
@@ -526,70 +520,70 @@ class _MatrixDescriptor:
         return result
 
     def _lane_matrix(self, elements, masks) -> tuple:
-        """The split_rows entries at the lanes as polynomials in lanes (dicts
-        {P: plane}, bit l of plane P the bit P of the packed numerator at lane
-        l), over one denominator D; the etale parameters c and e of the lane
-        ring s^2 = e*s + c as packed polynomials (None for no etale ring, and
-        for e = 1); and the weight W of the entries.
+        """The split matrix entries at the lanes as polynomials in lanes
+        (dicts {P: plane}, bit l of plane P the bit P of the packed numerator
+        at lane l), over one denominator D; the etale parameters c and e of
+        the lane ring s^2 = e*s + c as packed polynomials (None for no etale
+        ring, and for e = 1); and the weight W of the entries.
 
-        The batch is cleared once to numerators and split_rows, which is
-        linear, maps them with the split table cleared once per descriptor.
-        A centre c = p/q is replaced by the integral generator r = q*s, with
-        r^2 = q*r + p*q and x + y*s = (q*x + y*r)/q.  r has a weight w with
+        ``_cleared`` gives each element's entries, packed into the lanes of
+        its mask.  Over a centre c = p/q, r = q*s has a weight w with
         deg q <= w and deg pq <= 2w, an entry x + y*r the weight
         max(deg x, deg y + w), and a product of j entries at most j times the
         largest, so the x part of the coefficient of X^(size - j), and the y
         part that ``_berkowitz`` checks to vanish, have degree at most jW."""
-        field, c = self.field, self._split_c
-        k, mul, dim = getattr(field, "base", field).k, field.nmul, self.ambient_dim
-        nums, den = field.rclear([a for x in elements for a in x])
-        coords = [{} for _ in range(dim)]
-        for start, mask in zip(range(0, len(nums), dim), masks):
-            for planes, a in zip(coords, nums[start : start + dim]):
-                if a:
-                    for p in _bits(a):
-                        planes[p] = planes.get(p, 0) ^ mask
-        entries = [{} for _ in range(self._split_size ** 2 * (1 if c is None else 2))]
-        for planes, terms in zip(coords, self._split_nums):
-            if planes:
-                for l, a in terms:
-                    _times(mul, a, planes, entries[l])
-        den, e = mul(den, self._split_den), None
+        k = getattr(self.field, "base", self.field).k
+        cleared, den = self._cleared(elements)
+        entries = [{} for _ in range(self._split_width)]
+        for acc, mask in zip(cleared, masks):
+            for l, a in acc.items():
+                planes = entries[l]
+                while a:
+                    low = a & -a
+                    p = low.bit_length() - 1
+                    planes[p] = planes.get(p, 0) ^ mask
+                    a ^= low
+        c, e = self._centre
         if c is None:
             return entries, den, None, None, max(_weight(entries, k), 0)
-        (c,), q = field.rclear([c])
-        if q != 1:
-            entries[::2] = [_times(mul, q, planes, {}) for planes in entries[::2]]
-            den, e, c = mul(den, q), q, mul(c, q)
         w = max(pdeg(e, k) if e else 0, (pdeg(c, k) + 1) // 2)
         return entries, den, c, e, max(_weight(entries[1::2], k) + w, _weight(entries[::2], k), 0)
 
     def trd(self, x) -> Fe:
-        """The reduced trace Trd(x) = Trd(x * 1), the trace of split_rows(x)."""
+        """The reduced trace Trd(x) = Trd(x * 1), the trace of its split matrix."""
         return self.trd_product(x, self.one_el())
 
     def trd_product(self, x, y) -> Fe:
         """Trd(x*y) without forming the product: the sum of X_ik * Y_ki over
-        the split_rows matrices X of x and Y of y, which lies in F."""
-        (xs, c), ys = self.split_rows(x), self.split_rows(y)[0]
-        field = self.field
-        zero, add, mul = field.rzero, field.radd, field.rmul
+        the numerators of the split matrices X of x and Y of y over D, which
+        lies in F, over D^2."""
+        field, (c, e), size = self.field, self._centre, self._split_size
+        (xs, ys), den = self._cleared([x, y])
+        zero, add, mul = 0, operator.xor, field.nmul
+        w = 1 if c is None else 2
         if c is not None:
-            add, mul = etale_ops(c, zero, add, mul)
-            zero = (zero, zero)
-        acc = zero
-        for i, row in enumerate(xs):
-            for a, y_row in zip(row, ys):
-                if a != zero and y_row[i] != zero:
-                    acc = add(acc, mul(a, y_row[i]))
-        return field._el(acc if c is None else _base_parts([acc], field.rzero)[0])
+            add, mul = etale_ops(c, zero, add, mul, e)
+            zero = (0, 0)
+
+        def entry(acc, i, k):
+            l = (i * size + k) * w
+            return acc.get(l, 0) if w == 1 else (acc.get(l, 0), acc.get(l + 1, 0))
+
+        total = zero
+        for i, k in {divmod(l // w, size) for l in xs}:
+            a, b = entry(xs, i, k), entry(ys, k, i)
+            if a != zero and b != zero:
+                total = add(total, mul(a, b))
+        if c is not None:
+            total = _base_parts([total], 0)[0]
+        return field._el(field.rfractions((total,), field.nmul(den, den))[0])
 
 
 class _SympBase(_MatrixDescriptor):
     """4x4 matrices over a quaternion algebra, sigma adjoint to a diagonal
-    hermitian form <1, u1, u2, u3>.  ``split_rows`` is the 8x8 image of the
-    algebra's splitting embedding on payloads: field payloads when it lies
-    over F, else (x, y) pairs over F[s]/(s^2 + s + a)."""
+    hermitian form <1, u1, u2, u3>.  The split matrix is the 8x8 image of
+    the algebra's splitting embedding on payloads: field payloads when it
+    lies over F, else (x, y) pairs over F[s]/(s^2 + s + a)."""
 
     case = "symplectic"
 
@@ -662,7 +656,7 @@ class Orthogonal(_MatrixDescriptor):
 class UnitaryExchange(_MatrixDescriptor):
     """B = E x E^op with the exchange involution: an element lists its E block
     and then its E^op block, each a 4x4 matrix over F.  The product is
-    blockwise, opposite on E^op; sigma swaps the blocks, and ``split_rows``
+    blockwise, opposite on E^op; sigma swaps the blocks, and the split matrix
     is the E block."""
 
     kind = "unitary_exchange"

@@ -233,9 +233,9 @@ def test_a_sigma_table_that_is_not_an_involution_is_rejected(name, defect):
         bad = [(((i + 1) % 32, one),) for i in range(32)]
     else:  # sigma(e_0) = e_16 + e_17, so sigma^2(e_0) = e_0 + e_1
         bad[0] += ((17, one),)
-    good = UnitaryExchange(field)
+    split = [((i, one),) for i in range(16)] + [()] * 16  # the E block, as UnitaryExchange
     with pytest.raises(UnsupportedDescriptor, match="not an involution"):
-        involutions._MatrixDescriptor(field, 1, ((((0, one),),),), bad, good._split, 4)
+        involutions._MatrixDescriptor(field, 1, ((((0, one),),),), bad, split, 4)
 
 
 def test_descriptors_share_one_skeleton_per_entry_size():

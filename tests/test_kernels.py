@@ -24,6 +24,7 @@ and against one fraction-free run per lane.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -697,7 +698,8 @@ def test_ratfunc_driver_matches_object_and_fraction_free_runs(field, etale, data
     # low-degree 4x4 matrices over F(t), or symmetric ones over F(t)[s] with
     # s^2 + s = c for a centre c = p/q (q != 1 nearly always), summed into
     # lanes by random masks: the driver's evaluation and interpolation agree
-    # with Berkowitz on objects and with one fraction-free run per lane
+    # with Berkowitz on objects and with one scalar run per lane, whose X^(n-1)
+    # coefficient is Trd; Trd(x*y) on the two split matrices is Trd of the product
     gram = [data.draw(elements(field, nonzero=True)) for _ in range(4)]
     entries16 = st.lists(sparse(field, elements(field)), min_size=16, max_size=16)
     if etale:
@@ -726,4 +728,7 @@ def test_ratfunc_driver_matches_object_and_fraction_free_runs(field, etale, data
             desc.el_add, (x for x, m in zip(xs, masks) if m >> lane & 1), desc.zero_el()
         )
         assert pc == object_charpoly(desc, x)
-        assert pc == desc.reduced_charpoly(x)  # the fraction-free run
+        assert pc == desc.reduced_charpoly(x)  # the scalar run on the shared builder
+        assert desc.trd(x) == pc[-2]
+    for x, y in itertools.product(xs, repeat=2):
+        assert desc.trd_product(x, y) == desc.trd(desc.el_mul(x, y))

@@ -298,9 +298,10 @@ def _splitting_case(Q):
 
 def _assert_split_rows_is_the_image(desc, rng):
     """SplitEmbedding.terms are the object images of 1, u, v, uv, coordinate
-    by coordinate, and split_rows(x) is the splitting image of the
-    quaternion matrix of x, entry by entry, with the etale parameter a
-    exactly over the etale ring."""
+    by coordinate, and the cleared split matrix of x is the splitting image
+    of the quaternion matrix of x times its denominator D, entry by entry:
+    over the etale ring, with the parameter a = p/q exactly there, each
+    entry x + y*s written as x + (y/q)*r in the integral generator r = q*s."""
     Q, field, sp = desc.quat, desc.field, SplitImages(desc.quat)
     images = (sp.one_img, sp.u_img, sp.v_img, sp.w_img)
     for terms, image in zip(Q.split().terms, images, strict=True):
@@ -312,13 +313,23 @@ def _assert_split_rows_is_the_image(desc, rng):
             if c != field.rzero
         ]
         assert sorted(terms) == sorted(expected)
+
+    def num(a):  # a packed numerator as a field element
+        return field._el(field.rfractions((a,), 1)[0])
+
     for _ in range(2):
         x = desc.rand(rng)
-        rows, c = desc.split_rows(x)
         R = QuatRing(Q)
         image = sp.embed_matrix(Mat(R, [[R._el(e) for e in row] for row in entries(desc, x)]))
-        assert [list(row) for row in rows] == [[e.raw for e in row] for row in image.rows]
-        assert c == (None if sp.ring is field else Q.a.raw)
+        (cleared,), den = desc._cleared([x])
+        den = num(den)
+        if sp.ring is field:
+            expected = [e * den for row in image.rows for e in row]
+        else:
+            q = num(Q.a.raw[1])  # every Q over a finite field splits over it: F = F(t), a = p/q
+            expected = [f for row in image.rows for e in row for f in (e.x * den, e.y / q * den)]
+        assert [num(cleared.get(l, 0)) for l in range(len(expected))] == expected
+        assert desc._split_c == (None if sp.ring is field else Q.a.raw)
 
 
 @pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])

@@ -560,18 +560,17 @@ class _MatrixDescriptor:
         field, (c, e), size = self.field, self._centre, self._split_size
         (xs, ys), den = self._cleared([x, y])
         zero, add, mul = 0, operator.xor, field.nmul
-        w = 1 if c is None else 2
-        if c is not None:
+        if c is not None:  # the entries as pairs (x, y) by position
+            xs, ys = (
+                {m: (acc.get(2 * m, 0), acc.get(2 * m + 1, 0)) for m in {l >> 1 for l in acc}}
+                for acc in (xs, ys)
+            )
             add, mul = etale_ops(c, zero, add, mul, e)
             zero = (0, 0)
-
-        def entry(acc, i, k):
-            l = (i * size + k) * w
-            return acc.get(l, 0) if w == 1 else (acc.get(l, 0), acc.get(l + 1, 0))
-
         total = zero
-        for i, k in {divmod(l // w, size) for l in xs}:
-            a, b = entry(xs, i, k), entry(ys, k, i)
+        for m, a in xs.items():
+            i, k = divmod(m, size)
+            b = ys.get(k * size + i, zero)
             if a != zero and b != zero:
                 total = add(total, mul(a, b))
         if c is not None:

@@ -60,9 +60,8 @@ def _gf2_irreducible(m: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def default_modulus(k: int) -> int:
-    """Lexicographically least irreducible polynomial of degree k over GF(2)."""
-    if k == 1:
-        return 0b10  # X; residues are the constants
+    """Lexicographically least irreducible polynomial of degree k over GF(2)
+    (X for k = 1, whose residues are the constants)."""
     for m in range(1 << k, 1 << (k + 1)):
         if _gf2_irreducible(m):
             return m
@@ -180,23 +179,20 @@ class GF2k:
         self._artin_table: Optional[dict] = None
 
     def _build_tables(self):
-        # use X as generator candidate; fall back to scanning if not primitive
-        self._exp = [0] * (2 * self.order)
-        self._log = [0] * self.order
-        for g in range(2, self.order):
-            val, seen = 1, set()
-            for i in range(self.order - 1):
-                self._exp[i] = val
-                self._log[val] = i
-                seen.add(val)
-                val = self._mul_raw(val, g)
-            if len(seen) == self.order - 1:
+        # the first g whose powers reach every nonzero element before 1 again
+        n = self.order - 1
+        for g in range(1, self.order):
+            powers = [1]
+            while len(powers) < n and (val := self._mul_raw(powers[-1], g)) != 1:
+                powers.append(val)
+            if len(powers) == n:
                 break
         else:
-            if self.order > 2:
-                raise ValueError("no primitive element found")
-        for i in range(self.order - 1, 2 * self.order):
-            self._exp[i] = self._exp[i - (self.order - 1)]
+            raise ValueError("no primitive element found")
+        self._exp = powers * 2  # two periods: a sum of two logs stays in range
+        self._log = [0] * self.order
+        for i, val in enumerate(powers):
+            self._log[val] = i
 
     def _mul_raw(self, a: int, b: int) -> int:
         p = 0
@@ -218,20 +214,16 @@ class GF2k:
     def rmul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.k == 1:
-            return 1
         return self._exp[self._log[a] + self._log[b]]
 
     def rinv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero field element")
-        if self.k == 1:
-            return 1
         return self._exp[(self.order - 1) - self._log[a]]
 
     def rsqrt(self, a: int) -> int:
         # every element of a finite field of characteristic 2 is a square
-        if a == 0 or self.k == 1:
+        if a == 0:
             return a
         return self._exp[(self._log[a] << (self.k - 1)) % (self.order - 1)]
 
@@ -554,7 +546,9 @@ class RatFunc:
         if pdeg(g2, self.base.k) > 0:
             nb = pdivmod(nb, g2, self.base)[0]
             da = pdivmod(da, g2, self.base)[0]
-        return self._norm(pmul(na, nb, self.base), pmul(da, db, self.base))
+        # reduced operands after the cross gcds give a reduced product, and
+        # monic denominators divided by monic gcds stay monic
+        return (pmul(na, nb, self.base), pmul(da, db, self.base))
 
     def rinv(self, a):
         num, den = a
@@ -730,7 +724,7 @@ def parse_field(text: str) -> Field:
 
 
 def field_arith(kind: str, x: Fe, y: Fe) -> Fe:
-    """Dispatch basic arithmetic by name (CLI and conformance surface)."""
+    """Dispatch basic arithmetic by name, for tests and library callers."""
     if kind == "add":
         return x + y
     if kind == "mul":

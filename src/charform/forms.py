@@ -387,14 +387,11 @@ def witt_decompose_gf2k(q: QuadraticForm) -> WittInvariantsGf2k:
 
 
 def witt_equivalent_gf2k(q1: QuadraticForm, q2: QuadraticForm) -> bool:
-    """Equality of anisotropic kernels (zero diagonal entries are radical)."""
+    """Equality of anisotropic kernels (zero diagonal entries are radical):
+    a kernel has at most the one block (1, c), and the rank of its diagonal."""
     k1 = witt_decompose_gf2k(q1).kernel
     k2 = witt_decompose_gf2k(q2).kernel
-    return (
-        len(k1.blocks) == len(k2.blocks)
-        and arf_invariant(form(k1.field, k1.blocks)) == arf_invariant(form(k2.field, k2.blocks))
-        and _f2_rank_gf2k(k1.diag) == _f2_rank_gf2k(k2.diag)
-    )
+    return k1.blocks == k2.blocks and _f2_rank_gf2k(k1.diag) == _f2_rank_gf2k(k2.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +467,9 @@ def is_quasi_hyperbolic(d: QuadraticForm) -> bool:
 
 
 def _block_split_certificate(field, a: Fe, b: Fe):
-    """An isotropic vector of the block (a,b), or None/UNKNOWN."""
+    """The one classifier of a binary block (a,b): an isotropic vector (x, y)
+    when it is split, None when the Artin-Schreier product a*b is proven
+    obstructed (the block is anisotropic), else UNKNOWN."""
     if not a:
         return (field.one, field.zero)
     if not b:
@@ -558,16 +557,17 @@ def _split_off_plane(q: QuadraticForm, v: Sequence) -> QuadraticForm:
     raw = q.to_raw()
     field = q.field
     n = q.dim
-    basis = [unit_vector(field, n, i) for i in range(n)]
-    w = next((cand for cand in basis if raw.polar(v, cand)), None)
-    if w is None:
+    bv = raw.polar_vector(v)
+    i = next((i for i, a in enumerate(bv) if a != field.rzero), None)
+    if i is None:
         raise SingularForm("nonsingular form has no radical vectors")
-    c = field.rinv(raw.polar(v, w).raw)
-    w = [field.rmul(a, c) for a in w]
+    w = [field.rzero] * n
+    w[i] = field.rinv(bv[i])  # B(v, w) = 1
+    bw = raw.polar_vector(w)
     one = field.rone
     rest = [
-        combination(field, (one, raw.polar(cand, w).raw, raw.polar(cand, v).raw), (cand, v, w), n)
-        for cand in basis
+        combination(field, (one, bw[j], bv[j]), (unit_vector(field, n, j), v, w), n)
+        for j in range(n)
     ]
     span = Span(rest, field)
     if span.dim != n - 2:
@@ -579,38 +579,23 @@ def _split_off_plane(q: QuadraticForm, v: Sequence) -> QuadraticForm:
 def _witt_cancel_pass(q: QuadraticForm) -> QuadraticForm:
     """Drop visibly split blocks and isometric block pairs (Witt-sound).
 
-    A block with a zero coefficient or a solvable Artin-Schreier product is
-    a hyperbolic plane; two blocks related by a square substitution cancel
-    because b + b is hyperbolic in characteristic 2.
+    A block ``_block_split_certificate`` gives an isotropic vector for is a
+    hyperbolic plane; two blocks related by a square substitution cancel
+    because b + b is hyperbolic in characteristic 2.  Each block cancels
+    against the first later block it matches, in one pass: a block with no
+    match among the later blocks has none after a pair behind it goes.
     """
-    blocks = list(q.blocks)
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for b in blocks:
-            a, c = b
-            if not a or not c:
-                changed = True
-                continue
-            r = solve_artin_schreier(a * c)
-            if isinstance(r, Fe):
-                changed = True
-                continue
+    field = q.field
+    blocks = [b for b in q.blocks if not isinstance(_block_split_certificate(field, *b), tuple)]
+    kept = []
+    while blocks:
+        b = blocks.pop(0)
+        j = next((j for j, c in enumerate(blocks) if block_square_witness(b, c) is not None), None)
+        if j is None:
             kept.append(b)
-        blocks = kept
-        for i in range(len(blocks)):
-            done = False
-            for j in range(i + 1, len(blocks)):
-                if block_square_witness(blocks[i], blocks[j]) is not None:
-                    del blocks[j]
-                    del blocks[i]
-                    changed = True
-                    done = True
-                    break
-            if done:
-                break
-    return form(q.field, blocks, [])
+        else:
+            del blocks[j]
+    return form(field, kept, [])
 
 
 def is_hyperbolic(q: QuadraticForm, *, pfister: bool = False, seed: int = 0) -> Decision:
@@ -667,12 +652,10 @@ def certify_anisotropic(q: QuadraticForm) -> Decision:
         return unknown()
     if len(q.blocks) == 1:
         (a, b) = q.blocks[0]
-        if not a or not b:
-            return decided(False)
-        r = solve_artin_schreier(a * b)
-        if r is None:
+        cert = _block_split_certificate(field, a, b)
+        if cert is None:
             return decided(True, {"artin_schreier_obstruction": (a * b).raw})
-        if isinstance(r, Fe):
+        if isinstance(cert, tuple):
             return decided(False)
         return unknown()
     if len(q.blocks) == 2:

@@ -73,11 +73,11 @@ CASE_DIMS = {
 class InvolutionSpace:
     """Coordinatized space of (skew-)symmetric elements.
 
-    For symplectic descriptors each basis element b is stored together with a
-    half b' satisfying b = b' + sigma(b'), so the polarization
-    b(x, y) = t(x) t(y) + Trd(x y') of the Pfaffian form needs no division
-    by 2 (verify checks it).  Coordinates over the basis are lists of field
-    payloads.
+    For symplectic descriptors each basis element b is stored together with
+    the coordinate i of its half b' = e_i, b = b' + sigma(b'), so the
+    polarization b(x, y) = t(x) t(y) + Trd(x y') of the Pfaffian form needs
+    no division by 2 (verify checks it).  Coordinates over the basis are
+    lists of field payloads.
     """
 
     def __init__(self, desc, basis, halves):
@@ -97,7 +97,10 @@ class InvolutionSpace:
     def half(self, coords: Sequence):
         if self.halves is None:
             raise UnsupportedDescriptor("halves are stored for symplectic spaces only")
-        return tuple(combination(self.desc.field, coords, self.halves, self.desc.ambient_dim))
+        out = [self.desc.field.rzero] * self.desc.ambient_dim
+        for i, c in zip(self.halves, coords):
+            out[i] = c
+        return tuple(out)
 
     def rand_coords(self, rng: random.Random) -> list:
         return [self.desc.field.rrand(rng) for _ in range(self.dim)]
@@ -701,7 +704,7 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     e_(r,s,a) with r < s leads at its own coordinate and has its other
     entries in block (s, r), which holds no pivot; on the diagonal only
     e_(r,r,u) has a nonzero image; and the images from block (s, r) are
-    combinations of those from block (r, s).  So the half of a row is its e_i.
+    combinations of those from block (r, s).  So a row's half is e_i, stored as i.
     """
     if desc._space is not None:
         return desc._space
@@ -717,7 +720,7 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     halves = None
     if symplectic:
         try:
-            halves = [tuple(unit_vector(field, len(b), images.index(b))) for b in basis]
+            halves = [images.index(b) for b in basis]
         except ValueError:
             raise CharformError("an echelon row of Symd is not a symmetrized image") from None
     space = InvolutionSpace(desc, basis, halves)

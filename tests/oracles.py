@@ -15,7 +15,12 @@ overloading, beside the payload tuples of the runtime.
   bit at a time;
 - ``normalize_by_polar``: the symplectic-basis reduction of a raw form with
   one ``RawQuadraticForm.polar`` call per pairing and one ``evaluate`` per
-  value, beside the congruence updates of ``charform.forms.normalize``.
+  value, beside the congruence updates of ``charform.forms.normalize``;
+- ``witt_cancel_restart``: the Witt cancellation of blocks by a loop that
+  restarts after every cancelled pair, beside the one greedy pass of
+  ``charform.forms._witt_cancel_pass``;
+- ``witt_equivalent_by_arf``: Witt equivalence over GF(2^k) from the
+  lengths and Arf invariants of the anisotropic kernels.
 """
 
 import operator
@@ -23,7 +28,14 @@ from typing import List, Sequence, Tuple
 
 from charform.errors import AlgebraMismatch
 from charform.fields import Fe, frobenius_sqrt, solve_artin_schreier
-from charform.forms import QuadraticForm, RawQuadraticForm, form
+from charform.forms import (
+    QuadraticForm,
+    RawQuadraticForm,
+    arf_invariant,
+    block_square_witness,
+    form,
+    witt_decompose_gf2k,
+)
 from charform.linalg import Mat, charpoly_raw, combination, unit_vector
 from charform.quaternions import Quat
 
@@ -335,3 +347,49 @@ def normalize_by_polar(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple,
     # columns are the new basis vectors
     transform = tuple(zip(*ordered))
     return form(field, blocks, diag), transform
+
+
+def witt_cancel_restart(q: QuadraticForm) -> QuadraticForm:
+    """Drop the blocks with a zero coefficient or a solvable Artin-Schreier
+    product, then cancel the first pair related by a square substitution and
+    start again, until nothing changes."""
+    blocks = list(q.blocks)
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for b in blocks:
+            a, c = b
+            if not a or not c:
+                changed = True
+                continue
+            r = solve_artin_schreier(a * c)
+            if isinstance(r, Fe):
+                changed = True
+                continue
+            kept.append(b)
+        blocks = kept
+        for i in range(len(blocks)):
+            done = False
+            for j in range(i + 1, len(blocks)):
+                if block_square_witness(blocks[i], blocks[j]) is not None:
+                    del blocks[j]
+                    del blocks[i]
+                    changed = True
+                    done = True
+                    break
+            if done:
+                break
+    return form(q.field, blocks, [])
+
+
+def witt_equivalent_by_arf(q1: QuadraticForm, q2: QuadraticForm) -> bool:
+    """Equal numbers of kernel blocks, equal Arf invariants of the kernel
+    blocks and equal numbers of nonzero kernel diagonal entries."""
+    k1 = witt_decompose_gf2k(q1).kernel
+    k2 = witt_decompose_gf2k(q2).kernel
+    return (
+        len(k1.blocks) == len(k2.blocks)
+        and arf_invariant(form(k1.field, k1.blocks)) == arf_invariant(form(k2.field, k2.blocks))
+        and sum(map(bool, k1.diag)) == sum(map(bool, k2.diag))
+    )

@@ -44,6 +44,35 @@ def test_default_moduli_are_least_irreducibles():
     assert default_modulus(4) == 0b10011
 
 
+def test_gf2_tables_exhaustive():
+    # GF(2) runs through the same log/exp tables as every other k
+    assert default_modulus(1) == 0b10 and GF2.text() == "gf2"
+    assert GF2._exp == [1, 1] and GF2._log == [0, 0]
+    for a, b in itertools.product(range(2), repeat=2):
+        assert GF2.rmul(a, b) == a & b
+    assert GF2.rinv(1) == 1
+    assert [GF2.rsqrt(a) for a in range(2)] == [0, 1]
+    with pytest.raises(ZeroDivisionError):
+        GF2.rinv(0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_log_exp_tables_invert_each_other(k):
+    F = gf2k(k)
+    n = F.order - 1
+    assert sorted(F._exp[:n]) == list(range(1, F.order))  # powers of a primitive element
+    for i in range(n):
+        assert F._log[F._exp[i]] == i and F._exp[i + n] == F._exp[i]
+    for a in range(1, F.order):
+        assert F._exp[F._log[a]] == a
+        assert F.rmul(a, F.rinv(a)) == 1
+        assert F.rmul(F.rsqrt(a), F.rsqrt(a)) == a
+    rng = random.Random(k)
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(500)]
+    for a, b in itertools.product(range(F.order), repeat=2) if k <= 4 else pairs:
+        assert F.rmul(a, b) == naive_gf2k_mul(a, b, k, F.modulus)
+
+
 def test_char2_addition():
     assert GF2.one + GF2.one == GF2.zero
 

@@ -1,5 +1,8 @@
 """Quadratic form tests.  Small-field cases are checked against exhaustive
-isotropy/Witt-index oracles that enumerate every vector."""
+isotropy/Witt-index oracles that enumerate every vector; the greedy Witt
+cancellation pass against the restart loop of ``oracles.witt_cancel_restart``
+on seeded block lists over GF(2)(t) and GF(4)(t), and Witt equivalence over
+GF(2^k) against the kernel-Arf formula of ``oracles.witt_equivalent_by_arf``."""
 
 import itertools
 import os
@@ -9,12 +12,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from oracles import witt_cancel_restart, witt_equivalent_by_arf
 from charform.errors import ShapeMismatch, SingularForm, UnsupportedField, ZeroScalar
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
     RawQuadraticForm,
+    _split_off_plane,
+    _witt_cancel_pass,
     arf_invariant,
     bilinear_tensor,
     block00,
@@ -41,6 +49,7 @@ from charform.forms import (
 F4 = gf2k(2)
 F8 = gf2k(3)
 R2 = ratfunc(GF2)
+R4 = ratfunc(F4)
 
 
 # --- oracles ----------------------------------------------------------------
@@ -337,6 +346,25 @@ def test_witt_equivalent_examples():
     )
 
 
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=lambda f: f.text())
+def test_witt_equivalent_matches_kernel_arf(field):
+    # zero diagonal entries (singular diagonals) come up often over GF(2)
+    rng = random.Random(47)
+    qs = [
+        form(
+            field,
+            [(field.rand(rng), field.rand(rng)) for _ in range(rng.randrange(3))],
+            [field.rand(rng) for _ in range(rng.randrange(3))],
+        )
+        for _ in range(40)
+    ]
+    answers = set()
+    for q1, q2 in itertools.product(qs, repeat=2):
+        answers.add(witt_equivalent_gf2k(q1, q2))
+        assert witt_equivalent_gf2k(q1, q2) == witt_equivalent_by_arf(q1, q2)
+    assert answers == {True, False}
+
+
 def test_bilinear_tensor_associativity_witt():
     rng = random.Random(31)
     for _ in range(20):
@@ -405,6 +433,74 @@ def test_division_norm_form_certified_anisotropic():
     dec = is_anisotropic(p)
     assert dec.is_true
     assert is_hyperbolic(p).is_false
+
+
+@pytest.mark.parametrize("field", [GF2, F4, F8, R2], ids=lambda f: f.text())
+def test_split_off_plane_leaves_the_orthogonal_complement(field):
+    # q = H + out with H the plane through v: out is nonsingular of dimension
+    # dim q - 2, and over GF(2^k) it has the Arf invariant of q (Arf(H) = 0)
+    rng = random.Random(53)
+    split = 0
+    for _ in range(30):
+        q = form(field, [(field.rand(rng), field.rand(rng)) for _ in range(rng.randrange(1, 4))])
+        v = isotropic_vector(q, random.Random(0))
+        if v is None:
+            continue
+        split += 1
+        out = _split_off_plane(q, v)
+        assert out.dim == q.dim - 2 and not out.diag
+        if field is not R2:
+            assert arf_invariant(out) == arf_invariant(q)
+    assert split >= 10
+
+
+def test_certify_anisotropic_one_block_answers():
+    t, one = R2.t, R2.one
+    assert certify_anisotropic(form(R2, [(R2.zero, t)])).is_false
+    # t * (t + 1) = x^2 + x at x = t
+    assert certify_anisotropic(form(R2, [(t, t + one)])).is_false
+    # x^2 + x has even degree for polynomial x, so it is never t
+    dec = certify_anisotropic(form(R2, [(one, t)]))
+    assert dec.is_true and dec.witness == {"artin_schreier_obstruction": t.raw}
+    # a product that is not a polynomial is beyond the Artin-Schreier recurrence
+    assert certify_anisotropic(form(R2, [(one, one / t)])).is_unknown
+
+
+def ratfunc_scalars(field):
+    """0, polynomials of degree below 3 and quotients of two of them."""
+    poly = st.integers(0, (1 << 3 * field.base.k) - 1)
+    return st.one_of(poly.map(field.el), st.tuples(poly, poly.filter(bool)).map(lambda nd: field.el(*nd)))
+
+
+@st.composite
+def block_lists(draw, field):
+    """Blocks in random order: random pairs (zero coefficients included),
+    Artin-Schreier-split pairs (a, (x^2 + x)/a), and partners
+    (lam^2*a, b/lam^2) of blocks already drawn, partners of partners
+    included."""
+    scalar = ratfunc_scalars(field)
+    nonzero = scalar.filter(bool)
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "split", "partner"] if blocks else ["random", "split"]))
+        if kind == "random":
+            block = (draw(scalar), draw(scalar))
+        elif kind == "split":
+            a, x = draw(nonzero), draw(scalar)
+            block = (a, (x * x + x) / a)
+        else:
+            (a, b), lam = draw(st.sampled_from(blocks)), draw(nonzero)
+            block = (lam * lam * a, b / (lam * lam))
+        blocks.insert(draw(st.integers(0, len(blocks))), block)
+    return blocks
+
+
+@seed(25)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([R2, R4]), st.data())
+def test_witt_cancel_pass_matches_restart_loop(field, data):
+    q = form(field, data.draw(block_lists(field)))
+    assert _witt_cancel_pass(q).blocks == witt_cancel_restart(q).blocks
 
 
 def test_unknown_is_reported_not_false():

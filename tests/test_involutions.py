@@ -63,7 +63,7 @@ from charform.involutions import (
     srd_form_unitary,
     symmetric_space,
 )
-from charform.linalg import Mat, Span, rank
+from charform.linalg import Mat, Span, rank, unit_vector
 from charform.quaternions import QuaternionAlgebra
 from charform.serialize import descriptor_from_json
 
@@ -320,7 +320,8 @@ def test_symmetric_space_halves():
         field = desc.field
         space = symmetric_space(desc)
         assert len(space.halves) == space.dim == 28
-        for b, h in zip(space.basis, space.halves):
+        for k, b in enumerate(space.basis):
+            h = space.half(unit_vector(field, space.dim, k))
             support = [j for j, a in enumerate(h) if a != field.rzero]
             assert len(support) == 1 and h[support[0]] == field.rone
             assert desc.el_add(h, apply_involution(desc, h)) == b

@@ -14,8 +14,9 @@ polar call per entry, block matching against forms pulled back through
 invertible matrices; the GF(2)[t] polynomial kernels against sympy's Poly(modulus=2)
 and against the generic GF(2^k)[t] branch through the embedding
 GF(2)[t] -> GF(4)[t]; the generic branch against the division identity; the
-GF(2^k)(t) normal form against cross-multiplied schoolbook fractions; the
-bit-sliced GF(2^k) lane ring against the log-table payload arithmetic lane
+GF(2^k)(t) normal form against cross-multiplied schoolbook fractions, and
+its product, which skips the gcd after the two cross gcds, against the
+normal form of the full product; the bit-sliced GF(2^k) lane ring against the log-table payload arithmetic lane
 by lane, its Berkowitz run against one scalar run per lane, and the unpack
 of the first lanes against the full unpack; the Berkowitz driver over
 GF(2)(t) and GF(4)(t), on lanes that sum random elements by random masks,
@@ -621,6 +622,19 @@ def test_ratfunc_operations_keep_normal_form(field, data):
         i = field.rinv(x.raw)
         assert_normal(field, i)
         assert same_fraction(i, da, na)
+
+
+@settings(max_examples=100, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from([ratfunc(GF2), ratfunc(GF4)]), st.data())
+def test_ratfunc_product_needs_no_gcd_after_the_cross_gcds(field, data):
+    # denominators that share factors with each other and with the numerators
+    fraction = elements(field, nonzero=True).filter(lambda e: e.raw[1] != 1)
+    x = data.draw(fraction)
+    y = data.draw(st.one_of(fraction, elements(field)))
+    (na, da), (nb, db) = x.raw, y.raw
+    base = field.base
+    assert field.rmul(x.raw, y.raw) == field._norm(pmul(na, nb, base), pmul(da, db, base))
+    assert field.rmul(y.raw, x.raw) == field.rmul(x.raw, y.raw)
 
 
 # ---------------------------------------------------------------------------

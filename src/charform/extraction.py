@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDescriptor,
     WitnessNotFound,
 )
-from .fields import Fe, GF2k, QuadraticExtension
+from .fields import Fe, GF2k, QuadraticExtension, solve_artin_schreier
 from .forms import (
     QuadraticForm,
     RawQuadraticForm,
@@ -54,7 +54,7 @@ from .involutions import (
     second_trace_form,
     symmetric_space,
 )
-from .linalg import Span, charpoly_raw, combination, kernel, unit_vector
+from .linalg import Span, combination, kernel, rank, unit_vector
 from .quaternions import nrd_form, quat_conj
 
 _S4 = list(itertools.permutations(range(4)))
@@ -88,7 +88,6 @@ class BiquadraticEtale:
         one = desc.one_el()
         s12 = desc.el_mul(s1, s2)
         self.basis = [one, s1, s2, s12]
-        self.span = Span(self.basis, desc.field)
         self._li_spans = {i: Span([one, self.generator(i)[0]], desc.field) for i in (1, 2, 3)}
 
     def generator(self, i: int):
@@ -131,7 +130,7 @@ def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
             raise InvalidCandidate(f"{name}^2 + {name} is not a scalar")
         cs.append(c)
     cand = BiquadraticEtale(desc, s1, s2, cs[0], cs[1])
-    if cand.span.dim != 4:
+    if rank(cand.basis, desc.field) != 4:
         raise InvalidCandidate("generators span less than four dimensions")
     return cand
 
@@ -260,11 +259,11 @@ def galois_components(
         raise DecompositionFailure("L is not inside the symmetric space")
 
     # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k, so
-    # the column of b for s_k is b*s_k + s_k*b (= y + sigma(y), y = b*s_k, in the
-    # space), plus b if moved, read at the pivots of the space's echelon basis
+    # the column of b for s_k is b*s_k + s_k*b = y + sigma(y), y = b*s_k (b and s_k
+    # are symmetric), plus b if moved, read at the pivots of the space's echelon basis
     add, one, rows = field.radd, field.rone, {}
     for k, s in ((1, L.s1), (2, L.s2)):
-        cols = [desc.el_add(desc.el_mul(b, s), desc.el_mul(s, b)) for b in space.basis]
+        cols = [desc.el_add(y, desc.involve(y)) for y in (desc.el_mul(b, s) for b in space.basis)]
         rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
         rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
     solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
@@ -333,67 +332,43 @@ def _component_checks(comps: WComponents) -> None:
             _check_qi_nonsingular(comps, i)
 
 
-def _li_module_basis(comps: WComponents, i: int) -> List[list]:
-    """An L_i-module basis of W_i, as space-coordinate vectors: the first
-    candidates v that are, with g_i*v, independent of those chosen so far
-    and their images.
-
-    The search runs on W_i coordinates, where v -> v*g_i is the combination
-    of the images of the W_i basis vectors (computed once), and reduces each
-    candidate and its image against the echelon rows kept so far."""
-    desc = comps.desc
-    field = desc.field
-    space = comps.space
-    g, _ = comps.L.generator(i)
-    vectors = comps.w_coords[i - 1]
-    n = len(vectors)
-    images = []
-    for v in vectors:
-        sc = space.coords(desc.el_mul(space.element(v), g))
-        wc = None if sc is None else comps.w_spans[i - 1].input_coords(sc)
-        if wc is None:
-            raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
-        images.append(wc)
-
-    add, mul, zero = field.radd, field.rmul, field.rzero
-    chosen: List[list] = []
-    kept: list = []  # (pivot, row), row 1 at pivot and 0 at the pivots kept before
-    for cs in candidates(field, n, None, 0, 0):
-        if 2 * len(chosen) == n:
-            break
-        new: list = []  # the candidate and its image, each reduced by the rows before it
-        for v in (cs, combination(field, cs, images, n)):
-            for p, row in kept + new:
-                if v[p] != zero:
-                    v = [add(a, mul(v[p], b)) for a, b in zip(v, row)]
-            p = next((j for j, a in enumerate(v) if a != zero), None)
-            if p is None:
-                break
-            inv = field.rinv(v[p])
-            new.append((p, [mul(inv, a) for a in v]))
-        else:
-            chosen.append(cs)
-            kept += new
-    if 2 * len(chosen) != n:
-        raise DecompositionFailure(f"W_{i} is not free over L_{i}")
-    return [combination(field, cs, vectors, space.dim) for cs in chosen]
-
-
 def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
-    desc = comps.desc
-    ring = comps.L.li_ring(i)
-    elems = [comps.space.element(v) for v in _li_module_basis(comps, i)]
-    # the polar matrix x*y + y*x is symmetric with zero diagonal
-    rows = [[ring.rzero] * len(elems) for _ in elems]
+    """Certify that q_i(x) = x^2 is a nonsingular L_i-quadratic form on W_i.
+
+    W_i must be stable under g_i and free over L_i: if r^2 + r = c_i has a
+    root, eps = r + g_i is an idempotent and W_i*eps must be half of W_i;
+    if not, L_i is a field.  For each pair of basis vectors,
+    z = e_a e_b + e_b e_a = y + sigma(y) with y = e_a e_b (the e are symmetric)
+    must lie in L_i, and T_i(z) must be the polar entry of w_raw.  With the
+    squares _component_checks reads at the basis, x^2 lies in L_i and
+    q(x) = T_i(x^2) on all of W_i, so the polar form of w_raw is T_i o B_i,
+    B_i(x, y) = xy + yx.  Lemma: a radical vector of q_i over L_i lies in the
+    radical of T_i o B_i, so a polar matrix of full rank proves q_i nonsingular.
+    """
+    desc, L, space = comps.desc, comps.L, comps.space
+    field = desc.field
+    g, c = L.generator(i)
+    vectors = comps.w_coords[i - 1]
+    elems = [space.element(v) for v in vectors]
+    images = [space.coords(desc.el_mul(x, g)) for x in elems]
+    if any(sc is None or comps.w_spans[i - 1].coords(sc) is None for sc in images):
+        raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
+    r = solve_artin_schreier(c)
+    if r is UNKNOWN:
+        raise DecompositionFailure(f"undecided whether L_{i} splits")
+    if r is not None:
+        eps = [combination(field, (r.raw, field.rone), vw, space.dim) for vw in zip(vectors, images)]
+        if 2 * rank(eps, field) != len(vectors):
+            raise DecompositionFailure(f"W_{i} is not free over L_{i}")
+    u = comps.w_raw[i - 1].u
     for a, b in itertools.combinations(range(len(elems)), 2):
-        x, y = elems[a], elems[b]
-        co = comps.L.li_coords(i, desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x)))
-        if co is None:
+        y = desc.el_mul(elems[a], elems[b])
+        li = L.li_coords(i, desc.el_add(y, desc.involve(y)))
+        if li is None:
             raise DecompositionFailure("polar of q_i escapes L_i")
-        rows[a][b] = rows[b][a] = tuple(co)
-    # the Berkowitz determinant on etale payloads (a, b) = a + b*g_i
-    det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
-    if ring.rnorm(det) == desc.field.rzero:
+        if u[a][b] != field._el(li[1]):
+            raise DecompositionFailure("polar of q_i differs from T_i(xy + yx)")
+    if rank(comps.w_raw[i - 1].polar_matrix(), field) != len(vectors):
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
 
 

@@ -20,19 +20,26 @@ overloading, beside the payload tuples of the runtime.
   restarts after every cancelled pair, beside the one greedy pass of
   ``charform.forms._witt_cancel_pass``;
 - ``witt_equivalent_by_arf``: Witt equivalence over GF(2^k) from the
-  lengths and Arf invariants of the anisotropic kernels.
+  lengths and Arf invariants of the anisotropic kernels;
+- ``li_module_basis`` and ``check_qi_by_module_basis``: q_i(x) = x^2
+  certified nonsingular on W_i from an L_i-module basis searched among the
+  ``candidates`` and a Berkowitz determinant over L_i, beside the rank
+  certificate of ``charform.extraction._check_qi_nonsingular``.
 """
 
+import itertools
 import operator
 from typing import List, Sequence, Tuple
 
-from charform.errors import AlgebraMismatch
+from charform.errors import AlgebraMismatch, DecompositionFailure
+from charform.extraction import WComponents
 from charform.fields import Fe, frobenius_sqrt, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
     RawQuadraticForm,
     arf_invariant,
     block_square_witness,
+    candidates,
     form,
     witt_decompose_gf2k,
 )
@@ -393,3 +400,72 @@ def witt_equivalent_by_arf(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         and arf_invariant(form(k1.field, k1.blocks)) == arf_invariant(form(k2.field, k2.blocks))
         and sum(map(bool, k1.diag)) == sum(map(bool, k2.diag))
     )
+
+
+# ---------------------------------------------------------------------------
+# q_i nonsingular over L_i, by an L_i-module basis of W_i
+# ---------------------------------------------------------------------------
+
+
+def li_module_basis(comps: WComponents, i: int) -> List[list]:
+    """An L_i-module basis of W_i, as space-coordinate vectors: the first
+    candidates v that are, with g_i*v, independent of those chosen so far
+    and their images.
+
+    The search runs on W_i coordinates, where v -> v*g_i is the combination
+    of the images of the W_i basis vectors (computed once), and reduces each
+    candidate and its image against the echelon rows kept so far."""
+    desc = comps.desc
+    field = desc.field
+    space = comps.space
+    g, _ = comps.L.generator(i)
+    vectors = comps.w_coords[i - 1]
+    n = len(vectors)
+    images = []
+    for v in vectors:
+        sc = space.coords(desc.el_mul(space.element(v), g))
+        wc = None if sc is None else comps.w_spans[i - 1].input_coords(sc)
+        if wc is None:
+            raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
+        images.append(wc)
+
+    add, mul, zero = field.radd, field.rmul, field.rzero
+    chosen: List[list] = []
+    kept: list = []  # (pivot, row), row 1 at pivot and 0 at the pivots kept before
+    for cs in candidates(field, n, None, 0, 0):
+        if 2 * len(chosen) == n:
+            break
+        new: list = []  # the candidate and its image, each reduced by the rows before it
+        for v in (cs, combination(field, cs, images, n)):
+            for p, row in kept + new:
+                if v[p] != zero:
+                    v = [add(a, mul(v[p], b)) for a, b in zip(v, row)]
+            p = next((j for j, a in enumerate(v) if a != zero), None)
+            if p is None:
+                break
+            inv = field.rinv(v[p])
+            new.append((p, [mul(inv, a) for a in v]))
+        else:
+            chosen.append(cs)
+            kept += new
+    if 2 * len(chosen) != n:
+        raise DecompositionFailure(f"W_{i} is not free over L_{i}")
+    return [combination(field, cs, vectors, space.dim) for cs in chosen]
+
+
+def check_qi_by_module_basis(comps: WComponents, i: int) -> None:
+    desc = comps.desc
+    ring = comps.L.li_ring(i)
+    elems = [comps.space.element(v) for v in li_module_basis(comps, i)]
+    # the polar matrix x*y + y*x is symmetric with zero diagonal
+    rows = [[ring.rzero] * len(elems) for _ in elems]
+    for a, b in itertools.combinations(range(len(elems)), 2):
+        x, y = elems[a], elems[b]
+        co = comps.L.li_coords(i, desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x)))
+        if co is None:
+            raise DecompositionFailure("polar of q_i escapes L_i")
+        rows[a][b] = rows[b][a] = tuple(co)
+    # the Berkowitz determinant on etale payloads (a, b) = a + b*g_i
+    det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
+    if ring.rnorm(det) == desc.field.rzero:
+        raise DecompositionFailure(f"q_{i} is singular over L_{i}")

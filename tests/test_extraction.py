@@ -4,6 +4,7 @@ and the invariant extraction reports."""
 import collections
 import dataclasses
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from descriptor_layout import entries
-from oracles import QuatRing
+from oracles import QuatRing, check_qi_by_module_basis, li_module_basis
 from charform import extraction, involutions, verify
 from charform.cli import main
 from charform.errors import (
@@ -54,8 +55,9 @@ from charform.extraction import (
     validate_biquadratic,
     _as_scalar,
 )
-from charform.linalg import Span, kernel
+from charform.linalg import Span, kernel, rank
 from charform.quaternions import QuaternionAlgebra, nrd_form
+from charform.serialize import descriptor_from_json
 
 F4 = gf2k(2)
 F8 = gf2k(3)
@@ -87,7 +89,7 @@ def test_construct_biquadratic_idempotents():
     L = construct_biquadratic(desc)
     # idempotent generators: s^2 + s = 0
     assert not L.c1 and not L.c2
-    assert L.span.dim == 4
+    assert rank(L.basis, desc.field) == 4
 
 
 def test_construct_biquadratic_variants_differ():
@@ -245,7 +247,7 @@ def test_components_match_column_by_column_kernels(monkeypatch, name, kind, whic
         assert _same_span(w, oracle, field)
         # the chosen generators and their g_i images are a basis of W_i
         g, _ = L.generator(i)
-        gens = extraction._li_module_basis(comps, i)
+        gens = li_module_basis(comps, i)
         images = [space.coords(desc.el_mul(space.element(v), g)) for v in gens]
         assert 2 * len(gens) == len(w) and _same_span(gens + images, w, field)
 
@@ -256,7 +258,9 @@ def test_li_module_basis_rejects_an_image_outside_w_i():
     # W_2 in place of W_1: its vectors times g_1 lie in W_2, outside the span of W_1
     comps.w_coords[0] = comps.w_coords[1]
     with pytest.raises(DecompositionFailure, match="not stable"):
-        extraction._li_module_basis(comps, 1)
+        li_module_basis(comps, 1)
+    with pytest.raises(DecompositionFailure, match="W_1 is not stable under L_1"):
+        extraction._check_qi_nonsingular(comps, 1)
 
 
 def test_component_checks_reject_l_not_orthogonal_to_w1():
@@ -282,6 +286,111 @@ def test_component_checks_reject_w1_not_free_over_l1():
     comps = dataclasses.replace(comps, w_coords=[comps.w_coords[0][:4], *comps.w_coords[1:]])
     with pytest.raises(DecompositionFailure, match="W_1 is not free over L_1"):
         extraction._component_checks(comps)
+
+
+def test_component_checks_reject_a_rank_one_submodule():
+    # W_1 cut down to the L_1-module spanned by x = e_0 + e_4, which is stable
+    # and free of rank one; x*x' + x'*x is determined by q_1(x), so q_1 is singular
+    desc = SplitSymp(F4)
+    comps = galois_components(desc, checks=False)
+    space, w = comps.space, comps.w_coords[0]
+    x = list(map(F4.radd, w[0], w[4]))
+    g, _ = comps.L.generator(1)
+    sub = [x, space.coords(desc.el_mul(space.element(x), g))]
+    comps = dataclasses.replace(comps, w_coords=[sub, *comps.w_coords[1:]])
+    comps.w_raw[0] = comps.full_raw.restrict(sub)
+    with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
+        extraction._component_checks(comps)
+    with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
+        check_qi_by_module_basis(comps, 1)
+
+
+def test_qi_check_rejects_an_undecided_split(monkeypatch):
+    # only GF(2^k)(t) can leave x^2 + x = c_i undecided; no L built there does
+    comps = galois_components(SplitSymp(F4), checks=False)
+    monkeypatch.setattr(extraction, "solve_artin_schreier", lambda c: extraction.UNKNOWN)
+    with pytest.raises(DecompositionFailure, match="undecided whether L_1 splits"):
+        extraction._check_qi_nonsingular(comps, 1)
+
+
+GOLDEN_DESCRIPTORS = Path(__file__).parent / "golden" / "descriptors"
+
+
+def _golden_descriptor(name):
+    return descriptor_from_json(json.loads((GOLDEN_DESCRIPTORS / f"{name}.json").read_text()))
+
+
+def _private_pair(comps):
+    """Space coordinates p < q that one W_1 basis vector each touches, two
+    different ones, and that no vector of L, W_2 or W_3 touches."""
+    zero = comps.desc.field.rzero
+    others = comps.l_coords + comps.w_coords[1] + comps.w_coords[2]
+    for p, q in itertools.combinations(range(comps.space.dim), 2):
+        if any(v[p] != zero or v[q] != zero for v in others):
+            continue
+        at_p = [a for a, v in enumerate(comps.w_coords[0]) if v[p] != zero]
+        at_q = [b for b, v in enumerate(comps.w_coords[0]) if v[q] != zero]
+        if len(at_p) == len(at_q) == 1 and at_p != at_q:
+            return p, q
+    return None
+
+
+@pytest.mark.parametrize(
+    "name", ["pool_index2_symp_gf2k3", "index2_symp_ratfunc_gf2", "unitary_etale_gf2k3"]
+)
+def test_component_checks_reject_a_polar_entry_off_t_i(name):
+    # 1 added to the full form's cross term at a private pair (p, q): the
+    # components stay orthogonal and q(e_a) = T_i(e_a^2) at every basis vector,
+    # but the polar entry of the two W_1 vectors at p and q leaves T_i(e_a e_b + e_b e_a)
+    comps = galois_components(_golden_descriptor(name), checks=False)
+    pair = _private_pair(comps)
+    assert pair is not None
+    p, q = pair
+    field = comps.desc.field
+    u = [list(row) for row in comps.full_raw.u]
+    u[p][q] += field.one
+    comps.full_raw = RawQuadraticForm(field, u)
+    comps.w_raw = [comps.full_raw.restrict(w) for w in comps.w_coords]
+    with pytest.raises(DecompositionFailure, match="polar of q_i differs from T_i"):
+        extraction._component_checks(comps)
+
+
+def _qi_verdicts(comps):
+    """Whether the rank certificate and the module-basis oracle pass, per W_i."""
+    out = []
+    for check in (extraction._check_qi_nonsingular, check_qi_by_module_basis):
+        for i in (1, 2, 3):
+            try:
+                check(comps, i)
+            except DecompositionFailure:
+                out.append(False)
+            else:
+                out.append(True)
+    return out[:3], out[3:]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        p.stem
+        for p in sorted(GOLDEN_DESCRIPTORS.glob("*.json"))
+        if json.loads(p.read_text())["kind"] != "orthogonal"
+    ],
+)
+def test_qi_check_agrees_with_the_module_basis_oracle(name):
+    desc = _golden_descriptor(name)
+    for variant in (0, 9):
+        comps = galois_components(desc, construct_biquadratic(desc, variant), checks=False)
+        new, old = _qi_verdicts(comps)
+        assert new == old, variant
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_qi_check_agrees_with_the_module_basis_oracle_on_square_central_l(monkeypatch, name):
+    desc = _oracle_symplectic(ORACLE_FIELDS[name])
+    comps = galois_components(desc, _square_central_l(monkeypatch, desc), checks=False)
+    new, old = _qi_verdicts(comps)
+    assert new == old
 
 
 def _scaled_w1_form(comps):
@@ -349,14 +458,15 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
 @pytest.mark.parametrize(
     "maker,budget",
     [
-        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 201),
-        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 99),
+        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 193),
+        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 79),
     ],
     ids=["index2_symp", "unitary_etale"],
 )
 def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
-    # products by s1 and s2 shared by the three components, and the module
-    # basis searched on W_i coordinates
+    # products b*s for s = s1, s2 shared by the three components (s*b read as
+    # sigma(b*s)), then per W_i the squares, the images x*g_i and one product
+    # per pair of basis vectors
     desc = maker()
     calls = []
     mul = _MatrixDescriptor.el_mul

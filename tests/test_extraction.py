@@ -289,8 +289,8 @@ def test_component_checks_reject_w1_not_free_over_l1():
 
 
 def test_component_checks_reject_a_rank_one_submodule():
-    # W_1 cut down to the L_1-module spanned by x = e_0 + e_4, which is stable
-    # and free of rank one; x*x' + x'*x is determined by q_1(x), so q_1 is singular
+    # W_1 cut down to the L_1-module spanned by x = e_0 + e_4: it is stable and
+    # free of rank one, where the alternating L_1-polar form of q_1 vanishes
     desc = SplitSymp(F4)
     comps = galois_components(desc, checks=False)
     space, w = comps.space, comps.w_coords[0]
@@ -355,18 +355,22 @@ def test_component_checks_reject_a_polar_entry_off_t_i(name):
         extraction._component_checks(comps)
 
 
-def _qi_verdicts(comps):
-    """Whether the rank certificate and the module-basis oracle pass, per W_i."""
-    out = []
-    for check in (extraction._check_qi_nonsingular, check_qi_by_module_basis):
-        for i in (1, 2, 3):
-            try:
-                check(comps, i)
-            except DecompositionFailure:
-                out.append(False)
-            else:
-                out.append(True)
-    return out[:3], out[3:]
+def _qi_verdicts(comps, check):
+    """Whether ``check`` passes on W_1, W_2 and W_3."""
+    verdicts = []
+    for i in (1, 2, 3):
+        try:
+            check(comps, i)
+        except DecompositionFailure:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+def _assert_qi_verdicts_agree(comps):
+    new = _qi_verdicts(comps, extraction._check_qi_nonsingular)
+    assert new == _qi_verdicts(comps, check_qi_by_module_basis)
 
 
 @pytest.mark.parametrize(
@@ -380,17 +384,17 @@ def _qi_verdicts(comps):
 def test_qi_check_agrees_with_the_module_basis_oracle(name):
     desc = _golden_descriptor(name)
     for variant in (0, 9):
-        comps = galois_components(desc, construct_biquadratic(desc, variant), checks=False)
-        new, old = _qi_verdicts(comps)
-        assert new == old, variant
+        _assert_qi_verdicts_agree(
+            galois_components(desc, construct_biquadratic(desc, variant), checks=False)
+        )
 
 
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_qi_check_agrees_with_the_module_basis_oracle_on_square_central_l(monkeypatch, name):
     desc = _oracle_symplectic(ORACLE_FIELDS[name])
-    comps = galois_components(desc, _square_central_l(monkeypatch, desc), checks=False)
-    new, old = _qi_verdicts(comps)
-    assert new == old
+    _assert_qi_verdicts_agree(
+        galois_components(desc, _square_central_l(monkeypatch, desc), checks=False)
+    )
 
 
 def _scaled_w1_form(comps):

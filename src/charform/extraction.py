@@ -168,7 +168,12 @@ def li_trace_norm(L: BiquadraticEtale, i: int, ell) -> Tuple[Fe, Fe]:
 
 @dataclass
 class WComponents:
-    """L and the three Klein components, with restricted forms."""
+    """L and the three Klein components, with restricted forms.
+
+    ``adapted`` is the full form on the adapted basis L | W_1 | W_2 | W_3
+    (its Gram matrix, computed once); ``w_raw`` holds its three W blocks.
+    Both are rebuilt by ``dataclasses.replace``.
+    """
 
     desc: object
     L: BiquadraticEtale
@@ -176,11 +181,18 @@ class WComponents:
     full_raw: RawQuadraticForm
     l_coords: List[list]  # payload coordinates over the space basis
     w_coords: List[List[list]]  # [i][vector], i = 0..2 for W_1..W_3
-    w_raw: List[RawQuadraticForm] = dc_field(default_factory=list)
+    adapted: RawQuadraticForm = dc_field(init=False)
+    w_raw: List[RawQuadraticForm] = dc_field(init=False)
     w_spans: List[Span] = dc_field(init=False)  # of w_coords, built once
 
     def __post_init__(self):
-        self.w_spans = [Span(w, self.desc.field) for w in self.w_coords]
+        field = self.desc.field
+        self.w_spans = [Span(w, field) for w in self.w_coords]
+        self.adapted = self.full_raw.restrict(self.l_coords + [v for w in self.w_coords for v in w])
+        u, ends = self.adapted.u, list(itertools.accumulate(self.dims))
+        self.w_raw = [
+            RawQuadraticForm(field, [row[s:e] for row in u[s:e]]) for s, e in zip(ends, ends[1:])
+        ]
 
     @property
     def dims(self) -> Tuple[int, int, int, int]:
@@ -286,8 +298,6 @@ def galois_components(
             if any(span.coords(v) is None for v in basis):
                 raise DecompositionFailure("closed-form basis escapes the solved component")
 
-    comps.w_raw = [full_raw.restrict(comps.w_coords[i]) for i in range(3)]
-
     if checks:
         _component_checks(comps)
     return comps
@@ -299,33 +309,45 @@ def _is_default_l(desc, L: BiquadraticEtale) -> bool:
 
 
 def _component_checks(comps: WComponents) -> None:
-    desc = comps.desc
+    """Certify the Klein decomposition from the adapted Gram matrix.
+
+    L, W_1, W_2 and W_3 are pairwise orthogonal when every entry of
+    ``comps.adapted`` outside its diagonal blocks is 0.  For each W_i and each
+    pair a <= b of its basis, z = e_a^2 (a = b) or z = e_a e_b + e_b e_a
+    = y + sigma(y) with y = e_a e_b (a < b, the e are symmetric) must lie in
+    L_i, and T_i(z) must be the entry (a, b) of w_raw: q(e_a) on the diagonal,
+    the polar entry above it.  So x^2 lies in L_i and q(x) = T_i(x^2) on all
+    of W_i, and the polar form of w_raw is T_i o B_i, B_i(x, y) = xy + yx.
+    """
+    desc, L = comps.desc, comps.L
     field = desc.field
-    full = comps.full_raw
-    # pairwise polar orthogonality: B*v once per vector of L, W_1, W_2, then sparse dots
     zero, add, mul = field.rzero, field.radd, field.rmul
-    groups = [comps.l_coords] + comps.w_coords
-    terms = [[[(j, a) for j, a in enumerate(w) if a != zero] for w in g] for g in groups]
-    for gi in range(3):
-        for v in groups[gi]:
-            bv = full.polar_vector(v)
-            for w in itertools.chain(*terms[gi + 1 :]):
-                if functools.reduce(add, (mul(a, bv[j]) for j, a in w), zero) != zero:
-                    raise DecompositionFailure("components are not orthogonal")
-    # squaring lands in L_i with the second coefficient equal to T_i(x^2)
+    owner = [k for k, n in enumerate(comps.dims) for _ in range(n)]
+    for r, row in enumerate(comps.adapted.u):
+        if any(x for c, x in enumerate(row) if owner[c] != owner[r]):
+            raise DecompositionFailure("components are not orthogonal")
     symplectic = desc.case == "symplectic"
-    elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
-    for i in (1, 2, 3):
-        for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
-            li = comps.L.li_coords(i, desc.el_mul(x, x))
+    for i, (vectors, w) in enumerate(zip(comps.w_coords, comps.w_raw), start=1):
+        elems = [comps.space.element(v) for v in vectors]
+        for a, b in itertools.combinations_with_replacement(range(len(elems)), 2):
+            y = desc.el_mul(elems[a], elems[b])
+            z = y if a == b else desc.el_add(y, desc.involve(y))
+            li = L.li_coords(i, z)
             if li is None:
-                raise DecompositionFailure("a component square escapes L_i")
+                raise DecompositionFailure(
+                    "a component square escapes L_i" if a == b else "polar of q_i escapes L_i"
+                )
             # T_i(a + b*g_i) = b
-            if full.evaluate(coords) != field._el(li[1]):
-                raise DecompositionFailure("second coefficient differs from T_i(x^2)")
-            # Trp is linear: its payloads at the basis were read off with the form
-            if symplectic and functools.reduce(add, map(mul, coords, desc._trp_raw)) != zero:
-                raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
+            if w.u[a][b] != field._el(li[1]):
+                raise DecompositionFailure(
+                    "second coefficient differs from T_i(x^2)"
+                    if a == b
+                    else "polar of q_i differs from T_i(xy + yx)"
+                )
+        # Trp is linear: its payloads at the basis were read off with the form
+        trp = (functools.reduce(add, map(mul, v, desc._trp_raw)) for v in vectors)
+        if symplectic and any(t != zero for t in trp):
+            raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
     # q_i nonsingular over L_i (rank >= 2 cases)
     if desc.case != "orthogonal":
         for i in (1, 2, 3):
@@ -333,17 +355,14 @@ def _component_checks(comps: WComponents) -> None:
 
 
 def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
-    """Certify that q_i(x) = x^2 is a nonsingular L_i-quadratic form on W_i.
+    """Certify that q_i(x) = x^2 is a nonsingular L_i-quadratic form on W_i,
+    given the products _component_checks reads off w_raw.
 
     W_i must be stable under g_i and free over L_i: if r^2 + r = c_i has a
     root, eps = r + g_i is an idempotent and W_i*eps must be half of W_i;
-    if not, L_i is a field.  For each pair of basis vectors,
-    z = e_a e_b + e_b e_a = y + sigma(y) with y = e_a e_b (the e are symmetric)
-    must lie in L_i, and T_i(z) must be the polar entry of w_raw.  With the
-    squares _component_checks reads at the basis, x^2 lies in L_i and
-    q(x) = T_i(x^2) on all of W_i, so the polar form of w_raw is T_i o B_i,
-    B_i(x, y) = xy + yx.  Lemma: a radical vector of q_i over L_i lies in the
-    radical of T_i o B_i, so a polar matrix of full rank proves q_i nonsingular.
+    if not, L_i is a field.  The polar form of w_raw is T_i o B_i.  Lemma: a
+    radical vector of q_i over L_i lies in the radical of T_i o B_i, so a
+    polar matrix of full rank proves q_i nonsingular.
     """
     desc, L, space = comps.desc, comps.L, comps.space
     field = desc.field
@@ -360,14 +379,6 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
         eps = [combination(field, (r.raw, field.rone), vw, space.dim) for vw in zip(vectors, images)]
         if 2 * rank(eps, field) != len(vectors):
             raise DecompositionFailure(f"W_{i} is not free over L_{i}")
-    u = comps.w_raw[i - 1].u
-    for a, b in itertools.combinations(range(len(elems)), 2):
-        y = desc.el_mul(elems[a], elems[b])
-        li = L.li_coords(i, desc.el_add(y, desc.involve(y)))
-        if li is None:
-            raise DecompositionFailure("polar of q_i escapes L_i")
-        if u[a][b] != field._el(li[1]):
-            raise DecompositionFailure("polar of q_i differs from T_i(xy + yx)")
     if rank(comps.w_raw[i - 1].polar_matrix(), field) != len(vectors):
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
 
@@ -461,34 +472,18 @@ def _anisotropic_coords(raw: RawQuadraticForm, rng: random.Random) -> list:
 def _restriction_certificate_11_00(comps: WComponents) -> Decision:
     """Certify that the restriction to L is [1,1] + [0,0].
 
-    Uses the explicit basis: with T_i(l_i) = 1 the values at l_1, l_2,
-    l_1 + l_2 and their translates by 1 are all 1, the plane (l_1, l_2) is
-    the form X^2 + XY + Y^2, and its orthogonal complement in L contains the
-    isotropic vector 1, so it is a split plane.
+    Reads the L block of the adapted Gram matrix, on the basis
+    (1, s1, s2, s1*s2) with l_1 = s2 and l_2 = s1: q(l_1) = q(l_2) =
+    B(l_1, l_2) = 1 makes the plane (l_1, l_2) the form X^2 + XY + Y^2, and
+    1 is isotropic and orthogonal to it.  Its complement in L is spanned by 1
+    and w = s1*s2 + B(s1*s2, s1) s2 + B(s1*s2, s2) s1, and B(1, w) =
+    B(1, s1*s2) != 0 pairs it into a split plane.
     """
-    field = comps.desc.field
-    full = comps.full_raw
-    one = field.one
-    # L has coordinates (1, s1, s2, s1*s2); l_1 = s2 and l_2 = s1
-    vone, v2, v1, v4 = comps.l_coords
-    conds = []
-    vsum = list(map(field.radd, v1, v2))
-    for v in (v1, v2, vsum):
-        vv = list(map(field.radd, v, vone))
-        conds.append(full.evaluate(v) == one)
-        conds.append(full.evaluate(vv) == one)
-    conds.append(not full.evaluate(vone))
-    conds.append(full.polar(v1, v2) == one)
-    conds.append(not full.polar(vone, v1))
-    conds.append(not full.polar(vone, v2))
-    # complement of the (l1, l2) plane inside L meets 1; it splits because
-    # the plane is nonsingular and 1 is isotropic in it
-    coeffs = (field.rone, full.polar(v4, v2).raw, full.polar(v4, v1).raw)
-    w = combination(field, coeffs, (v4, v1, v2), len(v4))
-    # the complement of the (l1, l2) plane is a nondegenerate plane spanned
-    # by 1 and w; pairing with the isotropic 1 makes it a split block
-    conds.append(bool(full.polar(vone, w)))
-    return decided(all(conds), {"values": [full.evaluate(v).raw for v in (v1, v2, vsum)]})
+    u = comps.adapted.u
+    one = comps.desc.field.one
+    q1, q2, b12 = u[2][2], u[1][1], u[1][2]
+    conds = [q1 == q2 == b12 == one, not u[0][0], not u[0][1], not u[0][2], bool(u[0][3])]
+    return decided(all(conds), {"values": [q1.raw, q2.raw, (q1 + q2 + b12).raw]})
 
 
 class _CheckNames(NamedTuple):
@@ -863,14 +858,14 @@ def extract_orthogonal_invariants(
             sval, det = (a1, a2, a1 * a2)[i - 1], delta
             witness = {"value": sval.raw}
         target = form(field, [], [sval, sval * det])
-        units = [unit_vector(field, 2, k) for k in range(2)]
-        actual = form(field, [], [comps.w_raw[i - 1].evaluate(u) for u in units])
+        actual = form(field, [], [row[k] for k, row in enumerate(comps.w_raw[i - 1].u)])
         result = totally_singular_isometry(actual, target)
         checks.append(Check(f"w{i}_joint_witness", Decision(result.state, result.witness or witness)))
 
     checks.append(Check("star_multiplicativity", decided(star_multiplicative(comps, rng, 100))))
 
-    rad_values = form(field, [], [full.evaluate(v) for v in w_all])
+    diag = [row[k] for k, row in enumerate(comps.adapted.u)]
+    rad_values = form(field, [], diag[len(comps.l_coords) :])
     checks.append(Check("phi_equals_radical_restriction", totally_singular_isometry(phi, rad_values)))
 
     quasi = quasi_pfister([a1, a2, delta])

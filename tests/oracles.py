@@ -24,13 +24,22 @@ overloading, beside the payload tuples of the runtime.
 - ``li_module_basis`` and ``check_qi_by_module_basis``: q_i(x) = x^2
   certified nonsingular on W_i from an L_i-module basis searched among the
   ``candidates`` and a Berkowitz determinant over L_i, beside the rank
-  certificate of ``charform.extraction._check_qi_nonsingular``.
+  certificate of ``charform.extraction._check_qi_nonsingular``;
+- ``check_orthogonal_by_polar_vectors``, ``check_squares_by_evaluate`` and
+  ``restriction_certificate_11_00``: the pairwise orthogonality of L, W_1,
+  W_2, W_3 by ``polar_vector`` and sparse dots, q(x) = T_i(x^2) at each W_i
+  basis vector (with Trp = 0 there) by ``evaluate``, and the [1,1] + [0,0]
+  certificate of L by ``evaluate`` and ``polar`` calls, beside the reads of
+  the adapted Gram matrix in ``charform.extraction._component_checks`` and
+  ``_restriction_certificate_11_00``.
 """
 
+import functools
 import itertools
 import operator
 from typing import List, Sequence, Tuple
 
+from charform.decision import Decision, decided
 from charform.errors import AlgebraMismatch, DecompositionFailure
 from charform.extraction import WComponents
 from charform.fields import Fe, frobenius_sqrt, solve_artin_schreier
@@ -469,3 +478,77 @@ def check_qi_by_module_basis(comps: WComponents, i: int) -> None:
     det = charpoly_raw(rows, ring.rzero, ring.rone, ring.radd, ring.rmul)[0]
     if ring.rnorm(det) == desc.field.rzero:
         raise DecompositionFailure(f"q_{i} is singular over L_{i}")
+
+
+# ---------------------------------------------------------------------------
+# component certificates by evaluate, polar and polar_vector calls
+# ---------------------------------------------------------------------------
+
+
+def check_orthogonal_by_polar_vectors(comps: WComponents) -> None:
+    field = comps.desc.field
+    full = comps.full_raw
+    # pairwise polar orthogonality: B*v once per vector of L, W_1, W_2, then sparse dots
+    zero, add, mul = field.rzero, field.radd, field.rmul
+    groups = [comps.l_coords] + comps.w_coords
+    terms = [[[(j, a) for j, a in enumerate(w) if a != zero] for w in g] for g in groups]
+    for gi in range(3):
+        for v in groups[gi]:
+            bv = full.polar_vector(v)
+            for w in itertools.chain(*terms[gi + 1 :]):
+                if functools.reduce(add, (mul(a, bv[j]) for j, a in w), zero) != zero:
+                    raise DecompositionFailure("components are not orthogonal")
+
+
+def check_squares_by_evaluate(comps: WComponents) -> None:
+    desc = comps.desc
+    field = desc.field
+    full = comps.full_raw
+    zero, add, mul = field.rzero, field.radd, field.rmul
+    # squaring lands in L_i with the second coefficient equal to T_i(x^2)
+    symplectic = desc.case == "symplectic"
+    elems = [[comps.space.element(coords) for coords in w] for w in comps.w_coords]
+    for i in (1, 2, 3):
+        for coords, x in zip(comps.w_coords[i - 1], elems[i - 1]):
+            li = comps.L.li_coords(i, desc.el_mul(x, x))
+            if li is None:
+                raise DecompositionFailure("a component square escapes L_i")
+            # T_i(a + b*g_i) = b
+            if full.evaluate(coords) != field._el(li[1]):
+                raise DecompositionFailure("second coefficient differs from T_i(x^2)")
+            # Trp is linear: its payloads at the basis were read off with the form
+            if symplectic and functools.reduce(add, map(mul, coords, desc._trp_raw)) != zero:
+                raise DecompositionFailure("first Pfaffian coefficient nonzero on W_i")
+
+
+def restriction_certificate_11_00(comps: WComponents) -> Decision:
+    """Certify that the restriction to L is [1,1] + [0,0].
+
+    Uses the explicit basis: with T_i(l_i) = 1 the values at l_1, l_2,
+    l_1 + l_2 and their translates by 1 are all 1, the plane (l_1, l_2) is
+    the form X^2 + XY + Y^2, and its orthogonal complement in L contains the
+    isotropic vector 1, so it is a split plane.
+    """
+    field = comps.desc.field
+    full = comps.full_raw
+    one = field.one
+    # L has coordinates (1, s1, s2, s1*s2); l_1 = s2 and l_2 = s1
+    vone, v2, v1, v4 = comps.l_coords
+    conds = []
+    vsum = list(map(field.radd, v1, v2))
+    for v in (v1, v2, vsum):
+        vv = list(map(field.radd, v, vone))
+        conds.append(full.evaluate(v) == one)
+        conds.append(full.evaluate(vv) == one)
+    conds.append(not full.evaluate(vone))
+    conds.append(full.polar(v1, v2) == one)
+    conds.append(not full.polar(vone, v1))
+    conds.append(not full.polar(vone, v2))
+    # complement of the (l1, l2) plane inside L meets 1; it splits because
+    # the plane is nonsingular and 1 is isotropic in it
+    coeffs = (field.rone, full.polar(v4, v2).raw, full.polar(v4, v1).raw)
+    w = combination(field, coeffs, (v4, v1, v2), len(v4))
+    # the complement of the (l1, l2) plane is a nondegenerate plane spanned
+    # by 1 and w; pairing with the isotropic 1 makes it a split block
+    conds.append(bool(full.polar(vone, w)))
+    return decided(all(conds), {"values": [full.evaluate(v).raw for v in (v1, v2, vsum)]})

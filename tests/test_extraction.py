@@ -3,6 +3,7 @@ and the invariant extraction reports."""
 
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from descriptor_layout import entries
+import oracles
 from oracles import QuatRing, check_qi_by_module_basis, li_module_basis
 from charform import extraction, involutions, verify
 from charform.cli import main
@@ -55,7 +57,7 @@ from charform.extraction import (
     validate_biquadratic,
     _as_scalar,
 )
-from charform.linalg import Span, kernel, rank
+from charform.linalg import Span, kernel, rank, unit_vector
 from charform.quaternions import QuaternionAlgebra, nrd_form
 from charform.serialize import descriptor_from_json
 
@@ -266,15 +268,16 @@ def test_li_module_basis_rejects_an_image_outside_w_i():
 def test_component_checks_reject_l_not_orthogonal_to_w1():
     comps = galois_components(SplitSymp(F4), checks=False)
     # a W_1 vector in place of s1: the form on W_1 is nonsingular
-    comps.l_coords[1] = comps.w_coords[0][0]
+    l_coords = [comps.l_coords[0], comps.w_coords[0][0], *comps.l_coords[2:]]
+    comps = dataclasses.replace(comps, l_coords=l_coords)
     with pytest.raises(DecompositionFailure, match="not orthogonal"):
         extraction._component_checks(comps)
 
 
 def test_component_checks_reject_a_scaled_form():
-    # the squares check reads full_raw, which no longer gives T_i(x^2)
+    # the Gram matrix is read off the scaled form, which no longer gives T_i(x^2)
     comps = galois_components(SplitSymp(F4), checks=False)
-    comps.full_raw = comps.full_raw.scaled(F4.gen)
+    comps = dataclasses.replace(comps, full_raw=comps.full_raw.scaled(F4.gen))
     with pytest.raises(DecompositionFailure, match="second coefficient differs"):
         extraction._component_checks(comps)
 
@@ -298,7 +301,6 @@ def test_component_checks_reject_a_rank_one_submodule():
     g, _ = comps.L.generator(1)
     sub = [x, space.coords(desc.el_mul(space.element(x), g))]
     comps = dataclasses.replace(comps, w_coords=[sub, *comps.w_coords[1:]])
-    comps.w_raw[0] = comps.full_raw.restrict(sub)
     with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
         extraction._component_checks(comps)
     with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
@@ -335,13 +337,9 @@ def _private_pair(comps):
     return None
 
 
-@pytest.mark.parametrize(
-    "name", ["pool_index2_symp_gf2k3", "index2_symp_ratfunc_gf2", "unitary_etale_gf2k3"]
-)
-def test_component_checks_reject_a_polar_entry_off_t_i(name):
-    # 1 added to the full form's cross term at a private pair (p, q): the
-    # components stay orthogonal and q(e_a) = T_i(e_a^2) at every basis vector,
-    # but the polar entry of the two W_1 vectors at p and q leaves T_i(e_a e_b + e_b e_a)
+def _planted_polar_entry(name):
+    """Components of a golden descriptor with 1 added to the full form's cross
+    term at a private pair (p, q)."""
     comps = galois_components(_golden_descriptor(name), checks=False)
     pair = _private_pair(comps)
     assert pair is not None
@@ -349,10 +347,65 @@ def test_component_checks_reject_a_polar_entry_off_t_i(name):
     field = comps.desc.field
     u = [list(row) for row in comps.full_raw.u]
     u[p][q] += field.one
-    comps.full_raw = RawQuadraticForm(field, u)
-    comps.w_raw = [comps.full_raw.restrict(w) for w in comps.w_coords]
+    return dataclasses.replace(comps, full_raw=RawQuadraticForm(field, u))
+
+
+POLAR_ENTRY_GOLDENS = [
+    "pool_index2_symp_gf2k3",
+    "index2_symp_ratfunc_gf2",
+    "unitary_etale_gf2k3",
+    "orthogonal_gf2k3",
+    "orthogonal_ratfunc_gf2",
+]
+
+
+@pytest.mark.parametrize("name", POLAR_ENTRY_GOLDENS)
+def test_component_checks_reject_a_polar_entry_off_t_i(name):
+    # the components stay orthogonal and q(e_a) = T_i(e_a^2) at every basis
+    # vector, but the polar entry of the two W_1 vectors at p and q leaves
+    # T_i(e_a e_b + e_b e_a); the orthogonal case has one such pair per W_i
+    comps = _planted_polar_entry(name)
     with pytest.raises(DecompositionFailure, match="polar of q_i differs from T_i"):
         extraction._component_checks(comps)
+
+
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
+def test_component_checks_reject_a_square_outside_l_i(field):
+    # the W_i of the default L against the fixed algebras of another L
+    desc = SplitSymp(field)
+    comps = galois_components(desc, checks=False)
+    comps = dataclasses.replace(comps, L=construct_biquadratic(desc, 1))
+    with pytest.raises(DecompositionFailure, match="a component square escapes L_i"):
+        extraction._component_checks(comps)
+
+
+def _field_l(desc):
+    """L from s1 = [[0, 1], [1, 1]] twice down the diagonal, so s1^2 + s1 = 1,
+    and s2 = p_2 + p_3: over GF(2) and GF(8), 1 is no r^2 + r, so L_2 and L_3
+    are fields."""
+    one = unit_vector(desc.field, 4, 0)
+    places = [(0, 1), (1, 0), (1, 1), (2, 3), (3, 2), (3, 3)]
+    s1 = extraction._quat_matrix(desc, [(i, j, one) for i, j in places])
+    return validate_biquadratic(desc, s1, desc.el_add(desc.projector(2), desc.projector(3)))
+
+
+@pytest.mark.parametrize("field", [GF2, F8], ids=["gf2", "gf8"])
+def test_components_over_a_field_l_i(monkeypatch, field):
+    desc = SplitSymp(field)
+    L = _field_l(desc)
+    assert L.c1 == field.one
+    answers = []
+    solve = extraction.solve_artin_schreier
+
+    def recorded(c):
+        answers.append(solve(c))
+        return answers[-1]
+
+    monkeypatch.setattr(extraction, "solve_artin_schreier", recorded)
+    comps = galois_components(desc, L)
+    assert comps.dims == (4, 8, 8, 8)
+    assert answers[0] not in (None, extraction.UNKNOWN) and answers[1:] == [None, None]
+    assert extract_symplectic_invariants(desc, comps).all_true
 
 
 def _qi_verdicts(comps, check):
@@ -397,8 +450,101 @@ def test_qi_check_agrees_with_the_module_basis_oracle_on_square_central_l(monkey
     )
 
 
+@pytest.mark.parametrize("field", [GF2, F8], ids=["gf2", "gf8"])
+def test_qi_check_agrees_with_the_module_basis_oracle_on_a_field_l_i(field):
+    desc = SplitSymp(field)
+    _assert_qi_verdicts_agree(galois_components(desc, _field_l(desc), checks=False))
+
+
+def _verdict(comps, *checks):
+    """None when every check passes, else the first failure's message."""
+    try:
+        for check in checks:
+            check(comps)
+    except DecompositionFailure as exc:
+        return str(exc)
+    return None
+
+
+def _assert_gram_reads_agree(comps, new_only=None):
+    """The component checks and the L certificate read off the adapted Gram
+    matrix against the oracles they replaced, with the module-basis q_i check
+    for the rank >= 2 cases: the same verdicts, or ``new_only`` from the new
+    checks where the oracles pass."""
+    old = [oracles.check_orthogonal_by_polar_vectors, oracles.check_squares_by_evaluate]
+    if comps.desc.case != "orthogonal":
+        old += [functools.partial(check_qi_by_module_basis, i=i) for i in (1, 2, 3)]
+    assert _verdict(comps, extraction._component_checks) == (new_only or _verdict(comps, *old))
+    if new_only:
+        assert _verdict(comps, *old) is None
+    cert = extraction._restriction_certificate_11_00(comps)
+    oracle = oracles.restriction_certificate_11_00(comps)
+    assert (cert.state, cert.witness) == (oracle.state, oracle.witness)
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(GOLDEN_DESCRIPTORS.glob("*.json"))])
+def test_gram_reads_agree_with_the_oracles_on_goldens(name):
+    desc = _golden_descriptor(name)
+    for variant in (0, 9):
+        comps = galois_components(desc, construct_biquadratic(desc, variant), checks=False)
+        _assert_gram_reads_agree(comps)
+
+
+def _planted(kind, field):
+    """SplitSymp components with one planted fault, or with the field-L_i L."""
+    desc = SplitSymp(field)
+    if kind == "field_l":
+        return galois_components(desc, _field_l(desc), checks=False)
+    comps = galois_components(desc, checks=False)
+    if kind == "square_outside_l_i":
+        return dataclasses.replace(comps, L=construct_biquadratic(desc, 1))
+    if kind == "l_not_orthogonal":
+        l_coords = [comps.l_coords[0], comps.w_coords[0][0], *comps.l_coords[2:]]
+        return dataclasses.replace(comps, l_coords=l_coords)
+    if kind == "scaled_form":
+        return dataclasses.replace(comps, full_raw=comps.full_raw.scaled(field.gen))
+    # 1 added to the form at (e_0, e_k), k = 0..3, with e_k the one space
+    # coordinate of the projector p_k: on L = <1, s1, s2, s1*s2> only
+    # B(1, s1*s2) moves (to 0), and no W_i vector touches an e_k
+    e = [comps.space.coords(desc.projector(k)).index(field.rone) for k in range(4)]
+    u = [list(row) for row in comps.full_raw.u]
+    for k in e:
+        u[e[0]][k] += field.one
+    return dataclasses.replace(comps, full_raw=RawQuadraticForm(field, u))
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("field_l", GF2), ("field_l", F8), ("scaled_form", F4), ("scaled_form", F8)]
+    + [
+        (k, f)
+        for k in ("square_outside_l_i", "l_not_orthogonal", "l_pairing")
+        for f in (GF2, F4, F8)
+    ],
+    ids=lambda v: {GF2: "gf2", F4: "gf4", F8: "gf8"}.get(v, v),
+)
+def test_gram_reads_agree_with_the_oracles_on_planted_components(kind, field):
+    _assert_gram_reads_agree(_planted(kind, field))
+
+
+@pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
+def test_l_certificate_rejects_a_complement_orthogonal_to_1(field):
+    # the plane (l_1, l_2) is intact, but 1 pairs with nothing in L
+    cert = extraction._restriction_certificate_11_00(_planted("l_pairing", field))
+    assert cert.is_false and cert.witness == {"values": [field.rone] * 3}
+
+
+@pytest.mark.parametrize("name", POLAR_ENTRY_GOLDENS)
+def test_only_the_gram_reads_see_a_polar_entry_off_t_i(name):
+    # the replaced checks read q at the basis vectors alone
+    comps = _planted_polar_entry(name)
+    _assert_gram_reads_agree(comps, "polar of q_i differs from T_i(xy + yx)")
+
+
 def _scaled_w1_form(comps):
-    return dataclasses.replace(comps, w_raw=[comps.w_raw[0].scaled(F4.gen), *comps.w_raw[1:]])
+    comps = dataclasses.replace(comps)
+    comps.w_raw = [comps.w_raw[0].scaled(F4.gen), *comps.w_raw[1:]]
+    return comps
 
 
 def test_star_check_fails_on_a_corrupted_w_raw(monkeypatch):
@@ -485,8 +631,8 @@ def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
 
 
 def test_extract_polar_budget(monkeypatch):
-    # normalize and restrict work on the polar matrix and polar_vector; only
-    # the [1,1] + [0,0] certificate of L pairs vectors through polar
+    # normalize and restrict work on the polar matrix and polar_vector, and
+    # the [1,1] + [0,0] certificate of L reads the adapted Gram matrix
     callers = collections.Counter()
     polar = RawQuadraticForm.polar
 
@@ -497,7 +643,7 @@ def test_extract_polar_budget(monkeypatch):
     monkeypatch.setattr(RawQuadraticForm, "polar", counted)
     golden = Path(__file__).parent / "golden" / "descriptors" / "pool_index2_symp_gf2k3.json"
     assert main(["extract", "--input", str(golden), "--json", "--seed", "0"]) == 0
-    assert callers == {"_restriction_certificate_11_00": 6}
+    assert callers == {}
 
 
 def test_galois_components_runs_one_berkowitz_batch(monkeypatch):

@@ -266,20 +266,14 @@ def test_li_module_basis_rejects_an_image_outside_w_i():
 
 
 def test_component_checks_reject_l_not_orthogonal_to_w1():
-    comps = galois_components(SplitSymp(F4), checks=False)
-    # a W_1 vector in place of s1: the form on W_1 is nonsingular
-    l_coords = [comps.l_coords[0], comps.w_coords[0][0], *comps.l_coords[2:]]
-    comps = dataclasses.replace(comps, l_coords=l_coords)
     with pytest.raises(DecompositionFailure, match="not orthogonal"):
-        extraction._component_checks(comps)
+        extraction._component_checks(_planted("l_not_orthogonal", F4))
 
 
 def test_component_checks_reject_a_scaled_form():
     # the Gram matrix is read off the scaled form, which no longer gives T_i(x^2)
-    comps = galois_components(SplitSymp(F4), checks=False)
-    comps = dataclasses.replace(comps, full_raw=comps.full_raw.scaled(F4.gen))
     with pytest.raises(DecompositionFailure, match="second coefficient differs"):
-        extraction._component_checks(comps)
+        extraction._component_checks(_planted("scaled_form", F4))
 
 
 def test_component_checks_reject_w1_not_free_over_l1():
@@ -350,16 +344,16 @@ def _planted_polar_entry(name):
     return dataclasses.replace(comps, full_raw=RawQuadraticForm(field, u))
 
 
-POLAR_ENTRY_GOLDENS = [
-    "pool_index2_symp_gf2k3",
-    "index2_symp_ratfunc_gf2",
-    "unitary_etale_gf2k3",
-    "orthogonal_gf2k3",
-    "orthogonal_ratfunc_gf2",
-]
-
-
-@pytest.mark.parametrize("name", POLAR_ENTRY_GOLDENS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pool_index2_symp_gf2k3",
+        "index2_symp_ratfunc_gf2",
+        "unitary_etale_gf2k3",
+        "orthogonal_gf2k3",
+        "orthogonal_ratfunc_gf2",
+    ],
+)
 def test_component_checks_reject_a_polar_entry_off_t_i(name):
     # the components stay orthogonal and q(e_a) = T_i(e_a^2) at every basis
     # vector, but the polar entry of the two W_1 vectors at p and q leaves
@@ -367,16 +361,14 @@ def test_component_checks_reject_a_polar_entry_off_t_i(name):
     comps = _planted_polar_entry(name)
     with pytest.raises(DecompositionFailure, match="polar of q_i differs from T_i"):
         extraction._component_checks(comps)
+    # the replaced checks, which read q at the basis vectors alone, pass
+    _assert_gram_reads_agree(comps, "polar of q_i differs from T_i(xy + yx)")
 
 
 @pytest.mark.parametrize("field", [GF2, F4, F8], ids=["gf2", "gf4", "gf8"])
 def test_component_checks_reject_a_square_outside_l_i(field):
-    # the W_i of the default L against the fixed algebras of another L
-    desc = SplitSymp(field)
-    comps = galois_components(desc, checks=False)
-    comps = dataclasses.replace(comps, L=construct_biquadratic(desc, 1))
     with pytest.raises(DecompositionFailure, match="a component square escapes L_i"):
-        extraction._component_checks(comps)
+        extraction._component_checks(_planted("square_outside_l_i", field))
 
 
 def _field_l(desc):
@@ -410,15 +402,7 @@ def test_components_over_a_field_l_i(monkeypatch, field):
 
 def _qi_verdicts(comps, check):
     """Whether ``check`` passes on W_1, W_2 and W_3."""
-    verdicts = []
-    for i in (1, 2, 3):
-        try:
-            check(comps, i)
-        except DecompositionFailure:
-            verdicts.append(False)
-        else:
-            verdicts.append(True)
-    return verdicts
+    return [_verdict(comps, functools.partial(check, i=i)) is None for i in (1, 2, 3)]
 
 
 def _assert_qi_verdicts_agree(comps):
@@ -474,9 +458,10 @@ def _assert_gram_reads_agree(comps, new_only=None):
     old = [oracles.check_orthogonal_by_polar_vectors, oracles.check_squares_by_evaluate]
     if comps.desc.case != "orthogonal":
         old += [functools.partial(check_qi_by_module_basis, i=i) for i in (1, 2, 3)]
-    assert _verdict(comps, extraction._component_checks) == (new_only or _verdict(comps, *old))
+    old_verdict = _verdict(comps, *old)
     if new_only:
-        assert _verdict(comps, *old) is None
+        assert old_verdict is None
+    assert _verdict(comps, extraction._component_checks) == (new_only or old_verdict)
     cert = extraction._restriction_certificate_11_00(comps)
     oracle = oracles.restriction_certificate_11_00(comps)
     assert (cert.state, cert.witness) == (oracle.state, oracle.witness)
@@ -497,8 +482,10 @@ def _planted(kind, field):
         return galois_components(desc, _field_l(desc), checks=False)
     comps = galois_components(desc, checks=False)
     if kind == "square_outside_l_i":
+        # the W_i of the default L against the fixed algebras of another L
         return dataclasses.replace(comps, L=construct_biquadratic(desc, 1))
     if kind == "l_not_orthogonal":
+        # a W_1 vector in place of s1: the form on W_1 is nonsingular
         l_coords = [comps.l_coords[0], comps.w_coords[0][0], *comps.l_coords[2:]]
         return dataclasses.replace(comps, l_coords=l_coords)
     if kind == "scaled_form":
@@ -532,13 +519,6 @@ def test_l_certificate_rejects_a_complement_orthogonal_to_1(field):
     # the plane (l_1, l_2) is intact, but 1 pairs with nothing in L
     cert = extraction._restriction_certificate_11_00(_planted("l_pairing", field))
     assert cert.is_false and cert.witness == {"values": [field.rone] * 3}
-
-
-@pytest.mark.parametrize("name", POLAR_ENTRY_GOLDENS)
-def test_only_the_gram_reads_see_a_polar_entry_off_t_i(name):
-    # the replaced checks read q at the basis vectors alone
-    comps = _planted_polar_entry(name)
-    _assert_gram_reads_agree(comps, "polar of q_i differs from T_i(xy + yx)")
 
 
 def _scaled_w1_form(comps):

@@ -79,14 +79,9 @@ class BiquadraticEtale:
     lists of field payloads.
     """
 
-    def __init__(self, desc, s1, s2, c1: Fe, c2: Fe):
-        self.desc = desc
-        self.s1 = s1
-        self.s2 = s2
-        self.c1 = c1
-        self.c2 = c2
+    def __init__(self, desc, s1, s2, s12, c1: Fe, c2: Fe):
+        self.desc, self.s1, self.s2, self.c1, self.c2 = desc, s1, s2, c1, c2
         one = desc.one_el()
-        s12 = desc.el_mul(s1, s2)
         self.basis = [one, s1, s2, s12]
         self._li_spans = {i: Span([one, self.generator(i)[0]], desc.field) for i in (1, 2, 3)}
 
@@ -121,7 +116,8 @@ def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
     for name, s in (("s1", s1), ("s2", s2)):
         if space.coords(s) is None:
             raise InvalidCandidate(f"{name} is not a symmetric element")
-    if desc.el_mul(s1, s2) != desc.el_mul(s2, s1):
+    s12 = desc.el_mul(s1, s2)  # s1*s2 + s2*s1 = symmetrized(s1*s2): both are symmetric
+    if desc.symmetrized(s12) != desc.zero_el():
         raise InvalidCandidate("generators do not commute")
     cs = []
     for name, s in (("s1", s1), ("s2", s2)):
@@ -129,7 +125,7 @@ def validate_biquadratic(desc, s1, s2) -> BiquadraticEtale:
         if c is None:
             raise InvalidCandidate(f"{name}^2 + {name} is not a scalar")
         cs.append(c)
-    cand = BiquadraticEtale(desc, s1, s2, cs[0], cs[1])
+    cand = BiquadraticEtale(desc, s1, s2, s12, cs[0], cs[1])
     if rank(cand.basis, desc.field) != 4:
         raise InvalidCandidate("generators span less than four dimensions")
     return cand
@@ -253,11 +249,10 @@ def _explicit_index2_bases(desc: _SympBase) -> List[List]:
 def galois_components(
     desc, L: Optional[BiquadraticEtale] = None, *, checks: bool = True
 ) -> WComponents:
-    """Solve the component conditions x*s = alpha_i(s)*x inside Sym.
-
-    For the symplectic matrix descriptors with the default diagonal L the
-    basis of each W_i is replaced by the closed-form one (same span), so the
-    restricted forms match the block formulas literally.
+    """The components W_i: the x in Sym with x*s_k + s_k*x = x when alpha_i
+    moves s_k, else 0 (k = 1, 2).  For the symplectic descriptors with the
+    default diagonal L they are the closed-form bases, so the restricted
+    forms match the block formulas literally; otherwise they are solved.
     """
     if L is None:
         L = construct_biquadratic(desc)
@@ -270,37 +265,54 @@ def galois_components(
     if None in l_coords:
         raise DecompositionFailure("L is not inside the symmetric space")
 
-    # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k, so
-    # the column of b for s_k is b*s_k + s_k*b = y + sigma(y), y = b*s_k (b and s_k
-    # are symmetric), plus b if moved, read at the pivots of the space's echelon basis
-    add, one, rows = field.radd, field.rone, {}
-    for k, s in ((1, L.s1), (2, L.s2)):
-        cols = [desc.el_add(y, desc.involve(y)) for y in (desc.el_mul(b, s) for b in space.basis)]
-        rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
-        rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
-    solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
-
-    dims = (len(l_coords), *map(len, solved))
+    closed_form = symplectic and _is_default_l(desc, L)
+    if closed_form:
+        w_coords = _closed_form_components(desc, L, space)
+    else:
+        # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k,
+        # so the column of b for s_k is b*s_k + s_k*b = symmetrized(b*s_k) (b and
+        # s_k are symmetric), plus b if moved, read at the pivots of the echelon basis
+        add, one, rows = field.radd, field.rone, {}
+        for k, s in ((1, L.s1), (2, L.s2)):
+            cols = [desc.symmetrized(desc.el_mul(b, s)) for b in space.basis]
+            rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
+            rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
+        w_coords = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
+    dims = (len(l_coords), *map(len, w_coords))
     expected = CASE_DIMS[desc.case][1]
     if dims != expected:
         raise DecompositionFailure(f"component dimensions {dims}, expected {expected}")
-
-    w_coords = solved
-    if symplectic and _is_default_l(desc, L):
-        w_coords = [[space.coords(x) for x in basis] for basis in _explicit_index2_bases(desc)]
-        if any(None in coords for coords in w_coords):
-            raise DecompositionFailure("closed-form basis escapes the solved component")
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
-    if w_coords is not solved:
-        for span, coords, basis in zip(comps.w_spans, w_coords, solved):
-            if not len(coords) == span.dim == len(basis):
-                raise DecompositionFailure("closed-form basis is not a basis of the component")
-            if any(span.coords(v) is None for v in basis):
-                raise DecompositionFailure("closed-form basis escapes the solved component")
+    if closed_form and any(span.dim != len(w) for span, w in zip(comps.w_spans, w_coords)):
+        raise DecompositionFailure("closed-form basis is not a basis of the component")
 
     if checks:
         _component_checks(comps)
     return comps
+
+
+def _closed_form_components(desc, L: BiquadraticEtale, space: InvolutionSpace) -> List[List[list]]:
+    """The closed-form W_i bases of the default L in space coordinates, each
+    vector x certified in Symd with symmetrized(x*s_k) = x*s_k + s_k*x equal
+    to x when alpha_i moves s_k, else 0.
+
+    Lemma: joint eigenvectors of the commuting maps x -> x*s_k + s_k*x with
+    distinct eigenvalue pairs are independent, and L lies in the (0, 0)
+    eigenspace; so once each basis is independent (``galois_components``
+    checks the spans), 4 + 8 + 8 + 8 = dim Symd makes each W_i the whole
+    joint eigenspace, the kernel the solve would return.
+    """
+    zero, out = desc.zero_el(), []
+    for moves, basis in zip(_KLEIN_MOVES, _explicit_index2_bases(desc)):
+        coords = [space.coords(x) for x in basis]
+        if None in coords or any(
+            desc.symmetrized(desc.el_mul(x, s)) != (x if moved else zero)
+            for x in basis
+            for moved, s in zip(moves, (L.s1, L.s2))
+        ):
+            raise DecompositionFailure("closed-form basis escapes the solved component")
+        out.append(coords)
+    return out
 
 
 def _is_default_l(desc, L: BiquadraticEtale) -> bool:
@@ -331,7 +343,7 @@ def _component_checks(comps: WComponents) -> None:
         elems = [comps.space.element(v) for v in vectors]
         for a, b in itertools.combinations_with_replacement(range(len(elems)), 2):
             y = desc.el_mul(elems[a], elems[b])
-            z = y if a == b else desc.el_add(y, desc.involve(y))
+            z = y if a == b else desc.symmetrized(y)
             li = L.li_coords(i, z)
             if li is None:
                 raise DecompositionFailure(
@@ -390,7 +402,7 @@ def star(desc, x1, x2, components: Optional[WComponents] = None):
         raise NotInComponent("first argument is not in W_1")
     if comps.w_membership(2, x2) is None:
         raise NotInComponent("second argument is not in W_2")
-    out = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
+    out = desc.symmetrized(desc.el_mul(x1, x2))
     if comps.w_membership(3, out) is None:
         raise NotInComponent("composition escaped W_3")
     return out
@@ -406,7 +418,7 @@ def star_multiplicative(comps: WComponents, rng: random.Random, trials: int) -> 
         c1 = [field.rrand(rng) for _ in range(n1)]
         c2 = [field.rrand(rng) for _ in range(n2)]
         x1, x2 = comps.w_element(1, c1), comps.w_element(2, c2)
-        prod = desc.el_add(desc.el_mul(x1, x2), desc.el_mul(x2, x1))
+        prod = desc.symmetrized(desc.el_mul(x1, x2))
         value = comps.full_raw.evaluate(comps.space.coords(prod))
         if value != comps.w_raw[0].evaluate(c1) * comps.w_raw[1].evaluate(c2):
             return False
@@ -630,17 +642,10 @@ def check_pi3_decomposability(
             lhs = desc.el_mul(jk, ik)
             rhs = desc.el_mul(desc.el_add(ik, one), jk)
             checks.append(Check(f"j{k}_twists_i{k}", decided(lhs == rhs)))
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
-                ia, ja = triple[a]
-                ib, jb = triple[b]
-                comm_ii = desc.el_mul(ia, ib) == desc.el_mul(ib, ia)
-                comm_ij = desc.el_mul(ia, jb) == desc.el_mul(jb, ia)
-                comm_jj = desc.el_mul(ja, jb) == desc.el_mul(jb, ja)
-                if not (comm_ii and comm_ij and comm_jj):
-                    checks.append(Check(f"factors_{a+1}_{b+1}_commute", decided(False)))
+        for a, b in itertools.permutations(range(3), 2):
+            (ia, ja), (ib, jb) = triple[a], triple[b]
+            if any(desc.el_mul(x, y) != desc.el_mul(y, x) for x, y in ((ia, ib), (ia, jb), (ja, jb))):
+                checks.append(Check(f"factors_{a+1}_{b+1}_commute", decided(False)))
         # L generated by the pairwise sums of the i-generators is the
         # diagonal algebra: s1 = i3, s2 = i2 in the default labelling
         L = validate_biquadratic(desc, i3, i2)
@@ -704,7 +709,7 @@ def _square_correction(desc, comps: WComponents, x, rng: random.Random):
     n = len(comps.w_coords[0])
     for yc in candidates(field, n, rng, 60, 0):
         y = comps.w_element(1, yc)
-        z = desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x))
+        z = desc.symmetrized(desc.el_mul(x, y))
         co = comps.L.li_coords(1, z)
         if co is None or ring.rnorm(co) == field.rzero:
             continue
@@ -813,14 +818,7 @@ def extract_orthogonal_invariants(
     field = desc.field
     rng = random.Random(seed)
     checks: List[Check] = []
-    full = comps.full_raw
-
-    # the polar radical is exactly W_1 + W_2 + W_3
-    rad = kernel(full.polar_matrix(), field)
-    w_all = [v for i in range(3) for v in comps.w_coords[i]]
-    rad_span = Span(rad, field)
-    same = rad_span.dim == 6 and all(rad_span.coords(v) is not None for v in w_all)
-    checks.append(Check("radical_is_w1_w2_w3", decided(same, {"radical_dim": rad_span.dim})))
+    checks.append(Check("radical_is_w1_w2_w3", _radical_certificate(comps)))
 
     # q|W_3 is a1a2 <1, delta>, so an arbitrary W_3 value may lie in the
     # class a1a2*delta; the star product of the witnesses has value a1a2
@@ -873,6 +871,17 @@ def extract_orthogonal_invariants(
     checks.append(Check("l_restriction_is_11_00", _restriction_certificate_11_00(comps)))
 
     return Deg4Invariants(a1, a2, checks, comps, pi1=pi1, phi=phi, pi3=pi3, det_class=delta)
+
+
+def _radical_certificate(comps: WComponents) -> Decision:
+    """Certify that the polar radical is W_1 + W_2 + W_3 from the polar
+    matrix B of the adapted Gram matrix: on a basis of Sym the radical has
+    dimension dim - rank B, and it holds the W vectors when their rows vanish."""
+    field, polar = comps.desc.field, comps.adapted.polar_matrix()
+    radical_dim = comps.adapted.dim - rank(polar, field)
+    w_rows = polar[len(comps.l_coords) :]
+    same = radical_dim == 6 and all(a == field.rzero for row in w_rows for a in row)
+    return decided(same, {"radical_dim": radical_dim})
 
 
 def _square_class_eq(x: Fe, y: Fe) -> bool:

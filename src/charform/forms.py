@@ -42,9 +42,9 @@ from .linalg import Span, combination, unit_vector
 
 class RawQuadraticForm:
     """Quadratic form q(x) = sum_{i<=j} U[i][j] x_i x_j on payload coordinate
-    vectors; evaluate and polar walk the nonzero payloads of their vectors
-    against ``_rows[i]``, the nonzero U[i][j], j >= i, as payloads by j, built
-    once, and return field elements.  ``_polar[k]`` lists the nonzero
+    vectors; evaluate walks the nonzero payloads of its vector against
+    ``_rows[i]``, the nonzero U[i][j], j >= i, as payloads by j, built once,
+    and returns a field element.  ``_polar[k]`` lists the nonzero
     (j, B[k][j]) of the polar matrix B = U + U^t."""
 
     __slots__ = ("field", "u", "_rows", "_polar")
@@ -97,17 +97,6 @@ class RawQuadraticForm:
             for j, c in col:
                 row[j] = c
         return tuple(map(tuple, rows))
-
-    def polar(self, x: Sequence, y: Sequence) -> Fe:
-        """The polar form on payload vectors."""
-        # sum_{i<=j} U[i][j] (x_i y_j + x_j y_i): the diagonal terms cancel
-        add, mul = self.field.radd, self.field.rmul
-        acc = self.field.rzero
-        tx, ty = self._terms(x), self._terms(y)
-        for terms, others in ((tx, ty), (ty, tx)):
-            for i, a in terms:
-                acc = add(acc, mul(a, self._dot(self._rows[i], others)))
-        return self.field._el(acc)
 
     def polar_vector(self, x: Sequence) -> list:
         """B x on payloads, B = U + U^t the polar matrix: polar(x, y) = (B x) . y."""
@@ -545,9 +534,12 @@ def isotropic_vector(
                 v = unit_vector(field, n, 2 * i)
                 v[2 * j] = field.rone
                 return v
-    if rng is None:
-        rng = random.Random(0)
-    stream = candidates(field, n, rng, _ISOTROPY_DRAWS, 1 << 16)
+    return _searched_isotropic(q, rng if rng is not None else random.Random(0))
+
+
+def _searched_isotropic(q: QuadraticForm, rng: random.Random) -> Optional[list]:
+    """The first `candidates` vector q vanishes at, or None."""
+    stream = candidates(q.field, q.dim, rng, _ISOTROPY_DRAWS, 1 << 16)
     return next((v for v in stream if not q.evaluate(v)), None)
 
 
@@ -618,7 +610,9 @@ def is_hyperbolic(q: QuadraticForm, *, pfister: bool = False, seed: int = 0) -> 
             return decided(True, {"isotropic": v})
     cur = _witt_cancel_pass(q)
     while cur.blocks:
-        v = isotropic_vector(cur, rng)
+        # the pass leaves no split block, diagonal or equal pair (block_square_witness(b,
+        # b) = 1), where the certificate steps of isotropic_vector would fire
+        v = _searched_isotropic(cur, rng)
         if v is None:
             break
         cur = _split_off_plane(cur, v)

@@ -92,7 +92,7 @@ class InvolutionSpace:
         return self._span.coords(self.desc.to_vec(x))
 
     def element(self, coords: Sequence):
-        return tuple(self.desc._apply(self._span.terms, coords, self.desc.ambient_dim))
+        return tuple(self.desc._apply(self._span.terms, coords, list(self.desc.zero_el())))
 
     def half(self, coords: Sequence):
         if self.halves is None:
@@ -388,11 +388,10 @@ class _MatrixDescriptor:
                             acc[out + l] ^= p if c == 1 else mul(c, p)
         return field.rfractions(acc, mul(mul(dx, dy), self._du))
 
-    def _apply(self, table, x, width: int) -> list:
-        """The linear map e_i -> table[i] (sparse terms) on x, as ``width`` payloads."""
+    def _apply(self, table, x, acc: list) -> list:
+        """acc plus the linear map e_i -> table[i] (sparse terms) on x, in place."""
         field = self.field
         zero, one, add, mul = field.rzero, field.rone, field.radd, field.rmul
-        acc = [zero] * width
         for a, terms in zip(x, table):
             if a != zero:
                 for l, c in terms:
@@ -412,7 +411,12 @@ class _MatrixDescriptor:
         return x
 
     def involve(self, x):
-        return tuple(self._apply(self._sigma, x, self.ambient_dim))
+        return tuple(self._apply(self._sigma, x, list(self.zero_el())))
+
+    def symmetrized(self, x):
+        """x + sigma(x) in one pass over the sigma table.  sigma reverses
+        products, so xy + yx = symmetrized(x*y) for symmetric x and y."""
+        return tuple(self._apply(self._sigma, x, list(x)))
 
     def _cleared(self, elements) -> tuple:
         """The split matrices of the elements as one sparse dict {entry:
@@ -681,19 +685,11 @@ class UnitaryExchange(_MatrixDescriptor):
 Descriptor = _MatrixDescriptor
 
 
-def apply_involution(desc: Descriptor, x):
-    """The involution of the descriptor applied to an algebra element."""
-    return desc.involve(x)
-
-
 def _symmetrized_images(desc: Descriptor) -> List[tuple]:
     """e_i + sigma(e_i) for each coordinate i, read off the sigma table."""
-    field = desc.field
-    images = [unit_vector(field, desc.ambient_dim, i) for i in range(desc.ambient_dim)]
-    for v, terms in zip(images, desc._sigma):
-        for l, c in terms:
-            v[l] = field.radd(v[l], c)
-    return list(map(tuple, images))
+    one, n = [desc.field.rone], desc.ambient_dim
+    images = (unit_vector(desc.field, n, i) for i in range(n))
+    return [tuple(desc._apply([terms], one, v)) for terms, v in zip(desc._sigma, images)]
 
 
 def symmetric_space(desc: Descriptor) -> InvolutionSpace:

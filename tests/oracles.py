@@ -13,14 +13,27 @@ overloading, beside the payload tuples of the runtime.
   ``poly_eval_matrix``;
 - ``to_lanes``: payloads packed into the bit planes of ``GF2k.lanes``, one
   bit at a time;
+- ``polar``: the polar form of a raw form at two payload vectors, from the
+  sum over i <= j of U[i][j] (x_i y_j + x_j y_i);
 - ``normalize_by_polar``: the symplectic-basis reduction of a raw form with
-  one ``RawQuadraticForm.polar`` call per pairing and one ``evaluate`` per
-  value, beside the congruence updates of ``charform.forms.normalize``;
+  one ``polar`` call per pairing and one ``evaluate`` per value, beside the
+  congruence updates of ``charform.forms.normalize``;
 - ``witt_cancel_restart``: the Witt cancellation of blocks by a loop that
   restarts after every cancelled pair, beside the one greedy pass of
   ``charform.forms._witt_cancel_pass``;
 - ``witt_equivalent_by_arf``: Witt equivalence over GF(2^k) from the
   lengths and Arf invariants of the anisotropic kernels;
+- ``is_hyperbolic_by_isotropic_vector``: the hyperbolicity decision with a
+  full ``isotropic_vector`` call (block certificates first) in each round
+  after the cancellation pass, beside the direct candidate search of
+  ``charform.forms.is_hyperbolic``;
+- ``closed_form_by_solve``: the closed-form W_i bases of the default L
+  compared against the solved kernels (their dimensions, then span
+  against span), beside the joint-eigenvector certificate of
+  ``charform.extraction._closed_form_components``;
+- ``radical_by_kernel``: the orthogonal radical certificate from a kernel
+  of the full polar matrix, beside the read of the adapted Gram matrix in
+  ``charform.extraction._radical_certificate``;
 - ``li_module_basis`` and ``check_qi_by_module_basis``: q_i(x) = x^2
   certified nonsingular on W_i from an L_i-module basis searched among the
   ``candidates`` and a Berkowitz determinant over L_i, beside the rank
@@ -37,22 +50,29 @@ overloading, beside the payload tuples of the runtime.
 import functools
 import itertools
 import operator
+import random
 from typing import List, Sequence, Tuple
 
-from charform.decision import Decision, decided
-from charform.errors import AlgebraMismatch, DecompositionFailure
-from charform.extraction import WComponents
-from charform.fields import Fe, frobenius_sqrt, solve_artin_schreier
+from charform import extraction
+from charform.decision import Decision, decided, unknown
+from charform.errors import AlgebraMismatch, DecompositionFailure, SingularForm
+from charform.extraction import _KLEIN_MOVES, WComponents
+from charform.fields import Fe, GF2k, frobenius_sqrt, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
     RawQuadraticForm,
+    _split_off_plane,
+    _witt_cancel_pass,
     arf_invariant,
     block_square_witness,
     candidates,
+    certify_anisotropic,
     form,
+    isotropic_vector,
     witt_decompose_gf2k,
 )
-from charform.linalg import Mat, charpoly_raw, combination, unit_vector
+from charform.involutions import CASE_DIMS, symmetric_space
+from charform.linalg import Mat, Span, charpoly_raw, combination, kernel, unit_vector
 from charform.quaternions import Quat
 
 
@@ -313,6 +333,17 @@ def to_lanes(field, payloads) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def polar(q: RawQuadraticForm, x: Sequence, y: Sequence) -> Fe:
+    """The polar form of q on payload vectors."""
+    # sum_{i<=j} U[i][j] (x_i y_j + x_j y_i): the diagonal terms cancel
+    field = q.field
+    acc = field.zero
+    for i, j in itertools.combinations_with_replacement(range(q.dim), 2):
+        if i != j and q.u[i][j]:
+            acc += q.u[i][j] * (field._el(x[i]) * field._el(y[j]) + field._el(x[j]) * field._el(y[i]))
+    return acc
+
+
 def normalize_by_polar(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple, ...]]:
     """Symplectic-basis reduction of a raw form.
 
@@ -328,7 +359,7 @@ def normalize_by_polar(q: RawQuadraticForm) -> Tuple[QuadraticForm, Tuple[tuple,
     remaining = list(range(n))
     blocks: List[Tuple[Fe, Fe]] = []
     ordered: List[list] = []
-    bil = q.polar
+    bil = functools.partial(polar, q)
 
     while True:
         pair = None
@@ -397,6 +428,36 @@ def witt_cancel_restart(q: QuadraticForm) -> QuadraticForm:
             if done:
                 break
     return form(q.field, blocks, [])
+
+
+def is_hyperbolic_by_isotropic_vector(
+    q: QuadraticForm, *, pfister: bool = False, seed: int = 0
+) -> Decision:
+    """Hyperbolicity over GF(2^k) by the Arf invariant; over GF(2^k)(t) the
+    cancellation pass, then planes split off through ``isotropic_vector``
+    (block certificates, zero diagonal entries and equal blocks before the
+    candidate search) until none is found, and the residual certified."""
+    if q.diag:
+        raise SingularForm("hyperbolicity is for nonsingular forms")
+    if isinstance(q.field, GF2k):
+        return decided(arf_invariant(q) == 0)
+    rng = random.Random(seed)
+    if pfister:
+        v = isotropic_vector(q, rng)
+        if v is not None:
+            return decided(True, {"isotropic": v})
+    cur = _witt_cancel_pass(q)
+    while cur.blocks:
+        v = isotropic_vector(cur, rng)
+        if v is None:
+            break
+        cur = _witt_cancel_pass(_split_off_plane(cur, v))
+    if not cur.blocks:
+        return decided(True)
+    cert = certify_anisotropic(cur)
+    if cert.is_true:
+        return decided(False, cert.witness)
+    return unknown()
 
 
 def witt_equivalent_by_arf(q1: QuadraticForm, q2: QuadraticForm) -> bool:
@@ -541,14 +602,57 @@ def restriction_certificate_11_00(comps: WComponents) -> Decision:
         conds.append(full.evaluate(v) == one)
         conds.append(full.evaluate(vv) == one)
     conds.append(not full.evaluate(vone))
-    conds.append(full.polar(v1, v2) == one)
-    conds.append(not full.polar(vone, v1))
-    conds.append(not full.polar(vone, v2))
+    conds.append(polar(full, v1, v2) == one)
+    conds.append(not polar(full, vone, v1))
+    conds.append(not polar(full, vone, v2))
     # complement of the (l1, l2) plane inside L meets 1; it splits because
     # the plane is nonsingular and 1 is isotropic in it
-    coeffs = (field.rone, full.polar(v4, v2).raw, full.polar(v4, v1).raw)
+    coeffs = (field.rone, polar(full, v4, v2).raw, polar(full, v4, v1).raw)
     w = combination(field, coeffs, (v4, v1, v2), len(v4))
     # the complement of the (l1, l2) plane is a nondegenerate plane spanned
     # by 1 and w; pairing with the isotropic 1 makes it a split block
-    conds.append(bool(full.polar(vone, w)))
+    conds.append(bool(polar(full, vone, w)))
     return decided(all(conds), {"values": [full.evaluate(v).raw for v in (v1, v2, vsum)]})
+
+
+# ---------------------------------------------------------------------------
+# closed-form components and the orthogonal radical by elimination
+# ---------------------------------------------------------------------------
+
+
+def closed_form_by_solve(desc, L) -> List[List[list]]:
+    """The space coordinates of ``extraction._explicit_index2_bases(desc)``
+    after checking them against the kernels of x -> x*s_k + s_k*x (+ x when
+    alpha_i moves s_k): the kernel dimensions, then each closed-form vector
+    in Symd, each basis independent and spanning its kernel."""
+    field, space = desc.field, symmetric_space(desc)
+    add, one, rows = field.radd, field.rone, {}
+    for k, s in ((1, L.s1), (2, L.s2)):
+        cols = [desc.el_add(y, desc.involve(y)) for y in (desc.el_mul(b, s) for b in space.basis)]
+        rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
+        rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
+    solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
+    dims = (len(L.basis), *map(len, solved))
+    expected = CASE_DIMS[desc.case][1]
+    if dims != expected:
+        raise DecompositionFailure(f"component dimensions {dims}, expected {expected}")
+    w_coords = [[space.coords(x) for x in basis] for basis in extraction._explicit_index2_bases(desc)]
+    if any(None in coords for coords in w_coords):
+        raise DecompositionFailure("closed-form basis escapes the solved component")
+    for coords, basis in zip(w_coords, solved):
+        span = Span(coords, field)
+        if not len(coords) == span.dim == len(basis):
+            raise DecompositionFailure("closed-form basis is not a basis of the component")
+        if any(span.coords(v) is None for v in basis):
+            raise DecompositionFailure("closed-form basis escapes the solved component")
+    return w_coords
+
+
+def radical_by_kernel(comps: WComponents) -> Decision:
+    """Whether the kernel of the full polar matrix has dimension 6 and holds
+    every W_i basis vector, with its dimension as the witness."""
+    field = comps.desc.field
+    rad_span = Span(kernel(comps.full_raw.polar_matrix(), field), field)
+    w_all = [v for w in comps.w_coords for v in w]
+    same = rad_span.dim == 6 and all(rad_span.coords(v) is not None for v in w_all)
+    return decided(same, {"radical_dim": rad_span.dim})

@@ -156,18 +156,93 @@ def test_component_dimensions(maker, expected):
     assert comps.dims == expected
 
 
-def test_component_dimensions_checked_before_closed_form_swap(monkeypatch):
-    # a solved W_i with a planted 9th vector must fail the dimension check,
-    # even though the closed-form basis that replaces it has 8 vectors
+def test_component_dimensions_checked_on_a_solved_l(monkeypatch):
+    # a solved W_i with a planted 9th vector must fail the dimension check;
+    # variant 9 is not the default L, so its components are solved
     solve = extraction.kernel
 
     def planted(rows, field):
         basis = solve(rows, field)
         return basis + [basis[0]]
 
+    desc = SplitSymp(GF2)
+    L = construct_biquadratic(desc, variant=9)
     monkeypatch.setattr(extraction, "kernel", planted)
     with pytest.raises(DecompositionFailure, match="expected"):
-        galois_components(SplitSymp(GF2))
+        galois_components(desc, L)
+
+
+SYMPLECTIC_GOLDENS = [
+    p.stem
+    for p in sorted((Path(__file__).parent / "golden" / "descriptors").glob("*.json"))
+    if json.loads(p.read_text())["kind"] in ("split_symp", "index2_symp")
+]
+
+
+@pytest.mark.parametrize("name", SYMPLECTIC_GOLDENS)
+def test_closed_form_components_agree_with_the_solve_oracle(name):
+    desc = _golden_descriptor(name)
+    L = construct_biquadratic(desc)
+    assert galois_components(desc, L, checks=False).w_coords == oracles.closed_form_by_solve(desc, L)
+
+
+def _planted_closed_form(kind):
+    """A fault in the first closed-form W_1 vector: s1 (a vector of L), the
+    first W_2 or the first W_3 vector added to it, or the vector repeated in
+    place of the second."""
+    bases = extraction._explicit_index2_bases
+
+    def planted(desc):
+        out = [list(basis) for basis in bases(desc)]
+        w1 = out[0]
+        if kind == "plus_s1":
+            w1[0] = desc.el_add(w1[0], construct_biquadratic(desc).s1)
+        elif kind in ("plus_w2", "plus_w3"):
+            w1[0] = desc.el_add(w1[0], out[1 if kind == "plus_w2" else 2][0])
+        else:
+            w1[1] = w1[0]
+        return out
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("plus_s1", "escapes the solved component"),
+        ("plus_w2", "escapes the solved component"),
+        # alpha_1 and alpha_3 both move s1: only the condition for s2 fails
+        ("plus_w3", "escapes the solved component"),
+        ("duplicate", "is not a basis of the component"),
+    ],
+)
+@pytest.mark.parametrize("name", ["split_symp_gf2", "pool_index2_symp_gf2k3", "index2_symp_ratfunc_gf2"])
+def test_planted_closed_form_faults_are_rejected_by_both_checks(monkeypatch, name, kind, message):
+    desc = _golden_descriptor(name)
+    L = construct_biquadratic(desc)
+    monkeypatch.setattr(extraction, "_explicit_index2_bases", _planted_closed_form(kind))
+    with pytest.raises(DecompositionFailure, match=message):
+        galois_components(desc, L, checks=False)
+    with pytest.raises(DecompositionFailure, match=message):
+        oracles.closed_form_by_solve(desc, L)
+
+
+@pytest.mark.parametrize("name", ["split_symp_gf2k3", "pool_index2_symp_gf2k2", "index2_symp_ratfunc_gf2"])
+def test_default_l_components_make_no_kernel_call(monkeypatch, name):
+    desc = _golden_descriptor(name)
+    symmetric_space(desc)
+    solved = []
+    solve = extraction.kernel
+
+    def counted(rows, field):
+        solved.append(None)
+        return solve(rows, field)
+
+    monkeypatch.setattr(extraction, "kernel", counted)
+    galois_components(desc)
+    assert not solved
+    galois_components(desc, construct_biquadratic(desc, variant=9))
+    assert len(solved) == 3
 
 
 ORACLE_FIELDS = {"gf2": GF2, "gf4": F4, "gf8": F8, "ratfunc": R2}
@@ -588,15 +663,18 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
 @pytest.mark.parametrize(
     "maker,budget",
     [
-        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 193),
-        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 79),
+        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 183),
+        (lambda: SplitSymp(F4), 183),
+        (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 77),
     ],
-    ids=["index2_symp", "unitary_etale"],
+    ids=["index2_symp", "split_symp", "unitary_etale"],
 )
 def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
-    # products b*s for s = s1, s2 shared by the three components (s*b read as
-    # sigma(b*s)), then per W_i the squares, the images x*g_i and one product
-    # per pair of basis vectors
+    # 3 for L (s1*s2, shared by the commutation test and the basis, and the
+    # squares); the closed-form W_i of a symplectic descriptor take x*s1 and
+    # x*s2 per basis vector (48), a solved one b*s for s = s1, s2 per space
+    # basis vector (s*b read as sigma(b*s)); then per W_i the squares, the
+    # images x*g_i and one product per pair of basis vectors
     desc = maker()
     calls = []
     mul = _MatrixDescriptor.el_mul
@@ -611,19 +689,21 @@ def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
 
 
 def test_extract_polar_budget(monkeypatch):
-    # normalize and restrict work on the polar matrix and polar_vector, and
-    # the [1,1] + [0,0] certificate of L reads the adapted Gram matrix
+    # the runtime has no pairwise polar; normalize works on the polar matrix,
+    # the certificates read the adapted Gram matrix, and its one restrict
+    # forms B v once per adapted basis vector
+    assert not hasattr(RawQuadraticForm, "polar")
     callers = collections.Counter()
-    polar = RawQuadraticForm.polar
+    polar_vector = RawQuadraticForm.polar_vector
 
-    def counted(self, x, y):
+    def counted(self, x):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return polar(self, x, y)
+        return polar_vector(self, x)
 
-    monkeypatch.setattr(RawQuadraticForm, "polar", counted)
+    monkeypatch.setattr(RawQuadraticForm, "polar_vector", counted)
     golden = Path(__file__).parent / "golden" / "descriptors" / "pool_index2_symp_gf2k3.json"
     assert main(["extract", "--input", str(golden), "--json", "--seed", "0"]) == 0
-    assert callers == {}
+    assert callers == {"restrict": 28}
 
 
 def test_galois_components_runs_one_berkowitz_batch(monkeypatch):
@@ -875,3 +955,38 @@ def test_orthogonal_ratfunc_detrho():
     assert (inv.det_class / t).is_square()  # the class of t
     names = {c.name: c.result for c in inv.checks}
     assert names["pi3_is_quasi_pfister_of_pi1"].is_true
+
+
+ORTHOGONAL_GOLDENS = ["orthogonal_gf2", "orthogonal_gf2k3", "orthogonal_ratfunc_gf2", "orthogonal_ratfunc_gf2k2"]
+
+
+def _radical_verdicts(comps):
+    new, old = extraction._radical_certificate(comps), oracles.radical_by_kernel(comps)
+    assert (new.state, new.witness) == (old.state, old.witness)
+    return new
+
+
+@pytest.mark.parametrize("name", ORTHOGONAL_GOLDENS)
+def test_radical_certificate_agrees_with_the_kernel_oracle(name):
+    desc = _golden_descriptor(name)
+    for variant in (0, 9):
+        comps = galois_components(desc, construct_biquadratic(desc, variant), checks=False)
+        cert = _radical_verdicts(comps)
+        assert cert.is_true and cert.witness == {"radical_dim": 6}
+
+
+def test_radical_certificate_rejects_a_polar_entry_on_w1():
+    # 1 added to the cross term of two W_1 vectors makes them a nonsingular
+    # plane: the radical drops to dimension 4 and loses them
+    cert = _radical_verdicts(_planted_polar_entry("orthogonal_gf2k3"))
+    assert cert.is_false and cert.witness == {"radical_dim": 4}
+
+
+def test_radical_certificate_rejects_an_l_vector_among_the_w():
+    # s1 and the first W_1 vector swapped: the radical keeps dimension 6, but
+    # s1 pairs with s2, so a W row of the polar matrix is not zero
+    comps = galois_components(_golden_descriptor("orthogonal_gf2k3"), checks=False)
+    (one, s1, *rest), (w, *ws) = comps.l_coords, comps.w_coords[0]
+    comps = dataclasses.replace(comps, l_coords=[one, w, *rest], w_coords=[[s1, *ws], *comps.w_coords[1:]])
+    cert = _radical_verdicts(comps)
+    assert cert.is_false and cert.witness == {"radical_dim": 6}

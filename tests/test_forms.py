@@ -15,8 +15,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import witt_cancel_restart, witt_equivalent_by_arf
-from charform.errors import ShapeMismatch, SingularForm, UnsupportedField, ZeroScalar
+from oracles import (
+    is_hyperbolic_by_isotropic_vector,
+    polar,
+    witt_cancel_restart,
+    witt_equivalent_by_arf,
+)
+from charform import forms
+from charform.errors import CharformError, ShapeMismatch, SingularForm, UnsupportedField, ZeroScalar
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
@@ -87,17 +93,17 @@ def _brute_witt_raw(raw):
             continue
         w = None
         for cand in all_vectors(field, n):
-            if raw.polar(_raw(v), _raw(cand)):
+            if polar(raw, _raw(v), _raw(cand)):
                 w = cand
                 break
         if w is None:
             continue
-        c = raw.polar(_raw(v), _raw(w))
+        c = polar(raw, _raw(v), _raw(w))
         w = [a / c for a in w]
         basis = []
         for cand in all_vectors(field, n):
-            c1 = raw.polar(_raw(cand), _raw(w))
-            c2 = raw.polar(_raw(cand), _raw(v))
+            c1 = polar(raw, _raw(cand), _raw(w))
+            c2 = polar(raw, _raw(cand), _raw(v))
             red = [a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(cand, v, w)]
             if any(red):
                 basis.append(_raw(red))
@@ -501,6 +507,42 @@ def block_lists(draw, field):
 def test_witt_cancel_pass_matches_restart_loop(field, data):
     q = form(field, data.draw(block_lists(field)))
     assert _witt_cancel_pass(q).blocks == witt_cancel_restart(q).blocks
+
+
+def _outcome(decide, q, **kwargs):
+    try:
+        dec = decide(q, **kwargs)
+    except CharformError as exc:
+        return type(exc), str(exc)
+    return dec.state, dec.witness
+
+
+@seed(28)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([R2, R4]), st.data())
+def test_is_hyperbolic_matches_the_isotropic_vector_loop(field, data):
+    # after the cancellation pass the certificate steps of isotropic_vector
+    # cannot fire, so searching the candidates directly draws the same vectors
+    q = form(field, data.draw(block_lists(field)))
+    kwargs = {"pfister": data.draw(st.booleans()), "seed": data.draw(st.integers(0, 3))}
+    assert _outcome(is_hyperbolic, q, **kwargs) == _outcome(
+        is_hyperbolic_by_isotropic_vector, q, **kwargs
+    )
+
+
+def test_is_hyperbolic_artin_schreier_budget(monkeypatch):
+    # the cancellation pass classifies each block once per round; the
+    # candidate search between rounds classifies none of them again
+    t, one = R2.t, R2.one
+    t3 = t * t * t
+    q = form(R2, [(one, t), (t, one + t3), (one + t, t3), (one, t3 * t * t)])
+    solves = []
+    solve = forms.solve_artin_schreier
+    monkeypatch.setattr(forms, "solve_artin_schreier", lambda c: solves.append(c) or solve(c))
+    outcome = _outcome(is_hyperbolic, q)
+    made = len(solves)
+    assert outcome == _outcome(is_hyperbolic_by_isotropic_vector, q)
+    assert (made, len(solves) - made) == (8, 14)  # against the replaced loop's 14
 
 
 def test_unknown_is_reported_not_false():

@@ -53,7 +53,6 @@ from charform.involutions import (
     SplitSymp,
     UnitaryEtale,
     UnitaryExchange,
-    apply_involution,
     det_orthogonal,
     pfaffian_form,
     reduced_charpoly,
@@ -162,12 +161,12 @@ def test_involution_is_involutive_and_antimultiplicative():
     rng = random.Random(3)
     for desc in (d for field in (F4, F8, R2) for d in _involution_descs(field)):
         one = desc.one_el()
-        assert apply_involution(desc, one) == one
+        assert desc.involve(one) == one
         for _ in range(20):
             x, y = desc.rand(rng), desc.rand(rng)
-            assert apply_involution(desc, apply_involution(desc, x)) == x
-            assert apply_involution(desc, desc.el_mul(x, y)) == desc.el_mul(
-                apply_involution(desc, y), apply_involution(desc, x)
+            assert desc.involve(desc.involve(x)) == x
+            assert desc.involve(desc.el_mul(x, y)) == desc.el_mul(
+                desc.involve(y), desc.involve(x)
             )
 
 
@@ -205,7 +204,7 @@ def test_sigma_is_the_closed_form(name, kind):
         x = desc.rand(rng)
         m = matrix(x)
         conj_t = Mat(ring, [[conj(m[j][i]) for j in range(4)] for i in range(4)])
-        assert matrix(apply_involution(desc, x)) == [list(r) for r in (left * conj_t * right).rows]
+        assert matrix(desc.involve(x)) == [list(r) for r in (left * conj_t * right).rows]
 
 
 @pytest.mark.parametrize("name", ["gf2", "gf4", "r2"])
@@ -214,7 +213,7 @@ def test_exchange_sigma_swaps_the_blocks(name):
     rng = random.Random(41)
     for _ in range(4):
         x = desc.rand(rng)
-        sx = apply_involution(desc, x)
+        sx = desc.involve(x)
         assert entries(desc, sx) == entries(desc, x[16:])
         assert entries(desc, sx[16:]) == entries(desc, x[:16])
 
@@ -261,7 +260,7 @@ def test_split_symp_sigma_is_conj_transpose():
     desc = SplitSymp(GF2)
     rng = random.Random(5)
     x = desc.rand(rng)
-    sx = apply_involution(desc, x)
+    sx = desc.involve(x)
     mx, msx = quat_matrix(desc, x), quat_matrix(desc, sx)
     for i in range(4):
         for j in range(4):
@@ -324,7 +323,7 @@ def test_symmetric_space_halves():
             h = space.half(unit_vector(field, space.dim, k))
             support = [j for j, a in enumerate(h) if a != field.rzero]
             assert len(support) == 1 and h[support[0]] == field.rone
-            assert desc.el_add(h, apply_involution(desc, h)) == b
+            assert desc.el_add(h, desc.involve(h)) == b
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from descriptor_layout import entries
-from oracles import EtaleRing, QuatRing, charpoly, normalize_by_polar, to_lanes
+from oracles import EtaleRing, QuatRing, charpoly, normalize_by_polar, polar, to_lanes
 from charform import fields
 from charform.fields import (
     GF2,
@@ -60,11 +60,12 @@ from charform.forms import RawQuadraticForm, blocks_match_upto_squares, form, no
 from charform.involutions import (
     Index2Symp,
     Orthogonal,
+    SplitSymp,
     UnitaryEtale,
     UnitaryExchange,
     symmetric_space,
 )
-from charform.linalg import Mat, Span, charpoly_raw, kernel, rank
+from charform.linalg import Mat, Span, charpoly_raw, kernel, rank, unit_vector
 from charform.quaternions import Quat, QuaternionAlgebra
 
 FIELDS = [GF2, gf2k(2), gf2k(3), ratfunc(GF2)]
@@ -364,6 +365,43 @@ def test_a_dense_ratfunc_product_normalises_each_coordinate_once(base, monkeypat
     assert wrapped(desc, entries(desc, got)) == [[e.c for e in row] for row in expected]
 
 
+SYMMETRIZED_FIELDS = [GF2, gf2k(2), ratfunc(GF2)]
+
+
+def descriptor(kind, field, data):
+    """A descriptor of the kind with random nonzero slots and Gram entries."""
+    nonzero = elements(field, nonzero=True)
+    if kind == "split_symp":
+        return SplitSymp(field)
+    if kind == "index2_symp":
+        quat = QuaternionAlgebra(field, data.draw(elements(field)), data.draw(nonzero))
+        return Index2Symp(field, quat, [data.draw(nonzero) for _ in range(3)])
+    if kind == "unitary_exchange":
+        return UnitaryExchange(field)
+    gram = [data.draw(nonzero) for _ in range(4)]
+    if kind == "unitary_etale":
+        return UnitaryEtale(field, non_artin_schreier(field), gram)
+    return Orthogonal(field, gram)
+
+
+@settings(max_examples=20, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(SYMMETRIZED_FIELDS), st.data())
+@pytest.mark.parametrize(
+    "kind", ["split_symp", "index2_symp", "unitary_exchange", "unitary_etale", "orthogonal"]
+)
+def test_symmetrized_product_is_xy_plus_yx(kind, field, data):
+    # sigma reverses products, so x*y + sigma(x*y) = xy + yx for symmetric x, y
+    desc = descriptor(kind, field, data)
+    space = symmetric_space(desc)
+    entry = sparse(field, elements(field))
+    x, y = (space.element([data.draw(entry).raw for _ in range(space.dim)]) for _ in range(2))
+    assert desc.symmetrized(desc.el_mul(x, y)) == desc.el_add(desc.el_mul(x, y), desc.el_mul(y, x))
+    # coordinate 1 is not symmetric in any kind, and breaks it against y = 1
+    e1, one = tuple(unit_vector(field, desc.ambient_dim, 1)), desc.one_el()
+    xy = desc.el_mul(e1, one)
+    assert desc.symmetrized(xy) != desc.el_add(xy, desc.el_mul(one, e1))
+
+
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -429,7 +467,10 @@ def test_form_evaluate_and_polar(field, data):
     for i in range(n):  # one nonzero payload: q(e_i) = U[i][i]
         assert q.evaluate([field.rone if j == i else field.rzero for j in range(n)]) == u[i][i]
     vw = [a + b for a, b in zip(v, w)]
-    assert q.polar([a.raw for a in v], [a.raw for a in w]) == direct(vw) + direct(v) + direct(w)
+    expected = direct(vw) + direct(v) + direct(w)
+    assert polar(q, [a.raw for a in v], [a.raw for a in w]) == expected
+    bv = q.polar_vector([a.raw for a in v])
+    assert sum((field._el(b) * c for b, c in zip(bv, w)), field.zero) == expected
 
 
 def restrict_by_polar(q, vectors):
@@ -439,7 +480,7 @@ def restrict_by_polar(q, vectors):
     for i in range(n):
         u[i][i] = q.evaluate(vectors[i])
         for j in range(i + 1, n):
-            u[i][j] = q.polar(vectors[i], vectors[j])
+            u[i][j] = polar(q, vectors[i], vectors[j])
     return RawQuadraticForm(q.field, u)
 
 

@@ -610,8 +610,8 @@ def is_hyperbolic(q: QuadraticForm, *, pfister: bool = False, seed: int = 0) -> 
             return decided(True, {"isotropic": v})
     cur = _witt_cancel_pass(q)
     while cur.blocks:
-        # the pass leaves no split block, diagonal or equal pair (block_square_witness(b,
-        # b) = 1), where the certificate steps of isotropic_vector would fire
+        # the pass leaves no split block, no diagonal and no equal pair (it cancels b
+        # against b), so the certificate steps of isotropic_vector cannot fire
         v = _searched_isotropic(cur, rng)
         if v is None:
             break

@@ -168,7 +168,9 @@ class WComponents:
 
     ``adapted`` is the full form on the adapted basis L | W_1 | W_2 | W_3
     (its Gram matrix, computed once); ``w_raw`` holds its three W blocks.
-    Both are rebuilt by ``dataclasses.replace``.
+    Both are rebuilt by ``dataclasses.replace``.  ``g_images[i - 1]`` maps
+    the coordinates of each closed-form W_i basis vector x to x*g_i; it is
+    None after a solve and after ``dataclasses.replace``.
     """
 
     desc: object
@@ -180,6 +182,7 @@ class WComponents:
     adapted: RawQuadraticForm = dc_field(init=False)
     w_raw: List[RawQuadraticForm] = dc_field(init=False)
     w_spans: List[Span] = dc_field(init=False)  # of w_coords, built once
+    g_images: Optional[List[dict]] = dc_field(init=False, default=None)
 
     def __post_init__(self):
         field = self.desc.field
@@ -267,7 +270,7 @@ def galois_components(
 
     closed_form = symplectic and _is_default_l(desc, L)
     if closed_form:
-        w_coords = _closed_form_components(desc, L, space)
+        w_coords, g_images = _closed_form_components(desc, L, space)
     else:
         # alpha_i(s_k) is s_k + 1 when alpha_i moves s_k (_KLEIN_MOVES), else s_k,
         # so the column of b for s_k is b*s_k + s_k*b = symmetrized(b*s_k) (b and
@@ -283,18 +286,21 @@ def galois_components(
     if dims != expected:
         raise DecompositionFailure(f"component dimensions {dims}, expected {expected}")
     comps = WComponents(desc, L, space, full_raw, l_coords, w_coords)
-    if closed_form and any(span.dim != len(w) for span, w in zip(comps.w_spans, w_coords)):
-        raise DecompositionFailure("closed-form basis is not a basis of the component")
+    if closed_form:
+        if any(span.dim != len(w) for span, w in zip(comps.w_spans, w_coords)):
+            raise DecompositionFailure("closed-form basis is not a basis of the component")
+        comps.g_images = g_images
 
     if checks:
         _component_checks(comps)
     return comps
 
 
-def _closed_form_components(desc, L: BiquadraticEtale, space: InvolutionSpace) -> List[List[list]]:
+def _closed_form_components(desc, L: BiquadraticEtale, space: InvolutionSpace) -> tuple:
     """The closed-form W_i bases of the default L in space coordinates, each
     vector x certified in Symd with symmetrized(x*s_k) = x*s_k + s_k*x equal
-    to x when alpha_i moves s_k, else 0.
+    to x when alpha_i moves s_k, else 0; and the images x*g_i at each basis
+    vector, read off x*s1 and x*s2 (g_1 = s2, g_2 = s1, g_3 = s1 + s2).
 
     Lemma: joint eigenvectors of the commuting maps x -> x*s_k + s_k*x with
     distinct eigenvalue pairs are independent, and L lies in the (0, 0)
@@ -302,17 +308,20 @@ def _closed_form_components(desc, L: BiquadraticEtale, space: InvolutionSpace) -
     checks the spans), 4 + 8 + 8 + 8 = dim Symd makes each W_i the whole
     joint eigenspace, the kernel the solve would return.
     """
-    zero, out = desc.zero_el(), []
-    for moves, basis in zip(_KLEIN_MOVES, _explicit_index2_bases(desc)):
+    zero, out, images = desc.zero_el(), [], []
+    for i, (moves, basis) in enumerate(zip(_KLEIN_MOVES, _explicit_index2_bases(desc))):
         coords = [space.coords(x) for x in basis]
+        products = [(desc.el_mul(x, L.s1), desc.el_mul(x, L.s2)) for x in basis]
         if None in coords or any(
-            desc.symmetrized(desc.el_mul(x, s)) != (x if moved else zero)
-            for x in basis
-            for moved, s in zip(moves, (L.s1, L.s2))
+            desc.symmetrized(p) != (x if moved else zero)
+            for x, ps in zip(basis, products)
+            for moved, p in zip(moves, ps)
         ):
             raise DecompositionFailure("closed-form basis escapes the solved component")
         out.append(coords)
-    return out
+        gx = [desc.el_add(*p) for p in products] if i == 2 else [p[1 - i] for p in products]
+        images.append(dict(zip(map(tuple, coords), gx)))
+    return out, images
 
 
 def _is_default_l(desc, L: BiquadraticEtale) -> bool:
@@ -380,8 +389,9 @@ def _check_qi_nonsingular(comps: WComponents, i: int) -> None:
     field = desc.field
     g, c = L.generator(i)
     vectors = comps.w_coords[i - 1]
-    elems = [space.element(v) for v in vectors]
-    images = [space.coords(desc.el_mul(x, g)) for x in elems]
+    known = {} if comps.g_images is None else comps.g_images[i - 1]
+    products = [known.get(tuple(v)) or desc.el_mul(space.element(v), g) for v in vectors]
+    images = [space.coords(p) for p in products]
     if any(sc is None or comps.w_spans[i - 1].coords(sc) is None for sc in images):
         raise DecompositionFailure(f"W_{i} is not stable under L_{i}")
     r = solve_artin_schreier(c)

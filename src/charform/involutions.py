@@ -446,11 +446,23 @@ class _MatrixDescriptor:
         return out, den if q is None else mul(den, q)
 
     def _rows(self, flat) -> list:
-        """The rows of a flat split matrix (payloads, or pairs over the etale ring)."""
+        """The rows of a flat split matrix (payloads, or pairs over the etale
+        ring), or of a cleared one given as its dict of entries."""
         size = self._split_size
+        if isinstance(flat, dict):
+            flat = [flat.get(l, 0) for l in range(self._split_width)]
         if self._split_c is not None:
             flat = list(zip(flat[::2], flat[1::2]))
         return [flat[r * size : (r + 1) * size] for r in range(size)]
+
+    def _split_ring(self) -> tuple:
+        """(zero, lift, add, mul) of the entries of cleared split matrices:
+        xor and nmul on numerators, or the etale ring on their (x, y) pairs,
+        with lift the entry of a numerator of F."""
+        c, e = self._centre
+        if c is None:
+            return 0, (lambda a: a), operator.xor, self.field.nmul
+        return (0, 0), (lambda a: (a, 0)), *etale_ops(c, 0, operator.xor, self.field.nmul, e)
 
     def reduced_charpoly(self, x) -> List[Fe]:
         """One scalar Berkowitz run on the numerators of the split matrix
@@ -459,7 +471,7 @@ class _MatrixDescriptor:
         shrink with the lanes)."""
         field, mul = self.field, self.field.nmul
         (entries,), den = self._cleared([x])
-        rows = self._rows([entries.get(l, 0) for l in range(self._split_width)])
+        rows = self._rows(entries)
         coeffs = _berkowitz(rows, *self._centre, 0, 1, operator.xor, mul)
         power = 1
         for i in range(len(coeffs) - 1, -1, -1):
@@ -565,23 +577,21 @@ class _MatrixDescriptor:
         """Trd(x*y) without forming the product: the sum of X_ik * Y_ki over
         the numerators of the split matrices X of x and Y of y over D, which
         lies in F, over D^2."""
-        field, (c, e), size = self.field, self._centre, self._split_size
+        field, etale, size = self.field, self._centre[0] is not None, self._split_size
         (xs, ys), den = self._cleared([x, y])
-        zero, add, mul = 0, operator.xor, field.nmul
-        if c is not None:  # the entries as pairs (x, y) by position
+        zero, _, add, mul = self._split_ring()
+        if etale:  # the entries as pairs (x, y) by position
             xs, ys = (
                 {m: (acc.get(2 * m, 0), acc.get(2 * m + 1, 0)) for m in {l >> 1 for l in acc}}
                 for acc in (xs, ys)
             )
-            add, mul = etale_ops(c, zero, add, mul, e)
-            zero = (0, 0)
         total = zero
         for m, a in xs.items():
             i, k = divmod(m, size)
             b = ys.get(k * size + i, zero)
             if a != zero and b != zero:
                 total = add(total, mul(a, b))
-        if c is not None:
+        if etale:
             total = _base_parts([total], 0)[0]
         return field._el(field.rfractions((total,), field.nmul(den, den))[0])
 

@@ -51,18 +51,10 @@ class Mat:
         )
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """Row i sums a * (row k of other) over the nonzero a = self[i][k]."""
         if self.shape[1] != other.shape[0]:
             raise ShapeMismatch("shape mismatch")
-        zero = self.ring.zero
-        rows = []
-        for row in self.rows:
-            acc = [zero] * other.shape[1]
-            for a, orow in zip(row, other.rows):
-                if a != zero:
-                    acc = [s if b == zero else s + a * b for s, b in zip(acc, orow)]
-            rows.append(acc)
-        return Mat(self.ring, rows)
+        add, mul = (lambda s, t: s + t), (lambda s, t: s * t)
+        return Mat(self.ring, matmul_raw(self.rows, other.rows, self.ring.zero, add, mul))
 
     def scal(self, c) -> "Mat":
         return Mat(self.ring, [[c * a for a in row] for row in self.rows])
@@ -82,6 +74,19 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
+
+
+def matmul_raw(a, b, zero, add, mul) -> list:
+    """The product of two matrices given as rows, over a ring given by
+    closures: row i sums x * (row k of b) over the nonzero x = a[i][k]."""
+    rows = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x != zero:
+                acc = [s if y == zero else add(s, mul(x, y)) for s, y in zip(acc, brow)]
+        rows.append(acc)
+    return rows
 
 
 def charpoly_raw(rows, zero, one, add, mul) -> list:

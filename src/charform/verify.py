@@ -46,6 +46,7 @@ from .involutions import (
     UnitaryEtale,
     UnitaryExchange,
     _pfaffian,
+    _power,
     pfaffian_form,
     reduced_charpolys,
     symmetric_space,
@@ -61,7 +62,7 @@ from .extraction import (
     star_multiplicative,
     _as_scalar,
 )
-from .linalg import combination, unit_vector
+from .linalg import combination, matmul_raw, unit_vector
 from .quaternions import QuaternionAlgebra, nrd_form, quat_conj
 
 
@@ -325,23 +326,17 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     out.append(PropertyResult("symplectic.polarization_identity", bad == 0, n_pairs))
 
     rng = _rng(seed, "symp.prp")
-    bad = 0
     n_el = min(trials, 100)
-    one = desc.one_el()
     xs = [space.element(space.rand_coords(rng)) for _ in range(n_el)]
-    for x, pc in zip(xs, reduced_charpolys(desc, xs)):
+    pfs = []
+    for pc in reduced_charpolys(desc, xs):
         # the charpoly is Prp(x)^2 exactly when _pfaffian takes its square root
         try:
-            pf = _pfaffian(pc, field)
+            pfs.append(_pfaffian(pc, field))
         except NotPfaffian:
-            bad += 1
-            continue
-        # Prp(x) by Horner; Prp is monic
-        acc = one
-        for c in reversed(pf.coeffs[:-1]):
-            acc = desc.el_add(desc.el_mul(acc, x), desc.el_scal(c, one))
-        bad += acc != desc.zero_el()
-    out.append(PropertyResult("symplectic.prp_square_and_annihilation", bad == 0, n_el))
+            pfs.append(None)
+    ok = all(_prp_annihilated(desc, xs, pfs))
+    out.append(PropertyResult("symplectic.prp_square_and_annihilation", ok, n_el))
 
     comps = default_components(desc)
     out.append(PropertyResult("symplectic.component_dims", comps.dims == comp_dims, 1))
@@ -375,6 +370,43 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
                 1,
             )
         )
+    return out
+
+
+def _prp_annihilated(desc, xs, pfs) -> List[bool]:
+    """Whether Prp(x) = 0 for each x with its Pfaffian data (None fails x).
+
+    For the cleared split matrix M of x over D and n_i = E*p_i over the
+    common denominator E, E*D^4*Prp(M/D) = M^2 (E M^2 + n3 D M + n2 D^2)
+    + n1 D^3 M + n0 D^4 (Paterson-Stockmeyer: two products, no gcd), which
+    is 0 exactly when Prp(x) is, the split map being an injective ring map.
+    The split matrix of el_mul(x, x) must be M^2/D^2 for the first 3 x,
+    which keeps the structure constants under test."""
+    nmul, (zero, lift, add, mul) = desc.field.nmul, desc._split_ring()
+    cleared, den = desc._cleared(xs)
+    squares, sq_den = desc._cleared([desc.el_mul(x, x) for x in xs[:3]])
+    powers = [_power(nmul, den, k) for k in (4, 3, 2, 1)]
+
+    def scaled(s, rows):
+        return [[mul(s, a) for a in r] for r in rows]
+
+    out = []
+    for j, (acc, pf) in enumerate(zip(cleared, pfs)):
+        if pf is None:
+            out.append(False)
+            continue
+        nums, e = desc.field.rclear([c.raw for c in pf.coeffs[:4]])
+        s0, s1, s2, s3 = (lift(nmul(n, d)) for n, d in zip(nums, powers))
+        m = desc._rows(acc)
+        m2 = matmul_raw(m, m, zero, add, mul)
+        inner = [list(map(add, r2, r)) for r2, r in zip(scaled(lift(e), m2), scaled(s3, m))]
+        tail = scaled(s1, m)
+        for i in range(len(m)):
+            inner[i][i], tail[i][i] = add(inner[i][i], s2), add(tail[i][i], s0)
+        ok = matmul_raw(m2, inner, zero, add, mul) == tail
+        if ok and j < len(squares):  # cross-multiplied
+            ok = scaled(lift(powers[2]), desc._rows(squares[j])) == scaled(lift(sq_den), m2)
+        out.append(ok)
     return out
 
 

@@ -34,6 +34,9 @@ overloading, beside the payload tuples of the runtime.
 - ``radical_by_kernel``: the orthogonal radical certificate from a kernel
   of the full polar matrix, beside the read of the adapted Gram matrix in
   ``charform.extraction._radical_certificate``;
+- ``prp_annihilates_by_horner``: Prp(x) = 0 by Horner with ``el_mul`` on
+  algebra elements, beside the Paterson-Stockmeyer evaluation on the
+  cleared split matrices in ``charform.verify._prp_annihilated``;
 - ``li_module_basis`` and ``check_qi_by_module_basis``: q_i(x) = x^2
   certified nonsingular on W_i from an L_i-module basis searched among the
   ``candidates`` and a Berkowitz determinant over L_i, beside the rank
@@ -656,3 +659,18 @@ def radical_by_kernel(comps: WComponents) -> Decision:
     w_all = [v for w in comps.w_coords for v in w]
     same = rad_span.dim == 6 and all(rad_span.coords(v) is not None for v in w_all)
     return decided(same, {"radical_dim": rad_span.dim})
+
+
+# ---------------------------------------------------------------------------
+# Prp annihilation by Horner
+# ---------------------------------------------------------------------------
+
+
+def prp_annihilates_by_horner(desc, x, pf) -> bool:
+    """Whether Prp(x) = 0, Prp (monic, the coefficients of the Pfaffian data
+    pf) evaluated at the element x by Horner: 4 el_mul."""
+    one = desc.one_el()
+    acc = one
+    for c in reversed(pf.coeffs[:-1]):
+        acc = desc.el_add(desc.el_mul(acc, x), desc.el_scal(c, one))
+    return acc == desc.zero_el()

@@ -4,6 +4,7 @@ and the invariant extraction reports."""
 import collections
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -21,6 +22,7 @@ from charform.errors import (
     DecompositionFailure,
     InvalidCandidate,
     NotInComponent,
+    NotPfaffian,
     NotInLi,
     UnsupportedDescriptor,
 )
@@ -616,7 +618,8 @@ def test_star_check_fails_on_a_corrupted_w_raw(monkeypatch):
 
 def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
     # one batch for the points form, one for the 4 polarization pairs, one for
-    # the 4 Prp elements (Prp evaluated by Horner), and the 2 scalar runs of
+    # the 4 Prp elements (Prp evaluated on their split matrices, with el_mul
+    # only for the squares of the first 3), and the 2 scalar runs of
     # find_square_central: 5 Berkowitz runs
     runs, calls = [], []
     batch, charpoly = _MatrixDescriptor._charpolys_at_points, _MatrixDescriptor.reduced_charpoly
@@ -638,7 +641,7 @@ def test_verify_symplectic_charpoly_and_el_mul_budget(monkeypatch):
     monkeypatch.setattr(_MatrixDescriptor, "reduced_charpoly", counted_charpoly)
     monkeypatch.setattr(_MatrixDescriptor, "el_mul", counted_mul)
     assert all(r.passed for r in verify.run_symplectic(F4, 1, 4))
-    assert len(runs) <= 5 and len(calls) <= 639
+    assert len(runs) <= 5 and len(calls) <= 557
 
 
 def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
@@ -660,11 +663,134 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
     assert all(line.startswith("PASS ") for line in lines.values())
 
 
+# --- Prp annihilation on the cleared split matrices ----------------------------
+
+# the verify descriptors, and a golden one whose split runs over the etale ring
+PRP_DESCRIPTORS = {
+    "gf2": lambda: verify._symplectic_descriptor(GF2),
+    "gf2k3": lambda: verify._symplectic_descriptor(F8),
+    "ratfunc_gf2": lambda: verify._symplectic_descriptor(R2),
+    "ratfunc_gf2k2": lambda: verify._symplectic_descriptor(ratfunc(F4)),
+    "ratfunc_gf2_etale": lambda: _golden_descriptor("index2_symp_ratfunc_gf2_etale"),
+}
+
+
+def _prp_batch(desc, rng, n):
+    """n elements of Symd drawn from rng with their Pfaffian data (None where
+    the charpoly is not a square)."""
+    space = symmetric_space(desc)
+    xs = [space.element(space.rand_coords(rng)) for _ in range(n)]
+    pfs = []
+    for pc in involutions.reduced_charpolys(desc, xs):
+        try:
+            pfs.append(involutions._pfaffian(pc, desc.field))
+        except NotPfaffian:
+            pfs.append(None)
+    return xs, pfs
+
+
+def _horner_verdicts(desc, xs, pfs):
+    return [pf is not None and oracles.prp_annihilates_by_horner(desc, x, pf) for x, pf in zip(xs, pfs)]
+
+
+@pytest.mark.parametrize("name", PRP_DESCRIPTORS)
+def test_prp_annihilation_agrees_with_the_horner_oracle(name):
+    desc = PRP_DESCRIPTORS[name]()
+    space = symmetric_space(desc)
+    n = 2 if name == "ratfunc_gf2k2" else 5
+    # the first elements of verify's stream, then seeded ones, 0 and 1
+    xs, pfs = _prp_batch(desc, verify._rng(1, "symp.prp"), n)
+    more, more_pfs = _prp_batch(desc, random.Random(len(name)), n)
+    ends, end_pfs = [desc.zero_el(), desc.one_el()], [
+        involutions._pfaffian(involutions.reduced_charpoly(desc, x), desc.field)
+        for x in (desc.zero_el(), desc.one_el())
+    ]
+    xs, pfs = xs + more + ends, pfs + more_pfs + end_pfs
+    assert space.dim == 28 and None not in pfs
+    verdicts = verify._prp_annihilated(desc, xs, pfs)
+    assert verdicts == _horner_verdicts(desc, xs, pfs) == [True] * len(xs)
+    # the Pfaffian data of the next element, and a perturbed p0: both fail
+    shifted = pfs[1:] + pfs[:1]
+    assert verify._prp_annihilated(desc, xs, shifted) == _horner_verdicts(desc, xs, shifted)
+    one = desc.field.one
+    wrong = [dataclasses.replace(pf, coeffs=(pf.coeffs[0] + one, *pf.coeffs[1:])) for pf in pfs]
+    assert verify._prp_annihilated(desc, xs, wrong) == _horner_verdicts(desc, xs, wrong) == [False] * len(xs)
+
+
+def _prp_line(field, trials=4):
+    lines = {r.name: r.line() for r in verify.run_symplectic(field, 1, trials)}
+    return lines["symplectic.prp_square_and_annihilation"]
+
+
+@pytest.mark.parametrize("field", [F8, R2], ids=["gf2k3", "ratfunc_gf2"])
+def test_prp_property_fails_on_a_wrong_p0(monkeypatch, field):
+    pfaffian = verify._pfaffian
+
+    def wrong_p0(pc, field):
+        pf = pfaffian(pc, field)
+        return dataclasses.replace(pf, coeffs=(pf.coeffs[0] + field.one, *pf.coeffs[1:]))
+
+    assert _prp_line(field) == "PASS symplectic.prp_square_and_annihilation (4 trials)"
+    monkeypatch.setattr(verify, "_pfaffian", wrong_p0)
+    assert _prp_line(field) == "FAIL symplectic.prp_square_and_annihilation (4 trials)"
+
+
+def _mutated_prp_check(old, new):
+    """verify._prp_annihilated with one planted fault in its source."""
+    source = inspect.getsource(verify._prp_annihilated)
+    assert source.count(old) == 1
+    namespace = dict(vars(verify))
+    exec(compile(source.replace(old, new), verify.__file__, "exec"), namespace)
+    return namespace["_prp_annihilated"]
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("for k in (4, 3, 2, 1)]", "for k in (4, 2, 2, 1)]"),
+        ("scaled(lift(e), m2)", "scaled(lift(1), m2)"),
+    ],
+    ids=["d2_for_d3", "e_dropped"],
+)
+def test_prp_property_fails_on_a_planted_fault_in_the_check(monkeypatch, old, new):
+    # D and E are 1 over GF(2^k), so these faults show over GF(2)(t) only:
+    # there D = t^2 + t and E is D or t + 1
+    monkeypatch.setattr(verify, "_prp_annihilated", _mutated_prp_check(old, new))
+    assert _prp_line(R2) == "FAIL symplectic.prp_square_and_annihilation (4 trials)"
+
+
+def test_prp_el_mul_leg_catches_a_wrong_split_table_entry():
+    # the term of e_17 (entry (1, 0), payload 1) off by 1: the first x still
+    # has a Prp, and it annihilates the wrong split matrix (moved past the
+    # first 3, x passes), but the split matrix of x*x is not its square;
+    # most other charpolys are not squares
+    desc = verify._symplectic_descriptor(F8)
+    desc._split_nums = [list(terms) for terms in desc._split_nums]
+    l, s = desc._split_nums[17][0]
+    desc._split_nums[17][0] = (l, s ^ 1)
+    xs, pfs = _prp_batch(desc, random.Random(5), 6)
+    assert pfs[0] is not None and sum(pf is None for pf in pfs) >= 4
+    assert not verify._prp_annihilated(desc, xs, pfs)[0]
+    assert verify._prp_annihilated(desc, xs[1:4] + xs[:1], pfs[1:4] + pfs[:1])[3]
+
+
+@pytest.mark.parametrize("field", [F8, R2], ids=["gf2k3", "ratfunc_gf2"])
+def test_prp_el_mul_leg_catches_a_wrong_unit_product(field):
+    # q_1 q_1 read as q_2: the split matrices and their charpolys are sound,
+    # so only the squares of the first 3 x, formed by el_mul, fail
+    desc = verify._symplectic_descriptor(field)
+    desc._units = [[list(terms) for terms in row] for row in desc._units]
+    l, c = desc._units[1][1][0]
+    desc._units[1][1][0] = ((l + 1) % 4, c)
+    xs, pfs = _prp_batch(desc, random.Random(5), 6)
+    assert verify._prp_annihilated(desc, xs, pfs) == [False] * 3 + [True] * 3
+
+
 @pytest.mark.parametrize(
     "maker,budget",
     [
-        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 183),
-        (lambda: SplitSymp(F4), 183),
+        (lambda: idx2(F4, F4.gen, F4.one, (F4.gen, F4.one, F4.gen)), 159),
+        (lambda: SplitSymp(F4), 159),
         (lambda: UnitaryEtale(F4, F4.gen, (F4.one, F4.gen, F4.one, F4.gen)), 77),
     ],
     ids=["index2_symp", "split_symp", "unitary_etale"],
@@ -672,9 +798,10 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
 def test_galois_components_el_mul_budget(monkeypatch, maker, budget):
     # 3 for L (s1*s2, shared by the commutation test and the basis, and the
     # squares); the closed-form W_i of a symplectic descriptor take x*s1 and
-    # x*s2 per basis vector (48), a solved one b*s for s = s1, s2 per space
-    # basis vector (s*b read as sigma(b*s)); then per W_i the squares, the
-    # images x*g_i and one product per pair of basis vectors
+    # x*s2 per basis vector (48), which also give its images x*g_i, a solved
+    # one b*s for s = s1, s2 per space basis vector (s*b read as sigma(b*s))
+    # and the images x*g_i; then per W_i the squares and one product per
+    # pair of basis vectors
     desc = maker()
     calls = []
     mul = _MatrixDescriptor.el_mul

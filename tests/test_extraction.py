@@ -675,40 +675,35 @@ PRP_DESCRIPTORS = {
 }
 
 
-def _prp_batch(desc, rng, n):
-    """n elements of Symd drawn from rng with their Pfaffian data (None where
-    the charpoly is not a square)."""
+def _draws(desc, rng, n):
     space = symmetric_space(desc)
-    xs = [space.element(space.rand_coords(rng)) for _ in range(n)]
+    return [space.element(space.rand_coords(rng)) for _ in range(n)]
+
+
+def _pfaffians(desc, xs):
+    """The Pfaffian data of each x, None where its charpoly is not a square."""
     pfs = []
     for pc in involutions.reduced_charpolys(desc, xs):
         try:
             pfs.append(involutions._pfaffian(pc, desc.field))
         except NotPfaffian:
             pfs.append(None)
-    return xs, pfs
+    return pfs
 
 
 def _horner_verdicts(desc, xs, pfs):
-    return [pf is not None and oracles.prp_annihilates_by_horner(desc, x, pf) for x, pf in zip(xs, pfs)]
+    return [oracles.prp_annihilates_by_horner(desc, x, pf) for x, pf in zip(xs, pfs)]
 
 
 @pytest.mark.parametrize("name", PRP_DESCRIPTORS)
 def test_prp_annihilation_agrees_with_the_horner_oracle(name):
     desc = PRP_DESCRIPTORS[name]()
-    space = symmetric_space(desc)
     n = 2 if name == "ratfunc_gf2k2" else 5
-    # the first elements of verify's stream, then seeded ones, 0 and 1
-    xs, pfs = _prp_batch(desc, verify._rng(1, "symp.prp"), n)
-    more, more_pfs = _prp_batch(desc, random.Random(len(name)), n)
-    ends, end_pfs = [desc.zero_el(), desc.one_el()], [
-        involutions._pfaffian(involutions.reduced_charpoly(desc, x), desc.field)
-        for x in (desc.zero_el(), desc.one_el())
-    ]
-    xs, pfs = xs + more + ends, pfs + more_pfs + end_pfs
-    assert space.dim == 28 and None not in pfs
-    verdicts = verify._prp_annihilated(desc, xs, pfs)
-    assert verdicts == _horner_verdicts(desc, xs, pfs) == [True] * len(xs)
+    # the first elements of verify's stream, seeded ones, 0 and 1
+    xs = _draws(desc, verify._rng(1, "symp.prp"), n) + _draws(desc, random.Random(len(name)), n)
+    xs += [desc.zero_el(), desc.one_el()]
+    pfs = _pfaffians(desc, xs)
+    assert verify._prp_annihilated(desc, xs, pfs) == _horner_verdicts(desc, xs, pfs) == [True] * len(xs)
     # the Pfaffian data of the next element, and a perturbed p0: both fail
     shifted = pfs[1:] + pfs[:1]
     assert verify._prp_annihilated(desc, xs, shifted) == _horner_verdicts(desc, xs, shifted)
@@ -768,7 +763,8 @@ def test_prp_el_mul_leg_catches_a_wrong_split_table_entry():
     desc._split_nums = [list(terms) for terms in desc._split_nums]
     l, s = desc._split_nums[17][0]
     desc._split_nums[17][0] = (l, s ^ 1)
-    xs, pfs = _prp_batch(desc, random.Random(5), 6)
+    xs = _draws(desc, random.Random(5), 6)
+    pfs = _pfaffians(desc, xs)
     assert pfs[0] is not None and sum(pf is None for pf in pfs) >= 4
     assert not verify._prp_annihilated(desc, xs, pfs)[0]
     assert verify._prp_annihilated(desc, xs[1:4] + xs[:1], pfs[1:4] + pfs[:1])[3]
@@ -782,8 +778,8 @@ def test_prp_el_mul_leg_catches_a_wrong_unit_product(field):
     desc._units = [[list(terms) for terms in row] for row in desc._units]
     l, c = desc._units[1][1][0]
     desc._units[1][1][0] = ((l + 1) % 4, c)
-    xs, pfs = _prp_batch(desc, random.Random(5), 6)
-    assert verify._prp_annihilated(desc, xs, pfs) == [False] * 3 + [True] * 3
+    xs = _draws(desc, random.Random(5), 6)
+    assert verify._prp_annihilated(desc, xs, _pfaffians(desc, xs)) == [False] * 3 + [True] * 3
 
 
 @pytest.mark.parametrize(

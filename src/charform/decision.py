@@ -7,8 +7,7 @@ never silently collapsed to false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class Unknown:
@@ -28,8 +27,7 @@ class Unknown:
 UNKNOWN = Unknown()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a three-valued predicate, optionally carrying a witness."""
 
     state: str  # "true" | "false" | "unknown"

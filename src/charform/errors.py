@@ -53,10 +53,6 @@ class InvalidCandidate(CharformError):
     """A user-supplied subalgebra candidate failed validation."""
 
 
-class NotInLi(CharformError):
-    """Element does not lie in the requested quadratic subalgebra."""
-
-
 class DecompositionFailure(CharformError):
     """The Klein-group component decomposition failed an invariant."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .decision import Decision, UNKNOWN, Unknown, decided, unknown
@@ -22,7 +21,6 @@ from .errors import (
     InvalidCandidate,
     NoAnisotropicVector,
     NotInComponent,
-    NotInLi,
     UnsupportedDescriptor,
     WitnessNotFound,
 )
@@ -63,8 +61,7 @@ _S4 = list(itertools.permutations(range(4)))
 _KLEIN_MOVES = ((True, False), (False, True), (True, True))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     result: Decision
 
@@ -153,45 +150,29 @@ def construct_biquadratic(desc, variant: int = 0) -> BiquadraticEtale:
 # ---------------------------------------------------------------------------
 
 
-def li_trace_norm(L: BiquadraticEtale, i: int, ell) -> Tuple[Fe, Fe]:
-    """Trace and norm of an element of the quadratic subalgebra L_i."""
-    coords = L.li_coords(i, ell)
-    if coords is None:
-        raise NotInLi(f"element is not in L_{i}")
-    field = L.desc.field
-    return field._el(coords[1]), field._el(L.li_ring(i).rnorm(coords))
-
-
-@dataclass
 class WComponents:
     """L and the three Klein components, with restricted forms.
 
-    ``adapted`` is the full form on the adapted basis L | W_1 | W_2 | W_3
-    (its Gram matrix, computed once); ``w_raw`` holds its three W blocks.
-    Both are rebuilt by ``dataclasses.replace``.  ``g_images[i - 1]`` maps
-    the coordinates of each closed-form W_i basis vector x to x*g_i; it is
-    None after a solve and after ``dataclasses.replace``.
+    ``full_raw`` is the full form on the space; ``l_coords`` and
+    ``w_coords[i - 1]`` are the payload coordinates of the bases of L and W_i
+    over the space basis.  ``adapted`` is the full form on the adapted basis
+    L | W_1 | W_2 | W_3 (its Gram matrix, computed once); ``w_raw`` holds its
+    three W blocks and ``w_spans`` the spans of ``w_coords``.
+    ``g_images[i - 1]`` maps the coordinates of each closed-form W_i basis
+    vector x to x*g_i; it is None after a solve.
     """
 
-    desc: object
-    L: BiquadraticEtale
-    space: InvolutionSpace
-    full_raw: RawQuadraticForm
-    l_coords: List[list]  # payload coordinates over the space basis
-    w_coords: List[List[list]]  # [i][vector], i = 0..2 for W_1..W_3
-    adapted: RawQuadraticForm = dc_field(init=False)
-    w_raw: List[RawQuadraticForm] = dc_field(init=False)
-    w_spans: List[Span] = dc_field(init=False)  # of w_coords, built once
-    g_images: Optional[List[dict]] = dc_field(init=False, default=None)
-
-    def __post_init__(self):
-        field = self.desc.field
-        self.w_spans = [Span(w, field) for w in self.w_coords]
-        self.adapted = self.full_raw.restrict(self.l_coords + [v for w in self.w_coords for v in w])
+    def __init__(self, desc, L, space, full_raw, l_coords, w_coords):
+        self.desc, self.L, self.space, self.full_raw = desc, L, space, full_raw
+        self.l_coords, self.w_coords = l_coords, w_coords
+        field = desc.field
+        self.w_spans = [Span(w, field) for w in w_coords]
+        self.adapted = full_raw.restrict(l_coords + [v for w in w_coords for v in w])
         u, ends = self.adapted.u, list(itertools.accumulate(self.dims))
         self.w_raw = [
             RawQuadraticForm(field, [row[s:e] for row in u[s:e]]) for s, e in zip(ends, ends[1:])
         ]
+        self.g_images: Optional[List[dict]] = None
 
     @property
     def dims(self) -> Tuple[int, int, int, int]:
@@ -448,8 +429,7 @@ def default_components(desc) -> WComponents:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SympPfisterInvariants:
+class SympPfisterInvariants(NamedTuple):
     a1: Fe
     a2: Fe
     x1_coords: list  # payload component coordinates of the W_1 witness
@@ -464,8 +444,7 @@ class SympPfisterInvariants:
         return all(c.result.is_true for c in self.checks)
 
 
-@dataclass
-class Deg4Invariants:
+class Deg4Invariants(NamedTuple):
     a1: Fe
     a2: Fe
     checks: List[Check]
@@ -595,8 +574,7 @@ def extract_symplectic_invariants(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecomposabilityReport:
+class DecomposabilityReport(NamedTuple):
     direction: str
     checks: List[Check]
     witness_coords: Optional[list] = None

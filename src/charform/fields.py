@@ -141,6 +141,9 @@ class FieldElement:
         return self.field._el(self.field.rinv(self.raw))
 
     def sqrt(self) -> Optional["FieldElement"]:
+        """The square root, or None when self is not a square: always found
+        over GF(2^k), and over GF(2^k)(t) exactly when numerator and
+        denominator are squares of polynomials."""
         r = self.field.rsqrt(self.raw)
         return None if r is None else self.field._el(r)
 
@@ -612,13 +615,6 @@ class RatFunc:
             den = pmake(den, self.base)
         return Fe(self, self._norm(num, den))
 
-    def const(self, c: Union[int, Fe]) -> Fe:
-        if isinstance(c, Fe):
-            if c.field is not self.base:
-                raise FieldMismatch("constant from a different base field")
-            c = c.raw
-        return Fe(self, self._norm(c, 1))
-
     @property
     def t(self) -> Fe:
         return Fe(self, (1 << self.base.k, 1))
@@ -721,28 +717,6 @@ def parse_field(text: str) -> Field:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def field_arith(kind: str, x: Fe, y: Fe) -> Fe:
-    """Dispatch basic arithmetic by name, for tests and library callers."""
-    if kind == "add":
-        return x + y
-    if kind == "mul":
-        return x * y
-    if kind == "div":
-        return x / y
-    if kind == "inv":
-        return y.inv()  # x unused; kept for the uniform binary signature
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def frobenius_sqrt(x: Fe) -> Optional[Fe]:
-    """The square root of x, or None when x is not a square.
-
-    Over GF(2^k) this always succeeds; over GF(2^k)(t) it succeeds exactly
-    when numerator and denominator are squares of polynomials.
-    """
-    return x.sqrt()
 
 
 def absolute_trace(x: Fe) -> int:

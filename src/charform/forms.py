@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .decision import Decision, decided, unknown
 from .errors import (
@@ -132,8 +131,7 @@ class RawQuadraticForm:
         return f"RawQuadraticForm(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """Normalized block form: binary blocks (a,b) plus diagonal entries."""
 
     field: Field
@@ -143,10 +141,6 @@ class QuadraticForm:
     @property
     def dim(self) -> int:
         return 2 * len(self.blocks) + len(self.diag)
-
-    @property
-    def nonsingular(self) -> bool:
-        return not self.diag
 
     def evaluate(self, v: Sequence) -> Fe:
         """The value at a payload vector."""
@@ -333,8 +327,7 @@ def trace_one_element(field: GF2k) -> Fe:
     raise AssertionError("every GF(2^k) has a trace-1 element")
 
 
-@dataclass(frozen=True)
-class WittInvariantsGf2k:
+class WittInvariantsGf2k(NamedTuple):
     """Complete invariants over GF(2^k): dim = 2*witt_index + dim(kernel)."""
 
     dimension: int

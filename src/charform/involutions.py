@@ -35,8 +35,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CharformError,
@@ -106,8 +105,7 @@ class InvolutionSpace:
         return [self.desc.field.rrand(rng) for _ in range(self.dim)]
 
 
-@dataclass(frozen=True)
-class PfaffianData:
+class PfaffianData(NamedTuple):
     """Monic reduced Pfaffian: coefficients ascending, and the named terms."""
 
     coeffs: Tuple[Fe, ...]
@@ -465,8 +463,9 @@ class _MatrixDescriptor:
         return (0, 0), (lambda a: (a, 0)), *etale_ops(c, 0, operator.xor, self.field.nmul, e)
 
     def reduced_charpoly(self, x) -> List[Fe]:
-        """One scalar Berkowitz run on the numerators of the split matrix
-        over D, coefficient i of the result over D^(n-i): a batch of one
+        """The monic reduced characteristic polynomial of x, coefficients
+        ascending, by one scalar Berkowitz run on the numerators of the split
+        matrix over D, coefficient i of the result over D^(n-i): a batch of one
         through _charpolys_at_points costs more (its lane products do not
         shrink with the lanes)."""
         field, mul = self.field, self.field.nmul
@@ -741,18 +740,6 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     return space
 
 
-def reduced_charpoly(desc: Descriptor, x) -> List[Fe]:
-    """Reduced characteristic polynomial, ascending coefficients, monic."""
-    return desc.reduced_charpoly(x)
-
-
-def reduced_charpolys(desc: Descriptor, xs, masks=None) -> List[List[Fe]]:
-    """The reduced characteristic polynomials of a batch in one Berkowitz
-    run, lane by lane: xs[i] alone in lane i, or with masks, the sum of the
-    xs[i] whose masks[i] has bit l set in lane l."""
-    return desc.reduced_charpolys(xs, masks)
-
-
 def reduced_pfaffian(desc: Descriptor, x) -> PfaffianData:
     """Monic square root of the reduced characteristic polynomial.
 
@@ -859,18 +846,6 @@ def second_trace_form(desc: Descriptor) -> RawQuadraticForm:
     if desc._srp_raw is None:
         desc._srp_raw = _points_form(desc)[0]
     return desc._srp_raw
-
-
-def srd_form_unitary(desc: Descriptor) -> RawQuadraticForm:
-    if desc.case != "unitary":
-        raise UnsupportedDescriptor("unitary descriptor required")
-    return second_trace_form(desc)
-
-
-def srd_form_orth(desc: Descriptor) -> RawQuadraticForm:
-    if desc.case != "orthogonal":
-        raise UnsupportedDescriptor("orthogonal descriptor required")
-    return second_trace_form(desc)
 
 
 # invertible symmetrized elements whose determinants det_orthogonal compares

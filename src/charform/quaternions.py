@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .decision import Decision
 from .errors import AlgebraMismatch, ZeroScalar
-from .fields import Fe, Field, frobenius_sqrt, solve_artin_schreier
+from .fields import Fe, Field, solve_artin_schreier
 from .forms import QuadraticForm, is_anisotropic, quad_pfister
 
 
@@ -153,7 +153,7 @@ class SplitEmbedding:
     def __init__(self, alg: QuaternionAlgebra):
         a, b, one = alg.a, alg.b, alg.field.one
         root = solve_artin_schreier(a)
-        y = None if isinstance(root, Fe) or not a else frobenius_sqrt(b / a)
+        y = None if isinstance(root, Fe) or not a else (b / a).sqrt()
         self.c = None
         if isinstance(root, Fe):
             r1 = root + one

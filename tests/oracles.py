@@ -60,7 +60,7 @@ from charform import extraction
 from charform.decision import Decision, decided, unknown
 from charform.errors import AlgebraMismatch, DecompositionFailure, SingularForm
 from charform.extraction import _KLEIN_MOVES, WComponents
-from charform.fields import Fe, GF2k, frobenius_sqrt, solve_artin_schreier
+from charform.fields import Fe, GF2k, solve_artin_schreier
 from charform.forms import (
     QuadraticForm,
     RawQuadraticForm,
@@ -232,7 +232,7 @@ class SplitImages:
         field = alg.field
         a, b = alg.a, alg.b
         root = solve_artin_schreier(a)
-        y = None if isinstance(root, Fe) or not a else frobenius_sqrt(b / a)
+        y = None if isinstance(root, Fe) or not a else (b / a).sqrt()
         if isinstance(root, Fe) or y is not None:
             ring = field
             self.lift = lambda c: c

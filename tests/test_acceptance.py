@@ -35,7 +35,6 @@ from charform.involutions import (
     UnitaryEtale,
     UnitaryExchange,
     pfaffian_form,
-    reduced_charpoly,
     reduced_pfaffian,
     symmetric_space,
 )
@@ -292,7 +291,7 @@ def test_ac11_oracle_cross_checks():
     for _ in range(500):
         x = space.element(space.rand_coords(rng))
         pf = reduced_pfaffian(desc, x)
-        pc = reduced_charpoly(desc, x)
+        pc = desc.reduced_charpoly(x)
         square = [F4.zero] * 9
         for i, c in enumerate(pf.coeffs):
             square[2 * i] = c * c

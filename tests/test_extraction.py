@@ -2,7 +2,6 @@
 and the invariant extraction reports."""
 
 import collections
-import dataclasses
 import functools
 import inspect
 import itertools
@@ -23,7 +22,6 @@ from charform.errors import (
     InvalidCandidate,
     NotInComponent,
     NotPfaffian,
-    NotInLi,
     UnsupportedDescriptor,
 )
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
@@ -46,6 +44,7 @@ from charform.involutions import (
 )
 from charform.extraction import (
     BiquadraticEtale,
+    WComponents,
     check_pi3_decomposability,
     construct_biquadratic,
     default_components,
@@ -54,7 +53,6 @@ from charform.extraction import (
     extract_unitary_invariants,
     find_square_central,
     galois_components,
-    li_trace_norm,
     star,
     validate_biquadratic,
     _as_scalar,
@@ -83,6 +81,13 @@ def quat_element(desc, placed):
     for (i, j), q in placed.items():
         v[(4 * i + j) * 4 : (4 * i + j + 1) * 4] = q.c
     return tuple(a.raw for a in v)
+
+
+def rebuilt(comps, **changes):
+    """WComponents from the six inputs of comps, with ``changes`` applied:
+    adapted, w_raw and w_spans are derived again, and g_images is None."""
+    names = ("desc", "L", "space", "full_raw", "l_coords", "w_coords")
+    return WComponents(**{**{n: getattr(comps, n) for n in names}, **changes})
 
 
 # --- biquadratic subalgebras --------------------------------------------------
@@ -114,28 +119,28 @@ def test_validate_biquadratic_rejects_bad_candidates():
         validate_biquadratic(desc, bad, construct_biquadratic(desc).s2)
 
 
-def test_li_trace_norm_examples():
+def test_li_trace_and_norm_examples():
+    # ell = a + b*g_i in L_i has trace b and norm rnorm((a, b)) over F
     desc = SplitSymp(F4)
     L = construct_biquadratic(desc)
-    one = desc.one_el()
-    t, n = li_trace_norm(L, 1, one)
-    assert not t and n == F4.one  # T(1) = 1+1 = 0, N(1) = 1
+    ring = L.li_ring(1)
+    a, b = L.li_coords(1, desc.one_el())
+    assert not b and ring.rnorm([a, b]) == F4.rone  # T(1) = 1+1 = 0, N(1) = 1
     g, c = L.generator(1)
-    t, n = li_trace_norm(L, 1, g)
-    assert t == F4.one and n == c
-    with pytest.raises(NotInLi):
-        li_trace_norm(L, 2, g)  # s2 generates L_1, not L_2
+    a, b = L.li_coords(1, g)
+    assert b == F4.rone and ring.rnorm([a, b]) == c.raw
+    assert L.li_coords(2, g) is None  # s2 generates L_1, not L_2
 
 
-def test_li_trace_norm_split_diagonal():
+def test_li_trace_and_norm_split_diagonal():
     # diag(x1, x1, x2, x2): T_1 = x1 + x2, N_1 = x1 x2
     desc = SplitSymp(F8)
     L = construct_biquadratic(desc)
     x1, x2 = F8.gen, F8.gen * F8.gen
     diag = enumerate((x1, x1, x2, x2))
     ell = quat_element(desc, {(i, i): QuatRing(desc.quat).scalar(x) for i, x in diag})
-    t, n = li_trace_norm(L, 1, ell)
-    assert t == x1 + x2 and n == x1 * x2
+    a, b = L.li_coords(1, ell)
+    assert b == (x1 + x2).raw and L.li_ring(1).rnorm([a, b]) == (x1 * x2).raw
 
 
 # --- components ---------------------------------------------------------------
@@ -357,7 +362,7 @@ def test_component_checks_reject_w1_not_free_over_l1():
     # g_1 = p_2 + p_3 kills the first-layout vectors of W_1 (entries at (0, 1)
     # and (1, 0)), so no candidate is independent of its image
     comps = galois_components(SplitSymp(F4), checks=False)
-    comps = dataclasses.replace(comps, w_coords=[comps.w_coords[0][:4], *comps.w_coords[1:]])
+    comps = rebuilt(comps, w_coords=[comps.w_coords[0][:4], *comps.w_coords[1:]])
     with pytest.raises(DecompositionFailure, match="W_1 is not free over L_1"):
         extraction._component_checks(comps)
 
@@ -371,7 +376,7 @@ def test_component_checks_reject_a_rank_one_submodule():
     x = list(map(F4.radd, w[0], w[4]))
     g, _ = comps.L.generator(1)
     sub = [x, space.coords(desc.el_mul(space.element(x), g))]
-    comps = dataclasses.replace(comps, w_coords=[sub, *comps.w_coords[1:]])
+    comps = rebuilt(comps, w_coords=[sub, *comps.w_coords[1:]])
     with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
         extraction._component_checks(comps)
     with pytest.raises(DecompositionFailure, match="q_1 is singular over L_1"):
@@ -418,7 +423,7 @@ def _planted_polar_entry(name):
     field = comps.desc.field
     u = [list(row) for row in comps.full_raw.u]
     u[p][q] += field.one
-    return dataclasses.replace(comps, full_raw=RawQuadraticForm(field, u))
+    return rebuilt(comps, full_raw=RawQuadraticForm(field, u))
 
 
 @pytest.mark.parametrize(
@@ -560,13 +565,13 @@ def _planted(kind, field):
     comps = galois_components(desc, checks=False)
     if kind == "square_outside_l_i":
         # the W_i of the default L against the fixed algebras of another L
-        return dataclasses.replace(comps, L=construct_biquadratic(desc, 1))
+        return rebuilt(comps, L=construct_biquadratic(desc, 1))
     if kind == "l_not_orthogonal":
         # a W_1 vector in place of s1: the form on W_1 is nonsingular
         l_coords = [comps.l_coords[0], comps.w_coords[0][0], *comps.l_coords[2:]]
-        return dataclasses.replace(comps, l_coords=l_coords)
+        return rebuilt(comps, l_coords=l_coords)
     if kind == "scaled_form":
-        return dataclasses.replace(comps, full_raw=comps.full_raw.scaled(field.gen))
+        return rebuilt(comps, full_raw=comps.full_raw.scaled(field.gen))
     # 1 added to the form at (e_0, e_k), k = 0..3, with e_k the one space
     # coordinate of the projector p_k: on L = <1, s1, s2, s1*s2> only
     # B(1, s1*s2) moves (to 0), and no W_i vector touches an e_k
@@ -574,7 +579,7 @@ def _planted(kind, field):
     u = [list(row) for row in comps.full_raw.u]
     for k in e:
         u[e[0]][k] += field.one
-    return dataclasses.replace(comps, full_raw=RawQuadraticForm(field, u))
+    return rebuilt(comps, full_raw=RawQuadraticForm(field, u))
 
 
 @pytest.mark.parametrize(
@@ -599,7 +604,7 @@ def test_l_certificate_rejects_a_complement_orthogonal_to_1(field):
 
 
 def _scaled_w1_form(comps):
-    comps = dataclasses.replace(comps)
+    comps = rebuilt(comps)
     comps.w_raw = [comps.w_raw[0].scaled(F4.gen), *comps.w_raw[1:]]
     return comps
 
@@ -648,19 +653,47 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
     # a nonzero X coefficient fails the Prp property instead of aborting the
     # suite; the flip hits the Prp batch (one element per lane), not the
     # polarization batch (masks put x, y and x + y in lanes of their own)
-    charpolys = verify.reduced_charpolys
+    charpolys = _MatrixDescriptor.reduced_charpolys
 
-    def flipped(desc, xs, masks=None):
-        pcs = charpolys(desc, xs, masks)
+    def flipped(self, xs, masks=None):
+        pcs = charpolys(self, xs, masks)
         if masks is None:
-            pcs = [[pc[0], pc[1] + desc.field.one, *pc[2:]] for pc in pcs]
+            pcs = [[pc[0], pc[1] + self.field.one, *pc[2:]] for pc in pcs]
         return pcs
 
-    monkeypatch.setattr(verify, "reduced_charpolys", flipped)
+    monkeypatch.setattr(_MatrixDescriptor, "reduced_charpolys", flipped)
     lines = {r.name: r.line() for r in verify.run_symplectic(F4, 1, 4)}
     prp = "symplectic.prp_square_and_annihilation"
     assert lines.pop(prp) == f"FAIL {prp} (4 trials)"
     assert all(line.startswith("PASS ") for line in lines.values())
+
+
+def test_verify_reports_an_aborted_suite_and_runs_the_rest(monkeypatch, capsys):
+    # the term of e_17 off by 1 in verify's gf2k:3 descriptor: a polarization
+    # charpoly has an odd coefficient, and the NotPfaffian that ends the symplectic
+    # suite becomes its one FAIL line; the five other suites still report
+    make = verify._symplectic_descriptor
+
+    def flipped(field):
+        desc = make(field)
+        desc._split_nums = [list(terms) for terms in desc._split_nums]
+        l, s = desc._split_nums[17][0]
+        desc._split_nums[17][0] = (l, s ^ 1)
+        return desc
+
+    monkeypatch.setattr(verify, "_symplectic_descriptor", flipped)
+    assert main(["verify", "--suite", "all", "--field", "gf2k:3", "--trials", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    results, summary = lines[:-1], lines[-1]
+    symplectic = [line for line in results if " symplectic." in line]
+    assert symplectic == [
+        "FAIL symplectic.aborted (0 trials) "
+        "[NotPfaffian: odd characteristic coefficient is nonzero]"
+    ]
+    others = [line for line in results if line not in symplectic]
+    assert all(line.startswith("PASS ") for line in others)
+    assert {line.split()[1].split(".")[0] for line in others} == set(verify.SUITES) - {"symplectic"}
+    assert summary == f"{len(others)}/{len(results)} properties passed"
 
 
 # --- Prp annihilation on the cleared split matrices ----------------------------
@@ -683,7 +716,7 @@ def _draws(desc, rng, n):
 def _pfaffians(desc, xs):
     """The Pfaffian data of each x, None where its charpoly is not a square."""
     pfs = []
-    for pc in involutions.reduced_charpolys(desc, xs):
+    for pc in desc.reduced_charpolys(xs):
         try:
             pfs.append(involutions._pfaffian(pc, desc.field))
         except NotPfaffian:
@@ -708,7 +741,7 @@ def test_prp_annihilation_agrees_with_the_horner_oracle(name):
     shifted = pfs[1:] + pfs[:1]
     assert verify._prp_annihilated(desc, xs, shifted) == _horner_verdicts(desc, xs, shifted)
     one = desc.field.one
-    wrong = [dataclasses.replace(pf, coeffs=(pf.coeffs[0] + one, *pf.coeffs[1:])) for pf in pfs]
+    wrong = [pf._replace(coeffs=(pf.coeffs[0] + one, *pf.coeffs[1:])) for pf in pfs]
     assert verify._prp_annihilated(desc, xs, wrong) == _horner_verdicts(desc, xs, wrong) == [False] * len(xs)
 
 
@@ -723,7 +756,7 @@ def test_prp_property_fails_on_a_wrong_p0(monkeypatch, field):
 
     def wrong_p0(pc, field):
         pf = pfaffian(pc, field)
-        return dataclasses.replace(pf, coeffs=(pf.coeffs[0] + field.one, *pf.coeffs[1:]))
+        return pf._replace(coeffs=(pf.coeffs[0] + field.one, *pf.coeffs[1:]))
 
     assert _prp_line(field) == "PASS symplectic.prp_square_and_annihilation (4 trials)"
     monkeypatch.setattr(verify, "_pfaffian", wrong_p0)
@@ -1110,6 +1143,6 @@ def test_radical_certificate_rejects_an_l_vector_among_the_w():
     # s1 pairs with s2, so a W row of the polar matrix is not zero
     comps = galois_components(_golden_descriptor("orthogonal_gf2k3"), checks=False)
     (one, s1, *rest), (w, *ws) = comps.l_coords, comps.w_coords[0]
-    comps = dataclasses.replace(comps, l_coords=[one, w, *rest], w_coords=[[s1, *ws], *comps.w_coords[1:]])
+    comps = rebuilt(comps, l_coords=[one, w, *rest], w_coords=[[s1, *ws], *comps.w_coords[1:]])
     cert = _radical_verdicts(comps)
     assert cert.is_false and cert.witness == {"radical_dim": 6}

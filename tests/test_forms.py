@@ -244,7 +244,7 @@ def test_quad_pfister_shapes():
     p1 = quad_pfister([], c)
     assert p1.blocks == ((F4.one, c),)
     p3 = quad_pfister([F4.one, F4.gen], c)
-    assert p3.dim == 8 and p3.nonsingular
+    assert p3.dim == 8 and not p3.diag
     # represents 1: first block at (1,0) evaluates to 1
     v = [F4.zero] * 8
     v[0] = F4.one

@@ -55,11 +55,8 @@ from charform.involutions import (
     UnitaryExchange,
     det_orthogonal,
     pfaffian_form,
-    reduced_charpoly,
     reduced_pfaffian,
     second_trace_form,
-    srd_form_orth,
-    srd_form_unitary,
     symmetric_space,
 )
 from charform.linalg import Mat, Span, rank, unit_vector
@@ -378,7 +375,7 @@ def test_a_basis_row_that_is_no_image_is_rejected(monkeypatch):
 
 def test_pcrd_of_identity():
     for desc in (SplitSymp(GF2), SplitSymp(F4)):
-        pc = reduced_charpoly(desc, desc.one_el())
+        pc = desc.reduced_charpoly(desc.one_el())
         # (X+1)^8 = X^8 + 1 in characteristic 2
         expect = [desc.field.zero] * 9
         expect[0] = desc.field.one
@@ -389,7 +386,7 @@ def test_pcrd_of_identity():
 def test_pcrd_of_rank2_projector():
     desc = SplitSymp(GF2)
     p1 = quat_element(desc, {(0, 0): QuatRing(desc.quat).one})
-    pc = reduced_charpoly(desc, p1)
+    pc = desc.reduced_charpoly(p1)
     # projector onto a 2-dimensional block: X^6 (X+1)^2 = X^8 + X^6? no:
     # (X+1)^2 = X^2 + 1, so X^6(X+1)^2 = X^8 + X^6
     one, zero = GF2.one, GF2.zero
@@ -401,7 +398,7 @@ def test_pcrd_cayley_hamilton():
     desc = SplitSymp(F4)
     for _ in range(5):
         x = desc.rand(rng)
-        pc = reduced_charpoly(desc, x)
+        pc = desc.reduced_charpoly(x)
         sp = SplitImages(desc.quat)
         m = sp.embed_matrix(quat_matrix(desc, x))
         lifted = [sp.lift(c) if sp.ring is not desc.field else c for c in pc]
@@ -415,7 +412,7 @@ def test_pcrd_against_cofactor_oracle():
     assert sp.ring is desc.field  # [0,1) splits over F itself
     for _ in range(5):
         x = desc.rand(rng)
-        assert reduced_charpoly(desc, x) == poly_charpoly_oracle(
+        assert desc.reduced_charpoly(x) == poly_charpoly_oracle(
             sp.embed_matrix(quat_matrix(desc, x)), desc.field
         )
 
@@ -836,12 +833,12 @@ def test_second_trace_form_matches_charpoly_coefficient(name, kind, c):
         desc = Orthogonal(field, gram)
     else:
         desc = UnitaryEtale(field, t if c == "t" else one / t, gram)
-    raw = (srd_form_orth if kind == "orthogonal" else srd_form_unitary)(desc)
+    raw = second_trace_form(desc)
     space = symmetric_space(desc)
     rng = random.Random(29)
     for _ in range(100):
         v = space.rand_coords(rng)
-        assert raw.evaluate(v) == reduced_charpoly(desc, space.element(v))[2]
+        assert raw.evaluate(v) == desc.reduced_charpoly(space.element(v))[2]
     # Srd(1) = C(4,2) mod 2 = 0
     assert raw.evaluate(space.coords(desc.one_el())) == field.zero
 
@@ -849,7 +846,7 @@ def test_second_trace_form_matches_charpoly_coefficient(name, kind, c):
 def test_srd_orth_polar_rank_4():
     for field, gs in ((GF2, (GF2.one,) * 4), (F4, (F4.one, F4.gen, F4.gen, F4.one))):
         desc = Orthogonal(field, gs)
-        raw = srd_form_orth(desc)
+        raw = second_trace_form(desc)
         b = raw.polar_matrix()
         # radical of the polar form has dimension 6 on the 10-dim space
         assert rank([list(r) for r in b], field) == 4
@@ -858,10 +855,6 @@ def test_srd_orth_polar_rank_4():
 
 
 def test_srd_form_dispatch_errors():
-    with pytest.raises(UnsupportedDescriptor):
-        srd_form_unitary(Orthogonal(GF2, (GF2.one,) * 4))
-    with pytest.raises(UnsupportedDescriptor):
-        srd_form_orth(UnitaryExchange(GF2))
     with pytest.raises(UnsupportedDescriptor):
         second_trace_form(SplitSymp(GF2))
 

@@ -269,7 +269,7 @@ def _ratfunc_symbol(a, b):
     t, one = field.t, field.one
     slots = {"t": t, "1/t": one / t, "1+t": one + t, "1": one}
     if field is R4:
-        slots["g"] = field.const(F4.gen)
+        slots["g"] = field.el(F4.gen.raw)
     return make(field, slots[a], slots[b])
 
 

@@ -1,15 +1,21 @@
 """The runtime stays stdlib-only and keeps nothing it does not use: every
 module that ``src/charform`` imports is charform itself or a module of the
 standard library, every name an import binds is read somewhere in the
-module, and every private helper or attribute is read somewhere in
-``src/charform``.  Its runtime checks are explicit raises: no ``assert``
-statement, which ``python -O`` strips, stands in ``src/charform``."""
+module, every private helper or attribute is read somewhere in
+``src/charform``, and every public function or class is read there too or
+is named in the README's library API.  Its runtime checks are explicit
+raises: no ``assert`` statement, which ``python -O`` strips, stands in
+``src/charform``.  Importing the CLI loads no record machinery
+(``dataclasses``, which pulls in ``inspect``)."""
 
 import ast
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "charform"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "charform"
 
 
 def foreign_imports(source: str) -> set:
@@ -79,6 +85,38 @@ def dead_private_names(sources: dict) -> set:
     return {f"{module}:{n}" for module, n in defined if n not in read}
 
 
+def unread_public_names(sources: dict, documented: set) -> set:
+    """Public top-level functions and classes that no module of ``sources``
+    reads by name or by attribute and that ``documented`` does not name, as
+    ``module:name``."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name[:1] != "_"
+        and node.name not in read | documented
+    }
+
+
+def library_api() -> set:
+    """The names that open a backquoted span under the README's
+    ``## Library API`` (a call such as ``f(x)`` names f), each dotted name
+    also by its parts."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_][\w.]*)", section))
+    return names | {part for name in names for part in name.split(".")}
+
+
 def assert_lines(source: str) -> list:
     """The line numbers of the ``assert`` statements."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
@@ -143,6 +181,29 @@ def test_guard_flags_dead_private_helpers():
     }
 
 
+def test_guard_flags_unread_public_names():
+    a = "\n".join([
+        "def used():",
+        "    pass",
+        "def documented():",
+        "    pass",
+        "def dead():",
+        "    return used()",
+        "class Record:",
+        "    pass",
+        "class Dead:",
+        "    def method(self):",
+        "        pass",
+        "def _private():",
+        "    pass",
+        "DEAD = 1",
+    ])
+    b = "from . import a\n\ndef main(x: a.Record):\n    return x.method()"
+    assert unread_public_names({"a.py": a, "b.py": b}, {"documented"}) == {
+        "a.py:dead", "a.py:Dead", "b.py:main",
+    }
+
+
 def test_guard_flags_assert_statements():
     lines = [
         "def f(x):",
@@ -175,3 +236,21 @@ def test_private_helpers_are_read():
 def test_runtime_has_no_assert_statements():
     found = {name: assert_lines(src) for name, src in _sources().items()}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+def test_public_names_are_read_or_documented():
+    api = library_api()
+    assert {"check_pi3_decomposability", "Mat", "Quat", "gen"} <= api
+    assert not unread_public_names(_sources(), api)
+
+
+def test_importing_the_cli_loads_no_record_machinery():
+    # a fresh interpreter without site, so only charform's own imports count
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import charform.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -668,20 +668,20 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
     assert all(line.startswith("PASS ") for line in lines.values())
 
 
+def _wrong_e17_term(desc):
+    """desc with the first split term of e_17 (entry (1, 0), payload 1) off by 1."""
+    desc._split_nums = [list(terms) for terms in desc._split_nums]
+    l, s = desc._split_nums[17][0]
+    desc._split_nums[17][0] = (l, s ^ 1)
+    return desc
+
+
 def test_verify_reports_an_aborted_suite_and_runs_the_rest(monkeypatch, capsys):
-    # the term of e_17 off by 1 in verify's gf2k:3 descriptor: a polarization
-    # charpoly has an odd coefficient, and the NotPfaffian that ends the symplectic
-    # suite becomes its one FAIL line; the five other suites still report
+    # a wrong split-table entry in verify's gf2k:3 descriptor: a polarization
+    # charpoly has an odd coefficient, and the NotPfaffian that ends the
+    # symplectic suite becomes its one FAIL line; the five other suites report
     make = verify._symplectic_descriptor
-
-    def flipped(field):
-        desc = make(field)
-        desc._split_nums = [list(terms) for terms in desc._split_nums]
-        l, s = desc._split_nums[17][0]
-        desc._split_nums[17][0] = (l, s ^ 1)
-        return desc
-
-    monkeypatch.setattr(verify, "_symplectic_descriptor", flipped)
+    monkeypatch.setattr(verify, "_symplectic_descriptor", lambda f: _wrong_e17_term(make(f)))
     assert main(["verify", "--suite", "all", "--field", "gf2k:3", "--trials", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     results, summary = lines[:-1], lines[-1]
@@ -792,10 +792,7 @@ def test_prp_el_mul_leg_catches_a_wrong_split_table_entry():
     # has a Prp, and it annihilates the wrong split matrix (moved past the
     # first 3, x passes), but the split matrix of x*x is not its square;
     # most other charpolys are not squares
-    desc = verify._symplectic_descriptor(F8)
-    desc._split_nums = [list(terms) for terms in desc._split_nums]
-    l, s = desc._split_nums[17][0]
-    desc._split_nums[17][0] = (l, s ^ 1)
+    desc = _wrong_e17_term(verify._symplectic_descriptor(F8))
     xs = _draws(desc, random.Random(5), 6)
     pfs = _pfaffians(desc, xs)
     assert pfs[0] is not None and sum(pf is None for pf in pfs) >= 4

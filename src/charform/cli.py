@@ -127,16 +127,7 @@ def cmd_verify(args) -> int:
             "field": field.text(),
             "seed": seed,
             "trials": args.trials,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "trials": r.trials,
-                    "unknowns": r.unknowns,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "results": [r._asdict() for r in results],
         }
         print(json.dumps(out))
     else:

@@ -259,7 +259,7 @@ def galois_components(
         add, one, rows = field.radd, field.rone, {}
         for k, s in ((1, L.s1), (2, L.s2)):
             cols = [desc.symmetrized(desc.el_mul(b, s)) for b in space.basis]
-            rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
+            rows[k, False] = fixed = [[col[p] for col in cols] for p in space.pivots]
             rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
         w_coords = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
     dims = (len(l_coords), *map(len, w_coords))

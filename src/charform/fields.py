@@ -779,7 +779,7 @@ def etale_ops(c, zero, add, mul, e=None):
     of payloads of a commutative ring given by its zero and the closures add
     and mul; e = None stands for e = 1.  A product with a zero operand costs
     no ring product, one with both y parts zero costs one, one with a single
-    y part zero costs two; the general case costs five (six with an e)."""
+    y part zero costs two; the general case costs four (five with an e)."""
 
     def emul(p, q):
         x1, y1 = p
@@ -794,9 +794,9 @@ def etale_ops(c, zero, add, mul, e=None):
             if x2 == zero:
                 return q
             return (mul(x1, x2), mul(y1, x2))
-        yy = mul(y1, y2)
-        ey = yy if e is None else mul(e, yy)
-        return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), ey))
+        xx, yy = mul(x1, x2), mul(y1, y2)
+        y = add(mul(add(x1, y1), add(x2, y2)), xx)  # x1*y2 + y1*x2 + yy (Karatsuba)
+        return (add(xx, mul(c, yy)), y if e is None else add(y, add(yy, mul(e, yy))))
 
     return lambda p, q: tuple(map(add, p, q)), emul
 

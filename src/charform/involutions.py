@@ -47,6 +47,7 @@ from .errors import (
     ZeroScalar,
 )
 from .fields import (
+    GF2,
     Fe,
     Field,
     GF2k,
@@ -57,7 +58,7 @@ from .fields import (
     solve_artin_schreier,
 )
 from .forms import RawQuadraticForm, candidates
-from .linalg import Span, charpoly_raw, combination, kernel, rref, unit_vector
+from .linalg import Span, charpoly_raw, combination, rref, unit_vector
 from .quaternions import QuaternionAlgebra, quat_conj
 
 # per involution type: the dimension of Symd (symplectic) or Sym, and the
@@ -70,28 +71,30 @@ CASE_DIMS = {
 
 
 class InvolutionSpace:
-    """Coordinatized space of (skew-)symmetric elements.
-
-    For symplectic descriptors each basis element b is stored together with
+    """Coordinatized space of (skew-)symmetric elements: the coordinates of x
+    over the reduced echelon basis are its entries at the pivots, accepted
+    when they recombine to x.  For symplectic descriptors each basis element b is stored together with
     the coordinate i of its half b' = e_i, b = b' + sigma(b'), so the
     polarization b(x, y) = t(x) t(y) + Trd(x y') of the Pfaffian form needs
     no division by 2 (verify checks it).  Coordinates over the basis are
     lists of field payloads.
     """
 
-    def __init__(self, desc, basis, halves):
-        self.desc, self.basis, self.halves = desc, basis, halves
-        self._span = Span(basis, desc.field)  # the basis is its echelon form, row by row
+    def __init__(self, desc, basis, pivots, halves):
+        self.desc, self.basis, self.pivots, self.halves = desc, basis, pivots, halves
+        self._terms = [[(j, a) for j, a in enumerate(row) if a != desc.field.rzero] for row in basis]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords(self, x) -> Optional[list]:
-        return self._span.coords(self.desc.to_vec(x))
+        v = self.desc.to_vec(x)
+        coords = [v[p] for p in self.pivots]
+        return coords if self.element(coords) == v else None
 
     def element(self, coords: Sequence):
-        return tuple(self.desc._apply(self._span.terms, coords, list(self.desc.zero_el())))
+        return tuple(self.desc._apply(self._terms, coords, list(self.desc.zero_el())))
 
     def half(self, coords: Sequence):
         if self.halves is None:
@@ -215,8 +218,6 @@ def _embedding(base: GF2k, target: GF2k) -> Tuple[tuple, tuple]:
     base, the powers of the least root of its modulus in target, and for each
     b the bits of target whose xor is bit b of the preimage of an image."""
     k = base.k
-    if target is base:
-        return tuple(1 << b for b in range(k)), tuple((b,) for b in range(k))
 
     def modulus_at(r):
         acc = 0
@@ -226,17 +227,10 @@ def _embedding(base: GF2k, target: GF2k) -> Tuple[tuple, tuple]:
 
     root = next(r for r in range(target.order) if not modulus_at(r))
     images = tuple(_power(target.rmul, root, b) for b in range(k))
-    # reduced echelon rows (pivot bit, row, the bits b whose images sum to it)
-    rows = []
-    for b, v in enumerate(images):
-        combo = 1 << b
-        for pivot, w, cw in rows:
-            if v >> pivot & 1:
-                v, combo = v ^ w, combo ^ cw
-        pivot = v.bit_length() - 1
-        rows = [(p, w ^ v, cw ^ combo) if w >> pivot & 1 else (p, w, cw) for p, w, cw in rows]
-        rows.append((pivot, v, combo))
-    return images, tuple(tuple(p for p, _, cw in rows if cw >> b & 1) for b in range(k))
+    # a preimage from the bits of its image at the pivots of the images' span
+    # over GF(2), summed as the echelon rows combine the images
+    span = Span([[v >> q & 1 for q in range(target.k)] for v in images], GF2)
+    return images, tuple(tuple(p for p, cw in zip(span.pivots, span.combos) if cw[b]) for b in range(k))
 
 
 @functools.cache
@@ -703,7 +697,14 @@ def _symmetrized_images(desc: Descriptor) -> List[tuple]:
 
 def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     """Basis of Symd(sigma), the image of Id + sigma, with halves (symplectic)
-    or of Sym(sigma), the kernel of x -> x + sigma(x).
+    or of Sym(sigma), its kernel: the echelon rows of the nonzero images
+    e_i + sigma(e_i), read off the sigma table, and for an orthogonal sigma
+    of the diagonal projectors sigma fixes.  (Id + sigma)^2 = 0 puts the
+    images in Sym, so unitary images of rank 16 leave a kernel of dimension
+    32 - 16, which they fill.  Orthogonal images have no diagonal entries, so
+    a family of rank 10 has images of rank >= 10 - 4, in a kernel of
+    dimension <= 16 - 6 = 10, which it fills.  The dimension check certifies
+    both ranks.
 
     For the symplectic shapes the echelon rows of the images are images:
     e_(r,s,a) with r < s leads at its own coordinate and has its other
@@ -713,28 +714,25 @@ def symmetric_space(desc: Descriptor) -> InvolutionSpace:
     """
     if desc._space is not None:
         return desc._space
-    field = desc.field
-    images = _symmetrized_images(desc)
-    symplectic = desc.case == "symplectic"
-    if symplectic:
-        family = [v for v in images if any(a != field.rzero for a in v)]
-    else:
-        family = kernel(list(zip(*images)), field)
-    rows, pivots = rref(family, field)
+    zero, images = desc.zero_el(), _symmetrized_images(desc)
+    family = [v for v in images if v != zero]
+    if desc.case == "orthogonal":
+        family += [p for p in map(desc.projector, range(desc.n)) if desc.symmetrized(p) == zero]
+    rows, pivots = rref(family, desc.field)
     basis = [tuple(row) for row in rows[: len(pivots)]]
     halves = None
-    if symplectic:
+    if desc.case == "symplectic":
         try:
             halves = [images.index(b) for b in basis]
         except ValueError:
             raise CharformError("an echelon row of Symd is not a symmetrized image") from None
-    space = InvolutionSpace(desc, basis, halves)
+    space = InvolutionSpace(desc, basis, pivots, halves)
     expected = CASE_DIMS[desc.case][0]
     if space.dim != expected:
         raise CharformError(
             f"symmetric space of {desc.kind} has dimension {space.dim}, expected {expected}"
         )
-    if symplectic and space.coords(desc.one_el()) is None:
+    if desc.case == "symplectic" and space.coords(desc.one_el()) is None:
         raise UnsupportedDescriptor("1 is not a symmetrized element")
     desc._space = space
     return space

@@ -311,7 +311,10 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     pcs = desc.reduced_charpolys([z for pair in pairs for z in pair], masks)
     bad = 0
     for p, ((cv, cw), (x, y)) in enumerate(zip(draws, pairs)):
-        pf_x, pf_y, pf_xy = (_pfaffian(pc, field) for pc in pcs[3 * p : 3 * p + 3])
+        pf_x, pf_y, pf_xy = (_pfaffian_or_none(pc, field) for pc in pcs[3 * p : 3 * p + 3])
+        if None in (pf_x, pf_y, pf_xy):
+            bad += 1
+            continue
         lhs = pf_xy.second + pf_x.second + pf_y.second
         if lhs != pf_x.trace * pf_y.trace + desc.trd_product(x, space.half(cw)):
             bad += 1
@@ -322,13 +325,7 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
     rng = _rng(seed, "symp.prp")
     n_el = min(trials, 100)
     xs = [space.element(space.rand_coords(rng)) for _ in range(n_el)]
-    pfs = []
-    for pc in desc.reduced_charpolys(xs):
-        # the charpoly is Prp(x)^2 exactly when _pfaffian takes its square root
-        try:
-            pfs.append(_pfaffian(pc, field))
-        except NotPfaffian:
-            pfs.append(None)
+    pfs = [_pfaffian_or_none(pc, field) for pc in desc.reduced_charpolys(xs)]
     ok = all(_prp_annihilated(desc, xs, pfs))
     out.append(PropertyResult("symplectic.prp_square_and_annihilation", ok, n_el))
 
@@ -365,6 +362,14 @@ def run_symplectic(field: Field, seed: int, trials: int) -> List[PropertyResult]
             )
         )
     return out
+
+
+def _pfaffian_or_none(pc, field: Field):
+    """_pfaffian, or None when the charpoly is not the square Prp(x)^2."""
+    try:
+        return _pfaffian(pc, field)
+    except NotPfaffian:
+        return None
 
 
 def _prp_annihilated(desc, xs, pfs) -> List[bool]:
@@ -407,37 +412,32 @@ def _prp_annihilated(desc, xs, pfs) -> List[bool]:
 # --- suites: unitary and orthogonal ---------------------------------------------
 
 
+def _pipeline(name: str, desc, extract, seed: int) -> PropertyResult:
+    """One extraction's checks, which also need the dimensions of Sym and its components."""
+    space, comps = symmetric_space(desc), default_components(desc)
+    ok = (space.dim, comps.dims) == CASE_DIMS[desc.case]
+    return _checks_result(name, extract(desc, comps, seed=seed).checks, ok)
+
+
 def run_unitary(field: Field, seed: int, trials: int) -> List[PropertyResult]:
-    out = []
     if isinstance(field, GF2k):
         c = next(c for c in field.elements() if solve_artin_schreier(c) is None)
     else:
         c = field.t  # s^2 + s + t is irreducible: t has odd degree
-    sym_dim, comp_dims = CASE_DIMS["unitary"]
-    for desc in (UnitaryExchange(field), UnitaryEtale(field, c, (field.one,) * 4)):
-        space = symmetric_space(desc)
-        comps = default_components(desc)
-        inv = extract_unitary_invariants(desc, comps, seed=seed)
-        ok = space.dim == sym_dim and comps.dims == comp_dims
-        out.append(_checks_result(f"unitary.{desc.kind}", inv.checks, ok))
-    return out
+    return [
+        _pipeline(f"unitary.{desc.kind}", desc, extract_unitary_invariants, seed)
+        for desc in (UnitaryExchange(field), UnitaryEtale(field, c, (field.one,) * 4))
+    ]
 
 
 def run_orthogonal(field: Field, seed: int, trials: int) -> List[PropertyResult]:
-    out = []
     rng = _rng(seed, "orth.gram")
     if isinstance(field, GF2k):
         gram = tuple(field.rand_nonzero(rng) for _ in range(4))
     else:
         gram = (field.one, field.t, field.one, field.one)
     desc = Orthogonal(field, gram)
-    space = symmetric_space(desc)
-    comps = default_components(desc)
-    inv = extract_orthogonal_invariants(desc, comps, seed=seed)
-    sym_dim, comp_dims = CASE_DIMS["orthogonal"]
-    ok = space.dim == sym_dim and comps.dims == comp_dims
-    out.append(_checks_result("orthogonal.pipeline", inv.checks, ok))
-    return out
+    return [_pipeline("orthogonal.pipeline", desc, extract_orthogonal_invariants, seed)]
 
 
 SUITES: Dict[str, Callable] = {

@@ -34,6 +34,13 @@ overloading, beside the payload tuples of the runtime.
 - ``radical_by_kernel``: the orthogonal radical certificate from a kernel
   of the full polar matrix, beside the read of the adapted Gram matrix in
   ``charform.extraction._radical_certificate``;
+- ``symmetric_space_by_kernel``: the basis of Sym(sigma) from the kernel of
+  the images' matrix, reduced again by ``rref``, with coordinates from a
+  ``Span`` over that basis, beside the one elimination of the images (and
+  fixed projectors) in ``charform.involutions.symmetric_space``;
+- ``readback_by_bit_elimination``: the readback bits of GF(2^k) inside
+  GF(2^m) from a hand-rolled elimination of the images as bit masks, beside
+  the ``Span`` over GF(2) in ``charform.involutions._embedding``;
 - ``prp_annihilates_by_horner``: Prp(x) = 0 by Horner with ``el_mul`` on
   algebra elements, beside the Paterson-Stockmeyer evaluation on the
   cleared split matrices in ``charform.verify._prp_annihilated``;
@@ -54,7 +61,7 @@ import functools
 import itertools
 import operator
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from charform import extraction
 from charform.decision import Decision, decided, unknown
@@ -74,8 +81,8 @@ from charform.forms import (
     isotropic_vector,
     witt_decompose_gf2k,
 )
-from charform.involutions import CASE_DIMS, symmetric_space
-from charform.linalg import Mat, Span, charpoly_raw, combination, kernel, unit_vector
+from charform.involutions import CASE_DIMS, _symmetrized_images, symmetric_space
+from charform.linalg import Mat, Span, charpoly_raw, combination, kernel, rref, unit_vector
 from charform.quaternions import Quat
 
 
@@ -632,7 +639,7 @@ def closed_form_by_solve(desc, L) -> List[List[list]]:
     add, one, rows = field.radd, field.rone, {}
     for k, s in ((1, L.s1), (2, L.s2)):
         cols = [desc.el_add(y, desc.involve(y)) for y in (desc.el_mul(b, s) for b in space.basis)]
-        rows[k, False] = fixed = [[col[p] for col in cols] for p in space._span.pivots]
+        rows[k, False] = fixed = [[col[p] for col in cols] for p in space.pivots]
         rows[k, True] = [r[:i] + [add(r[i], one)] + r[i + 1 :] for i, r in enumerate(fixed)]
     solved = [kernel(rows[1, m1] + rows[2, m2], field) for m1, m2 in _KLEIN_MOVES]
     dims = (len(L.basis), *map(len, solved))
@@ -674,3 +681,44 @@ def prp_annihilates_by_horner(desc, x, pf) -> bool:
     for c in reversed(pf.coeffs[:-1]):
         acc = desc.el_add(desc.el_mul(acc, x), desc.el_scal(c, one))
     return acc == desc.zero_el()
+
+
+# ---------------------------------------------------------------------------
+# the symmetric space by kernel, and the subfield readback by bit elimination
+# ---------------------------------------------------------------------------
+
+
+def symmetric_space_by_kernel(desc) -> Tuple[list, list, Optional[list], Span]:
+    """The reduced echelon basis of Symd(sigma) (symplectic: the echelon rows
+    of the nonzero images e_i + sigma(e_i), each an image, whose index is its
+    half) or of Sym(sigma) (the kernel of the matrix whose columns are the
+    images, brought to echelon form), its pivots and halves, and a Span over
+    the basis, whose ``coords`` give the coordinates of an element."""
+    field, images = desc.field, _symmetrized_images(desc)
+    symplectic = desc.case == "symplectic"
+    if symplectic:
+        family = [v for v in images if any(a != field.rzero for a in v)]
+    else:
+        family = kernel(list(zip(*images)), field)
+    rows, pivots = rref(family, field)
+    basis = [tuple(row) for row in rows[: len(pivots)]]
+    halves = [images.index(b) for b in basis] if symplectic else None
+    span = Span(basis, field)
+    return basis, span.pivots, halves, span
+
+
+def readback_by_bit_elimination(images: Sequence[int], k: int) -> tuple:
+    """For each bit b of GF(2^k), the bits of GF(2^m) whose xor is bit b of
+    the preimage of a member of the span of the images (ints of m bits): the
+    images reduced to echelon form on their highest bits, each row with the
+    set of images it sums."""
+    rows = []  # (pivot bit, row, the bits b whose images sum to it)
+    for b, v in enumerate(images):
+        combo = 1 << b
+        for pivot, w, cw in rows:
+            if v >> pivot & 1:
+                v, combo = v ^ w, combo ^ cw
+        pivot = v.bit_length() - 1
+        rows = [(p, w ^ v, cw ^ combo) if w >> pivot & 1 else (p, w, cw) for p, w, cw in rows]
+        rows.append((pivot, v, combo))
+    return tuple(tuple(p for p, _, cw in rows if cw >> b & 1) for b in range(k))

@@ -204,7 +204,7 @@ def test_importing_the_cli_builds_no_parser_and_no_skeleton():
         "print(c.build_parser.cache_info().currsize, i._skeleton.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "0"]
 

@@ -21,7 +21,6 @@ from charform.errors import (
     DecompositionFailure,
     InvalidCandidate,
     NotInComponent,
-    NotPfaffian,
     UnsupportedDescriptor,
 )
 from charform.fields import GF2, gf2k, ratfunc, solve_artin_schreier
@@ -668,6 +667,24 @@ def test_verify_reports_a_charpoly_that_is_not_a_square(monkeypatch):
     assert all(line.startswith("PASS ") for line in lines.values())
 
 
+def test_verify_fails_a_polarization_charpoly_that_is_not_a_square(monkeypatch):
+    # the flip hits only the polarization batch: each trial whose x, y or x + y
+    # charpoly is not a square fails, and the suite runs on
+    charpolys = _MatrixDescriptor.reduced_charpolys
+
+    def flipped(self, xs, masks=None):
+        pcs = charpolys(self, xs, masks)
+        if masks is not None:
+            pcs = [[pc[0], pc[1] + self.field.one, *pc[2:]] for pc in pcs]
+        return pcs
+
+    monkeypatch.setattr(_MatrixDescriptor, "reduced_charpolys", flipped)
+    lines = {r.name: r.line() for r in verify.run_symplectic(F4, 1, 4)}
+    polarization = "symplectic.polarization_identity"
+    assert lines.pop(polarization) == f"FAIL {polarization} (4 trials)"
+    assert lines and all(line.startswith("PASS ") for line in lines.values())
+
+
 def _wrong_e17_term(desc):
     """desc with the first split term of e_17 (entry (1, 0), payload 1) off by 1."""
     desc._split_nums = [list(terms) for terms in desc._split_nums]
@@ -677,9 +694,10 @@ def _wrong_e17_term(desc):
 
 
 def test_verify_reports_an_aborted_suite_and_runs_the_rest(monkeypatch, capsys):
-    # a wrong split-table entry in verify's gf2k:3 descriptor: a polarization
-    # charpoly has an odd coefficient, and the NotPfaffian that ends the
-    # symplectic suite becomes its one FAIL line; the five other suites report
+    # a wrong split-table entry in verify's gf2k:3 descriptor: the Pfaffian
+    # form's points have charpolys with an odd coefficient, and the NotPfaffian
+    # that ends the symplectic suite in default_components becomes its one
+    # FAIL line; the five other suites report
     make = verify._symplectic_descriptor
     monkeypatch.setattr(verify, "_symplectic_descriptor", lambda f: _wrong_e17_term(make(f)))
     assert main(["verify", "--suite", "all", "--field", "gf2k:3", "--trials", "5"]) == 1
@@ -715,13 +733,7 @@ def _draws(desc, rng, n):
 
 def _pfaffians(desc, xs):
     """The Pfaffian data of each x, None where its charpoly is not a square."""
-    pfs = []
-    for pc in desc.reduced_charpolys(xs):
-        try:
-            pfs.append(involutions._pfaffian(pc, desc.field))
-        except NotPfaffian:
-            pfs.append(None)
-    return pfs
+    return [verify._pfaffian_or_none(pc, desc.field) for pc in desc.reduced_charpolys(xs)]
 
 
 def _horner_verdicts(desc, xs, pfs):

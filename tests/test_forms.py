@@ -160,7 +160,7 @@ def test_malformed_coefficients_raise_under_python_o():
     ])
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ShapeMismatch"] * len(MALFORMED)
 

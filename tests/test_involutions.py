@@ -34,6 +34,8 @@ from oracles import (
     poly_mul,
     q_conj,
     q_nrd,
+    readback_by_bit_elimination,
+    symmetric_space_by_kernel,
     to_lanes,
 )
 from charform import involutions, linalg
@@ -324,17 +326,28 @@ def test_symmetric_space_halves():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, height",
     [
-        lambda: SplitSymp(F8),
-        lambda: _golden_descriptor("index2_symp_gf2k3"),
-        lambda: _golden_descriptor("index2_symp_ratfunc_gf2"),
+        (lambda: SplitSymp(F8), 52),
+        (lambda: _golden_descriptor("index2_symp_gf2k3"), 52),
+        (lambda: _golden_descriptor("index2_symp_ratfunc_gf2"), 52),
+        (lambda: _golden_descriptor("unitary_etale_gf2k3"), 28),
+        (lambda: _golden_descriptor("unitary_exchange_gf2k3"), 32),
+        (lambda: _golden_descriptor("orthogonal_ratfunc_gf2"), 16),
     ],
-    ids=["split_gf8", "index2_symp_gf2k3", "index2_symp_ratfunc_gf2"],
+    ids=[
+        "split_gf8",
+        "index2_symp_gf2k3",
+        "index2_symp_ratfunc_gf2",
+        "unitary_etale_gf2k3",
+        "unitary_exchange_gf2k3",
+        "orthogonal_ratfunc_gf2",
+    ],
 )
-def test_symmetric_space_reads_the_sigma_table(monkeypatch, make):
-    # no involve call, no Span over more than the 28 basis rows, and no
-    # elimination over all 64 coordinate images (the zero images are dropped)
+def test_symmetric_space_reads_the_sigma_table(monkeypatch, make, height):
+    # no involve call, no Span, and one elimination of the nonzero images
+    # (plus the 4 fixed projectors for the orthogonal descriptor), with the
+    # coordinates read at its pivots
     desc = make()
     involves, spans, heights = [], [], []
     involve, span_init, eliminate = Descriptor.involve, Span.__init__, linalg._eliminate
@@ -354,10 +367,61 @@ def test_symmetric_space_reads_the_sigma_table(monkeypatch, make):
     monkeypatch.setattr(Descriptor, "involve", counted_involve)
     monkeypatch.setattr(Span, "__init__", counted_span)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
-    assert symmetric_space(desc).dim == 28
-    assert not involves
-    assert spans and max(spans) <= 28
-    assert heights and max(heights) < desc.ambient_dim
+    space = symmetric_space(desc)
+    assert space.dim == involutions.CASE_DIMS[desc.case][0]
+    assert not involves and not spans
+    assert heights == [height]
+    rng = random.Random(3)
+    coords = space.rand_coords(rng)
+    assert space.coords(space.element(coords)) == coords
+    assert not involves and not spans and len(heights) == 1
+
+
+ALL_GOLDENS = sorted(p.stem for p in GOLDEN_DESCRIPTORS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", ALL_GOLDENS)
+def test_symmetric_space_matches_the_kernel_oracle(name):
+    # the one elimination gives the echelon basis, pivots and halves of the
+    # kernel-then-rref construction, and the coordinates at the pivots agree
+    # with those of a Span over the basis, on members and non-members
+    desc = _golden_descriptor(name)
+    space = symmetric_space(desc)
+    basis, pivots, halves, span = symmetric_space_by_kernel(_golden_descriptor(name))
+    assert (space.basis, space.pivots, space.halves) == (basis, pivots, halves)
+    rng, field, misses = random.Random(name), desc.field, 0
+    for _ in range(4):
+        coords = space.rand_coords(rng)
+        x = space.element(coords)
+        assert space.coords(x) == span.coords(x) == coords
+        z = list(x)
+        z[rng.randrange(desc.ambient_dim)] = field.rrand(rng)
+        for y in (desc.rand(rng), tuple(z)):
+            assert space.coords(y) == span.coords(y)
+            misses += span.coords(y) is None
+    assert misses >= 4
+
+
+def _readback(readback, v: int) -> int:
+    return sum(sum(v >> p & 1 for p in bits) % 2 << b for b, bits in enumerate(readback))
+
+
+@pytest.mark.parametrize(
+    "k, m", [(k, m) for m in range(1, 17) for k in range(1, m + 1) if m % k == 0]
+)
+def test_embedding_readback_matches_the_bit_elimination(k, m):
+    # every element of GF(2^k) (a sample of 2^10 above that) is read back
+    # from its image in GF(2^m) by both readbacks
+    base, target = gf2k(k), gf2k(m)
+    images, readback = involutions._embedding(base, target)
+    oracle = readback_by_bit_elimination(images, k)
+    elements = range(base.order) if k <= 10 else random.Random(k).sample(range(base.order), 1 << 10)
+    for a in elements:
+        v = 0
+        for b in range(k):
+            if a >> b & 1:
+                v ^= images[b]
+        assert _readback(readback, v) == _readback(oracle, v) == a
 
 
 def test_a_basis_row_that_is_no_image_is_rejected(monkeypatch):

@@ -316,6 +316,57 @@ def test_etale_ops_on_packed_polynomials(data):
     assert all(x.raw[1] == 1 for x in expected)
 
 
+def _schoolbook_etale(c, e, add, mul):
+    """(x1 + y1 s)(x2 + y2 s), s^2 = e*s + c, in five products (six with e)."""
+
+    def emul(p, q):
+        (x1, y1), (x2, y2) = p, q
+        yy = mul(y1, y2)
+        ey = yy if e is None else mul(e, yy)
+        return (add(mul(x1, x2), mul(c, yy)), add(add(mul(x1, y2), mul(y1, x2)), ey))
+
+    return emul
+
+
+def _lane_ring(field, n):
+    zero, _, add, mul = field.lanes(n)
+    values = st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n)
+    return zero, add, mul, values.map(lambda v: to_lanes(field, v))
+
+
+# (zero, add, mul, values) of three payload rings: GF(4) payloads, GF(2)[t]
+# numerators, and GF(8) in 5 bit-sliced lanes
+ETALE_RINGS = {
+    "gf4": (0, gf2k(2).radd, gf2k(2).rmul, st.integers(0, 3)),
+    "gf2_t": (0, int.__xor__, lambda x, y: pmul(x, y, GF2), st.integers(0, 1 << 12)),
+    "gf8_lanes": _lane_ring(gf2k(3), 5),
+}
+
+
+@settings(max_examples=100, deadline=None, phases=QUICK.phases)
+@given(st.sampled_from(sorted(ETALE_RINGS)), st.booleans(), st.data())
+def test_etale_ops_match_the_schoolbook_product(name, with_e, data):
+    # the general product forms x1*y2 + y1*x2 from (x1 + y1)(x2 + y2): four
+    # ring products, five with an e
+    zero, add, mul, values = ETALE_RINGS[name]
+    nonzero = values.filter(lambda v: v != zero)
+    c = data.draw(values)
+    e = data.draw(nonzero) if with_e else None
+    p, q = (data.draw(st.tuples(values, values)) for _ in range(2))
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    _, emul = etale_ops(c, zero, add, counted, e)
+    assert emul(p, q) == _schoolbook_etale(c, e, add, mul)(p, q)
+    general = ((p[0], data.draw(nonzero)), (q[0], data.draw(nonzero)))
+    calls.clear()
+    assert emul(*general) == _schoolbook_etale(c, e, add, mul)(*general)
+    assert len(calls) == (4 if e is None else 5)
+
+
 @QUICK
 @given(st.sampled_from(PRODUCT_FIELDS), st.data())
 def test_field_matrix_products(field, data):

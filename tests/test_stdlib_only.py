@@ -251,6 +251,6 @@ def test_importing_the_cli_loads_no_record_machinery():
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"

@@ -73,11 +73,11 @@ CASE_DIMS = {
 class InvolutionSpace:
     """Coordinatized space of (skew-)symmetric elements: the coordinates of x
     over the reduced echelon basis are its entries at the pivots, accepted
-    when they recombine to x.  For symplectic descriptors each basis element b is stored together with
-    the coordinate i of its half b' = e_i, b = b' + sigma(b'), so the
-    polarization b(x, y) = t(x) t(y) + Trd(x y') of the Pfaffian form needs
-    no division by 2 (verify checks it).  Coordinates over the basis are
-    lists of field payloads.
+    when they recombine to x.  For symplectic descriptors each basis element
+    b is stored together with the coordinate i of its half b' = e_i,
+    b = b' + sigma(b'), so the polarization b(x, y) = t(x) t(y) + Trd(x y')
+    of the Pfaffian form needs no division by 2 (verify checks it).
+    Coordinates over the basis are lists of field payloads.
     """
 
     def __init__(self, desc, basis, pivots, halves):

@@ -15,7 +15,10 @@ interpolate.  The trace forms
 read off the points are checked against the Pfaffian or characteristic
 coefficient of random elements, the Pfaffian trace read off the e_i against
 that of random elements, and the Pfaffian form must refuse a point whose
-charpoly is not a Pfaffian square.
+charpoly is not a Pfaffian square.  The symmetric space (one elimination,
+coordinates at the pivots) is checked against the kernel-then-rref oracle
+on every golden, and the readback of GF(2^k) inside GF(2^m) against a bit
+elimination for every k | m <= 16.
 """
 
 import json
